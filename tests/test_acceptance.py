@@ -28,7 +28,7 @@ from vlsym.corpus import (
     enumerate_skeletons,
     load_sources,
 )
-from vlsym.engine import Certainty, Property, SearchConfig, explore, run_concrete
+from vlsym.engine import Certainty, Property, SearchConfig, Stats, explore, run_path
 from vlsym.parser import load_program, parse_program
 from vlsym.ast import Program, pretty_print
 from vlsym.solver import Atom, PathCondition, Rel, SatStatus, pc_sat
@@ -82,11 +82,36 @@ def test_criterion_1_clean_corpus_verifies_in_682_paths(capsys):
         "Writes to input variables",
     ):
         assert f" + {row}" in out
+    # the deterministic counters are the equivalence check for speed work
+    assert "states explored : 150633" in out
+    assert "pruned branches : 0" in out
+    assert "solver calls    : 13" in out
     # two independent counts of the expected path total
     assert skeleton_count(3, 3) == 682
     assert len(enumerate_skeletons(3, 3)) == 682
     assert elapsed < 60.0
     print(f"criterion 1 PASS: clean verify, 682 paths, {elapsed:.1f}s")
+
+
+def test_search_limits_keep_their_counters(capsys):
+    # --max-depth cuts paths per statement and --first stops at the first
+    # violation; both must stop at the same state as before
+    rc = cli.main(["verify", "--max-depth", "6", *corpus_argv(CLEAN_FILES)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "states explored : 6994" in out
+    assert "terminal paths  : 31" in out
+    assert "pruned branches : 0" in out
+    assert "solver calls    : 13" in out
+
+    rc = cli.main(["verify", "--first", *corpus_argv(SWAP_FILES)])
+    out = capsys.readouterr().out
+    assert rc == 2
+    assert "states explored : 177" in out
+    assert "terminal paths  : 1" in out
+    assert "pruned branches : 0" in out
+    assert "solver calls    : 8" in out
+    assert out.count("(property: ASSERTION_VIOLATION, certainty: PROVEABLE) at") == 1
 
 
 def test_criterion_2_widened_bound_verifies_in_5050_paths(capsys):
@@ -107,6 +132,7 @@ def test_criterion_2_widened_bound_verifies_in_5050_paths(capsys):
 def test_criterion_3_swapped_loads_give_a_proveable_witness():
     program = loaded(SWAP_FILES)
     result = explore(program, SearchConfig())
+    assert result.stats == Stats(states=134115, terminals=9, pruned=0, solver_calls=686)
     assert result.violations
     first = result.violations[0]
     assert first.prop is Property.ASSERTION_VIOLATION
@@ -144,7 +170,7 @@ def test_criterion_3_swapped_loads_give_a_proveable_witness():
     for sym, value in first.witness.items():
         if sym.index is not None:
             reals[sym.name][sym.index] = Fraction(value)
-    outcome = run_concrete(program, SearchConfig(), list(first.trail), reals)
+    outcome = run_path(program, SearchConfig(), trail=list(first.trail), reals=reals)
     assert outcome.state is None
     assert any(v.prop is Property.ASSERTION_VIOLATION for v in outcome.violations)
     print(f"criterion 3 PASS: swap bug witnessed at n=m=1, {a0 * v0} vs 0")
@@ -153,6 +179,7 @@ def test_criterion_3_swapped_loads_give_a_proveable_witness():
 def test_criterion_4_column_bound_bug_is_located_at_the_vector_read():
     program = loaded(COLMAX_FILES)
     result = explore(program, SearchConfig())
+    assert result.stats == Stats(states=427061, terminals=682, pruned=0, solver_calls=3384)
     lines = (corpus_dir() / "sparse.vl").read_text().splitlines()
     vector_read = next(i for i, text in enumerate(lines, 1) if "v[j]" in text)
     hits = [
@@ -180,7 +207,9 @@ def test_criterion_5_concrete_runs_match_the_reference_functions():
         for _ in range(3):
             v = [Fraction(rng.randint(-99, 99), rng.randint(1, 16)) for _ in range(3)]
             a = [Fraction(rng.randint(-99, 99), rng.randint(1, 16)) for _ in range(9)]
-            outcome = run_concrete(program, SearchConfig(), list(sk.trail), {"V": v, "A": a})
+            outcome = run_path(
+                program, SearchConfig(), trail=list(sk.trail), reals={"V": v, "A": a}
+            )
             assert outcome.state is not None, sk
             assert not outcome.violations, sk
             val = a[: sk.nz]

@@ -16,7 +16,7 @@ from vlsym.corpus import (
     load_sources,
 )
 from vlsym import ast
-from vlsym.engine import SearchConfig, run_concrete
+from vlsym.engine import SearchConfig, run_path
 from vlsym.parser import load_program
 
 
@@ -98,7 +98,7 @@ def test_skeleton_trails_replay_through_the_driver():
     for sk in rng.sample(skeletons, 12):
         v = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
         a = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(9)]
-        out = run_concrete(prog, SearchConfig(), list(sk.trail), {"V": v, "A": a})
+        out = run_path(prog, SearchConfig(), trail=list(sk.trail), reals={"V": v, "A": a})
         assert out.state is not None and not out.violations
         val = a[: sk.nz]
         assert cells(out.state, "actual") == crs_matvec_native(

@@ -14,8 +14,7 @@ from vlsym.engine import (
     parse_trail,
     render_trail,
     replay,
-    run_concrete,
-    run_random,
+    run_path,
 )
 from vlsym.parser import parse_program
 
@@ -288,6 +287,39 @@ def test_division_by_zero_concrete_and_symbolic():
     assert r.violations[0].witness is None
 
 
+def test_division_violations_keep_their_certainty_and_message():
+    def only_violation(src):
+        (v,) = search(src).violations
+        return v.prop, v.certainty, v.message
+
+    maybe = (Property.DIVISION_BY_ZERO, Certainty.MAYBE)
+    proveable = (Property.DIVISION_BY_ZERO, Certainty.PROVEABLE)
+    assert only_violation(
+        """
+        input real V[1];
+        func main() {
+          var real x = 1.0 / (V[0] * 2.0);
+        }
+        """
+    ) == (*maybe, "cannot show the divisor 2*X_V[0] is never zero")
+    assert only_violation(
+        """
+        func main() {
+          var real x = 2.5 / 0.0;
+        }
+        """
+    ) == (*proveable, "division by zero")
+    # a symbolic divisor that cancels to the zero polynomial is a plain zero
+    assert only_violation(
+        """
+        input real V[1];
+        func main() {
+          var real x = 1.0 / (V[0] - V[0]);
+        }
+        """
+    ) == (*proveable, "division by zero")
+
+
 def test_division_folds_exactly():
     r = search(
         """
@@ -354,6 +386,83 @@ def test_call_returns_value_and_aliases_arrays():
     )
     assert r.stats.terminals == 1
     assert not r.violations
+
+
+PIN_ISOLATION = """
+input int N;
+input int K;
+func probe(int p, int[] slots, int pick) {
+  slots[p] = pick;
+  if (K == 0) {
+    print("probe t p=", p, " N=", N);
+  } else {
+    print("probe e p=", p, " N=", N);
+  }
+}
+func main() {
+  assume(0 <= N && N <= 2 && 0 <= K && K <= 1);
+  var int local = N + 1;
+  var int cells[1];
+  cells[0] = N * 2;
+  var int pick;
+  pick = choose_int(2);
+  var int slots[3];
+  probe(N, slots, pick);
+  if (K == 0) {
+    print("main t g=", N, " l=", local, " c=", cells[0], " s=", slots[N]);
+  } else {
+    print("main e g=", N, " l=", local, " c=", cells[0], " s=", slots[N]);
+  }
+}
+"""
+
+
+def test_each_path_sees_only_its_own_pin():
+    # N is still symbolic when the choose_int forks the path, so the sibling
+    # states share their globals; it is then pinned by an index inside the
+    # callee, and read from a global, a local of the caller, an array cell
+    # and the callee's parameter on both sides of a later branch
+    r = search(PIN_ISOLATION)
+    assert not r.violations
+    assert r.stats.terminals == 12
+    seen = set()
+    for st in r.terminal_states:
+        choice, pin, probe_side, main_side = st.trail
+        assert isinstance(choice, engine.ChooseInt) and isinstance(pin, engine.ConcretizeInt)
+        assert probe_side == main_side
+        n, k = pin.value, choice.index
+        side = "t" if probe_side.then_taken else "e"
+        assert st.prints == [
+            f"probe {side} p={n} N={n}",
+            f"main {side} g={n} l={n + 1} c={2 * n} s={k}",
+        ]
+        seen.add((n, k, side))
+    assert len(seen) == 12
+
+
+def test_programs_explored_in_sequence_keep_their_own_results():
+    # structurally alike programs, parsed and dropped one after another, so
+    # the node objects of one may reuse the memory of the other's
+    first = """
+        func main() {
+          var int x = 2;
+          print("x=", x * 3);
+        }
+        """
+    second = """
+        input int N;
+        func main() {
+          assume(1 <= N && N <= 3);
+          var int x = N;
+          var int a[x];
+          print("x=", x - 1);
+        }
+        """
+    for _ in range(3):
+        r = search(first)
+        assert [st.prints for st in r.terminal_states] == [["x=6"]]
+        r = search(second)
+        assert sorted(st.prints[0] for st in r.terminal_states) == ["x=0", "x=1", "x=2"]
 
 
 def test_recursion_is_rejected_at_init():
@@ -589,7 +698,7 @@ def test_first_only_stops_early():
     assert one.stats.states < full.stats.states
 
 
-def test_run_random_is_deterministic_per_seed():
+def test_run_path_without_trail_is_deterministic_per_seed():
     prog_src = """
         input int N;
         input real V[3];
@@ -600,14 +709,14 @@ def test_run_random_is_deterministic_per_seed():
           print("k=", k, " v=", V[k]);
         }
         """
-    a = run_random(parse_program(prog_src), SearchConfig(seed=7))
-    b = run_random(parse_program(prog_src), SearchConfig(seed=7))
-    c = run_random(parse_program(prog_src), SearchConfig(seed=8))
+    a = run_path(parse_program(prog_src), SearchConfig(seed=7))
+    b = run_path(parse_program(prog_src), SearchConfig(seed=7))
+    c = run_path(parse_program(prog_src), SearchConfig(seed=8))
     assert a.prints == b.prints
     assert a.prints != c.prints or a.state.trail != c.state.trail
 
 
-def test_run_concrete_pins_reals():
+def test_run_path_pins_reals():
     src = """
         input real V[2];
         func main() {
@@ -615,11 +724,11 @@ def test_run_concrete_pins_reals():
           print("s=", s);
         }
         """
-    out = run_concrete(
+    out = run_path(
         parse_program(src),
         SearchConfig(),
-        [],
-        {"V": [Fraction(1, 2), Fraction(1, 3)]},
+        trail=[],
+        reals={"V": [Fraction(1, 2), Fraction(1, 3)]},
     )
     assert out.state is not None
     assert out.prints == ["s=5/6"]
