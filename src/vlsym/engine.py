@@ -18,6 +18,7 @@ which point the path fans out over the feasible range.
 from __future__ import annotations
 
 import enum
+import operator
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -39,6 +40,8 @@ from .solver import (
 from .values import (
     UNDEFINED,
     ConcreteInt,
+    DivisionByZero,
+    NonConstantDivisor,
     Poly,
     RealVal,
     SymConst,
@@ -290,9 +293,6 @@ class Cursor:
         self.stmts = stmts
         self.idx = idx
 
-    def done(self) -> bool:
-        return self.idx >= len(self.stmts)
-
     def clone(self) -> "Cursor":
         return Cursor(self.stmts, self.idx)
 
@@ -300,10 +300,11 @@ class Cursor:
 class Frame:
     __slots__ = ("func", "scopes", "control", "ret_target")
 
-    def __init__(self, func: str, params: dict, ret_target: "str | None" = None):
+    def __init__(self, func: str, params: dict, ret_target: "tuple[int, str] | None" = None):
         self.func = func
         self.scopes = [params]
         self.control: list[Cursor] = []
+        # (scope index, name) in the caller's frame that receives the result
         self.ret_target = ret_target
 
     def push_block(self, stmts) -> None:
@@ -314,11 +315,8 @@ class Frame:
         self.control.pop()
         self.scopes.pop()
 
-    def declare(self, name: str, value) -> None:
-        self.scopes[-1][name] = value
-
     def clone(self) -> "Frame":
-        f = Frame(self.func, dict(self.scopes[0]), self.ret_target)
+        f = Frame(self.func, {}, self.ret_target)
         f.scopes = [dict(s) for s in self.scopes]
         f.control = [c.clone() for c in self.control]
         return f
@@ -336,19 +334,17 @@ class ExecState:
         "next_addr",
         "globals",
         "pc",
-        "pins",
         "trail",
         "prints",
         "status",
     )
 
-    def __init__(self, frames, heap, next_addr, globals_, pc, pins, trail, prints):
+    def __init__(self, frames, heap, next_addr, globals_, pc, trail, prints):
         self.frames = frames
         self.heap = heap
         self.next_addr = next_addr
         self.globals = globals_
         self.pc = pc
-        self.pins = pins
         self.trail = trail
         self.prints = prints
         self.status = Status.RUNNING
@@ -360,7 +356,6 @@ class ExecState:
             self.next_addr,
             self.globals,
             self.pc,
-            dict(self.pins),
             list(self.trail),
             list(self.prints),
         )
@@ -378,17 +373,6 @@ class ExecState:
             if name in scope:
                 return scope[name]
         return self.globals.get(name)
-
-    def assign_var(self, name: str, value) -> None:
-        frame = self.frames[-1]
-        for scope in reversed(frame.scopes):
-            if name in scope:
-                scope[name] = value
-                return
-        raise AssertionError(f"assignment to undeclared '{name}'")
-
-    def depth(self) -> int:
-        return len(self.trail)
 
 
 # ---------------------------------------------------------------------------
@@ -544,11 +528,9 @@ class SearchResult:
     inputs_desc: list
 
 
-_REL_OF = {"<": Rel.LT, "<=": Rel.LE, "==": Rel.EQ, "!=": Rel.NE}
-
-
 class Engine:
-    """Holds the validated program plus everything shared across paths."""
+    """Holds the validated program, lowered once, plus everything shared
+    across paths."""
 
     def __init__(self, program: ast.Program, config: SearchConfig):
         diags = ast.validate(program)
@@ -557,6 +539,13 @@ class Engine:
         self.program = program
         self.config = config
         self.funcs = {f.name: f for f in program.funcs}
+        self.input_names = {d.name for d in program.inputs}
+        # a call finds its callee's body here when it runs, so a body may
+        # call a function that is lowered after it
+        self.bodies: dict[str, tuple] = {}
+        for f in program.funcs:
+            scopes = _Scopes(self, [p.name for p in f.params])
+            self.bodies[f.name] = _lower_block(f.body.stmts, scopes)
         self.inputs_desc: list[str] = []
 
     # --- initial state ---
@@ -623,10 +612,9 @@ class Engine:
                 heap[next_addr] = storage
                 globals_[decl.name] = ArrayRef(next_addr)
                 next_addr += 1
-        main = self.funcs["main"]
         frame = Frame("main", {})
-        frame.push_block(main.body.stmts)
-        state = ExecState([frame], heap, next_addr, globals_, PathCondition(), {}, [], [])
+        frame.push_block(self.bodies["main"])
+        state = ExecState([frame], heap, next_addr, globals_, PathCondition(), [], [])
         _normalize(state)
         return state
 
@@ -658,11 +646,560 @@ def _input_extent(decl: ast.InputDecl, globals_: dict) -> int:
     return n
 
 
+# ---------------------------------------------------------------------------
+# lowering: every expression and statement becomes a closure, once per Engine
+#
+# A value closure maps a state to a SymValue and a condition closure maps
+# a state to a formula; neither mutates the state. A statement closure
+# takes the executor and the state, and returns None when the same state
+# simply goes on, or the list of successors when the path forks or ends;
+# its source location is its `loc` attribute. Every local name is resolved
+# to the index of its scope in the frame when it is lowered. Two concrete
+# ints are combined as Python ints, without a Poly. make_int, int_poly and
+# the Poly operators are looked up through this module when a closure runs.
+
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARE = {
+    "<": (Rel.LT, operator.lt),
+    "<=": (Rel.LE, operator.le),
+    "==": (Rel.EQ, operator.eq),
+    "!=": (Rel.NE, operator.ne),
+}
+
+
+class _Scopes:
+    """The names that each scope of a frame holds, declared in statement
+    order while a function is lowered; index 0 holds the parameters and
+    every pushed block adds one, as Frame does at run time."""
+
+    def __init__(self, eng: Engine, params):
+        self.eng = eng
+        self.names: list[set[str]] = [set(params)]
+
+    def depth(self, name: str) -> "int | None":
+        """Index of the scope that holds name here, or None for an input."""
+        for depth in range(len(self.names) - 1, -1, -1):
+            if name in self.names[depth]:
+                return depth
+        assert name in self.eng.input_names, f"unknown name '{name}' survived validation"
+        return None
+
+    def declare(self, name: str) -> None:
+        self.names[-1].add(name)
+
+
+def _lower_load(name: str, env: _Scopes):
+    """A closure that reads name, whatever it holds (arrays included)."""
+    depth = env.depth(name)
+    if depth is None:
+        return lambda state: state.globals[name]
+    return lambda state: state.frames[-1].scopes[depth][name]
+
+
+def _lower_store(name: str, env: _Scopes):
+    """The (scope index, name) that an assignment to name writes."""
+    depth = env.depth(name)
+    assert depth is not None, "inputs are never assigned"
+    return depth, name
+
+
+def _strict(v: SymValue) -> int:
+    """The value of an int in a strict position; a symbolic one is pinned
+    first, by its earliest declared symbol."""
+    if v.__class__ is ConcreteInt:
+        return v.value
+    raise NeedsConcretize(min(v.poly.symbols(), key=lambda s: s.ord))
+
+
+def _atom_formula(atom: Atom):
+    if atom.poly.is_const():
+        return TRUE if atom.holds({}) else FALSE
+    return FAtom(atom)
+
+
+def _lower_value(e: ast.Expr, env: _Scopes):
+    if isinstance(e, ast.IntLit):
+        lit = ConcreteInt(e.value)
+        return lambda state: lit
+    if isinstance(e, ast.DecLit):
+        dec = RealVal(Poly.const(e.value))
+        return lambda state: dec
+    if isinstance(e, ast.Name):
+        return _lower_name(e, env)
+    if isinstance(e, ast.Index):
+        return _lower_index(e, env)
+    if isinstance(e, ast.Unary):
+        assert e.op == "-", "boolean operators are lowered as conditions"
+        operand = _lower_value(e.operand, env)
+        if e.ty is ast.Type.REAL:
+            return lambda state: RealVal(-operand(state).poly)
+
+        def negate(state):
+            v = operand(state)
+            if v.__class__ is ConcreteInt:
+                return ConcreteInt(-v.value)
+            return make_int(-int_poly(v))
+
+        return negate
+    if isinstance(e, ast.Binary):
+        lhs, rhs = _lower_value(e.lhs, env), _lower_value(e.rhs, env)
+        if e.op == "/":
+            return _lower_quotient(lhs, rhs, e.loc)
+        op = _ARITH[e.op]
+        if e.ty is ast.Type.REAL:
+            return lambda state: RealVal(op(lhs(state).poly, rhs(state).poly))
+
+        def arith(state):
+            a = lhs(state)
+            b = rhs(state)
+            if a.__class__ is ConcreteInt and b.__class__ is ConcreteInt:
+                return ConcreteInt(op(a.value, b.value))
+            return make_int(op(int_poly(a), int_poly(b)))
+
+        return arith
+    if isinstance(e, ast.LenCall):
+        array = _lower_load(e.arg.name, env)
+        return lambda state: ConcreteInt(len(state.heap[array(state).addr].cells))
+    raise AssertionError(f"not a value: {type(e).__name__}")
+
+
+def _lower_name(e: ast.Name, env: _Scopes):
+    name, loc, depth = e.name, e.loc, env.depth(e.name)
+    if depth is None:
+        # inputs always hold a value
+        return lambda state: state.globals[name]
+
+    def read(state):
+        v = state.frames[-1].scopes[depth][name]
+        if v is UNDEFINED:
+            raise Violating(Property.READ_UNDEFINED, loc, f"'{name}' is read before assignment")
+        return v
+
+    return read
+
+
+def _lower_index(e: ast.Index, env: _Scopes):
+    base, loc = e.base.name, e.loc
+    array, index = _lower_load(base, env), _lower_value(e.index, env)
+
+    def read(state):
+        cells = state.heap[array(state).addr].cells
+        i = _strict(index(state))
+        if i < 0 or i >= len(cells):
+            raise Violating(
+                Property.OUT_OF_BOUNDS, loc, f"index {i} outside '{base}' of length {len(cells)}"
+            )
+        cell = cells[i]
+        if cell is UNDEFINED:
+            raise Violating(
+                Property.READ_UNDEFINED, loc, f"'{base}[{i}]' is read before assignment"
+            )
+        return cell
+
+    return read
+
+
+def _lower_quotient(lhs, rhs, loc: Loc):
+    def divide(state):
+        dividend = lhs(state).poly
+        divisor = rhs(state).poly
+        try:
+            return RealVal(dividend.div(divisor))
+        except NonConstantDivisor:
+            raise Violating(
+                Property.DIVISION_BY_ZERO,
+                loc,
+                f"cannot show the divisor {divisor.render()} is never zero",
+                force_maybe=True,
+            ) from None
+        except DivisionByZero:
+            raise Violating(Property.DIVISION_BY_ZERO, loc, "division by zero") from None
+
+    return divide
+
+
+def _lower_cond(e: ast.Expr, env: _Scopes):
+    if isinstance(e, ast.Unary) and e.op == "!":
+        operand = _lower_cond(e.operand, env)
+        return lambda state: f_not(operand(state))
+    if isinstance(e, ast.Binary) and e.op in ("&&", "||"):
+        lhs, rhs = _lower_cond(e.lhs, env), _lower_cond(e.rhs, env)
+        # short-circuit on a decided left side so guarded accesses on the
+        # right stay unevaluated, matching run-time behavior
+        if e.op == "&&":
+
+            def conj(state):
+                left = lhs(state)
+                if left is FALSE:
+                    return FALSE
+                return f_and((left, rhs(state)))
+
+            return conj
+
+        def disj(state):
+            left = lhs(state)
+            if left is TRUE:
+                return TRUE
+            return f_or((left, rhs(state)))
+
+        return disj
+    if isinstance(e, ast.Binary) and e.op in _COMPARE:
+        rel, test = _COMPARE[e.op]
+        lhs, rhs = _lower_value(e.lhs, env), _lower_value(e.rhs, env)
+        if e.lhs.ty is ast.Type.REAL:
+            return lambda state: _atom_formula(
+                Atom(SymKind.REAL, rel, lhs(state).poly - rhs(state).poly)
+            )
+
+        def compare(state):
+            a = lhs(state)
+            b = rhs(state)
+            if a.__class__ is ConcreteInt and b.__class__ is ConcreteInt:
+                return TRUE if test(a.value, b.value) else FALSE
+            return _atom_formula(Atom(SymKind.INT, rel, int_poly(a) - int_poly(b)))
+
+        return compare
+    if isinstance(e, ast.EqualsCall):
+        return _lower_equals(e, env)
+    raise AssertionError(f"not a condition: {type(e).__name__}")
+
+
+def _lower_equals(e: ast.EqualsCall, env: _Scopes):
+    assert isinstance(e.lhs, ast.Name) and isinstance(e.rhs, ast.Name)
+    lname, rname, loc = e.lhs.name, e.rhs.name, e.loc
+    left, right = _lower_load(lname, env), _lower_load(rname, env)
+
+    def equals(state):
+        a = state.heap[left(state).addr]
+        b = state.heap[right(state).addr]
+        if len(a.cells) != len(b.cells):
+            return FALSE
+        parts = []
+        for i in range(len(a.cells)):
+            for arr, name in ((a, lname), (b, rname)):
+                if arr.cells[i] is UNDEFINED:
+                    raise Violating(
+                        Property.READ_UNDEFINED, loc, f"'{name}[{i}]' is read before assignment"
+                    )
+            va, vb = a.cells[i], b.cells[i]
+            if a.elem_kind is SymKind.REAL:
+                poly = va.poly - vb.poly
+            else:
+                poly = int_poly(va) - int_poly(vb)
+            parts.append(_atom_formula(Atom(a.elem_kind, Rel.EQ, poly)))
+        return f_and(parts)
+
+    return equals
+
+
+def _lower_block(stmts, env: _Scopes) -> tuple:
+    """The statements of a block that Frame.push_block will push."""
+    env.names.append(set())
+    body = tuple(_lower_stmt(s, env) for s in stmts)
+    env.names.pop()
+    return body
+
+
+def _lower_stmt(s: ast.Stmt, env: _Scopes):
+    run = _LOWER_STMT[type(s)](s, env)
+    run.loc = s.loc
+    return run
+
+
+def _lower_var_decl(s: ast.VarDecl, env: _Scopes):
+    name = s.name
+    init = _lower_value(s.init, env) if s.init is not None else None
+    env.declare(name)
+
+    def run(ex, state):
+        v = init(state) if init is not None else UNDEFINED
+        frame = state.frames[-1]
+        frame.control[-1].idx += 1
+        frame.scopes[-1][name] = v
+
+    return run
+
+
+def _lower_arr_decl(s: ast.ArrDecl, env: _Scopes):
+    name, extent, extent_loc = s.name, _lower_value(s.extent, env), s.extent.loc
+    kind = SymKind.INT if s.elem_ty is ast.Type.INT else SymKind.REAL
+    env.declare(name)
+
+    def run(ex, state):
+        n = _strict(extent(state))
+        if n < 0:
+            raise Violating(Property.OUT_OF_BOUNDS, extent_loc, f"negative extent {n} for '{name}'")
+        if n > MAX_ARRAY_CELLS:
+            raise EnumerationBudgetExceeded(n, MAX_ARRAY_CELLS)
+        frame = state.frames[-1]
+        frame.control[-1].idx += 1
+        frame.scopes[-1][name] = state.alloc(ArrayStorage([UNDEFINED] * n, kind, False, name))
+
+    return run
+
+
+def _lower_assign(s: ast.Assign, env: _Scopes):
+    value, target = _lower_value(s.value, env), s.target
+    if isinstance(target, ast.Name):
+        depth, name = _lower_store(target.name, env)
+
+        def run(ex, state):
+            v = value(state)
+            frame = state.frames[-1]
+            frame.control[-1].idx += 1
+            frame.scopes[depth][name] = v
+
+        return run
+    base, loc, stmt_loc = target.base.name, target.loc, s.loc
+    array, index = _lower_load(base, env), _lower_value(target.index, env)
+
+    def run_cell(ex, state):
+        v = value(state)
+        storage = state.heap[array(state).addr]
+        i = _strict(index(state))
+        cells = storage.cells
+        if i < 0 or i >= len(cells):
+            raise Violating(
+                Property.OUT_OF_BOUNDS, loc, f"index {i} outside '{base}' of length {len(cells)}"
+            )
+        if storage.read_only:
+            raise Violating(
+                Property.WRITE_TO_INPUT, stmt_loc, f"write to input '{storage.label}'"
+            )
+        state.frames[-1].control[-1].idx += 1
+        cells[i] = v
+
+    return run_cell
+
+
+def _lower_choose(s: ast.ChooseAssign, env: _Scopes):
+    arg = _lower_value(s.arg, env)
+    depth, name = _lower_store(s.target.name, env)
+
+    def run(ex, state):
+        k = _strict(arg(state))
+        if k <= 0:
+            ex.stats.pruned += 1
+            return []
+        state.frames[-1].control[-1].idx += 1
+        picks = ex.policy.pick_choice(k)
+        out = []
+        for st, i in zip(_fan(state, len(picks)), picks):
+            st.trail.append(ChooseInt(i, k))
+            st.frames[-1].scopes[depth][name] = ConcreteInt(i)
+            out.append(st)
+        return out
+
+    return run
+
+
+def _lower_nested_block(s: ast.Block, env: _Scopes):
+    body = _lower_block(s.stmts, env)
+
+    def run(ex, state):
+        frame = state.frames[-1]
+        frame.control[-1].idx += 1
+        frame.push_block(body)
+
+    return run
+
+
+def _lower_call(s: ast.CallStmt, env: _Scopes):
+    callee = env.eng.funcs[s.name]
+    name, params = callee.name, tuple(p.name for p in callee.params)
+    args = tuple(_lower_value(a, env) for a in s.args)
+    target = _lower_store(s.target.name, env) if s.target is not None else None
+    bodies = env.eng.bodies
+
+    def run(ex, state):
+        values = [a(state) for a in args]
+        state.frames[-1].control[-1].idx += 1
+        frame = Frame(name, dict(zip(params, values)), target)
+        frame.push_block(bodies[name])
+        state.frames.append(frame)
+
+    return run
+
+
+def _lower_if(s: ast.If, env: _Scopes):
+    cond, then = _lower_cond(s.cond, env), _lower_block(s.then.stmts, env)
+    if isinstance(s.els, ast.Block):
+        els = _lower_block(s.els.stmts, env)
+    elif isinstance(s.els, ast.If):
+        els = _lower_block((s.els,), env)  # an else-if runs as a block of its own
+    else:
+        els = None
+
+    def run(ex, state):
+        f = cond(state)
+        state.frames[-1].control[-1].idx += 1
+        if f is TRUE or f is FALSE:
+            body = then if f is TRUE else els
+            if body is not None:
+                state.frames[-1].push_block(body)
+            return None
+        out = []
+        for st, truth in ex.branch_walk(state, f):
+            body = then if truth else els
+            if body is not None:
+                st.frames[-1].push_block(body)
+            out.append(st)
+        return out
+
+    return run
+
+
+def _lower_while(s: ast.While, env: _Scopes):
+    cond, body = _lower_cond(s.cond, env), _lower_block(s.body.stmts, env)
+
+    def run(ex, state):
+        f = cond(state)
+        if f is TRUE:
+            state.frames[-1].push_block(body)
+            return None
+        if f is FALSE:
+            state.frames[-1].control[-1].idx += 1
+            return None
+        out = []
+        for st, truth in ex.branch_walk(state, f):
+            if truth:
+                st.frames[-1].push_block(body)
+            else:
+                st.frames[-1].control[-1].idx += 1
+            out.append(st)
+        return out
+
+    return run
+
+
+def _lower_assert(s: ast.Assert, env: _Scopes):
+    cond, c, loc = _lower_cond(s.cond, env), s.cond, s.loc
+    # a failed equals() of two named arrays shows both under the witness
+    shown = None
+    if isinstance(c, ast.EqualsCall):
+        shown = tuple((n.name, _lower_load(n.name, env)) for n in (c.lhs, c.rhs))
+
+    def run(ex, state):
+        neg = f_not(cond(state))
+        if neg is FALSE:
+            state.frames[-1].control[-1].idx += 1
+            return None
+        return ex.check_assert(state, neg, loc, shown)
+
+    return run
+
+
+def _lower_assume(s: ast.Assume, env: _Scopes):
+    cond = _lower_cond(s.cond, env)
+
+    def run(ex, state):
+        f = cond(state)
+        state.frames[-1].control[-1].idx += 1
+        if f is TRUE:
+            return None
+        return ex.apply_assume(state, f)
+
+    return run
+
+
+def _lower_return(s: ast.Return, env: _Scopes):
+    value = _lower_value(s.value, env) if s.value is not None else None
+
+    def run(ex, state):
+        v = value(state) if value is not None else None
+        frames = state.frames
+        if len(frames) == 1:
+            state.status = Status.DONE
+            return None
+        target = frames.pop().ret_target
+        if target is not None:
+            depth, name = target
+            frames[-1].scopes[depth][name] = v
+
+    return run
+
+
+def _lower_print(s: ast.Print, env: _Scopes):
+    parts = tuple(_lower_print_arg(a, env) for a in s.args)
+
+    def run(ex, state):
+        line = "".join([part(state) for part in parts])
+        state.frames[-1].control[-1].idx += 1
+        state.prints.append(line)
+
+    return run
+
+
+def _lower_print_arg(a: ast.Expr, env: _Scopes):
+    if isinstance(a, ast.StrLit):
+        text = a.value
+        return lambda state: text
+    if a.ty is not None and a.ty.is_array():
+        assert isinstance(a, ast.Name)
+        array = _lower_load(a.name, env)
+
+        def show_array(state):
+            cells = [_render_value(c) for c in state.heap[array(state).addr].cells]
+            return "[ " + " ".join(cells) + " ]" if cells else "[ ]"
+
+        return show_array
+    value = _lower_value(a, env)
+    return lambda state: _render_value(value(state))
+
+
+def _render_value(v: SymValue) -> str:
+    if v is UNDEFINED:
+        return "undef"
+    if isinstance(v, RealVal) and v.poly.is_const():
+        return str(v.poly.const_value())
+    return v.render()
+
+
+_LOWER_STMT = {
+    ast.VarDecl: _lower_var_decl,
+    ast.ArrDecl: _lower_arr_decl,
+    ast.Assign: _lower_assign,
+    ast.ChooseAssign: _lower_choose,
+    ast.Block: _lower_nested_block,
+    ast.CallStmt: _lower_call,
+    ast.If: _lower_if,
+    ast.While: _lower_while,
+    ast.Assert: _lower_assert,
+    ast.Assume: _lower_assume,
+    ast.Return: _lower_return,
+    ast.Print: _lower_print,
+}
+
+
 def _fan(state: ExecState, n: int) -> list[ExecState]:
     """n working copies of state; the original is reused as the last one."""
     if n == 1:
         return [state]
     return [state.clone() for _ in range(n - 1)] + [state]
+
+
+def _pin(state: ExecState, sym: SymConst, value: int) -> None:
+    """Substitute a pinned symbol into every int the state holds, so that
+    reads need no substitution. Clones share their globals, so the state
+    gets a rewritten copy of them; its frames and heap are its own."""
+    assignment = {sym: value}
+
+    def subst(v):
+        if v.__class__ is SymInt:
+            return make_int(v.poly.substitute(assignment))
+        return v
+
+    for frame in state.frames:
+        for scope in frame.scopes:
+            for name, v in scope.items():
+                scope[name] = subst(v)
+    for storage in state.heap.values():
+        if storage.elem_kind is SymKind.INT:
+            storage.cells = [subst(v) for v in storage.cells]
+    state.globals = {name: subst(v) for name, v in state.globals.items()}
+
+
+_STOPS = (NeedsConcretize, Violating, UnboundedSymbol, EnumerationBudgetExceeded)
 
 
 class _Executor:
@@ -674,154 +1211,11 @@ class _Executor:
         self.stats = Stats()
         self.violations: list[Violation] = []
         self.incomplete = False
+        self.max_depth = engine.config.max_depth
 
     def sat(self, pc: PathCondition):
         self.stats.solver_calls += 1
         return pc_sat(pc, self.eng.config.budget, self.eng.config.seed)
-
-    # --- expression evaluation (pure: no state mutation) ---
-
-    def _subst(self, state: ExecState, v: SymValue) -> SymValue:
-        if isinstance(v, SymInt) and state.pins:
-            return make_int(v.poly.substitute(state.pins))
-        return v
-
-    def _array(self, state: ExecState, base: ast.Name) -> ArrayStorage:
-        ref = state.lookup(base.name)
-        assert isinstance(ref, ArrayRef), f"'{base.name}' is not an array"
-        return state.heap[ref.addr]
-
-    def _int_value(self, state: ExecState, e: ast.Expr) -> int:
-        v = self.eval_value(state, e)
-        if isinstance(v, ConcreteInt):
-            return v.value
-        assert isinstance(v, SymInt)
-        sym = min(v.poly.symbols(), key=lambda s: s.ord)
-        raise NeedsConcretize(sym)
-
-    def eval_value(self, state: ExecState, e: ast.Expr) -> SymValue:
-        if isinstance(e, ast.IntLit):
-            return ConcreteInt(e.value)
-        if isinstance(e, ast.DecLit):
-            return RealVal(Poly.const(e.value))
-        if isinstance(e, ast.Name):
-            v = state.lookup(e.name)
-            assert v is not None, f"unknown name '{e.name}' survived validation"
-            if v is UNDEFINED:
-                raise Violating(
-                    Property.READ_UNDEFINED, e.loc, f"'{e.name}' is read before assignment"
-                )
-            return self._subst(state, v)
-        if isinstance(e, ast.Index):
-            storage = self._array(state, e.base)
-            i = self._int_value(state, e.index)
-            if i < 0 or i >= len(storage.cells):
-                raise Violating(
-                    Property.OUT_OF_BOUNDS,
-                    e.loc,
-                    f"index {i} outside '{e.base.name}' of length {len(storage.cells)}",
-                )
-            cell = storage.cells[i]
-            if cell is UNDEFINED:
-                raise Violating(
-                    Property.READ_UNDEFINED,
-                    e.loc,
-                    f"'{e.base.name}[{i}]' is read before assignment",
-                )
-            return self._subst(state, cell)
-        if isinstance(e, ast.Unary):
-            assert e.op == "-", "boolean operators never reach eval_value"
-            v = self.eval_value(state, e.operand)
-            if isinstance(v, RealVal):
-                return RealVal(-v.poly)
-            return make_int(-int_poly(v))
-        if isinstance(e, ast.Binary):
-            assert e.op in ("+", "-", "*", "/"), "comparisons never reach eval_value"
-            lhs = self.eval_value(state, e.lhs)
-            rhs = self.eval_value(state, e.rhs)
-            if e.ty is ast.Type.INT:
-                lp, rp = int_poly(lhs), int_poly(rhs)
-                if e.op == "+":
-                    return make_int(lp + rp)
-                if e.op == "-":
-                    return make_int(lp - rp)
-                return make_int(lp * rp)
-            lp, rp = lhs.poly, rhs.poly
-            if e.op == "+":
-                return RealVal(lp + rp)
-            if e.op == "-":
-                return RealVal(lp - rp)
-            if e.op == "*":
-                return RealVal(lp * rp)
-            if not rp.is_const():
-                raise Violating(
-                    Property.DIVISION_BY_ZERO,
-                    e.loc,
-                    f"cannot show the divisor {rp.render()} is never zero",
-                    force_maybe=True,
-                )
-            if rp.const_value() == 0:
-                raise Violating(Property.DIVISION_BY_ZERO, e.loc, "division by zero")
-            return RealVal(lp.scale(1 / rp.const_value()))
-        if isinstance(e, ast.LenCall):
-            assert isinstance(e.arg, ast.Name)
-            return ConcreteInt(len(self._array(state, e.arg).cells))
-        raise AssertionError(f"eval_value cannot handle {type(e).__name__}")
-
-    def eval_bool(self, state: ExecState, e: ast.Expr):
-        if isinstance(e, ast.Unary) and e.op == "!":
-            return f_not(self.eval_bool(state, e.operand))
-        if isinstance(e, ast.Binary) and e.op in ("&&", "||"):
-            lhs = self.eval_bool(state, e.lhs)
-            # short-circuit on a decided left side so guarded accesses on
-            # the right stay unevaluated, matching run-time behavior
-            if e.op == "&&":
-                if lhs is FALSE:
-                    return FALSE
-                return f_and((lhs, self.eval_bool(state, e.rhs)))
-            if lhs is TRUE:
-                return TRUE
-            return f_or((lhs, self.eval_bool(state, e.rhs)))
-        if isinstance(e, ast.Binary) and e.op in _REL_OF:
-            lhs = self.eval_value(state, e.lhs)
-            rhs = self.eval_value(state, e.rhs)
-            if e.lhs.ty is ast.Type.REAL:
-                poly = lhs.poly - rhs.poly
-                kind = SymKind.REAL
-            else:
-                poly = int_poly(lhs) - int_poly(rhs)
-                kind = SymKind.INT
-            return self._atom_formula(Atom(kind, _REL_OF[e.op], poly))
-        if isinstance(e, ast.EqualsCall):
-            assert isinstance(e.lhs, ast.Name) and isinstance(e.rhs, ast.Name)
-            a = self._array(state, e.lhs)
-            b = self._array(state, e.rhs)
-            if len(a.cells) != len(b.cells):
-                return FALSE
-            parts = []
-            for i in range(len(a.cells)):
-                for arr, name in ((a, e.lhs.name), (b, e.rhs.name)):
-                    if arr.cells[i] is UNDEFINED:
-                        raise Violating(
-                            Property.READ_UNDEFINED,
-                            e.loc,
-                            f"'{name}[{i}]' is read before assignment",
-                        )
-                va = self._subst(state, a.cells[i])
-                vb = self._subst(state, b.cells[i])
-                if a.elem_kind is SymKind.REAL:
-                    poly = va.poly - vb.poly
-                else:
-                    poly = int_poly(va) - int_poly(vb)
-                parts.append(self._atom_formula(Atom(a.elem_kind, Rel.EQ, poly)))
-            return f_and(parts)
-        raise AssertionError(f"eval_bool cannot handle {type(e).__name__}")
-
-    @staticmethod
-    def _atom_formula(atom: Atom):
-        if atom.poly.is_const():
-            return TRUE if atom.holds({}) else FALSE
-        return FAtom(atom)
 
     # --- forks ---
 
@@ -890,7 +1284,7 @@ class _Executor:
         out = []
         for st, (v, pc2) in zip(_fan(state, len(chosen)), chosen):
             st.pc = pc2
-            st.pins[sym] = v
+            _pin(st, sym, v)
             st.trail.append(ConcretizeInt(sym.render(), v, fanout, sym.ord))
             out.append(st)
         return out
@@ -928,157 +1322,51 @@ class _Executor:
 
     # --- statements ---
 
-    def step(self, state: ExecState) -> list[ExecState]:
+    def _advance(self, state: ExecState) -> "list[ExecState] | None":
+        """Run the next statement of state. None means the same state goes
+        on; otherwise the list of successors (empty when the path ends)."""
         self.stats.states += 1
-        if self.eng.config.max_depth and state.depth() >= self.eng.config.max_depth:
+        if self.max_depth and len(state.trail) >= self.max_depth:
             self.incomplete = True
             return []
-        frame = state.frames[-1]
-        cursor = frame.control[-1]
-        stmt = cursor.stmts[cursor.idx]
+        cursor = state.frames[-1].control[-1]
+        run = cursor.stmts[cursor.idx]
         try:
-            succs = self._exec(state, stmt)
-        except NeedsConcretize as nc:
+            succs = run(self, state)
+        except _STOPS as exc:
+            return self._stopped(state, run.loc, exc)
+        if succs is None:
+            # _normalize does nothing unless the current block is finished
+            cursor = state.frames[-1].control[-1]
+            if cursor.idx >= len(cursor.stmts):
+                _normalize(state)
+        else:
+            for st in succs:
+                _normalize(st)
+        return succs
+
+    def step(self, state: ExecState) -> list[ExecState]:
+        succs = self._advance(state)
+        return [state] if succs is None else succs
+
+    def _stopped(self, state: ExecState, loc: Loc, exc: Exception) -> list[ExecState]:
+        """Successors of a statement that raised: the pinned copies of state
+        when a strict position needs a concrete int, else none."""
+        if isinstance(exc, NeedsConcretize):
             try:
-                return self._concretize(state, nc.sym)
-            except (UnboundedSymbol, EnumerationBudgetExceeded) as exc:
-                self._budget_violation(state, exc, stmt.loc)
-                return []
-        except Violating as exc:
+                return self._concretize(state, exc.sym)
+            except (UnboundedSymbol, EnumerationBudgetExceeded) as budget_exc:
+                self._budget_violation(state, budget_exc, loc)
+        elif isinstance(exc, Violating):
             try:
                 self._violation_from_exc(state, exc)
             except (UnboundedSymbol, EnumerationBudgetExceeded) as budget_exc:
                 self._budget_violation(state, budget_exc, exc.loc)
-            return []
-        except (UnboundedSymbol, EnumerationBudgetExceeded) as exc:
-            self._budget_violation(state, exc, stmt.loc)
-            return []
-        for s in succs:
-            _normalize(s)
-        return succs
+        else:
+            self._budget_violation(state, exc, loc)
+        return []
 
-    def _exec(self, state: ExecState, s: ast.Stmt) -> list[ExecState]:
-        frame = state.frames[-1]
-        cursor = frame.control[-1]
-        if isinstance(s, ast.VarDecl):
-            v = self.eval_value(state, s.init) if s.init is not None else UNDEFINED
-            cursor.idx += 1
-            frame.declare(s.name, v)
-            return [state]
-        if isinstance(s, ast.ArrDecl):
-            n = self._int_value(state, s.extent)
-            if n < 0:
-                raise Violating(
-                    Property.OUT_OF_BOUNDS, s.extent.loc, f"negative extent {n} for '{s.name}'"
-                )
-            if n > MAX_ARRAY_CELLS:
-                raise EnumerationBudgetExceeded(n, MAX_ARRAY_CELLS)
-            kind = SymKind.INT if s.elem_ty is ast.Type.INT else SymKind.REAL
-            cursor.idx += 1
-            ref = state.alloc(ArrayStorage([UNDEFINED] * n, kind, False, s.name))
-            frame.declare(s.name, ref)
-            return [state]
-        if isinstance(s, ast.Assign):
-            v = self.eval_value(state, s.value)
-            if isinstance(s.target, ast.Name):
-                cursor.idx += 1
-                state.assign_var(s.target.name, v)
-                return [state]
-            storage = self._array(state, s.target.base)
-            i = self._int_value(state, s.target.index)
-            if i < 0 or i >= len(storage.cells):
-                raise Violating(
-                    Property.OUT_OF_BOUNDS,
-                    s.target.loc,
-                    f"index {i} outside '{s.target.base.name}' of length {len(storage.cells)}",
-                )
-            if storage.read_only:
-                raise Violating(
-                    Property.WRITE_TO_INPUT, s.loc, f"write to input '{storage.label}'"
-                )
-            cursor.idx += 1
-            storage.cells[i] = v
-            return [state]
-        if isinstance(s, ast.ChooseAssign):
-            k = self._int_value(state, s.arg)
-            if k <= 0:
-                self.stats.pruned += 1
-                return []
-            cursor.idx += 1
-            picks = self.policy.pick_choice(k)
-            out = []
-            for st, i in zip(_fan(state, len(picks)), picks):
-                st.trail.append(ChooseInt(i, k))
-                st.assign_var(s.target.name, ConcreteInt(i))
-                out.append(st)
-            return out
-        if isinstance(s, ast.Block):
-            cursor.idx += 1
-            frame.push_block(s.stmts)
-            return [state]
-        if isinstance(s, ast.CallStmt):
-            callee = self.eng.funcs[s.name]
-            args = [self.eval_value(state, a) for a in s.args]
-            cursor.idx += 1
-            nf = Frame(
-                callee.name,
-                {p.name: v for p, v in zip(callee.params, args)},
-                s.target.name if s.target is not None else None,
-            )
-            nf.push_block(callee.body.stmts)
-            state.frames.append(nf)
-            return [state]
-        if isinstance(s, ast.If):
-            f = self.eval_bool(state, s.cond)
-            cursor.idx += 1
-            out = []
-            for st, truth in self.branch_walk(state, f):
-                fr = st.frames[-1]
-                if truth:
-                    fr.push_block(s.then.stmts)
-                elif isinstance(s.els, ast.Block):
-                    fr.push_block(s.els.stmts)
-                elif isinstance(s.els, ast.If):
-                    fr.push_block((s.els,))
-                out.append(st)
-            return out
-        if isinstance(s, ast.While):
-            f = self.eval_bool(state, s.cond)
-            out = []
-            for st, truth in self.branch_walk(state, f):
-                fr = st.frames[-1]
-                if truth:
-                    fr.push_block(s.body.stmts)
-                else:
-                    fr.control[-1].idx += 1
-                out.append(st)
-            return out
-        if isinstance(s, ast.Assert):
-            return self._check_assert(state, s)
-        if isinstance(s, ast.Assume):
-            f = self.eval_bool(state, s.cond)
-            cursor.idx += 1
-            return self._apply_assume(state, f)
-        if isinstance(s, ast.Return):
-            v = self.eval_value(state, s.value) if s.value is not None else None
-            if len(state.frames) == 1:
-                state.status = Status.DONE
-                return [state]
-            target = frame.ret_target
-            state.frames.pop()
-            if target is not None:
-                state.assign_var(target, v)
-            return [state]
-        if isinstance(s, ast.Print):
-            line = self._render_print(state, s.args)
-            cursor.idx += 1
-            state.prints.append(line)
-            return [state]
-        raise AssertionError(f"unhandled statement {type(s).__name__}")
-
-    def _apply_assume(self, state: ExecState, f) -> list[ExecState]:
-        if f is TRUE:
-            return [state]
+    def apply_assume(self, state: ExecState, f) -> list[ExecState]:
         if f is FALSE:
             self.stats.pruned += 1
             return []
@@ -1100,12 +1388,9 @@ class _Executor:
                 self.stats.pruned += 1
         return out
 
-    def _check_assert(self, state: ExecState, s: ast.Assert) -> list[ExecState]:
-        f = self.eval_bool(state, s.cond)
-        neg = f_not(f)
-        if neg is FALSE:
-            state.frames[-1].control[-1].idx += 1
-            return [state]
+    def check_assert(self, state: ExecState, neg, loc: Loc, shown) -> list[ExecState]:
+        """Successors of an assert whose negated condition neg is not FALSE;
+        shown names the two arrays of an equals() condition, or is None."""
         try:
             disjuncts = dnf(neg)
         except _DnfBlowup:
@@ -1113,7 +1398,7 @@ class _Executor:
                 Violation(
                     Property.ASSERTION_VIOLATION,
                     Certainty.MAYBE,
-                    s.loc,
+                    loc,
                     "condition is too large to check",
                     tuple(state.trail),
                     None,
@@ -1127,16 +1412,15 @@ class _Executor:
                 pc = pc.add(a)
             res = self.sat(pc)
             if res.status is SatStatus.SAT:
-                detail = self._assert_detail(state, s, res.witness)
                 self._record(
                     Violation(
                         Property.ASSERTION_VIOLATION,
                         Certainty.PROVEABLE,
-                        s.loc,
+                        loc,
                         "asserted condition fails",
                         tuple(state.trail),
                         res.witness,
-                        detail,
+                        _assert_detail(state, shown, res.witness),
                     )
                 )
                 return []
@@ -1147,7 +1431,7 @@ class _Executor:
                 Violation(
                     Property.ASSERTION_VIOLATION,
                     Certainty.MAYBE,
-                    s.loc,
+                    loc,
                     "asserted condition cannot be proved",
                     tuple(state.trail),
                     None,
@@ -1157,78 +1441,57 @@ class _Executor:
         state.frames[-1].control[-1].idx += 1
         return [state]
 
-    def _assert_detail(self, state, s: ast.Assert, witness) -> "list[tuple[str, str]] | None":
-        if not isinstance(s.cond, ast.EqualsCall):
-            return None
-        cond = s.cond
-        if not (isinstance(cond.lhs, ast.Name) and isinstance(cond.rhs, ast.Name)):
-            return None
-        out = []
-        for name_expr in (cond.lhs, cond.rhs):
-            storage = self._array(state, name_expr)
-            vals = []
-            for cell in storage.cells:
-                vals.append(_render_under(self._subst(state, cell), witness))
-            out.append((name_expr.name, "[ " + " ".join(vals) + " ]" if vals else "[ ]"))
-        return out
-
-    # --- printing ---
-
-    def _render_print(self, state: ExecState, args) -> str:
-        parts = []
-        for a in args:
-            if isinstance(a, ast.StrLit):
-                parts.append(a.value)
-                continue
-            if a.ty is not None and a.ty.is_array():
-                assert isinstance(a, ast.Name)
-                storage = self._array(state, a)
-                cells = [self._render_value(state, c) for c in storage.cells]
-                parts.append("[ " + " ".join(cells) + " ]" if cells else "[ ]")
-                continue
-            v = self.eval_value(state, a)
-            parts.append(self._render_value(state, v))
-        return "".join(parts)
-
-    def _render_value(self, state: ExecState, v: SymValue) -> str:
-        if v is UNDEFINED:
-            return "undef"
-        v = self._subst(state, v)
-        if isinstance(v, RealVal) and v.poly.is_const():
-            return str(v.poly.const_value())
-        return v.render()
-
     # --- search ---
 
     def dfs(self, root: ExecState, first_only: bool = False, on_terminal=None) -> None:
         stack = [root]
         while stack:
             st = stack.pop()
-            if st.status is Status.DONE:
+            # straight-line statements run in this loop; only the
+            # successors of a fork go through the stack
+            while st.status is Status.RUNNING:
+                succs = self._advance(st)
+                if first_only and self.violations:
+                    return
+                if succs is None:
+                    continue
+                if len(succs) != 1:
+                    stack.extend(reversed(succs))
+                    break
+                st = succs[0]
+            else:
                 self.stats.terminals += 1
                 if on_terminal is not None:
                     on_terminal(st)
-                continue
-            succs = self.step(st)
-            stack.extend(reversed(succs))
-            if first_only and self.violations:
-                return
 
 
 def _normalize(state: ExecState) -> None:
     """Pop exhausted blocks and frames; mark the state done at main's end."""
-    while state.frames:
-        frame = state.frames[-1]
-        while frame.control and frame.control[-1].done():
-            if len(frame.control) == 1 and len(state.frames) == 1:
+    frames = state.frames
+    while frames:
+        frame = frames[-1]
+        control = frame.control
+        while control:
+            cursor = control[-1]
+            if cursor.idx < len(cursor.stmts):
+                return
+            if len(control) == 1 and len(frames) == 1:
                 state.status = Status.DONE
                 return
             frame.pop_block()
-        if frame.control:
-            return
         # a void function fell off its end
-        state.frames.pop()
+        frames.pop()
     state.status = Status.DONE
+
+
+def _assert_detail(state: ExecState, shown, witness) -> "list[tuple[str, str]] | None":
+    if shown is None:
+        return None
+    out = []
+    for name, array in shown:
+        vals = [_render_under(cell, witness) for cell in state.heap[array(state).addr].cells]
+        out.append((name, "[ " + " ".join(vals) + " ]" if vals else "[ ]"))
+    return out
 
 
 def _render_under(v: SymValue, witness) -> str:
@@ -1345,16 +1608,3 @@ def run_path(
         unused = len(policy.trail) - policy.pos
         raise TrailMismatch(f"path finished with {unused} unused trail decision(s)")
     return outcome
-
-
-def run_random(program: ast.Program, config: SearchConfig) -> PathOutcome:
-    return run_path(program, config)
-
-
-def run_concrete(
-    program: ast.Program,
-    config: SearchConfig,
-    trail: list[Decision],
-    reals: dict[str, list[Fraction]],
-) -> PathOutcome:
-    return run_path(program, config, trail=trail, reals=reals)
