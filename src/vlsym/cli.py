@@ -60,7 +60,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="explore every execution and report violations")
     _add_common(v)
-    v.add_argument("--workers", type=int, default=1, help="parallel search tasks")
+    v.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; the search runs in one thread")
     v.add_argument("--max-depth", type=int, default=0,
                    help="abandon paths after this many decisions (0 = unlimited)")
     v.add_argument("--first", action="store_true",
@@ -114,7 +115,6 @@ def cmd_verify(args, overrides) -> int:
         budget=args.budget,
         seed=args.seed,
         max_depth=args.max_depth,
-        workers=args.workers,
         first_only=args.first,
         overrides=overrides,
     )

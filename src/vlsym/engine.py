@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import enum
 import operator
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -503,19 +501,12 @@ class Stats:
     pruned: int = 0
     solver_calls: int = 0
 
-    def merge(self, other: "Stats") -> None:
-        self.states += other.states
-        self.terminals += other.terminals
-        self.pruned += other.pruned
-        self.solver_calls += other.solver_calls
-
 
 @dataclass
 class SearchConfig:
     budget: int = DEFAULT_BUDGET
     seed: int = 0
     max_depth: int = 0  # 0 means unlimited
-    workers: int = 1
     first_only: bool = False
     overrides: dict = field(default_factory=dict)
 
@@ -529,13 +520,11 @@ class SearchResult:
 
 
 class Engine:
-    """Holds the validated program, lowered once, plus everything shared
-    across paths."""
+    """Holds a program that load_program returned, lowered once, plus
+    everything shared across paths. Lowering reads the types that
+    validation annotated, so it refuses an expression that has none."""
 
     def __init__(self, program: ast.Program, config: SearchConfig):
-        diags = ast.validate(program)
-        if diags:
-            raise EngineInitError("; ".join(d.render() for d in diags))
         self.program = program
         self.config = config
         self.funcs = {f.name: f for f in program.funcs}
@@ -717,7 +706,12 @@ def _atom_formula(atom: Atom):
     return FAtom(atom)
 
 
+_UNVALIDATED = "the program was not validated; pass one that load_program returned"
+
+
 def _lower_value(e: ast.Expr, env: _Scopes):
+    if e.ty is None:
+        raise EngineInitError(_UNVALIDATED)
     if isinstance(e, ast.IntLit):
         lit = ConcreteInt(e.value)
         return lambda state: lit
@@ -819,6 +813,8 @@ def _lower_quotient(lhs, rhs, loc: Loc):
 
 
 def _lower_cond(e: ast.Expr, env: _Scopes):
+    if e.ty is None:
+        raise EngineInitError(_UNVALIDATED)
     if isinstance(e, ast.Unary) and e.op == "!":
         operand = _lower_cond(e.operand, env)
         return lambda state: f_not(operand(state))
@@ -1203,7 +1199,7 @@ _STOPS = (NeedsConcretize, Violating, UnboundedSymbol, EnumerationBudgetExceeded
 
 
 class _Executor:
-    """Per-task execution context: one policy, private stats and findings."""
+    """The context of one search or one path: a policy, stats and findings."""
 
     def __init__(self, engine: Engine, policy):
         self.eng = engine
@@ -1344,10 +1340,6 @@ class _Executor:
             for st in succs:
                 _normalize(st)
         return succs
-
-    def step(self, state: ExecState) -> list[ExecState]:
-        succs = self._advance(state)
-        return [state] if succs is None else succs
 
     def _stopped(self, state: ExecState, loc: Loc, exc: Exception) -> list[ExecState]:
         """Successors of a statement that raised: the pinned copies of state
@@ -1511,51 +1503,13 @@ def _render_under(v: SymValue, witness) -> str:
 
 
 def explore(program: ast.Program, config: SearchConfig, on_terminal=None) -> SearchResult:
+    """Search every path of a program that load_program returned, depth
+    first; violations come out sorted by trail."""
     eng = Engine(program, config)
-    root = eng.init_state()
-    if config.first_only or config.workers <= 1:
-        ex = _Executor(eng, ExploreAll())
-        ex.dfs(root, first_only=config.first_only, on_terminal=on_terminal)
-        violations, stats, incomplete = ex.violations, ex.stats, ex.incomplete
-    else:
-        seed_ex = _Executor(eng, ExploreAll())
-        hook = on_terminal
-        if hook is not None:
-            lock = threading.Lock()
-            plain = on_terminal
-
-            def hook(st, _lock=lock, _plain=plain):
-                with _lock:
-                    _plain(st)
-
-        frontier: list[ExecState] = [root]
-        target = config.workers * 8
-        while frontier and len(frontier) < target:
-            st = frontier.pop(0)
-            if st.status is Status.DONE:
-                seed_ex.stats.terminals += 1
-                if hook is not None:
-                    hook(st)
-                continue
-            frontier.extend(seed_ex.step(st))
-        tasks = frontier
-
-        def work(st: ExecState) -> _Executor:
-            ex = _Executor(eng, ExploreAll())
-            ex.dfs(st, on_terminal=hook)
-            return ex
-
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(work, tasks))
-        violations = list(seed_ex.violations)
-        stats = seed_ex.stats
-        incomplete = seed_ex.incomplete
-        for ex in results:
-            violations.extend(ex.violations)
-            stats.merge(ex.stats)
-            incomplete = incomplete or ex.incomplete
-    violations.sort(key=lambda v: trail_key(v.trail))
-    return SearchResult(violations, stats, incomplete, eng.inputs_desc)
+    ex = _Executor(eng, ExploreAll())
+    ex.dfs(eng.init_state(), first_only=config.first_only, on_terminal=on_terminal)
+    ex.violations.sort(key=lambda v: trail_key(v.trail))
+    return SearchResult(ex.violations, ex.stats, ex.incomplete, eng.inputs_desc)
 
 
 @dataclass
@@ -1566,25 +1520,28 @@ class PathOutcome:
 
 
 def _follow(ex: _Executor, state: ExecState) -> PathOutcome:
-    while state.status is not Status.DONE:
-        succs = ex.step(state)
+    """Run the one path that the policy of ex picks. A trail policy must
+    use up its trail by the end of the path."""
+    while state.status is Status.RUNNING:
+        succs = ex._advance(state)
+        if succs is None:
+            continue
         if not succs:
-            prints = list(state.prints)
-            return PathOutcome(None, ex.violations, prints)
+            return PathOutcome(None, ex.violations, list(state.prints))
         assert len(succs) == 1, "policy must yield a single successor"
         state = succs[0]
+    policy = ex.policy
+    if isinstance(policy, TrailPolicy) and not policy.exhausted():
+        unused = len(policy.trail) - policy.pos
+        raise TrailMismatch(f"path finished with {unused} unused trail decision(s)")
     return PathOutcome(state, ex.violations, list(state.prints))
 
 
 def replay(program: ast.Program, config: SearchConfig, trail: list[Decision]) -> PathOutcome:
+    """Follow a trail symbolically through a program that load_program
+    returned."""
     eng = Engine(program, config)
-    policy = TrailPolicy(trail)
-    ex = _Executor(eng, policy)
-    outcome = _follow(ex, eng.init_state())
-    if outcome.state is not None and not policy.exhausted():
-        unused = len(policy.trail) - policy.pos
-        raise TrailMismatch(f"path finished with {unused} unused trail decision(s)")
-    return outcome
+    return _follow(_Executor(eng, TrailPolicy(trail)), eng.init_state())
 
 
 def run_path(
@@ -1593,8 +1550,9 @@ def run_path(
     trail: "list[Decision] | None" = None,
     reals: "dict[str, list[Fraction]] | None" = None,
 ) -> PathOutcome:
-    """Execute one path with concrete real inputs: given values or seeded
-    random ones, following the trail if given and random choices if not."""
+    """Execute one path of a program that load_program returned, with
+    concrete real inputs: given values or seeded random ones, following
+    the trail if given and random choices if not."""
     eng = Engine(program, config)
     rng = Random(config.seed)
     if reals is not None:
@@ -1602,9 +1560,4 @@ def run_path(
     else:
         state = eng.init_state(random_reals=rng)
     policy = TrailPolicy(trail) if trail is not None else RandomPolicy(rng)
-    ex = _Executor(eng, policy)
-    outcome = _follow(ex, state)
-    if trail is not None and outcome.state is not None and not policy.exhausted():
-        unused = len(policy.trail) - policy.pos
-        raise TrailMismatch(f"path finished with {unused} unused trail decision(s)")
-    return outcome
+    return _follow(_Executor(eng, policy), state)

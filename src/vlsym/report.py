@@ -1,8 +1,8 @@
 """Plain-text reports for verification runs.
 
 The report depends only on what was verified and what was found, never
-on how the work was scheduled, so runs with different worker counts
-produce identical text up to the time statistic.
+on how the work was scheduled, so runs with the same inputs produce
+identical text up to the time statistic.
 """
 
 from __future__ import annotations

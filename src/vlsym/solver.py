@@ -118,13 +118,6 @@ class PathCondition:
     def bounds(self, sym: SymConst) -> Bounds:
         return self.box.get(sym, (None, None))
 
-    def pinned(self) -> dict[SymConst, int]:
-        out = {}
-        for s, (lo, hi) in self.box.items():
-            if lo is not None and lo == hi:
-                out[s] = lo
-        return out
-
     def render(self) -> str:
         if not self.atoms:
             return "true"
@@ -184,7 +177,7 @@ def pc_sat(
     trials: int = SAMPLE_TRIALS,
 ) -> SatResult:
     """Decide satisfiability; a fresh RNG per call keeps results stable
-    no matter how calls interleave across paths or workers."""
+    no matter in which order the paths make their calls."""
     if pc.unsat:
         return SatResult(SatStatus.UNSAT)
 
@@ -240,11 +233,3 @@ def pc_sat(
     if not all(a.holds(assign) for a in pc.atoms):
         raise AssertionError("witness failed its own atoms; solver bug")
     return SatResult(SatStatus.SAT, assign)
-
-
-def pc_implies(
-    pc: PathCondition, claim: Atom, budget: int = DEFAULT_BUDGET, seed: int = 0
-) -> SatResult:
-    """Satisfiability of pc AND NOT claim. UNSAT means pc implies the
-    claim; SAT carries a counterexample to it."""
-    return pc_sat(pc.add(claim.negated()), budget, seed)

@@ -245,22 +245,6 @@ class Poly:
         return f"Poly({self.render()})"
 
 
-def poly_arith(op: str, a: Poly, b: Poly | None = None) -> Poly:
-    """Named entry point over the ring operations (neg takes one operand)."""
-    if op == "add":
-        assert b is not None
-        return a + b
-    if op == "sub":
-        assert b is not None
-        return a - b
-    if op == "mul":
-        assert b is not None
-        return a * b
-    if op == "neg":
-        return -a
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Runtime values
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from vlsym import engine
+from vlsym.ast import Program
 from vlsym.engine import (
     Certainty,
     Property,
@@ -16,13 +17,20 @@ from vlsym.engine import (
     replay,
     run_path,
 )
-from vlsym.parser import parse_program
+from vlsym.parser import load_program, parse_program
+
+
+def load(src: str) -> Program:
+    """The validated program, as the engine's entry points expect it."""
+    prog = load_program([("<input>", src)])
+    assert isinstance(prog, Program), prog
+    return prog
 
 
 def search(src: str, **kw) -> engine.SearchResult:
     terminals = []
     cfg = SearchConfig(**kw)
-    result = explore(parse_program(src), cfg, on_terminal=terminals.append)
+    result = explore(load(src), cfg, on_terminal=terminals.append)
     result.terminal_states = terminals
     return result
 
@@ -465,7 +473,7 @@ def test_programs_explored_in_sequence_keep_their_own_results():
         assert sorted(st.prints[0] for st in r.terminal_states) == ["x=0", "x=1", "x=2"]
 
 
-def test_recursion_is_rejected_at_init():
+def test_recursion_is_rejected_at_load():
     src = """
         func f(int a) -> int {
           var int r;
@@ -477,8 +485,9 @@ def test_recursion_is_rejected_at_init():
           x = f(1);
         }
         """
-    with pytest.raises(engine.EngineInitError):
-        search(src)
+    diags = load_program([("<input>", src)])
+    assert not isinstance(diags, Program)
+    assert any("recursive call cycle" in d.message for d in diags)
 
 
 def test_fork_isolates_heap():
@@ -618,14 +627,14 @@ def test_replay_reproduces_each_terminal():
     r = search(SMALL)
     assert r.stats.terminals == 6  # 2 + 4
     for st in r.terminal_states:
-        out = replay(parse_program(SMALL), SearchConfig(), list(st.trail))
+        out = replay(load(SMALL), SearchConfig(), list(st.trail))
         assert out.state is not None
         assert out.prints == st.prints
         assert not out.violations
 
 
 def test_replay_rejects_leftover_and_mismatched_decisions():
-    prog = parse_program(SMALL)
+    prog = load(SMALL)
     trail = parse_trail("# trail v1\nZ N=1/2\nC 0/2\nC 1/2\n")
     with pytest.raises(TrailMismatch):
         replay(prog, SearchConfig(), trail)
@@ -650,37 +659,16 @@ def test_replay_reaches_recorded_violation():
     r = search(src)
     assert r.violations
     v = r.violations[0]
-    out = replay(parse_program(src), SearchConfig(), list(v.trail))
+    out = replay(load(src), SearchConfig(), list(v.trail))
     assert out.state is None
     assert out.violations
     assert out.violations[0].prop is Property.ASSERTION_VIOLATION
     assert out.violations[0].loc == v.loc
 
 
-def test_workers_do_not_change_the_outcome():
-    seq = search(SMALL, workers=1)
-    par = search(SMALL, workers=4)
-    assert seq.stats == par.stats
-    assert len(seq.terminal_states) == len(par.terminal_states)
-    assert sorted(render_trail(s.trail) for s in seq.terminal_states) == sorted(
-        render_trail(s.trail) for s in par.terminal_states
-    )
-
-    src = """
-        input int N;
-        func main() {
-          assume(1 <= N && N <= 3);
-          var int x;
-          x = choose_int(N + 1);
-          assert(x < N);
-        }
-        """
-    seq = search(src, workers=1)
-    par = search(src, workers=4)
-    assert seq.stats == par.stats
-    assert [(v.prop, v.certainty, tuple(v.trail)) for v in seq.violations] == [
-        (v.prop, v.certainty, tuple(v.trail)) for v in par.violations
-    ]
+def test_unvalidated_program_is_refused_when_the_engine_is_built():
+    with pytest.raises(engine.EngineInitError, match="not validated"):
+        explore(parse_program(SMALL), SearchConfig())
 
 
 def test_first_only_stops_early():
@@ -709,9 +697,9 @@ def test_run_path_without_trail_is_deterministic_per_seed():
           print("k=", k, " v=", V[k]);
         }
         """
-    a = run_path(parse_program(prog_src), SearchConfig(seed=7))
-    b = run_path(parse_program(prog_src), SearchConfig(seed=7))
-    c = run_path(parse_program(prog_src), SearchConfig(seed=8))
+    a = run_path(load(prog_src), SearchConfig(seed=7))
+    b = run_path(load(prog_src), SearchConfig(seed=7))
+    c = run_path(load(prog_src), SearchConfig(seed=8))
     assert a.prints == b.prints
     assert a.prints != c.prints or a.state.trail != c.state.trail
 
@@ -725,7 +713,7 @@ def test_run_path_pins_reals():
         }
         """
     out = run_path(
-        parse_program(src),
+        load(src),
         SearchConfig(),
         trail=[],
         reals={"V": [Fraction(1, 2), Fraction(1, 3)]},

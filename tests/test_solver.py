@@ -10,7 +10,6 @@ from vlsym.solver import (
     Rel,
     SatStatus,
     UnboundedSymbol,
-    pc_implies,
     pc_sat,
 )
 from vlsym.values import Poly, SymConst, SymKind
@@ -63,7 +62,6 @@ def test_strict_bounds_round_correctly():
 def test_pin_via_equality():
     pc = pc_of(bounded(N, 1, 5) + [atom(Rel.EQ, {N: 1}, -2)])
     assert pc.bounds(N) == (2, 2)
-    assert pc.pinned() == {N: 2}
 
 
 def test_non_integral_equality_is_unsat():
@@ -161,13 +159,15 @@ def test_mixed_int_and_real():
 
 def test_implication_valid():
     pc = pc_of(bounded(N, 1, 3))
-    res = pc_implies(pc, atom(Rel.LE, {N: 1}, -5))  # N <= 5
+    claim = atom(Rel.LE, {N: 1}, -5)  # N <= 5
+    res = pc_sat(pc.add(claim.negated()))
     assert res.status is SatStatus.UNSAT
 
 
 def test_implication_counterexample():
     pc = pc_of(bounded(N, 1, 3))
-    res = pc_implies(pc, atom(Rel.LE, {N: 1}, -2))  # N <= 2 fails at N = 3
+    claim = atom(Rel.LE, {N: 1}, -2)  # N <= 2 fails at N = 3
+    res = pc_sat(pc.add(claim.negated()))
     assert res.status is SatStatus.SAT
     assert res.witness == {N: 3}
 

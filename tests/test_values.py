@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -14,7 +15,6 @@ from vlsym.values import (
     ConcreteInt,
     SymInt,
     make_int,
-    poly_arith,
 )
 
 
@@ -42,6 +42,7 @@ def const(x):
 # --- independent oracle: random expression trees evaluated directly ---------
 
 OPS = ("add", "sub", "mul", "neg")
+POLY_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
 
 
 def random_tree(rng, depth):
@@ -61,8 +62,8 @@ def tree_to_poly(t):
     if t[0] == "sym":
         return sym(t[1])
     if t[0] == "neg":
-        return poly_arith("neg", tree_to_poly(t[1]))
-    return poly_arith(t[0], tree_to_poly(t[1]), tree_to_poly(t[2]))
+        return -tree_to_poly(t[1])
+    return POLY_OPS[t[0]](tree_to_poly(t[1]), tree_to_poly(t[2]))
 
 
 def tree_eval(t, point):
