@@ -466,8 +466,6 @@ class _Checker:
         if base.name in self.inputs:
             self.err(f"cannot assign to input '{base.name}'", base.loc)
             return None
-        if isinstance(target, Name):
-            return self.expr(target, scope)
         return self.expr(target, scope)
 
     def check_call(self, s: CallStmt, scope: _Scope) -> None:

@@ -109,15 +109,18 @@ def _emit_trails(directory: str, violations) -> None:
         (out / f"violation-{i:04d}.trail").write_text(engine.render_trail(v.trail))
 
 
+def _config(args, overrides, **search) -> SearchConfig:
+    """The search settings of a command, refused when out of range."""
+    if args.budget < 1:
+        raise UsageError(f"--budget must be at least 1, got {args.budget}")
+    return SearchConfig(budget=args.budget, seed=args.seed, overrides=overrides, **search)
+
+
 def cmd_verify(args, overrides) -> int:
+    if args.max_depth < 0:
+        raise UsageError(f"--max-depth must be 0 (unlimited) or more, got {args.max_depth}")
+    cfg = _config(args, overrides, max_depth=args.max_depth, first_only=args.first)
     program, sources = _load(args.files)
-    cfg = SearchConfig(
-        budget=args.budget,
-        seed=args.seed,
-        max_depth=args.max_depth,
-        first_only=args.first,
-        overrides=overrides,
-    )
     started = time.monotonic()
     result = engine.explore(program, cfg)
     elapsed = time.monotonic() - started
@@ -132,16 +135,16 @@ def cmd_verify(args, overrides) -> int:
 
 
 def cmd_replay(args, overrides) -> int:
+    cfg = _config(args, overrides)
     program, sources = _load(args.files)
-    cfg = SearchConfig(budget=args.budget, seed=args.seed, overrides=overrides)
     trail = _read_trail(args.trail)
     outcome = engine.replay(program, cfg, trail)
     return _report_path(outcome, sources)
 
 
 def cmd_run(args, overrides) -> int:
+    cfg = _config(args, overrides)
     program, sources = _load(args.files)
-    cfg = SearchConfig(budget=args.budget, seed=args.seed, overrides=overrides)
     trail = _read_trail(args.trail) if args.trail else None
     outcome = engine.run_path(program, cfg, trail=trail)
     return _report_path(outcome, sources)

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 
 class Severity(enum.Enum):
     ERROR = "error"
-    WARNING = "warning"
 
 
 @dataclass(frozen=True)
@@ -22,9 +21,6 @@ class Loc:
 
     def render(self) -> str:
         return f"{self.file}:{self.line}:{self.col}-{self.end_col}"
-
-
-NO_LOC = Loc("<builtin>", 0, 1, 1)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """Symbolic executor for VL programs.
 
-One stepper drives three modes through a choice policy: exhaustive
-exploration fans out at every decision point, random runs pick one
-successor per decision, and trail replay follows a recorded decision
-list. Decisions come in three flavors and make up the trail of a path:
+One stepper drives three modes. Every decision point hands its feasible
+decisions to one fork, which asks a choice policy which of them to take
+and records each taken decision on its path's trail. The modes differ
+only in the policy: verify takes every option, replay takes the one its
+trail names, and run takes one at random unless it is given a trail.
+Decisions come in three flavors and make up the trail of a path:
 
 - ``C i/k``   a choose_int picked i out of k alternatives
 - ``B t|e``   a symbolic branch took the then or else side
@@ -110,6 +112,7 @@ class ConcretizeInt:
 
 
 Decision = ChooseInt | Branch | ConcretizeInt
+_THEN, _ELSE = Branch(True), Branch(False)
 
 
 def trail_key(trail) -> tuple:
@@ -420,28 +423,16 @@ class EngineInitError(Exception):
 
 
 class ExploreAll:
-    def pick_branch(self, feasible: list[bool]) -> list[bool]:
-        return feasible
-
-    def pick_choice(self, fanout: int) -> list[int]:
-        return list(range(fanout))
-
-    def pick_concrete(self, name: str, feasible: list[int], fanout: int) -> list[int]:
-        return feasible
+    def pick(self, options: list[Decision]) -> range:
+        return range(len(options))
 
 
 class RandomPolicy:
     def __init__(self, rng: Random):
         self.rng = rng
 
-    def pick_branch(self, feasible: list[bool]) -> list[bool]:
-        return [self.rng.choice(feasible)]
-
-    def pick_choice(self, fanout: int) -> list[int]:
-        return [self.rng.randrange(fanout)]
-
-    def pick_concrete(self, name: str, feasible: list[int], fanout: int) -> list[int]:
-        return [self.rng.choice(feasible)]
+    def pick(self, options: list[Decision]) -> list[int]:
+        return [self.rng.randrange(len(options))]
 
 
 class TrailPolicy:
@@ -449,45 +440,24 @@ class TrailPolicy:
         self.trail = trail
         self.pos = 0
 
-    def _next(self, want: str) -> Decision:
+    def pick(self, options: list[Decision]) -> list[int]:
+        """The index of the trail's next decision among the options; one
+        equality test covers kind, fanout, index, name and feasibility."""
         if self.pos >= len(self.trail):
-            raise TrailMismatch(f"trail ended but the path needs another {want} decision")
+            raise TrailMismatch(f"trail ended where {_offered(options)}")
         d = self.trail[self.pos]
+        try:
+            i = options.index(d)
+        except ValueError:
+            raise TrailMismatch(f"trail has {d.render()} where {_offered(options)}") from None
         self.pos += 1
-        return d
+        return [i]
 
-    def exhausted(self) -> bool:
-        return self.pos >= len(self.trail)
 
-    def pick_branch(self, feasible: list[bool]) -> list[bool]:
-        d = self._next("branch")
-        if not isinstance(d, Branch):
-            raise TrailMismatch(f"expected a branch decision, trail has {d.render()}")
-        if d.then_taken not in feasible:
-            raise TrailMismatch(f"{d.render()} is not feasible here")
-        return [d.then_taken]
-
-    def pick_choice(self, fanout: int) -> list[int]:
-        d = self._next("choice")
-        if not isinstance(d, ChooseInt):
-            raise TrailMismatch(f"expected a choice decision, trail has {d.render()}")
-        if d.fanout != fanout:
-            raise TrailMismatch(f"{d.render()} at a site with {fanout} alternatives")
-        if not 0 <= d.index < fanout:
-            raise TrailMismatch(f"{d.render()} is out of range")
-        return [d.index]
-
-    def pick_concrete(self, name: str, feasible: list[int], fanout: int) -> list[int]:
-        d = self._next("concretization")
-        if not isinstance(d, ConcretizeInt):
-            raise TrailMismatch(f"expected a concretization, trail has {d.render()}")
-        if d.name != name or d.fanout != fanout:
-            raise TrailMismatch(
-                f"{d.render()} at a site pinning {name} with {fanout} feasible values"
-            )
-        if d.value not in feasible:
-            raise TrailMismatch(f"{d.render()} is not feasible here")
-        return [d.value]
+def _offered(options: list[Decision]) -> str:
+    shown = ", ".join(d.render() for d in options[:3])
+    more = ", ..." if len(options) > 3 else ""
+    return f"the path offers {len(options)} decision(s): {shown}{more}"
 
 
 # ---------------------------------------------------------------------------
@@ -977,11 +947,11 @@ def _lower_choose(s: ast.ChooseAssign, env: _Scopes):
         if k <= 0:
             ex.stats.pruned += 1
             return []
+        if k > MAX_ARRAY_CELLS:
+            raise EnumerationBudgetExceeded(k, MAX_ARRAY_CELLS)
         state.frames[-1].control[-1].idx += 1
-        picks = ex.policy.pick_choice(k)
         out = []
-        for st, i in zip(_fan(state, len(picks)), picks):
-            st.trail.append(ChooseInt(i, k))
+        for st, i in ex.fork(state, [ChooseInt(i, k) for i in range(k)]):
             st.frames[-1].scopes[depth][name] = ConcreteInt(i)
             out.append(st)
         return out
@@ -1167,13 +1137,6 @@ _LOWER_STMT = {
 }
 
 
-def _fan(state: ExecState, n: int) -> list[ExecState]:
-    """n working copies of state; the original is reused as the last one."""
-    if n == 1:
-        return [state]
-    return [state.clone() for _ in range(n - 1)] + [state]
-
-
 def _pin(state: ExecState, sym: SymConst, value: int) -> None:
     """Substitute a pinned symbol into every int the state holds, so that
     reads need no substitution. Clones share their globals, so the state
@@ -1215,28 +1178,40 @@ class _Executor:
 
     # --- forks ---
 
+    def fork(self, state: ExecState, options: list[Decision]) -> list[tuple[ExecState, int]]:
+        """Every decision point goes through here with its feasible options.
+        The policy picks which to take; each pick gets a working copy of
+        state (the original is reused as the last one) with the option on
+        its trail, paired with the option's index."""
+        if not options:
+            return []
+        picks = self.policy.pick(options)
+        last = len(picks) - 1
+        out = []
+        for j, i in enumerate(picks):
+            st = state if j == last else state.clone()
+            st.trail.append(options[i])
+            out.append((st, i))
+        return out
+
     def branch_walk(self, state: ExecState, f) -> list[tuple[ExecState, bool]]:
         if f is TRUE:
             return [(state, True)]
         if f is FALSE:
             return [(state, False)]
         if isinstance(f, FAtom):
-            sides = []
-            for taken, atom in ((True, f.atom), (False, f.atom.negated())):
+            options, pcs = [], []
+            for side, atom in ((_THEN, f.atom), (_ELSE, f.atom.negated())):
                 pc2 = state.pc.add(atom)
                 if self.sat(pc2).status is SatStatus.UNSAT:
                     self.stats.pruned += 1
                     continue
-                sides.append((taken, pc2))
-            if not sides:
-                return []
-            picks = self.policy.pick_branch([t for t, _ in sides])
-            chosen = [(t, pc2) for t, pc2 in sides if t in picks]
+                options.append(side)
+                pcs.append(pc2)
             out = []
-            for st, (taken, pc2) in zip(_fan(state, len(chosen)), chosen):
-                st.pc = pc2
-                st.trail.append(Branch(taken))
-                out.append((st, taken))
+            for st, i in self.fork(state, options):
+                st.pc = pcs[i]
+                out.append((st, options[i].then_taken))
             return out
         if isinstance(f, FAnd):
             head, rest = f.parts[0], f_and(f.parts[1:])
@@ -1264,31 +1239,40 @@ class _Executor:
             raise UnboundedSymbol(sym)
         if hi - lo + 1 > self.eng.config.budget:
             raise EnumerationBudgetExceeded(hi - lo + 1, self.eng.config.budget)
-        feasible = []
+        values, pcs = [], []
         for v in range(lo, hi + 1):
             pin = Atom(SymKind.INT, Rel.EQ, Poly.symbol(sym) - Poly.const(v))
             pc2 = state.pc.add(pin)
             if self.sat(pc2).status is SatStatus.UNSAT:
                 self.stats.pruned += 1
                 continue
-            feasible.append((v, pc2))
-        if not feasible:
-            return []
-        fanout = len(feasible)
-        picks = self.policy.pick_concrete(sym.render(), [v for v, _ in feasible], fanout)
-        chosen = [(v, pc2) for v, pc2 in feasible if v in picks]
+            values.append(v)
+            pcs.append(pc2)
+        name, fanout = sym.render(), len(values)
+        options = [ConcretizeInt(name, v, fanout, sym.ord) for v in values]
         out = []
-        for st, (v, pc2) in zip(_fan(state, len(chosen)), chosen):
-            st.pc = pc2
-            _pin(st, sym, v)
-            st.trail.append(ConcretizeInt(sym.render(), v, fanout, sym.ord))
+        for st, i in self.fork(state, options):
+            st.pc = pcs[i]
+            _pin(st, sym, values[i])
             out.append(st)
         return out
 
     # --- violations ---
 
-    def _record(self, violation: Violation) -> None:
-        self.violations.append(violation)
+    def _record(
+        self,
+        state: ExecState,
+        prop: Property,
+        certainty: Certainty,
+        loc: Loc,
+        message: str,
+        witness=None,
+        detail=None,
+    ) -> None:
+        """The one place a finding becomes a Violation, with state's trail."""
+        self.violations.append(
+            Violation(prop, certainty, loc, message, tuple(state.trail), witness, detail)
+        )
 
     def _violation_from_exc(self, state: ExecState, exc: Violating) -> None:
         res = self.sat(state.pc)
@@ -1299,22 +1283,11 @@ class _Executor:
             certainty, witness = Certainty.PROVEABLE, res.witness
         else:
             certainty, witness = Certainty.MAYBE, None
-        self._record(
-            Violation(exc.prop, certainty, exc.loc, exc.message, tuple(state.trail), witness)
-        )
+        self._record(state, exc.prop, certainty, exc.loc, exc.message, witness)
 
     def _budget_violation(self, state: ExecState, exc: Exception, loc: Loc) -> None:
         self.incomplete = True
-        self._record(
-            Violation(
-                Property.ENUM_BUDGET,
-                Certainty.MAYBE,
-                loc,
-                str(exc),
-                tuple(state.trail),
-                None,
-            )
-        )
+        self._record(state, Property.ENUM_BUDGET, Certainty.MAYBE, loc, str(exc))
 
     # --- statements ---
 
@@ -1387,14 +1360,11 @@ class _Executor:
             disjuncts = dnf(neg)
         except _DnfBlowup:
             self._record(
-                Violation(
-                    Property.ASSERTION_VIOLATION,
-                    Certainty.MAYBE,
-                    loc,
-                    "condition is too large to check",
-                    tuple(state.trail),
-                    None,
-                )
+                state,
+                Property.ASSERTION_VIOLATION,
+                Certainty.MAYBE,
+                loc,
+                "condition is too large to check",
             )
             return []
         saw_unknown = False
@@ -1405,29 +1375,24 @@ class _Executor:
             res = self.sat(pc)
             if res.status is SatStatus.SAT:
                 self._record(
-                    Violation(
-                        Property.ASSERTION_VIOLATION,
-                        Certainty.PROVEABLE,
-                        loc,
-                        "asserted condition fails",
-                        tuple(state.trail),
-                        res.witness,
-                        _assert_detail(state, shown, res.witness),
-                    )
+                    state,
+                    Property.ASSERTION_VIOLATION,
+                    Certainty.PROVEABLE,
+                    loc,
+                    "asserted condition fails",
+                    res.witness,
+                    _assert_detail(state, shown, res.witness),
                 )
                 return []
             if res.status is SatStatus.UNKNOWN:
                 saw_unknown = True
         if saw_unknown:
             self._record(
-                Violation(
-                    Property.ASSERTION_VIOLATION,
-                    Certainty.MAYBE,
-                    loc,
-                    "asserted condition cannot be proved",
-                    tuple(state.trail),
-                    None,
-                )
+                state,
+                Property.ASSERTION_VIOLATION,
+                Certainty.MAYBE,
+                loc,
+                "asserted condition cannot be proved",
             )
             return []
         state.frames[-1].control[-1].idx += 1
@@ -1531,8 +1496,8 @@ def _follow(ex: _Executor, state: ExecState) -> PathOutcome:
         assert len(succs) == 1, "policy must yield a single successor"
         state = succs[0]
     policy = ex.policy
-    if isinstance(policy, TrailPolicy) and not policy.exhausted():
-        unused = len(policy.trail) - policy.pos
+    unused = len(policy.trail) - policy.pos if isinstance(policy, TrailPolicy) else 0
+    if unused:
         raise TrailMismatch(f"path finished with {unused} unused trail decision(s)")
     return PathOutcome(state, ex.violations, list(state.prints))
 

@@ -297,7 +297,7 @@ class _Parser:
             init = ast.VarDecl(name.lexeme, ty, value, self.span(var_tok))
         elif not self.peek().is_punct(";"):
             name = self.expect_ident("loop variable")
-            eq = self.expect_punct("=")
+            self.expect_punct("=")
             value = self.expr()
             init = ast.Assign(ast.Name(name.lexeme, name.loc), value, self.span(name))
         self.expect_punct(";")
@@ -405,7 +405,7 @@ class _Parser:
     def or_expr(self) -> ast.Expr:
         e = self.and_expr()
         while self.peek().is_punct("||"):
-            op = self.advance()
+            self.advance()
             rhs = self.and_expr()
             e = ast.Binary("||", e, rhs, self.binop_loc(e, rhs))
         return e
@@ -413,7 +413,7 @@ class _Parser:
     def and_expr(self) -> ast.Expr:
         e = self.cmp_expr()
         while self.peek().is_punct("&&"):
-            op = self.advance()
+            self.advance()
             rhs = self.cmp_expr()
             e = ast.Binary("&&", e, rhs, self.binop_loc(e, rhs))
         return e

@@ -148,6 +148,29 @@ def test_missing_file_and_bad_source_exit_1(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+def test_out_of_range_bounds_are_usage_errors(capsys):
+    files = corpus_argv(CLEAN_FILES)
+    cases = [
+        (["verify", "--max-depth", "-1"], "--max-depth must be 0 (unlimited) or more, got -1"),
+        (["verify", "--budget", "0"], "--budget must be at least 1, got 0"),
+        (["replay", "--trail", "t.trail", "--budget", "-5"], "--budget must be at least 1, got -5"),
+        (["run", "--budget", "0"], "--budget must be at least 1, got 0"),
+    ]
+    for argv, message in cases:
+        assert cli.main([*argv, *files]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"vlsym: {message}\n"
+
+    # the smallest values in range are taken: --max-depth 0 is unlimited,
+    # and a budget of 1 is too small for the first assume
+    argv = ["verify", "--max-depth", "0", "--budget", "1", *corpus_argv(CLEAN_FILES)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert "cause: 3 assignments exceed the budget of 1" in captured.out
+    assert "violation 0: ENUM_BUDGET (MAYBE)" in captured.err
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "vlsym.cli", "corpus-dir"],

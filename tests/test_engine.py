@@ -1,5 +1,6 @@
 """Executor behavior: path enumeration, forks, violations, replay."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from vlsym.engine import (
     render_trail,
     replay,
     run_path,
+    trail_key,
 )
 from vlsym.parser import load_program, parse_program
 
@@ -355,6 +357,22 @@ def test_unbounded_symbol_reports_budget_violation():
     assert r.incomplete
 
 
+def test_choose_int_wider_than_the_cell_cap_reports_budget_violation():
+    src = """
+        func main() {
+          var int x;
+          x = choose_int(1048577);
+        }
+        """
+    r = search(src)
+    assert [(v.prop, v.certainty) for v in r.violations] == [
+        (Property.ENUM_BUDGET, Certainty.MAYBE)
+    ]
+    assert r.incomplete
+    (v,) = run_path(load(src), SearchConfig()).violations
+    assert v.prop is Property.ENUM_BUDGET
+
+
 def test_concrete_loop_accumulates():
     r = search(
         """
@@ -636,7 +654,7 @@ def test_replay_reproduces_each_terminal():
 def test_replay_rejects_leftover_and_mismatched_decisions():
     prog = load(SMALL)
     trail = parse_trail("# trail v1\nZ N=1/2\nC 0/2\nC 1/2\n")
-    with pytest.raises(TrailMismatch):
+    with pytest.raises(TrailMismatch, match=re.escape("path finished with 1 unused")):
         replay(prog, SearchConfig(), trail)
     trail = parse_trail("# trail v1\nZ N=1/2\n")
     with pytest.raises(TrailMismatch):
@@ -644,6 +662,34 @@ def test_replay_rejects_leftover_and_mismatched_decisions():
     trail = parse_trail("# trail v1\nC 0/2\n")
     with pytest.raises(TrailMismatch):
         replay(prog, SearchConfig(), trail)
+
+    pinning_n = "the path offers 2 decision(s): Z N=1/2, Z N=2/2"
+    choosing = "the path offers 2 decision(s): C 0/2, C 1/2"
+    cases = [
+        ("B t", f"trail has B t where {pinning_n}"),  # wrong kind
+        ("Z N=7/2", f"trail has Z N=7/2 where {pinning_n}"),  # infeasible value
+        ("Z N=1/2\nC 0/3", f"trail has C 0/3 where {choosing}"),  # wrong fanout
+        ("Z N=1/2\nC 5/2", f"trail has C 5/2 where {choosing}"),  # index out of range
+        ("Z N=1/2", f"trail ended where {choosing}"),  # too short
+    ]
+    for text, message in cases:
+        with pytest.raises(TrailMismatch, match=f"^{re.escape(message)}$"):
+            replay(prog, SearchConfig(), parse_trail(text))
+
+    # the message stays short at a wide fork
+    src = """
+        func main() {
+          var int x;
+          x = choose_int(100000);
+        }
+        """
+    with pytest.raises(TrailMismatch) as caught:
+        replay(load(src), SearchConfig(), parse_trail("C 0/99999"))
+    message = str(caught.value)
+    assert message.startswith(
+        "trail has C 0/99999 where the path offers 100000 decision(s): C 0/100000"
+    )
+    assert len(message) < 200
 
 
 def test_replay_reaches_recorded_violation():
@@ -664,6 +710,25 @@ def test_replay_reaches_recorded_violation():
     assert out.violations
     assert out.violations[0].prop is Property.ASSERTION_VIOLATION
     assert out.violations[0].loc == v.loc
+    assert trail_key(out.violations[0].trail) == trail_key(v.trail)
+
+    # N is the second symbol, so its pin sorts by an ord that a trail file
+    # does not carry; the replayed trail still has it
+    src = """
+        input int M;
+        input int N;
+        func main() {
+          assume(1 <= N && N <= 3);
+          var int a[N];
+          a[N - 1] = 0;
+          assert(a[N - 1] == N);
+        }
+        """
+    v = search(src).violations[0]
+    assert v.trail[0].ord == 1
+    out = replay(load(src), SearchConfig(), parse_trail(render_trail(v.trail)))
+    assert out.violations[0].loc == v.loc
+    assert trail_key(out.violations[0].trail) == trail_key(v.trail)
 
 
 def test_unvalidated_program_is_refused_when_the_engine_is_built():
@@ -702,6 +767,32 @@ def test_run_path_without_trail_is_deterministic_per_seed():
     c = run_path(load(prog_src), SearchConfig(seed=8))
     assert a.prints == b.prints
     assert a.prints != c.prints or a.state.trail != c.state.trail
+    # the random stream itself: a changed draw order shows up here
+    assert a.prints == ["k=0 v=-17/5"]
+    assert c.prints == ["k=0 v=-41/12"]
+    assert run_path(load(prog_src), SearchConfig(seed=9)).prints == ["k=1 v=-31/5"]
+
+    # a branch, a pin and a choice with one option each still draw from the
+    # stream, which the last choice shows
+    src = """
+        input int N;
+        func main() {
+          assume(N == 2);
+          var int y = 0;
+          if (N < 5) {
+            y = 1;
+          }
+          var int a[N];
+          var int x;
+          x = choose_int(1);
+          y = choose_int(1000);
+          print("y=", y);
+        }
+        """
+    for seed, y in ((7, 666), (8, 129), (9, 141)):
+        out = run_path(load(src), SearchConfig(seed=seed))
+        assert render_trail(out.state.trail) == f"# trail v1\nB t\nZ N=2/1\nC 0/1\nC {y}/1000\n"
+        assert out.prints == [f"y={y}"]
 
 
 def test_run_path_pins_reals():
