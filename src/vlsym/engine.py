@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -423,7 +424,7 @@ class EngineInitError(Exception):
 
 
 class ExploreAll:
-    def pick(self, options: list[Decision]) -> range:
+    def pick(self, options: Sequence[Decision]) -> range:
         return range(len(options))
 
 
@@ -431,7 +432,7 @@ class RandomPolicy:
     def __init__(self, rng: Random):
         self.rng = rng
 
-    def pick(self, options: list[Decision]) -> list[int]:
+    def pick(self, options: Sequence[Decision]) -> list[int]:
         return [self.rng.randrange(len(options))]
 
 
@@ -440,7 +441,7 @@ class TrailPolicy:
         self.trail = trail
         self.pos = 0
 
-    def pick(self, options: list[Decision]) -> list[int]:
+    def pick(self, options: Sequence[Decision]) -> list[int]:
         """The index of the trail's next decision among the options; one
         equality test covers kind, fanout, index, name and feasibility."""
         if self.pos >= len(self.trail):
@@ -454,7 +455,7 @@ class TrailPolicy:
         return [i]
 
 
-def _offered(options: list[Decision]) -> str:
+def _offered(options: Sequence[Decision]) -> str:
     shown = ", ".join(d.render() for d in options[:3])
     more = ", ..." if len(options) > 3 else ""
     return f"the path offers {len(options)} decision(s): {shown}{more}"
@@ -938,6 +939,30 @@ def _lower_assign(s: ast.Assign, env: _Scopes):
     return run_cell
 
 
+class _Choices(Sequence):
+    """The k options of a choose_int, each built only when read, so a
+    policy that takes one of them costs O(1) whatever k is."""
+
+    __slots__ = ("fanout",)
+
+    def __init__(self, fanout: int):
+        self.fanout = fanout
+
+    def __len__(self) -> int:
+        return self.fanout
+
+    def __getitem__(self, i):
+        picked = range(self.fanout)[i]
+        if isinstance(picked, range):
+            return [ChooseInt(j, self.fanout) for j in picked]
+        return ChooseInt(picked, self.fanout)
+
+    def index(self, d: Decision) -> int:
+        if isinstance(d, ChooseInt) and d.fanout == self.fanout and 0 <= d.index < d.fanout:
+            return d.index
+        raise ValueError(d)
+
+
 def _lower_choose(s: ast.ChooseAssign, env: _Scopes):
     arg = _lower_value(s.arg, env)
     depth, name = _lower_store(s.target.name, env)
@@ -947,11 +972,9 @@ def _lower_choose(s: ast.ChooseAssign, env: _Scopes):
         if k <= 0:
             ex.stats.pruned += 1
             return []
-        if k > MAX_ARRAY_CELLS:
-            raise EnumerationBudgetExceeded(k, MAX_ARRAY_CELLS)
         state.frames[-1].control[-1].idx += 1
         out = []
-        for st, i in ex.fork(state, [ChooseInt(i, k) for i in range(k)]):
+        for st, i in ex.fork(state, _Choices(k)):
             st.frames[-1].scopes[depth][name] = ConcreteInt(i)
             out.append(st)
         return out
@@ -1178,7 +1201,7 @@ class _Executor:
 
     # --- forks ---
 
-    def fork(self, state: ExecState, options: list[Decision]) -> list[tuple[ExecState, int]]:
+    def fork(self, state: ExecState, options: Sequence[Decision]) -> list[tuple[ExecState, int]]:
         """Every decision point goes through here with its feasible options.
         The policy picks which to take; each pick gets a working copy of
         state (the original is reused as the last one) with the option on

@@ -1,6 +1,7 @@
 """Executor behavior: path enumeration, forks, violations, replay."""
 
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from vlsym import engine
 from vlsym.ast import Program
 from vlsym.engine import (
     Certainty,
+    ChooseInt,
     Property,
     SearchConfig,
     TrailMismatch,
@@ -357,20 +359,35 @@ def test_unbounded_symbol_reports_budget_violation():
     assert r.incomplete
 
 
-def test_choose_int_wider_than_the_cell_cap_reports_budget_violation():
-    src = """
-        func main() {
+def test_wide_choose_int_costs_one_option_in_run_and_replay():
+    # building all 2^20 options would take over 100 MB; a path that takes
+    # one option builds just that one
+    k = 1 << 20
+    prog = load(
+        f"""
+        func main() {{
           var int x;
-          x = choose_int(1048577);
-        }
+          x = choose_int({k});
+          print(x);
+        }}
         """
-    r = search(src)
-    assert [(v.prop, v.certainty) for v in r.violations] == [
-        (Property.ENUM_BUDGET, Certainty.MAYBE)
-    ]
-    assert r.incomplete
-    (v,) = run_path(load(src), SearchConfig()).violations
-    assert v.prop is Property.ENUM_BUDGET
+    )
+    last = parse_trail(f"C {k - 1}/{k}")
+    tracemalloc.start()
+    try:
+        ran = run_path(prog, SearchConfig(seed=3))
+        replayed = replay(prog, SearchConfig(), last)
+        with pytest.raises(TrailMismatch, match=f"^trail has C {k}/{k} where the path offers {k} "):
+            replay(prog, SearchConfig(), parse_trail(f"C {k}/{k}"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+    assert not ran.violations
+    (line,) = ran.prints
+    assert ran.state.trail == [ChooseInt(int(line), k)]
+    assert replayed.prints == [str(k - 1)]
+    assert replayed.state.trail == last
 
 
 def test_concrete_loop_accumulates():
