@@ -861,3 +861,55 @@ def test_symbolic_print_renders_polynomials():
     )
     (st,) = r.terminal_states
     assert st.prints == ["n=N x=X_V[0]"]
+
+
+def test_start_state_errors_are_the_same_in_every_mode():
+    cases = [
+        (
+            "input int N; input real V[N];",
+            {},
+            "extent of input 'V' depends on 'N', which has no concrete value; "
+            "give it a default or an -input override",
+        ),
+        ("input int K = 2; input real V[K - 3];", {}, "extent of input 'V' is negative (-1)"),
+        ("input real V[1048577];", {}, "extent of input 'V' is too large (1048577)"),
+        ("input real V[2];", {"V": 1}, "-inputV does not name an int input"),
+        ("input real V[2];", {"W": 1}, "-inputW does not name an int input"),
+    ]
+    for decls, overrides, message in cases:
+        prog = load(decls + " func main() { }")
+        cfg = SearchConfig(overrides=overrides)
+        for start in (
+            lambda: explore(prog, cfg),
+            lambda: replay(prog, cfg, []),
+            lambda: run_path(prog, cfg),
+        ):
+            with pytest.raises(engine.EngineInitError, match=f"^{re.escape(message)}$"):
+                start()
+
+
+def test_run_path_refuses_a_wrong_number_of_given_reals():
+    prog = load("input real V[2]; func main() { }")
+    with pytest.raises(engine.EngineInitError, match=r"^input 'V' needs 2 values, got 1$"):
+        run_path(prog, SearchConfig(), reals={"V": [Fraction(1)]})
+
+
+def test_run_path_draws_reals_in_declaration_order():
+    prog = load(
+        """
+        input real A[2];
+        input int N;
+        input real B[1];
+        func main() {
+          assume(1 <= N && N <= 3);
+          var int k;
+          k = choose_int(N);
+          print("a=", A[0] + A[1], " b=", B[0], " k=", k);
+        }
+        """
+    )
+    assert run_path(prog, SearchConfig(seed=7)).prints == ["a=-12/5 b=-81/4 k=0"]
+    assert run_path(prog, SearchConfig(seed=8)).prints == ["a=-241/60 b=-25 k=0"]
+    # an input that reals leaves out stays symbolic
+    given = run_path(prog, SearchConfig(seed=7), reals={"A": [Fraction(1, 2), Fraction(1, 3)]})
+    assert given.prints == ["a=5/6 b=X_B[0] k=0"]
