@@ -1,11 +1,13 @@
 """Symbolic executor for VL programs.
 
-One stepper drives three modes. Every decision point hands its feasible
-decisions to one fork, which asks a choice policy which of them to take
-and records each taken decision on its path's trail. The modes differ
-only in the policy: verify takes every option, replay takes the one its
-trail names, and run takes one at random unless it is given a trail.
-Decisions come in three flavors and make up the trail of a path:
+One stepper drives three modes from one start state, in which every real
+input cell holds a symbol; run alone then writes values into those cells.
+Every decision point hands its feasible decisions to one fork, which asks
+a choice policy which of them to take and records each taken decision on
+its path's trail. The modes differ only in the policy: verify takes every
+option, replay takes the one its trail names, and run takes one at random
+unless it is given a trail. Decisions come in three flavors and make up
+the trail of a path:
 
 - ``C i/k``   a choose_int picked i out of k alternatives
 - ``B t|e``   a symbolic branch took the then or else side
@@ -510,100 +512,62 @@ class Engine:
 
     # --- initial state ---
 
-    def init_state(
-        self,
-        random_reals: "Random | None" = None,
-        fixed_reals: "dict[str, list[Fraction]] | None" = None,
-    ) -> ExecState:
-        overrides = dict(self.config.overrides)
+    def init_state(self) -> ExecState:
+        """The one start state of verify, replay and run. An int input holds
+        its -input override, else its default, else a symbol; every cell of
+        a real input holds a symbol, which run_path may then overwrite with
+        a value. Symbols are numbered in declaration order."""
+        overrides = self.config.overrides
+        int_inputs = {d.name for d in self.program.inputs if d.ty is ast.Type.INT}
         for name in overrides:
-            matches = [d for d in self.program.inputs if d.name == name]
-            if not matches or matches[0].ty is not ast.Type.INT:
+            if name not in int_inputs:
                 raise EngineInitError(f"-input{name} does not name an int input")
-        self.inputs_desc = []
-        globals_: dict[str, object] = {}
-        heap: dict[int, ArrayStorage] = {}
-        next_addr = 0
-        ordinal = 0
-        for decl in self.program.inputs:
-            if decl.ty is ast.Type.INT:
-                if decl.name in overrides:
-                    globals_[decl.name] = ConcreteInt(overrides[decl.name])
-                    self.inputs_desc.append(f"{decl.name} = {overrides[decl.name]} (override)")
-                elif decl.default is not None:
-                    globals_[decl.name] = ConcreteInt(decl.default)
-                    self.inputs_desc.append(f"{decl.name} = {decl.default} (default)")
-                else:
-                    sym = SymConst(decl.name, None, SymKind.INT, ordinal)
-                    ordinal += 1
-                    globals_[decl.name] = SymInt(Poly.symbol(sym))
-                    self.inputs_desc.append(f"{decl.name} : int, symbolic")
-            else:
-                extent = _input_extent(decl, globals_)
-                cells = []
-                if fixed_reals is not None and decl.name in fixed_reals:
-                    given = fixed_reals[decl.name]
-                    if len(given) != extent:
-                        raise EngineInitError(
-                            f"input '{decl.name}' needs {extent} values, got {len(given)}"
-                        )
-                    cells = [RealVal(Poly.const(Fraction(v))) for v in given]
-                    self.inputs_desc.append(f"{decl.name} : real[{extent}], given")
-                elif random_reals is not None:
-                    cells = [
-                        RealVal(
-                            Poly.const(
-                                Fraction(
-                                    random_reals.randint(-99, 99),
-                                    random_reals.randint(1, 16),
-                                )
-                            )
-                        )
-                        for _ in range(extent)
-                    ]
-                    self.inputs_desc.append(f"{decl.name} : real[{extent}], random")
-                else:
-                    for i in range(extent):
-                        sym = SymConst(decl.name, i, SymKind.REAL, ordinal)
-                        ordinal += 1
-                        cells.append(RealVal(Poly.symbol(sym)))
-                    self.inputs_desc.append(f"{decl.name} : real[{extent}], symbolic")
-                storage = ArrayStorage(cells, SymKind.REAL, read_only=True, label=decl.name)
-                heap[next_addr] = storage
-                globals_[decl.name] = ArrayRef(next_addr)
-                next_addr += 1
         frame = Frame("main", {})
         frame.push_block(self.bodies["main"])
-        state = ExecState([frame], heap, next_addr, globals_, PathCondition(), [], [])
+        state = ExecState([frame], {}, 0, {}, PathCondition(), [], [])
+        self.inputs_desc = desc = []
+        ordinal = 0
+        for decl in self.program.inputs:
+            name = decl.name
+            if decl.ty is ast.Type.INT:
+                if name in overrides:
+                    state.globals[name] = ConcreteInt(overrides[name])
+                    desc.append(f"{name} = {overrides[name]} (override)")
+                elif decl.default is not None:
+                    state.globals[name] = ConcreteInt(decl.default)
+                    desc.append(f"{name} = {decl.default} (default)")
+                else:
+                    sym = SymConst(name, None, SymKind.INT, ordinal)
+                    ordinal += 1
+                    state.globals[name] = SymInt(Poly.symbol(sym))
+                    desc.append(f"{name} : int, symbolic")
+                continue
+            n = self._extent(decl, state)
+            cells = [
+                RealVal(Poly.symbol(SymConst(name, i, SymKind.REAL, ordinal + i)))
+                for i in range(n)
+            ]
+            ordinal += n
+            storage = ArrayStorage(cells, SymKind.REAL, read_only=True, label=name)
+            state.globals[name] = state.alloc(storage)
+            desc.append(f"{name} : real[{n}], symbolic")
         _normalize(state)
         return state
 
-
-def _input_extent(decl: ast.InputDecl, globals_: dict) -> int:
-    def ev(e: ast.Expr) -> int:
-        if isinstance(e, ast.IntLit):
-            return e.value
-        if isinstance(e, ast.Name):
-            v = globals_[e.name]
-            if isinstance(v, ConcreteInt):
-                return v.value
+    def _extent(self, decl: ast.InputDecl, state: ExecState) -> int:
+        """The extent of a real input, from the inputs declared before it."""
+        try:
+            n = _strict(_lower_value(decl.extent, _Scopes(self, ()))(state))
+        except NeedsConcretize as exc:
             raise EngineInitError(
-                f"extent of input '{decl.name}' depends on '{e.name}', which has no "
+                f"extent of input '{decl.name}' depends on '{exc.sym.name}', which has no "
                 f"concrete value; give it a default or an -input override"
-            )
-        if isinstance(e, ast.Unary) and e.op == "-":
-            return -ev(e.operand)
-        if isinstance(e, ast.Binary) and e.op in ("+", "-", "*"):
-            a, b = ev(e.lhs), ev(e.rhs)
-            return a + b if e.op == "+" else a - b if e.op == "-" else a * b
-        raise EngineInitError(f"extent of input '{decl.name}' is not a simple int expression")
-
-    n = ev(decl.extent)
-    if n < 0:
-        raise EngineInitError(f"extent of input '{decl.name}' is negative ({n})")
-    if n > MAX_ARRAY_CELLS:
-        raise EngineInitError(f"extent of input '{decl.name}' is too large ({n})")
-    return n
+            ) from None
+        if n < 0:
+            raise EngineInitError(f"extent of input '{decl.name}' is negative ({n})")
+        if n > MAX_ARRAY_CELLS:
+            raise EngineInitError(f"extent of input '{decl.name}' is too large ({n})")
+        return n
 
 
 # ---------------------------------------------------------------------------
@@ -613,10 +577,14 @@ def _input_extent(decl: ast.InputDecl, globals_: dict) -> int:
 # a state to a formula; neither mutates the state. A statement closure
 # takes the executor and the state, and returns None when the same state
 # simply goes on, or the list of successors when the path forks or ends;
-# its source location is its `loc` attribute. Every local name is resolved
-# to the index of its scope in the frame when it is lowered. Two concrete
-# ints are combined as Python ints, without a Poly. make_int, int_poly and
-# the Poly operators are looked up through this module when a closure runs.
+# its source location is its `loc` attribute. When it runs, its block's
+# cursor has already moved past it, so a statement only pushes the blocks
+# and frames it enters; while alone steps its cursor back, to loop. A
+# statement that raises has left the state as it was. Every local name is
+# resolved to the index of its scope in the frame when it is lowered. Two
+# concrete ints are combined as Python ints, without a Poly. make_int,
+# int_poly and the Poly operators are looked up through this module when a
+# closure runs.
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {
@@ -880,9 +848,7 @@ def _lower_var_decl(s: ast.VarDecl, env: _Scopes):
 
     def run(ex, state):
         v = init(state) if init is not None else UNDEFINED
-        frame = state.frames[-1]
-        frame.control[-1].idx += 1
-        frame.scopes[-1][name] = v
+        state.frames[-1].scopes[-1][name] = v
 
     return run
 
@@ -890,6 +856,7 @@ def _lower_var_decl(s: ast.VarDecl, env: _Scopes):
 def _lower_arr_decl(s: ast.ArrDecl, env: _Scopes):
     name, extent, extent_loc = s.name, _lower_value(s.extent, env), s.extent.loc
     kind = SymKind.INT if s.elem_ty is ast.Type.INT else SymKind.REAL
+    loc = s.loc
     env.declare(name)
 
     def run(ex, state):
@@ -897,10 +864,11 @@ def _lower_arr_decl(s: ast.ArrDecl, env: _Scopes):
         if n < 0:
             raise Violating(Property.OUT_OF_BOUNDS, extent_loc, f"negative extent {n} for '{name}'")
         if n > MAX_ARRAY_CELLS:
-            raise EnumerationBudgetExceeded(n, MAX_ARRAY_CELLS)
-        frame = state.frames[-1]
-        frame.control[-1].idx += 1
-        frame.scopes[-1][name] = state.alloc(ArrayStorage([UNDEFINED] * n, kind, False, name))
+            message = f"extent {n} of array '{name}' exceeds the cap of {MAX_ARRAY_CELLS} cells"
+            ex.cut_short(state, loc, message)
+            return []
+        storage = ArrayStorage([UNDEFINED] * n, kind, False, name)
+        state.frames[-1].scopes[-1][name] = state.alloc(storage)
 
     return run
 
@@ -911,10 +879,7 @@ def _lower_assign(s: ast.Assign, env: _Scopes):
         depth, name = _lower_store(target.name, env)
 
         def run(ex, state):
-            v = value(state)
-            frame = state.frames[-1]
-            frame.control[-1].idx += 1
-            frame.scopes[depth][name] = v
+            state.frames[-1].scopes[depth][name] = value(state)
 
         return run
     base, loc, stmt_loc = target.base.name, target.loc, s.loc
@@ -933,7 +898,6 @@ def _lower_assign(s: ast.Assign, env: _Scopes):
             raise Violating(
                 Property.WRITE_TO_INPUT, stmt_loc, f"write to input '{storage.label}'"
             )
-        state.frames[-1].control[-1].idx += 1
         cells[i] = v
 
     return run_cell
@@ -972,7 +936,6 @@ def _lower_choose(s: ast.ChooseAssign, env: _Scopes):
         if k <= 0:
             ex.stats.pruned += 1
             return []
-        state.frames[-1].control[-1].idx += 1
         out = []
         for st, i in ex.fork(state, _Choices(k)):
             st.frames[-1].scopes[depth][name] = ConcreteInt(i)
@@ -986,9 +949,7 @@ def _lower_nested_block(s: ast.Block, env: _Scopes):
     body = _lower_block(s.stmts, env)
 
     def run(ex, state):
-        frame = state.frames[-1]
-        frame.control[-1].idx += 1
-        frame.push_block(body)
+        state.frames[-1].push_block(body)
 
     return run
 
@@ -1002,7 +963,6 @@ def _lower_call(s: ast.CallStmt, env: _Scopes):
 
     def run(ex, state):
         values = [a(state) for a in args]
-        state.frames[-1].control[-1].idx += 1
         frame = Frame(name, dict(zip(params, values)), target)
         frame.push_block(bodies[name])
         state.frames.append(frame)
@@ -1011,7 +971,7 @@ def _lower_call(s: ast.CallStmt, env: _Scopes):
 
 
 def _lower_if(s: ast.If, env: _Scopes):
-    cond, then = _lower_cond(s.cond, env), _lower_block(s.then.stmts, env)
+    cond, then, loc = _lower_cond(s.cond, env), _lower_block(s.then.stmts, env), s.loc
     if isinstance(s.els, ast.Block):
         els = _lower_block(s.els.stmts, env)
     elif isinstance(s.els, ast.If):
@@ -1021,14 +981,13 @@ def _lower_if(s: ast.If, env: _Scopes):
 
     def run(ex, state):
         f = cond(state)
-        state.frames[-1].control[-1].idx += 1
         if f is TRUE or f is FALSE:
             body = then if f is TRUE else els
             if body is not None:
                 state.frames[-1].push_block(body)
             return None
         out = []
-        for st, truth in ex.branch_walk(state, f):
+        for st, truth in ex.branch_walk(state, f, loc):
             body = then if truth else els
             if body is not None:
                 st.frames[-1].push_block(body)
@@ -1039,22 +998,26 @@ def _lower_if(s: ast.If, env: _Scopes):
 
 
 def _lower_while(s: ast.While, env: _Scopes):
-    cond, body = _lower_cond(s.cond, env), _lower_block(s.body.stmts, env)
+    cond, body, loc = _lower_cond(s.cond, env), _lower_block(s.body.stmts, env), s.loc
+
+    def loop(state):
+        # the one statement that moves a cursor: back onto itself, so that
+        # the loop test runs again when the body is done
+        frame = state.frames[-1]
+        frame.control[-1].idx -= 1
+        frame.push_block(body)
 
     def run(ex, state):
         f = cond(state)
-        if f is TRUE:
-            state.frames[-1].push_block(body)
-            return None
         if f is FALSE:
-            state.frames[-1].control[-1].idx += 1
+            return None
+        if f is TRUE:
+            loop(state)
             return None
         out = []
-        for st, truth in ex.branch_walk(state, f):
+        for st, truth in ex.branch_walk(state, f, loc):
             if truth:
-                st.frames[-1].push_block(body)
-            else:
-                st.frames[-1].control[-1].idx += 1
+                loop(st)
             out.append(st)
         return out
 
@@ -1071,7 +1034,6 @@ def _lower_assert(s: ast.Assert, env: _Scopes):
     def run(ex, state):
         neg = f_not(cond(state))
         if neg is FALSE:
-            state.frames[-1].control[-1].idx += 1
             return None
         return ex.check_assert(state, neg, loc, shown)
 
@@ -1079,14 +1041,13 @@ def _lower_assert(s: ast.Assert, env: _Scopes):
 
 
 def _lower_assume(s: ast.Assume, env: _Scopes):
-    cond = _lower_cond(s.cond, env)
+    cond, loc = _lower_cond(s.cond, env), s.loc
 
     def run(ex, state):
         f = cond(state)
-        state.frames[-1].control[-1].idx += 1
         if f is TRUE:
             return None
-        return ex.apply_assume(state, f)
+        return ex.apply_assume(state, f, loc)
 
     return run
 
@@ -1112,9 +1073,7 @@ def _lower_print(s: ast.Print, env: _Scopes):
     parts = tuple(_lower_print_arg(a, env) for a in s.args)
 
     def run(ex, state):
-        line = "".join([part(state) for part in parts])
-        state.frames[-1].control[-1].idx += 1
-        state.prints.append(line)
+        state.prints.append("".join([part(state) for part in parts]))
 
     return run
 
@@ -1134,14 +1093,6 @@ def _lower_print_arg(a: ast.Expr, env: _Scopes):
         return show_array
     value = _lower_value(a, env)
     return lambda state: _render_value(value(state))
-
-
-def _render_value(v: SymValue) -> str:
-    if v is UNDEFINED:
-        return "undef"
-    if isinstance(v, RealVal) and v.poly.is_const():
-        return str(v.poly.const_value())
-    return v.render()
 
 
 _LOWER_STMT = {
@@ -1217,11 +1168,13 @@ class _Executor:
             out.append((st, i))
         return out
 
-    def branch_walk(self, state: ExecState, f) -> list[tuple[ExecState, bool]]:
-        if f is TRUE:
-            return [(state, True)]
-        if f is FALSE:
-            return [(state, False)]
+    def branch_walk(self, state: ExecState, f, loc: Loc) -> list[tuple[ExecState, bool]]:
+        """The successors of state under formula f, each with the truth of f
+        on it. A limit met on a copy that a fork made cuts that copy short
+        at loc, the statement's location; one met before any fork is the
+        statement's."""
+        if f is TRUE or f is FALSE:
+            return [(state, f is TRUE)]
         if isinstance(f, FAtom):
             options, pcs = [], []
             for side, atom in ((_THEN, f.atom), (_ELSE, f.atom.negated())):
@@ -1236,25 +1189,20 @@ class _Executor:
                 st.pc = pcs[i]
                 out.append((st, options[i].then_taken))
             return out
-        if isinstance(f, FAnd):
-            head, rest = f.parts[0], f_and(f.parts[1:])
-            out = []
-            for st, truth in self.branch_walk(state, head):
-                if truth:
-                    out.extend(self.branch_walk(st, rest))
-                else:
-                    out.append((st, False))
-            return out
-        if isinstance(f, FOr):
-            head, rest = f.parts[0], f_or(f.parts[1:])
-            out = []
-            for st, truth in self.branch_walk(state, head):
-                if truth:
-                    out.append((st, True))
-                else:
-                    out.extend(self.branch_walk(st, rest))
-            return out
-        raise AssertionError(f"not a formula: {f!r}")
+        # a conjunction or a disjunction: one truth of its head settles it,
+        # the other leaves the rest of it to decide
+        settles = isinstance(f, FOr)
+        head, rest = f.parts[0], (f_or if settles else f_and)(f.parts[1:])
+        out = []
+        for st, truth in self.branch_walk(state, head, loc):
+            if truth is settles:
+                out.append((st, truth))
+                continue
+            try:
+                out.extend(self.branch_walk(st, rest, loc))
+            except (UnboundedSymbol, EnumerationBudgetExceeded) as exc:
+                self.cut_short(st, loc, str(exc))
+        return out
 
     def _concretize(self, state: ExecState, sym: SymConst) -> list[ExecState]:
         lo, hi = state.pc.bounds(sym)
@@ -1308,24 +1256,32 @@ class _Executor:
             certainty, witness = Certainty.MAYBE, None
         self._record(state, exc.prop, certainty, exc.loc, exc.message, witness)
 
-    def _budget_violation(self, state: ExecState, exc: Exception, loc: Loc) -> None:
+    def cut_short(self, state: ExecState, loc: Loc, message: str) -> None:
+        """A limit ends the path of state: a MAYBE finding, and the search
+        is incomplete."""
         self.incomplete = True
-        self._record(state, Property.ENUM_BUDGET, Certainty.MAYBE, loc, str(exc))
+        self._record(state, Property.ENUM_BUDGET, Certainty.MAYBE, loc, message)
 
     # --- statements ---
 
     def _advance(self, state: ExecState) -> "list[ExecState] | None":
         """Run the next statement of state. None means the same state goes
-        on; otherwise the list of successors (empty when the path ends)."""
+        on; otherwise the list of successors (empty when the path ends).
+        This is the one place a cursor moves forward: past the statement
+        before it runs, and back onto it when the statement needs a symbol
+        pinned, so that each pinned copy runs it again."""
         self.stats.states += 1
         if self.max_depth and len(state.trail) >= self.max_depth:
             self.incomplete = True
             return []
         cursor = state.frames[-1].control[-1]
         run = cursor.stmts[cursor.idx]
+        cursor.idx += 1
         try:
             succs = run(self, state)
         except _STOPS as exc:
+            if exc.__class__ is NeedsConcretize:
+                cursor.idx -= 1
             return self._stopped(state, run.loc, exc)
         if succs is None:
             # _normalize does nothing unless the current block is finished
@@ -1344,17 +1300,17 @@ class _Executor:
             try:
                 return self._concretize(state, exc.sym)
             except (UnboundedSymbol, EnumerationBudgetExceeded) as budget_exc:
-                self._budget_violation(state, budget_exc, loc)
+                self.cut_short(state, loc, str(budget_exc))
         elif isinstance(exc, Violating):
             try:
                 self._violation_from_exc(state, exc)
             except (UnboundedSymbol, EnumerationBudgetExceeded) as budget_exc:
-                self._budget_violation(state, budget_exc, exc.loc)
+                self.cut_short(state, exc.loc, str(budget_exc))
         else:
-            self._budget_violation(state, exc, loc)
+            self.cut_short(state, loc, str(exc))
         return []
 
-    def apply_assume(self, state: ExecState, f) -> list[ExecState]:
+    def apply_assume(self, state: ExecState, f, loc: Loc) -> list[ExecState]:
         if f is FALSE:
             self.stats.pruned += 1
             return []
@@ -1369,7 +1325,7 @@ class _Executor:
             state.pc = pc
             return [state]
         out = []
-        for st, truth in self.branch_walk(state, f):
+        for st, truth in self.branch_walk(state, f, loc):
             if truth:
                 out.append(st)
             else:
@@ -1418,12 +1374,12 @@ class _Executor:
                 "asserted condition cannot be proved",
             )
             return []
-        state.frames[-1].control[-1].idx += 1
         return [state]
 
     # --- search ---
 
-    def dfs(self, root: ExecState, first_only: bool = False, on_terminal=None) -> None:
+    def dfs(self, root: ExecState, on_terminal=None) -> None:
+        first_only = self.eng.config.first_only
         stack = [root]
         while stack:
             st = stack.pop()
@@ -1469,12 +1425,14 @@ def _assert_detail(state: ExecState, shown, witness) -> "list[tuple[str, str]] |
         return None
     out = []
     for name, array in shown:
-        vals = [_render_under(cell, witness) for cell in state.heap[array(state).addr].cells]
+        vals = [_render_value(cell, witness) for cell in state.heap[array(state).addr].cells]
         out.append((name, "[ " + " ".join(vals) + " ]" if vals else "[ ]"))
     return out
 
 
-def _render_under(v: SymValue, witness) -> str:
+def _render_value(v: SymValue, witness=None) -> str:
+    """v as print shows it; under a witness, its symbols take their values
+    (0 for a symbol the witness leaves out)."""
     if v is UNDEFINED:
         return "undef"
     if isinstance(v, ConcreteInt):
@@ -1495,7 +1453,7 @@ def explore(program: ast.Program, config: SearchConfig, on_terminal=None) -> Sea
     first; violations come out sorted by trail."""
     eng = Engine(program, config)
     ex = _Executor(eng, ExploreAll())
-    ex.dfs(eng.init_state(), first_only=config.first_only, on_terminal=on_terminal)
+    ex.dfs(eng.init_state(), on_terminal=on_terminal)
     ex.violations.sort(key=lambda v: trail_key(v.trail))
     return SearchResult(ex.violations, ex.stats, ex.incomplete, eng.inputs_desc)
 
@@ -1538,14 +1496,27 @@ def run_path(
     trail: "list[Decision] | None" = None,
     reals: "dict[str, list[Fraction]] | None" = None,
 ) -> PathOutcome:
-    """Execute one path of a program that load_program returned, with
-    concrete real inputs: given values or seeded random ones, following
-    the trail if given and random choices if not."""
+    """Execute one path of a program that load_program returned. The real
+    input cells of the start state get the values that reals gives, where
+    a real input left out of reals stays symbolic; without reals, every
+    cell gets a seeded random value, drawn in declaration order. The path
+    follows the trail if given and random choices if not."""
     eng = Engine(program, config)
+    state = eng.init_state()
     rng = Random(config.seed)
-    if reals is not None:
-        state = eng.init_state(fixed_reals=reals)
-    else:
-        state = eng.init_state(random_reals=rng)
+    for decl in program.inputs:
+        if decl.ty is ast.Type.INT:
+            continue
+        storage = state.heap[state.globals[decl.name].addr]
+        n = len(storage.cells)
+        if reals is None:
+            values = [Fraction(rng.randint(-99, 99), rng.randint(1, 16)) for _ in range(n)]
+        elif decl.name in reals:
+            values = reals[decl.name]
+            if len(values) != n:
+                raise EngineInitError(f"input '{decl.name}' needs {n} values, got {len(values)}")
+        else:
+            continue
+        storage.cells = [RealVal(Poly.const(Fraction(v))) for v in values]
     policy = TrailPolicy(trail) if trail is not None else RandomPolicy(rng)
     return _follow(_Executor(eng, policy), state)

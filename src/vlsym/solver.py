@@ -170,12 +170,7 @@ class EnumerationBudgetExceeded(Exception):
         self.budget = budget
 
 
-def pc_sat(
-    pc: PathCondition,
-    budget: int = DEFAULT_BUDGET,
-    seed: int = 0,
-    trials: int = SAMPLE_TRIALS,
-) -> SatResult:
+def pc_sat(pc: PathCondition, budget: int = DEFAULT_BUDGET, seed: int = 0) -> SatResult:
     """Decide satisfiability; a fresh RNG per call keeps results stable
     no matter in which order the paths make their calls."""
     if pc.unsat:
@@ -215,7 +210,7 @@ def pc_sat(
         )
         rng = Random(seed)
         found = False
-        for trial in range(trials):
+        for trial in range(SAMPLE_TRIALS):
             if trial == 0:
                 sample = {s: Fraction(1) for s in real_syms}
             else:

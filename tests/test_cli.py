@@ -171,6 +171,20 @@ def test_out_of_range_bounds_are_usage_errors(capsys):
     assert "violation 0: ENUM_BUDGET (MAYBE)" in captured.err
 
 
+def test_array_wider_than_the_cell_cap_names_the_cap(capsys, tmp_path):
+    src = tmp_path / "wide.vl"
+    src.write_text("func main() {\n  var int a[1048577];\n}\n")
+    # the cap is fixed, so a larger --budget does not lift it
+    for budget in ([], ["--budget", "5000000"]):
+        assert cli.main(["verify", *budget, str(src)]) == 2
+        captured = capsys.readouterr()
+        cause = "cause: extent 1048577 of array 'a' exceeds the cap of 1048576 cells\n"
+        assert cause in captured.out
+        assert "note: the search was cut short" in captured.out
+        assert "budget" not in captured.out
+        assert captured.err == f"violation 0: ENUM_BUDGET (MAYBE) at {src}:2:3-21\n"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "vlsym.cli", "corpus-dir"],

@@ -610,6 +610,33 @@ def test_guard_short_circuits_after_pinning():
     assert not r.violations
 
 
+@pytest.mark.parametrize("op, goes_on, cut", [("&&", "else", "B t"), ("||", "then", "B e")])
+def test_limit_inside_and_or_cuts_short_only_the_copy_that_meets_it(op, goes_on, cut):
+    # the head forks on N; M has no bounds, so deciding the rest on the
+    # copy that needs it meets a limit, and the other copy goes on
+    r = search(
+        f"""
+        input int N;
+        input int M;
+        func main() {{
+          assume(0 <= N && N <= 9);
+          if (N < 5 {op} M < 3) {{
+            print("then");
+          }} else {{
+            print("else");
+          }}
+        }}
+        """
+    )
+    assert [st.prints for st in r.terminal_states] == [[goes_on]]
+    (v,) = r.violations
+    assert v.prop is Property.ENUM_BUDGET and v.certainty is Certainty.MAYBE
+    assert v.message == "no finite bounds for 'M'"
+    assert [d.render() for d in v.trail] == [cut]
+    assert (v.loc.line, v.loc.col) == (6, 11)
+    assert r.incomplete
+
+
 def test_max_depth_marks_incomplete():
     r = search(
         """
@@ -913,3 +940,15 @@ def test_run_path_draws_reals_in_declaration_order():
     # an input that reals leaves out stays symbolic
     given = run_path(prog, SearchConfig(seed=7), reals={"A": [Fraction(1, 2), Fraction(1, 3)]})
     assert given.prints == ["a=5/6 b=X_B[0] k=0"]
+
+
+def test_input_extent_pins_its_earliest_declared_symbol():
+    # the extent is evaluated as any int expression is: a symbolic one
+    # names its earliest declared symbol, and one that folds to a
+    # constant needs no concrete input
+    prog = load("input int N; input int M; input real V[M * N]; func main() { }")
+    with pytest.raises(engine.EngineInitError, match="^extent of input 'V' depends on 'N', "):
+        explore(prog, SearchConfig())
+    r = search("input int N; input real V[N - N]; func main() { print(len(V)); }")
+    assert r.inputs_desc == ["N : int, symbolic", "V : real[0], symbolic"]
+    assert [st.prints for st in r.terminal_states] == [["0"]]
