@@ -61,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="explore every execution and report violations")
     _add_common(v)
     v.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility; the search runs in one thread")
+                   help="search in this many forked processes, over a frontier "
+                        "of live paths (1 = in this process)")
     v.add_argument("--max-depth", type=int, default=0,
                    help="abandon paths after this many decisions (0 = unlimited)")
     v.add_argument("--first", action="store_true",
@@ -119,7 +120,11 @@ def _config(args, overrides, **search) -> SearchConfig:
 def cmd_verify(args, overrides) -> int:
     if args.max_depth < 0:
         raise UsageError(f"--max-depth must be 0 (unlimited) or more, got {args.max_depth}")
-    cfg = _config(args, overrides, max_depth=args.max_depth, first_only=args.first)
+    if args.workers < 1:
+        raise UsageError(f"--workers must be at least 1, got {args.workers}")
+    cfg = _config(
+        args, overrides, max_depth=args.max_depth, first_only=args.first, workers=args.workers
+    )
     program, sources = _load(args.files)
     started = time.monotonic()
     result = engine.explore(program, cfg)
@@ -181,7 +186,7 @@ def main(argv: list[str]) -> int:
     except (TrailFormatError, TrailMismatch) as exc:
         print(f"vlsym: trail: {exc}", file=sys.stderr)
         return 1
-    except engine.EngineInitError as exc:
+    except (engine.EngineInitError, engine.WorkerFailed) as exc:
         print(f"vlsym: {exc}", file=sys.stderr)
         return 1
 

@@ -17,14 +17,23 @@ States are mutated in place along straight-line code and cloned only
 where paths fork. Integer inputs stay symbolic until a strict position
 (array extent, array index, choose_int argument) forces a value, at
 which point the path fans out over the feasible range.
+
+verify searches depth first. With more than one worker it first runs the
+search breadth first until FRONTIER_STATES paths are live, then forks one
+process per worker over that frontier: a worker inherits the lowered
+program and the live states, searches every N-th of them depth first, and
+sends back only its counts and findings, which the parent adds up and
+sorts by trail as the serial search does.
 """
 
 from __future__ import annotations
 
 import enum
 import operator
+import os
+from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from random import Random
 
@@ -57,6 +66,10 @@ from .values import (
 
 MAX_ARRAY_CELLS = 1 << 20
 MAX_DNF_DISJUNCTS = 4096
+# live states the breadth-first phase gathers before it forks workers: 16
+# leaves the workers unevenly loaded, and more grows the parent's memory
+# without a faster search
+FRONTIER_STATES = 64
 
 
 class Property(enum.Enum):
@@ -421,6 +434,10 @@ class EngineInitError(Exception):
     pass
 
 
+class WorkerFailed(Exception):
+    """A search worker process failed, so the search has no result."""
+
+
 # ---------------------------------------------------------------------------
 # choice policies
 
@@ -474,6 +491,10 @@ class Stats:
     pruned: int = 0
     solver_calls: int = 0
 
+    def add(self, other: "Stats") -> None:
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+
 
 @dataclass
 class SearchConfig:
@@ -481,6 +502,7 @@ class SearchConfig:
     seed: int = 0
     max_depth: int = 0  # 0 means unlimited
     first_only: bool = False
+    workers: int = 1
     overrides: dict = field(default_factory=dict)
 
 
@@ -1400,6 +1422,115 @@ class _Executor:
                 if on_terminal is not None:
                     on_terminal(st)
 
+    def dfs_forked(self, root: ExecState) -> None:
+        """dfs over worker processes: grow a frontier of live states breadth
+        first, then let each of config.workers processes search every N-th
+        of them. The workers' findings follow the parent's in frontier
+        order, so that a stable sort by trail keeps the serial order of
+        ties."""
+        frontier = self._frontier(root)
+        workers = min(self.eng.config.workers, len(frontier))
+        found = []
+        for stats, tagged, incomplete in _run_workers(self, frontier, workers):
+            self.stats.add(stats)
+            self.incomplete |= incomplete
+            found.extend(tagged)
+        found.sort(key=lambda t: t[0])
+        self.violations.extend(v for _, v in found)
+
+    def _frontier(self, root: ExecState) -> list[ExecState]:
+        """Run the search breadth first from root, counting as dfs does,
+        until at least FRONTIER_STATES paths are live or none is; the live
+        states, in the order they were reached."""
+        queue = deque([root])
+        while queue and len(queue) < FRONTIER_STATES:
+            st = queue.popleft()
+            while st.status is Status.RUNNING:
+                succs = self._advance(st)
+                if succs is None:
+                    continue
+                if len(succs) != 1:
+                    queue.extend(succs)
+                    break
+                st = succs[0]
+            else:
+                self.stats.terminals += 1
+        return list(queue)
+
+
+def _run_workers(ex: _Executor, frontier: list[ExecState], workers: int) -> list[tuple]:
+    """Fork workers over the frontier, worker w searching the states w,
+    w+workers, ...; the result that each sent, in worker order. A worker
+    that fails raises WorkerFailed, and no worker outlives this call."""
+    # imported only when a search forks, so that they add nothing to the
+    # start-up time of every other run
+    import pickle
+    import signal
+
+    pipes, pids = [], {}
+    try:
+        for w in range(workers):
+            rfd, wfd = os.pipe()
+            pipes.append(open(rfd, "rb"))
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(wfd)
+                raise
+            if pid == 0:
+                _worker(ex, frontier, w, workers, wfd, pipes)
+            os.close(wfd)
+            pids[w] = pid
+        results = []
+        for w, pipe in enumerate(pipes):
+            data = pipe.read()
+            _, status = os.waitpid(pids[w], 0)
+            del pids[w]
+            code = os.waitstatus_to_exitcode(status)
+            if code > 0:
+                raise WorkerFailed(f"search worker {w} of {workers} exited with status {code}")
+            if code < 0:
+                name = signal.Signals(-code).name
+                raise WorkerFailed(f"search worker {w} of {workers} was killed by {name}")
+            results.append(pickle.loads(data))
+        return results
+    finally:
+        for pid in pids.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for pipe in pipes:
+            pipe.close()
+
+
+def _worker(ex: _Executor, frontier, first: int, step: int, wfd: int, pipes) -> None:
+    """The body of a forked worker: search frontier[first::step] with fresh
+    counts and findings, send (stats, [(frontier index, violation), ...],
+    incomplete) down wfd and exit, without flushing the stdio buffers or
+    running the exit handlers inherited from the parent. An interrupt is
+    the parent's to handle; it kills its workers."""
+    import pickle
+    import signal
+    import traceback
+
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for pipe in pipes:
+            pipe.close()
+        ex.stats, ex.violations, ex.incomplete = Stats(), [], False
+        tagged = []
+        for i in range(first, len(frontier), step):
+            start = len(ex.violations)
+            ex.dfs(frontier[i])
+            tagged.extend((i, v) for v in ex.violations[start:])
+        with open(wfd, "wb") as out:
+            pickle.dump((ex.stats, tagged, ex.incomplete), out, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    except BaseException:
+        os.write(2, traceback.format_exc().encode())
+    finally:
+        os._exit(code)
+
 
 def _normalize(state: ExecState) -> None:
     """Pop exhausted blocks and frames; mark the state done at main's end."""
@@ -1450,10 +1581,21 @@ def _render_value(v: SymValue, witness=None) -> str:
 
 def explore(program: ast.Program, config: SearchConfig, on_terminal=None) -> SearchResult:
     """Search every path of a program that load_program returned, depth
-    first; violations come out sorted by trail."""
+    first; violations come out sorted by trail. More than one worker forks
+    worker processes, unless the search stops at its first finding, sees
+    every terminal state, or runs where there is no os.fork."""
     eng = Engine(program, config)
     ex = _Executor(eng, ExploreAll())
-    ex.dfs(eng.init_state(), on_terminal=on_terminal)
+    root = eng.init_state()
+    if (
+        config.workers > 1
+        and on_terminal is None
+        and not config.first_only
+        and hasattr(os, "fork")
+    ):
+        ex.dfs_forked(root)
+    else:
+        ex.dfs(root, on_terminal=on_terminal)
     ex.violations.sort(key=lambda v: trail_key(v.trail))
     return SearchResult(ex.violations, ex.stats, ex.incomplete, eng.inputs_desc)
 
@@ -1503,6 +1645,10 @@ def run_path(
     follows the trail if given and random choices if not."""
     eng = Engine(program, config)
     state = eng.init_state()
+    real_inputs = {d.name for d in program.inputs if d.ty is not ast.Type.INT}
+    for name in reals or ():
+        if name not in real_inputs:
+            raise EngineInitError(f"reals= names '{name}', which is not a real input")
     rng = Random(config.seed)
     for decl in program.inputs:
         if decl.ty is ast.Type.INT:

@@ -320,7 +320,7 @@ def test_criterion_6c_zero_polynomial_iff_agreement_at_64_points():
     print("criterion 6c PASS: zero polynomial iff 64-point agreement, both directions")
 
 
-def test_criterion_7_reports_are_identical_across_worker_counts(capsys):
+def test_criterion_7_reports_are_identical_across_worker_counts(capsys, tmp_path):
     rc1 = cli.main(["verify", "--workers", "1", *corpus_argv(CLEAN_FILES)])
     out1 = capsys.readouterr().out
     rc2 = cli.main(["verify", "--workers", "4", *corpus_argv(CLEAN_FILES)])
@@ -331,7 +331,22 @@ def test_criterion_7_reports_are_identical_across_worker_counts(capsys):
         return "\n".join(ln for ln in text.splitlines() if not ln.startswith("time (s)"))
 
     assert stable(out1) == stable(out2)
-    print("criterion 7 PASS: workers 1 and 4 produce the same report")
+
+    # colmax has violations: the report, the summaries on stderr and the
+    # emitted trails all match between the serial and the forked search
+    runs = []
+    for workers in ("1", "2"):
+        trails = tmp_path / f"trails-{workers}"
+        argv = ["verify", "--workers", workers, "--emit-trails", str(trails)]
+        rc = cli.main([*argv, *corpus_argv(COLMAX_FILES)])
+        captured = capsys.readouterr()
+        emitted = {p.name: p.read_text() for p in trails.iterdir()}
+        runs.append((rc, stable(captured.out), captured.err, emitted))
+    assert runs[0] == runs[1]
+    rc, _, err, emitted = runs[0]
+    assert rc == 2
+    assert len(emitted) == len(err.splitlines()) == 3371
+    print("criterion 7 PASS: workers 1, 2 and 4 produce the same report")
 
 
 TOKEN_SOUP = [

@@ -153,6 +153,7 @@ def test_out_of_range_bounds_are_usage_errors(capsys):
     cases = [
         (["verify", "--max-depth", "-1"], "--max-depth must be 0 (unlimited) or more, got -1"),
         (["verify", "--budget", "0"], "--budget must be at least 1, got 0"),
+        (["verify", "--workers", "0"], "--workers must be at least 1, got 0"),
         (["replay", "--trail", "t.trail", "--budget", "-5"], "--budget must be at least 1, got -5"),
         (["run", "--budget", "0"], "--budget must be at least 1, got 0"),
     ]

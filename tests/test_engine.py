@@ -1,13 +1,17 @@
 """Executor behavior: path enumeration, forks, violations, replay."""
 
+import os
 import re
+import signal
+import time
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from vlsym import engine
+from vlsym import cli, engine
 from vlsym.ast import Program
+from vlsym.corpus import CLEAN_FILES, COLMAX_FILES, SWAP_FILES, load_sources
 from vlsym.engine import (
     Certainty,
     ChooseInt,
@@ -952,3 +956,150 @@ def test_input_extent_pins_its_earliest_declared_symbol():
     r = search("input int N; input real V[N - N]; func main() { print(len(V)); }")
     assert r.inputs_desc == ["N : int, symbolic", "V : real[0], symbolic"]
     assert [st.prints for st in r.terminal_states] == [["0"]]
+
+
+def test_run_path_refuses_reals_that_name_no_real_input():
+    prog = load("input real V[2]; input int N = 2; func main() { print(V[0]); }")
+    for name in ("W", "N"):
+        with pytest.raises(
+            engine.EngineInitError, match=f"^reals= names '{name}', which is not a real input$"
+        ):
+            run_path(prog, SearchConfig(), reals={name: [Fraction(1), Fraction(2)]})
+
+
+# --- the search over forked workers ---
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the processes that os.fork starts. The parent counts a
+    fork before it happens, so a worker sees its own number in the count."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pids.append(None)
+        pid = real_fork()
+        if pid:
+            pids[-1] = pid
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def corpus_program(names) -> Program:
+    prog = load_program(load_sources(names))
+    assert isinstance(prog, Program), prog
+    return prog
+
+
+def forked_matches_serial(prog, **kw) -> engine.SearchResult:
+    serial = explore(prog, SearchConfig(workers=1, **kw))
+    forked = explore(prog, SearchConfig(workers=2, **kw))
+    assert forked.stats == serial.stats
+    assert forked.incomplete == serial.incomplete
+    # dataclass equality: prop, certainty, loc, message, trail, witness and
+    # detail of every violation, in order
+    assert forked.violations == serial.violations
+    assert forked.inputs_desc == serial.inputs_desc
+    return forked
+
+
+@pytest.mark.parametrize(
+    "names, kw",
+    [
+        (SWAP_FILES, {}),
+        (COLMAX_FILES, {}),
+        # at depth 6 the breadth-first phase meets the limit itself; at 7
+        # only the workers do, so their incomplete flag must survive the merge
+        (CLEAN_FILES, {"max_depth": 6}),
+        (CLEAN_FILES, {"max_depth": 7}),
+    ],
+    ids=["swap", "colmax", "clean-depth-6", "clean-depth-7"],
+)
+def test_forked_search_matches_serial_on_the_corpus(forks, names, kw):
+    r = forked_matches_serial(corpus_program(names), **kw)
+    assert len(forks) == 2
+    if "max_depth" in kw:
+        assert r.incomplete
+    else:
+        assert r.violations and not r.incomplete
+
+
+def test_forked_search_keeps_a_budget_cut_met_inside_a_worker(forks):
+    # the frontier is the 80 choices; every path below k = 40 then meets
+    # the enumeration budget in a worker
+    src = """
+        input int N;
+        func main() {
+          var int k;
+          k = choose_int(80);
+          if (k < 40) {
+            assume(0 <= N && N <= 50);
+          }
+          print(k);
+        }
+        """
+    r = forked_matches_serial(load(src), budget=20)
+    assert len(forks) == 2
+    assert r.incomplete
+    assert r.stats.terminals == 40
+    assert [v.trail for v in r.violations] == [(ChooseInt(k, 80),) for k in range(40)]
+    assert {(v.prop, v.certainty) for v in r.violations} == {
+        (Property.ENUM_BUDGET, Certainty.MAYBE)
+    }
+
+
+def test_search_that_ends_before_the_frontier_fills_forks_nothing(forks):
+    src = "func main() { var int k; k = choose_int(10); assert(k != 7); }"
+    r = forked_matches_serial(load(src))
+    assert forks == []
+    assert r.stats.terminals == 9
+    assert [v.trail for v in r.violations] == [(ChooseInt(7, 10),)]
+
+
+def test_first_only_and_on_terminal_stay_serial(forks):
+    src = "func main() { var int k; k = choose_int(100); assert(k != 70); }"
+    prog = load(src)
+    one = explore(prog, SearchConfig(workers=2, first_only=True))
+    serial = explore(prog, SearchConfig(first_only=True))
+    assert (one.violations, one.stats) == (serial.violations, serial.stats)
+    seen = []
+    every = explore(prog, SearchConfig(workers=2), on_terminal=seen.append)
+    assert every.stats.terminals == len(seen) == 99
+    assert forks == []
+
+
+@pytest.mark.parametrize("how", ["raises", "is killed"])
+def test_a_failed_worker_fails_the_search_and_no_worker_outlives_it(
+    forks, monkeypatch, capsys, tmp_path, how
+):
+    def dfs(self, root, on_terminal=None):
+        if len(forks) % 2 == 1:  # worker 0 of either search
+            if how == "raises":
+                raise RuntimeError("worker fault")
+            os.kill(os.getpid(), signal.SIGKILL)
+        # worker 1 is still searching when worker 0 fails, and must be
+        # killed; it gives up after a minute, so a missed kill cannot hang
+        time.sleep(60)
+        raise RuntimeError("worker 1 was not killed")
+
+    monkeypatch.setattr(engine._Executor, "dfs", dfs)
+    failure = (
+        "search worker 0 of 2 exited with status 1"
+        if how == "raises"
+        else "search worker 0 of 2 was killed by SIGKILL"
+    )
+    src = tmp_path / "fan.vl"
+    src.write_text("func main() { var int k; k = choose_int(100); }\n")
+    started = time.monotonic()
+    with pytest.raises(engine.WorkerFailed, match=f"^{failure}$"):
+        explore(load(src.read_text()), SearchConfig(workers=2))
+    assert cli.main(["verify", "--workers", "2", str(src)]) == 1
+    assert capsys.readouterr().err.endswith(f"vlsym: {failure}\n")
+    assert time.monotonic() - started < 30
+    assert len(forks) == 4
+    for pid in forks:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
