@@ -45,6 +45,7 @@ from .solver import (
     EnumerationBudgetExceeded,
     PathCondition,
     Rel,
+    SatResult,
     SatStatus,
     UnboundedSymbol,
     pc_sat,
@@ -345,6 +346,11 @@ class Status(enum.Enum):
 
 
 class ExecState:
+    """One path's state. printed holds each print's evaluated arguments, as
+    a tuple of literal strings, values and snapshots (tuples) of printed
+    arrays' cells; prints renders them, so a search that never reads its
+    output never renders it."""
+
     __slots__ = (
         "frames",
         "heap",
@@ -352,19 +358,24 @@ class ExecState:
         "globals",
         "pc",
         "trail",
-        "prints",
+        "printed",
         "status",
     )
 
-    def __init__(self, frames, heap, next_addr, globals_, pc, trail, prints):
+    def __init__(self, frames, heap, next_addr, globals_, pc, trail, printed):
         self.frames = frames
         self.heap = heap
         self.next_addr = next_addr
         self.globals = globals_
         self.pc = pc
         self.trail = trail
-        self.prints = prints
+        self.printed = printed
         self.status = Status.RUNNING
+
+    @property
+    def prints(self) -> list[str]:
+        """The lines that the path's prints wrote, as they were when each ran."""
+        return ["".join([_render_print_arg(p) for p in parts]) for parts in self.printed]
 
     def clone(self) -> "ExecState":
         st = ExecState(
@@ -374,7 +385,7 @@ class ExecState:
             self.globals,
             self.pc,
             list(self.trail),
-            list(self.prints),
+            list(self.printed),
         )
         return st
 
@@ -1095,7 +1106,9 @@ def _lower_print(s: ast.Print, env: _Scopes):
     parts = tuple(_lower_print_arg(a, env) for a in s.args)
 
     def run(ex, state):
-        state.prints.append("".join([part(state) for part in parts]))
+        # every argument is evaluated here, so that a bad read is found at
+        # the print; ExecState.prints renders them when it is read
+        state.printed.append(tuple([part(state) for part in parts]))
 
     return run
 
@@ -1107,14 +1120,8 @@ def _lower_print_arg(a: ast.Expr, env: _Scopes):
     if a.ty is not None and a.ty.is_array():
         assert isinstance(a, ast.Name)
         array = _lower_load(a.name, env)
-
-        def show_array(state):
-            cells = [_render_value(c) for c in state.heap[array(state).addr].cells]
-            return "[ " + " ".join(cells) + " ]" if cells else "[ ]"
-
-        return show_array
-    value = _lower_value(a, env)
-    return lambda state: _render_value(value(state))
+        return lambda state: tuple(state.heap[array(state).addr].cells)
+    return _lower_value(a, env)
 
 
 _LOWER_STMT = {
@@ -1155,6 +1162,7 @@ def _pin(state: ExecState, sym: SymConst, value: int) -> None:
 
 
 _STOPS = (NeedsConcretize, Violating, UnboundedSymbol, EnumerationBudgetExceeded)
+_UNSAT = SatResult(SatStatus.UNSAT)
 
 
 class _Executor:
@@ -1167,10 +1175,28 @@ class _Executor:
         self.violations: list[Violation] = []
         self.incomplete = False
         self.max_depth = engine.config.max_depth
+        # pc_sat's answer for each path condition's atoms
+        self.answers: dict[tuple[Atom, ...], SatResult] = {}
 
-    def sat(self, pc: PathCondition):
+    def sat(self, pc: PathCondition) -> SatResult:
+        """The solver's answer for pc. Stats count every query, but each
+        distinct condition is solved once per executor, and the forked
+        workers inherit the answers found before the fork. That is sound
+        because pc_sat depends only on the atoms (its integer box is built
+        from them), the budget and the seed, which are fixed per engine, and
+        it seeds a fresh Random per call: a kept answer, witness included,
+        is the one a new call would give, and no caller changes a witness.
+        A condition that PathCondition.add made unsat with a false constant
+        keeps its parent's atoms, so it is answered before the lookup; a
+        call that raises keeps nothing."""
         self.stats.solver_calls += 1
-        return pc_sat(pc, self.eng.config.budget, self.eng.config.seed)
+        if pc.unsat:
+            return _UNSAT
+        res = self.answers.get(pc.atoms)
+        if res is None:
+            res = pc_sat(pc, self.eng.config.budget, self.eng.config.seed)
+            self.answers[pc.atoms] = res
+        return res
 
     # --- forks ---
 
@@ -1554,11 +1580,23 @@ def _normalize(state: ExecState) -> None:
 def _assert_detail(state: ExecState, shown, witness) -> "list[tuple[str, str]] | None":
     if shown is None:
         return None
-    out = []
-    for name, array in shown:
-        vals = [_render_value(cell, witness) for cell in state.heap[array(state).addr].cells]
-        out.append((name, "[ " + " ".join(vals) + " ]" if vals else "[ ]"))
-    return out
+    return [
+        (name, _render_cells(state.heap[array(state).addr].cells, witness)) for name, array in shown
+    ]
+
+
+def _render_print_arg(p) -> str:
+    """One print argument as ExecState.printed holds it, rendered."""
+    if p.__class__ is str:
+        return p
+    if p.__class__ is tuple:
+        return _render_cells(p)
+    return _render_value(p)
+
+
+def _render_cells(cells, witness=None) -> str:
+    vals = [_render_value(c, witness) for c in cells]
+    return "[ " + " ".join(vals) + " ]" if vals else "[ ]"
 
 
 def _render_value(v: SymValue, witness=None) -> str:
@@ -1615,14 +1653,14 @@ def _follow(ex: _Executor, state: ExecState) -> PathOutcome:
         if succs is None:
             continue
         if not succs:
-            return PathOutcome(None, ex.violations, list(state.prints))
+            return PathOutcome(None, ex.violations, state.prints)
         assert len(succs) == 1, "policy must yield a single successor"
         state = succs[0]
     policy = ex.policy
     unused = len(policy.trail) - policy.pos if isinstance(policy, TrailPolicy) else 0
     if unused:
         raise TrailMismatch(f"path finished with {unused} unused trail decision(s)")
-    return PathOutcome(state, ex.violations, list(state.prints))
+    return PathOutcome(state, ex.violations, state.prints)
 
 
 def replay(program: ast.Program, config: SearchConfig, trail: list[Decision]) -> PathOutcome:

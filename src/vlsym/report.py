@@ -23,6 +23,9 @@ ABSENCE_LEGEND = "All errors marked with '+' are absent on all executions."
 def _witness_text(v: Violation) -> str:
     if v.witness is None:
         return "(none)"
+    if not v.witness:
+        # a condition without atoms: the path fails whatever the inputs are
+        return "(any input)"
     items = sorted(v.witness.items(), key=lambda kv: kv[0].ord)
     return ", ".join(f"{sym.render()} = {value}" for sym, value in items)
 

@@ -2,12 +2,13 @@
 
 A path condition is a conjunction of atoms `poly rel 0`, each over
 integer or real symbols (the type system keeps the two apart). Integer
-questions are settled by exact enumeration over the finite boxes implied
-by the condition's linear bounds. Real questions use structural
-refutation plus randomized rational sampling. Answers are conservative:
-SAT always carries a checked witness, UNSAT is only reported when
-enumeration or structure rules every assignment out, and anything else
-is UNKNOWN.
+atoms are settled by exact enumeration over the finite box that the
+condition's univariate linear bounds imply. Real atoms are only sampled:
+the point where every symbol is 1, then SAMPLE_TRIALS - 1 seeded random
+rationals. Answers are conservative: SAT always carries a checked
+witness; UNSAT is reported only for a condition that holds a false
+constant or whose integer atoms enumeration rules out, never because of
+a real atom; and a real question that no sample satisfies is UNKNOWN.
 """
 
 from __future__ import annotations
@@ -42,6 +43,20 @@ class Atom:
     kind: SymKind
     rel: Rel
     poly: Poly
+
+    def __hash__(self) -> int:
+        # a solver memo keyed on a path condition's atoms hashes each atom
+        # on every query, and hashing a Poly builds a frozenset of its terms,
+        # so the first hash is kept
+        try:
+            return self.__dict__["_hash"]
+        except KeyError:
+            h = self.__dict__["_hash"] = hash((self.kind, self.rel, self.poly))
+            return h
+
+    def __getstate__(self) -> dict:
+        # the kept hash includes Enum hashes, which differ between processes
+        return {"kind": self.kind, "rel": self.rel, "poly": self.poly}
 
     def negated(self) -> "Atom":
         if self.rel in (Rel.EQ, Rel.NE):

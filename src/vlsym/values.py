@@ -39,6 +39,12 @@ class SymConst:
     kind: SymKind
     ord: int
 
+    def __hash__(self) -> int:
+        # every Poly term lookup hashes its symbols, so hash the int ord
+        # alone rather than all four fields and the Enum; equal symbols
+        # share an ord, and the hash is the same in every process
+        return self.ord
+
     def render(self) -> str:
         if self.index is None:
             return self.name

@@ -26,6 +26,8 @@ from vlsym.engine import (
     trail_key,
 )
 from vlsym.parser import load_program, parse_program
+from vlsym.solver import Atom, PathCondition, Rel, SatStatus
+from vlsym.values import Poly, SymConst, SymKind
 
 
 def load(src: str) -> Program:
@@ -1103,3 +1105,129 @@ def test_a_failed_worker_fails_the_search_and_no_worker_outlives_it(
     for pid in forks:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
+
+
+# --- one solver answer per distinct path condition ---
+
+
+def uncached_sat(self, pc):
+    """_Executor.sat without its memo: every query runs the solver."""
+    self.stats.solver_calls += 1
+    return engine.pc_sat(pc, self.eng.config.budget, self.eng.config.seed)
+
+
+@pytest.fixture
+def solver_runs(monkeypatch):
+    """The number of times the engine runs pc_sat, in a one-item list."""
+    runs = [0]
+    real_pc_sat = engine.pc_sat
+
+    def counting(*args, **kwargs):
+        runs[0] += 1
+        return real_pc_sat(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "pc_sat", counting)
+    return runs
+
+
+@pytest.mark.parametrize(
+    "names, queries, distinct",
+    [(COLMAX_FILES, 3384, 22), (SWAP_FILES, 686, 46)],
+    ids=["colmax", "swap"],
+)
+def test_each_distinct_path_condition_is_solved_once(solver_runs, names, queries, distinct):
+    r = explore(corpus_program(names), SearchConfig())
+    assert r.stats.solver_calls == queries
+    assert solver_runs[0] == distinct
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("names", [COLMAX_FILES, SWAP_FILES], ids=["colmax", "swap"])
+def test_kept_answers_give_the_findings_of_the_uncached_solver(monkeypatch, names, workers):
+    prog = corpus_program(names)
+    kept = explore(prog, SearchConfig(workers=workers))
+    with monkeypatch.context() as m:
+        m.setattr(engine._Executor, "sat", uncached_sat)
+        fresh = explore(prog, SearchConfig(workers=workers))
+    assert kept.stats == fresh.stats
+    assert kept.incomplete == fresh.incomplete
+    # dataclass equality: prop, certainty, loc, message, trail, witness and
+    # detail of every violation, in order
+    assert kept.violations == fresh.violations
+    assert kept.violations
+
+
+def test_a_false_constant_is_unsat_after_its_condition_was_answered_sat(solver_runs):
+    n = Poly.symbol(SymConst("N", None, SymKind.INT, 0))
+    pc = PathCondition()
+    for atom in (Atom(SymKind.INT, Rel.LE, -n), Atom(SymKind.INT, Rel.LE, n - Poly.const(3))):
+        pc = pc.add(atom)
+    ex = engine._Executor(engine.Engine(load("func main() { }"), SearchConfig()), None)
+    assert ex.sat(pc).status is SatStatus.SAT
+    dead = pc.add(Atom(SymKind.INT, Rel.LT, Poly.const(1)))
+    assert dead.atoms == pc.atoms and dead.unsat
+    assert ex.sat(dead).status is SatStatus.UNSAT
+    assert ex.sat(pc).status is SatStatus.SAT
+    assert ex.stats.solver_calls == 3
+    assert solver_runs == [1]
+
+
+# --- prints are rendered when read ---
+
+PRINT_THEN_CHANGE = """
+input int N;
+func main() {
+  assume(0 <= N && N <= 2);
+  var int a[2];
+  a[0] = 1;
+  var real r[1];
+  r[0] = 1.5;
+  var int x = 5;
+  print("N=", N, " x=", x, " a=", a, " r=", r);
+  a[1] = 3;
+  if (x > 0) {
+    var int b[N];
+  }
+  a[0] = 7;
+  r[0] = 2.5;
+  x = 9;
+  print("N=", N, " x=", x, " a=", a, " r=", r);
+}
+"""
+
+
+def test_prints_show_the_values_as_they_were_when_each_print_ran():
+    prog = load(PRINT_THEN_CHANGE)
+    r = search(PRINT_THEN_CHANGE)
+    assert r.stats.terminals == 3 and not r.violations
+    for st in r.terminal_states:
+        (pin,) = st.trail
+        expected = ["N=N x=5 a=[ 1 undef ] r=[ 3/2 ]", f"N={pin.value} x=9 a=[ 7 3 ] r=[ 5/2 ]"]
+        assert st.prints == expected
+        for out in (
+            replay(prog, SearchConfig(), list(st.trail)),
+            run_path(prog, SearchConfig(), trail=list(st.trail)),
+        ):
+            assert out.state is not None
+            assert out.prints == out.state.prints == expected
+
+
+@pytest.mark.parametrize(
+    "body, read, prop",
+    [
+        ('var int a[2]; var int i = 2; print("a=", a[i]);', "a[i]", Property.OUT_OF_BOUNDS),
+        ('var int x; print("x=", x);', "x)", Property.READ_UNDEFINED),
+    ],
+    ids=["out-of-bounds", "unwritten-local"],
+)
+def test_a_bad_read_in_a_print_is_found_at_the_print(body, read, prop):
+    src = 'func main() { print("before"); ' + body + " }"
+    prog = load(src)
+    r = explore(prog, SearchConfig())
+    (v,) = r.violations
+    assert (v.prop, v.certainty) == (prop, Certainty.PROVEABLE)
+    assert (v.loc.line, v.loc.col) == (1, src.index(read) + 1)
+    out = run_path(prog, SearchConfig())
+    assert out.state is None
+    assert out.prints == ["before"]
+    assert [(w.prop, w.loc) for w in out.violations] == [(prop, v.loc)]

@@ -1,5 +1,6 @@
 """Report rendering: section layout, markers, violation blocks."""
 
+from vlsym import cli
 from vlsym.diagnostics import Loc
 from vlsym.engine import (
     Branch,
@@ -96,6 +97,20 @@ def test_maybe_violation_has_no_witness():
     assert "witness: (none)" in block
     assert "trail:" not in block
     assert "depth 0" in block
+
+
+def test_empty_witness_reads_any_input():
+    block = render_violation(0, make_violation(witness={}), SOURCES)
+    assert block.splitlines()[4] == "witness: (any input)"
+
+
+def test_a_finding_on_a_path_without_conditions_has_any_input_as_witness(tmp_path, capsys):
+    src = tmp_path / "undef.vl"
+    src.write_text("func main() { var int x; print(x); }\n")
+    assert cli.main(["verify", str(src)]) == 2
+    assert "\nwitness: (any input)\n" in capsys.readouterr().out
+    assert cli.main(["run", str(src)]) == 2
+    assert "\nwitness: (any input)\n" in capsys.readouterr().err
 
 
 def test_detail_rows_follow_the_witness():

@@ -1,3 +1,7 @@
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -209,3 +213,31 @@ def test_fuzzed_witnesses_self_verify():
         res = pc_sat(pc)
         if res.status is SatStatus.SAT:
             assert all(a.holds(res.witness) for a in pc.atoms)
+
+
+def test_an_atom_hashed_here_is_found_in_a_process_with_another_hash_seed(tmp_path):
+    atoms = [
+        Atom(SymKind.INT, Rel.LE, ipoly({N: 1}, -3)),
+        Atom(SymKind.INT, Rel.NE, ipoly({N: 2, M: -1})),
+        Atom(SymKind.REAL, Rel.LT, Poly.symbol(X0) * Poly.symbol(X1)),
+    ]
+    keyed = {a: i for i, a in enumerate(atoms)}  # hashes every atom here
+    (tmp_path / "keyed.pickle").write_bytes(pickle.dumps(keyed))
+    # the child rebuilds every atom from its parts and looks it up
+    code = (
+        "import pickle, sys\n"
+        "from vlsym.solver import Atom\n"
+        "from vlsym.values import Poly\n"
+        "keyed = pickle.load(open(sys.argv[1], 'rb'))\n"
+        "for a in keyed:\n"
+        "    print(keyed[Atom(a.kind, a.rel, Poly(a.poly.terms))])\n"
+    )
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "keyed.pickle")],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+            check=True,
+        )
+        assert proc.stdout.split() == ["0", "1", "2"]

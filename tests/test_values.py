@@ -1,5 +1,9 @@
 import operator
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -217,3 +221,40 @@ def test_make_int_collapses_constants():
     v = make_int(Poly.symbol(n))
     assert isinstance(v, SymInt)
     assert make_int(Poly.symbol(n) - Poly.symbol(n)) == ConcreteInt(0)
+
+
+# --- symbol hashing ------------------------------------------------------------
+
+
+def test_equal_symbols_built_apart_hash_equal():
+    for make in (lambda: real_sym("A", 2, 12), lambda: SymConst("N", None, SymKind.INT, 0)):
+        a, b = make(), make()
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+
+def test_symbol_keys_survive_a_process_with_another_hash_seed(tmp_path):
+    syms = SYMS + [SymConst("N", None, SymKind.INT, 0), SymConst("M", None, SymKind.INT, 1)]
+    keyed = {s: Fraction(i, 7) for i, s in enumerate(syms)}
+    (tmp_path / "keyed.pickle").write_bytes(pickle.dumps(keyed))
+    # the child rebuilds every symbol, looks each up in the loaded dict and
+    # prints the hashes it computes
+    code = (
+        "import pickle, sys\n"
+        "from vlsym.values import SymConst\n"
+        "keyed = pickle.load(open(sys.argv[1], 'rb'))\n"
+        "for s in keyed:\n"
+        "    fresh = SymConst(s.name, s.index, s.kind, s.ord)\n"
+        "    print(fresh.render(), hash(fresh), keyed[fresh])\n"
+    )
+    for seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "keyed.pickle")],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed),
+            check=True,
+        )
+        assert proc.stdout.splitlines() == [
+            f"{s.render()} {hash(s)} {value}" for s, value in keyed.items()
+        ]
