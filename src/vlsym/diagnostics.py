@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class Severity(enum.Enum):
-    ERROR = "error"
 
 
 @dataclass(frozen=True)
@@ -25,13 +20,12 @@ class Loc:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: Severity
     message: str
     loc: Loc
 
     def render(self) -> str:
-        return f"{self.loc.render()}: {self.severity.value}: {self.message}"
+        return f"{self.loc.render()}: error: {self.message}"
 
 
 def error(message: str, loc: Loc) -> Diagnostic:
-    return Diagnostic(Severity.ERROR, message, loc)
+    return Diagnostic(message, loc)

@@ -52,7 +52,6 @@ from .solver import (
 )
 from .values import (
     UNDEFINED,
-    ConcreteInt,
     DivisionByZero,
     NonConstantDivisor,
     Poly,
@@ -60,7 +59,6 @@ from .values import (
     SymConst,
     SymInt,
     SymKind,
-    SymValue,
     int_poly,
     make_int,
 )
@@ -177,18 +175,8 @@ def parse_trail(text: str) -> list[Decision]:
 
 
 # ---------------------------------------------------------------------------
-# boolean formulas (kept in negation normal form by construction)
-
-
-class _Const:
-    __slots__ = ("truth",)
-
-    def __init__(self, truth: bool):
-        self.truth = truth
-
-
-TRUE = _Const(True)
-FALSE = _Const(False)
+# boolean formulas (kept in negation normal form by construction); a
+# decided formula is the bool True or False
 
 
 @dataclass(frozen=True)
@@ -209,16 +197,16 @@ class FOr:
 def f_and(parts) -> object:
     flat = []
     for p in parts:
-        if p is TRUE:
+        if p is True:
             continue
-        if p is FALSE:
-            return FALSE
+        if p is False:
+            return False
         if isinstance(p, FAnd):
             flat.extend(p.parts)
         else:
             flat.append(p)
     if not flat:
-        return TRUE
+        return True
     if len(flat) == 1:
         return flat[0]
     return FAnd(tuple(flat))
@@ -227,26 +215,26 @@ def f_and(parts) -> object:
 def f_or(parts) -> object:
     flat = []
     for p in parts:
-        if p is FALSE:
+        if p is False:
             continue
-        if p is TRUE:
-            return TRUE
+        if p is True:
+            return True
         if isinstance(p, FOr):
             flat.extend(p.parts)
         else:
             flat.append(p)
     if not flat:
-        return FALSE
+        return False
     if len(flat) == 1:
         return flat[0]
     return FOr(tuple(flat))
 
 
 def f_not(f) -> object:
-    if f is TRUE:
-        return FALSE
-    if f is FALSE:
-        return TRUE
+    if f is True:
+        return False
+    if f is False:
+        return True
     if isinstance(f, FAtom):
         return FAtom(f.atom.negated())
     if isinstance(f, FAnd):
@@ -260,9 +248,9 @@ class _DnfBlowup(Exception):
 
 def dnf(f) -> list[list[Atom]]:
     """Disjunctive normal form as a list of atom conjunctions."""
-    if f is TRUE:
+    if f is True:
         return [[]]
-    if f is FALSE:
+    if f is False:
         return []
     if isinstance(f, FAtom):
         return [[f.atom]]
@@ -564,10 +552,10 @@ class Engine:
             name = decl.name
             if decl.ty is ast.Type.INT:
                 if name in overrides:
-                    state.globals[name] = ConcreteInt(overrides[name])
+                    state.globals[name] = overrides[name]
                     desc.append(f"{name} = {overrides[name]} (override)")
                 elif decl.default is not None:
-                    state.globals[name] = ConcreteInt(decl.default)
+                    state.globals[name] = decl.default
                     desc.append(f"{name} = {decl.default} (default)")
                 else:
                     sym = SymConst(name, None, SymKind.INT, ordinal)
@@ -606,18 +594,19 @@ class Engine:
 # ---------------------------------------------------------------------------
 # lowering: every expression and statement becomes a closure, once per Engine
 #
-# A value closure maps a state to a SymValue and a condition closure maps
-# a state to a formula; neither mutates the state. A statement closure
-# takes the executor and the state, and returns None when the same state
-# simply goes on, or the list of successors when the path forks or ends;
-# its source location is its `loc` attribute. When it runs, its block's
-# cursor has already moved past it, so a statement only pushes the blocks
-# and frames it enters; while alone steps its cursor back, to loop. A
-# statement that raises has left the state as it was. Every local name is
-# resolved to the index of its scope in the frame when it is lowered. Two
-# concrete ints are combined as Python ints, without a Poly. make_int,
-# int_poly and the Poly operators are looked up through this module when a
-# closure runs.
+# A value closure maps a state to a value (an int, a SymInt, a RealVal or
+# an array's ArrayRef) and a condition closure maps a state to a formula;
+# neither mutates the state. A statement closure takes the executor and
+# the state, and returns None when the same state simply goes on, or the
+# list of successors when the path forks or ends; its source location is
+# its `loc` attribute. When it runs, its block's cursor has already moved
+# past it, so a statement only pushes the blocks and frames it enters;
+# while alone steps its cursor back, to loop. A statement that raises has
+# left the state as it was. Every local name is resolved to the index of
+# its scope in the frame when it is lowered. Two concrete ints are
+# combined as Python ints, without a Poly; a test of `v.__class__ is int`
+# never takes a bool for an int. make_int, int_poly and the Poly operators
+# are looked up through this module when a closure runs.
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {
@@ -664,17 +653,17 @@ def _lower_store(name: str, env: _Scopes):
     return depth, name
 
 
-def _strict(v: SymValue) -> int:
+def _strict(v: "int | SymInt") -> int:
     """The value of an int in a strict position; a symbolic one is pinned
     first, by its earliest declared symbol."""
-    if v.__class__ is ConcreteInt:
-        return v.value
+    if v.__class__ is int:
+        return v
     raise NeedsConcretize(min(v.poly.symbols(), key=lambda s: s.ord))
 
 
 def _atom_formula(atom: Atom):
     if atom.poly.is_const():
-        return TRUE if atom.holds({}) else FALSE
+        return atom.holds({})
     return FAtom(atom)
 
 
@@ -685,7 +674,7 @@ def _lower_value(e: ast.Expr, env: _Scopes):
     if e.ty is None:
         raise EngineInitError(_UNVALIDATED)
     if isinstance(e, ast.IntLit):
-        lit = ConcreteInt(e.value)
+        lit = e.value
         return lambda state: lit
     if isinstance(e, ast.DecLit):
         dec = RealVal(Poly.const(e.value))
@@ -702,8 +691,8 @@ def _lower_value(e: ast.Expr, env: _Scopes):
 
         def negate(state):
             v = operand(state)
-            if v.__class__ is ConcreteInt:
-                return ConcreteInt(-v.value)
+            if v.__class__ is int:
+                return -v
             return make_int(-int_poly(v))
 
         return negate
@@ -718,14 +707,14 @@ def _lower_value(e: ast.Expr, env: _Scopes):
         def arith(state):
             a = lhs(state)
             b = rhs(state)
-            if a.__class__ is ConcreteInt and b.__class__ is ConcreteInt:
-                return ConcreteInt(op(a.value, b.value))
+            if a.__class__ is int and b.__class__ is int:
+                return op(a, b)
             return make_int(op(int_poly(a), int_poly(b)))
 
         return arith
     if isinstance(e, ast.LenCall):
         array = _lower_load(e.arg.name, env)
-        return lambda state: ConcreteInt(len(state.heap[array(state).addr].cells))
+        return lambda state: len(state.heap[array(state).addr].cells)
     raise AssertionError(f"not a value: {type(e).__name__}")
 
 
@@ -798,16 +787,16 @@ def _lower_cond(e: ast.Expr, env: _Scopes):
 
             def conj(state):
                 left = lhs(state)
-                if left is FALSE:
-                    return FALSE
+                if left is False:
+                    return False
                 return f_and((left, rhs(state)))
 
             return conj
 
         def disj(state):
             left = lhs(state)
-            if left is TRUE:
-                return TRUE
+            if left is True:
+                return True
             return f_or((left, rhs(state)))
 
         return disj
@@ -822,8 +811,8 @@ def _lower_cond(e: ast.Expr, env: _Scopes):
         def compare(state):
             a = lhs(state)
             b = rhs(state)
-            if a.__class__ is ConcreteInt and b.__class__ is ConcreteInt:
-                return TRUE if test(a.value, b.value) else FALSE
+            if a.__class__ is int and b.__class__ is int:
+                return test(a, b)
             return _atom_formula(Atom(SymKind.INT, rel, int_poly(a) - int_poly(b)))
 
         return compare
@@ -841,7 +830,7 @@ def _lower_equals(e: ast.EqualsCall, env: _Scopes):
         a = state.heap[left(state).addr]
         b = state.heap[right(state).addr]
         if len(a.cells) != len(b.cells):
-            return FALSE
+            return False
         parts = []
         for i in range(len(a.cells)):
             for arr, name in ((a, lname), (b, rname)):
@@ -971,7 +960,7 @@ def _lower_choose(s: ast.ChooseAssign, env: _Scopes):
             return []
         out = []
         for st, i in ex.fork(state, _Choices(k)):
-            st.frames[-1].scopes[depth][name] = ConcreteInt(i)
+            st.frames[-1].scopes[depth][name] = i
             out.append(st)
         return out
 
@@ -1014,8 +1003,8 @@ def _lower_if(s: ast.If, env: _Scopes):
 
     def run(ex, state):
         f = cond(state)
-        if f is TRUE or f is FALSE:
-            body = then if f is TRUE else els
+        if f is True or f is False:
+            body = then if f else els
             if body is not None:
                 state.frames[-1].push_block(body)
             return None
@@ -1042,9 +1031,9 @@ def _lower_while(s: ast.While, env: _Scopes):
 
     def run(ex, state):
         f = cond(state)
-        if f is FALSE:
+        if f is False:
             return None
-        if f is TRUE:
+        if f is True:
             loop(state)
             return None
         out = []
@@ -1066,7 +1055,7 @@ def _lower_assert(s: ast.Assert, env: _Scopes):
 
     def run(ex, state):
         neg = f_not(cond(state))
-        if neg is FALSE:
+        if neg is False:
             return None
         return ex.check_assert(state, neg, loc, shown)
 
@@ -1078,7 +1067,7 @@ def _lower_assume(s: ast.Assume, env: _Scopes):
 
     def run(ex, state):
         f = cond(state)
-        if f is TRUE:
+        if f is True:
             return None
         return ex.apply_assume(state, f, loc)
 
@@ -1221,8 +1210,8 @@ class _Executor:
         on it. A limit met on a copy that a fork made cuts that copy short
         at loc, the statement's location; one met before any fork is the
         statement's."""
-        if f is TRUE or f is FALSE:
-            return [(state, f is TRUE)]
+        if f is True or f is False:
+            return [(state, f)]
         if isinstance(f, FAtom):
             options, pcs = [], []
             for side, atom in ((_THEN, f.atom), (_ELSE, f.atom.negated())):
@@ -1359,7 +1348,7 @@ class _Executor:
         return []
 
     def apply_assume(self, state: ExecState, f, loc: Loc) -> list[ExecState]:
-        if f is FALSE:
+        if f is False:
             self.stats.pruned += 1
             return []
         conjuncts = f.parts if isinstance(f, FAnd) else (f,)
@@ -1381,7 +1370,7 @@ class _Executor:
         return out
 
     def check_assert(self, state: ExecState, neg, loc: Loc, shown) -> list[ExecState]:
-        """Successors of an assert whose negated condition neg is not FALSE;
+        """Successors of an assert whose negated condition neg is not False;
         shown names the two arrays of an equals() condition, or is None."""
         try:
             disjuncts = dnf(neg)
@@ -1426,27 +1415,36 @@ class _Executor:
 
     # --- search ---
 
+    def _run(self, st: ExecState) -> "tuple[ExecState, list[ExecState] | None]":
+        """Advance st along its path until the path forks, stops or ends.
+        Returns the state that ran last with the fork's successors, with []
+        when the path stopped, or with None when it ran to its end, which
+        counts as a terminal. With --first, a finding stops the path at the
+        statement that made it."""
+        first_only = self.eng.config.first_only
+        while st.status is Status.RUNNING:
+            succs = self._advance(st)
+            if first_only and self.violations:
+                return st, []
+            if succs is None:
+                continue
+            if len(succs) != 1:
+                return st, succs
+            st = succs[0]
+        self.stats.terminals += 1
+        return st, None
+
     def dfs(self, root: ExecState, on_terminal=None) -> None:
         first_only = self.eng.config.first_only
         stack = [root]
         while stack:
-            st = stack.pop()
-            # straight-line statements run in this loop; only the
-            # successors of a fork go through the stack
-            while st.status is Status.RUNNING:
-                succs = self._advance(st)
-                if first_only and self.violations:
-                    return
-                if succs is None:
-                    continue
-                if len(succs) != 1:
-                    stack.extend(reversed(succs))
-                    break
-                st = succs[0]
-            else:
-                self.stats.terminals += 1
-                if on_terminal is not None:
-                    on_terminal(st)
+            st, succs = self._run(stack.pop())
+            if first_only and self.violations:
+                return
+            if succs is not None:
+                stack.extend(reversed(succs))
+            elif on_terminal is not None:
+                on_terminal(st)
 
     def dfs_forked(self, root: ExecState) -> None:
         """dfs over worker processes: grow a frontier of live states breadth
@@ -1470,17 +1468,8 @@ class _Executor:
         states, in the order they were reached."""
         queue = deque([root])
         while queue and len(queue) < FRONTIER_STATES:
-            st = queue.popleft()
-            while st.status is Status.RUNNING:
-                succs = self._advance(st)
-                if succs is None:
-                    continue
-                if len(succs) != 1:
-                    queue.extend(succs)
-                    break
-                st = succs[0]
-            else:
-                self.stats.terminals += 1
+            _, succs = self._run(queue.popleft())
+            queue.extend(succs or ())
         return list(queue)
 
 
@@ -1599,13 +1588,13 @@ def _render_cells(cells, witness=None) -> str:
     return "[ " + " ".join(vals) + " ]" if vals else "[ ]"
 
 
-def _render_value(v: SymValue, witness=None) -> str:
+def _render_value(v, witness=None) -> str:
     """v as print shows it; under a witness, its symbols take their values
     (0 for a symbol the witness leaves out)."""
     if v is UNDEFINED:
         return "undef"
-    if isinstance(v, ConcreteInt):
-        return str(v.value)
+    if v.__class__ is int:
+        return str(v)
     poly = v.poly
     if witness is None:
         return poly.render()
@@ -1648,14 +1637,10 @@ class PathOutcome:
 def _follow(ex: _Executor, state: ExecState) -> PathOutcome:
     """Run the one path that the policy of ex picks. A trail policy must
     use up its trail by the end of the path."""
-    while state.status is Status.RUNNING:
-        succs = ex._advance(state)
-        if succs is None:
-            continue
-        if not succs:
-            return PathOutcome(None, ex.violations, state.prints)
-        assert len(succs) == 1, "policy must yield a single successor"
-        state = succs[0]
+    state, succs = ex._run(state)
+    if succs is not None:
+        assert not succs, "policy must yield a single successor"
+        return PathOutcome(None, ex.violations, state.prints)
     policy = ex.policy
     unused = len(policy.trail) - policy.pos if isinstance(policy, TrailPolicy) else 0
     if unused:

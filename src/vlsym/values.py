@@ -15,9 +15,9 @@ structural comparison, which is what the solver's zero test relies on.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 
 class SymKind(enum.Enum):
@@ -201,7 +201,7 @@ class Poly:
             rest: list[SymConst] = []
             for s in m:
                 if s in assignment:
-                    coeff *= Fraction(assignment[s])
+                    coeff *= assignment[s]
                 else:
                     rest.append(s)
             if coeff == 0:
@@ -217,7 +217,7 @@ class Poly:
             for s in m:
                 if s not in point:
                     raise MissingAssignment(s.render())
-                v *= Fraction(point[s])
+                v *= point[s]
             total += v
         return total
 
@@ -252,42 +252,22 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# Runtime values
-
-
-class SymValue:
-    """Base for the engine's runtime scalars."""
-
-    __slots__ = ()
+# Runtime values: a concrete int is a Python int, and these hold the rest
 
 
 @dataclass(frozen=True)
-class ConcreteInt(SymValue):
-    value: int
-
-    def render(self) -> str:
-        return str(self.value)
-
-
-@dataclass(frozen=True)
-class SymInt(SymValue):
+class SymInt:
     """An integer whose value is a non-constant polynomial over int symbols."""
 
     poly: Poly
 
-    def render(self) -> str:
-        return self.poly.render()
-
 
 @dataclass(frozen=True)
-class RealVal(SymValue):
+class RealVal:
     poly: Poly
 
-    def render(self) -> str:
-        return self.poly.render()
 
-
-class UndefinedVal(SymValue):
+class UndefinedVal:
     """The value of storage that was never written. Reading it is an error."""
 
     _instance: "UndefinedVal | None" = None
@@ -297,25 +277,22 @@ class UndefinedVal(SymValue):
             cls._instance = super().__new__(cls)
         return cls._instance
 
-    def render(self) -> str:
-        return "<undef>"
-
 
 UNDEFINED = UndefinedVal()
 
 
-def make_int(poly: Poly) -> SymValue:
-    """Wrap an integer-valued polynomial, collapsing constants."""
+def make_int(poly: Poly) -> "int | SymInt":
+    """An integer-valued polynomial as a value: an int when it is constant."""
     if poly.is_const():
         c = poly.const_value()
         assert c.denominator == 1, "integer poly with non-integer constant"
-        return ConcreteInt(int(c))
+        return int(c)
     return SymInt(poly)
 
 
-def int_poly(v: SymValue) -> Poly:
-    if isinstance(v, ConcreteInt):
-        return Poly.const(v.value)
-    if isinstance(v, SymInt):
+def int_poly(v: "int | SymInt") -> Poly:
+    if v.__class__ is int:
+        return Poly.const(v)
+    if v.__class__ is SymInt:
         return v.poly
     raise TypeError(f"not an integer value: {v!r}")

@@ -11,10 +11,16 @@ line per guarantee.
 The parser fuzz budget honors VLSYM_FUZZ_SECONDS (default 60).
 """
 
+import importlib.util
+import json
 import os
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from random import Random
+
+import pytest
 
 from vlsym import cli
 from vlsym.corpus import (
@@ -347,6 +353,35 @@ def test_criterion_7_reports_are_identical_across_worker_counts(capsys, tmp_path
     assert rc == 2
     assert len(emitted) == len(err.splitlines()) == 3371
     print("criterion 7 PASS: workers 1, 2 and 4 produce the same report")
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_workloads():
+    """bench/workloads.py, loaded by path: the benchmark's workloads and oracle."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _bench_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_benchmark_reports_keep_their_recorded_bytes(name, capsys, monkeypatch):
+    # the report prints file names as given, so run where the benchmark
+    # does: in the corpus directory, with bare names
+    w = workloads.WORKLOADS[name]
+    monkeypatch.chdir(corpus_dir())
+    rc = cli.main(["verify", *w.argv])
+    outcome = workloads.parse_report(capsys.readouterr().out.encode())
+    assert workloads.check(w, rc, outcome) == []
+    recorded = json.loads((BENCH / "recorded.json").read_text())[name]
+    assert outcome.counters == recorded["counters"]
+    assert outcome.digest == recorded["report_sha256"]
 
 
 TOKEN_SOUP = [

@@ -210,6 +210,36 @@ def test_assert_that_holds_adds_no_fork():
     assert not r.violations
 
 
+@pytest.mark.parametrize(
+    "n, certainty, message, solver_calls",
+    [
+        (12, Certainty.PROVEABLE, "asserted condition fails", 1),
+        (13, Certainty.MAYBE, "condition is too large to check", 0),
+    ],
+    ids=["4096-disjuncts", "8192-disjuncts"],
+)
+def test_an_assertion_whose_negation_has_too_many_disjuncts_is_not_checked(
+    n, certainty, message, solver_calls
+):
+    # the negation of n disjuncts `(V[2i] < 0.0 && V[2i+1] < 0.0)` has 2^n
+    # disjuncts: 4096 is at the cut and is checked, 8192 is past it
+    assert 2**12 == engine.MAX_DNF_DISJUNCTS
+    cond = " || ".join(f"(V[{2 * i}] < 0.0 && V[{2 * i + 1}] < 0.0)" for i in range(n))
+    r = search(f"input real V[{2 * n}];\nfunc main() {{\n  assert({cond});\n}}\n")
+    assert r.stats == engine.Stats(states=1, terminals=0, pruned=0, solver_calls=solver_calls)
+    assert not r.incomplete
+    [v] = r.violations
+    assert (v.prop, v.certainty, v.message) == (Property.ASSERTION_VIOLATION, certainty, message)
+    assert (v.loc.line, v.trail) == (3, ())
+    if certainty is Certainty.PROVEABLE:
+        # the first disjunct of the negation: every even cell is at least 0
+        assert {s.render(): x for s, x in v.witness.items()} == {
+            f"X_V[{2 * i}]": 1 for i in range(n)
+        }
+    else:
+        assert v.witness is None
+
+
 def test_out_of_bounds_read_and_write():
     r = search(
         """
