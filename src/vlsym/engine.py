@@ -13,6 +13,10 @@ the trail of a path:
 - ``B t|e``   a symbolic branch took the then or else side
 - ``Z N=v/k`` a symbolic int was pinned to v, one of k feasible values
 
+Each function is lowered once into one flat tuple of statement closures,
+each of which names the index of the statement that runs after it, and
+each parameter and local declaration gets a slot of its own. A frame is
+its function's code, its slots and the index of its next statement.
 States are mutated in place along straight-line code and cloned only
 where paths fork. Integer inputs stay symbolic until a strict position
 (array extent, array index, choose_int argument) forces a value, at
@@ -175,13 +179,8 @@ def parse_trail(text: str) -> list[Decision]:
 
 
 # ---------------------------------------------------------------------------
-# boolean formulas (kept in negation normal form by construction); a
-# decided formula is the bool True or False
-
-
-@dataclass(frozen=True)
-class FAtom:
-    atom: Atom
+# boolean formulas (kept in negation normal form by construction): a
+# solver Atom is a leaf, and a decided formula is the bool True or False
 
 
 @dataclass(frozen=True)
@@ -235,8 +234,8 @@ def f_not(f) -> object:
         return False
     if f is False:
         return True
-    if isinstance(f, FAtom):
-        return FAtom(f.atom.negated())
+    if isinstance(f, Atom):
+        return f.negated()
     if isinstance(f, FAnd):
         return f_or(tuple(f_not(p) for p in f.parts))
     return f_and(tuple(f_not(p) for p in f.parts))
@@ -252,8 +251,8 @@ def dnf(f) -> list[list[Atom]]:
         return [[]]
     if f is False:
         return []
-    if isinstance(f, FAtom):
-        return [[f.atom]]
+    if isinstance(f, Atom):
+        return [[f]]
     if isinstance(f, FOr):
         out = []
         for p in f.parts:
@@ -292,45 +291,23 @@ class ArrayStorage:
         return ArrayStorage(list(self.cells), self.elem_kind, self.read_only, self.label)
 
 
-class Cursor:
-    __slots__ = ("stmts", "idx")
-
-    def __init__(self, stmts, idx: int = 0):
-        self.stmts = stmts
-        self.idx = idx
-
-    def clone(self) -> "Cursor":
-        return Cursor(self.stmts, self.idx)
-
-
 class Frame:
-    __slots__ = ("func", "scopes", "control", "ret_target")
+    """One call of a function: the function's flat code, the name of each
+    of its slots, the slots' values and pc, the index in code of the
+    statement that runs next (len(code) once the function has ended)."""
 
-    def __init__(self, func: str, params: dict, ret_target: "tuple[int, str] | None" = None):
-        self.func = func
-        self.scopes = [params]
-        self.control: list[Cursor] = []
-        # (scope index, name) in the caller's frame that receives the result
-        self.ret_target = ret_target
+    __slots__ = ("code", "names", "slots", "pc", "ret_slot")
 
-    def push_block(self, stmts) -> None:
-        self.scopes.append({})
-        self.control.append(Cursor(stmts))
-
-    def pop_block(self) -> None:
-        self.control.pop()
-        self.scopes.pop()
+    def __init__(self, code: tuple, names: tuple, slots: list, ret_slot=None, pc=0):
+        self.code = code
+        self.names = names
+        self.slots = slots
+        # the slot of the caller's frame that receives the result
+        self.ret_slot = ret_slot
+        self.pc = pc
 
     def clone(self) -> "Frame":
-        f = Frame(self.func, {}, self.ret_target)
-        f.scopes = [dict(s) for s in self.scopes]
-        f.control = [c.clone() for c in self.control]
-        return f
-
-
-class Status(enum.Enum):
-    RUNNING = "running"
-    DONE = "done"
+        return Frame(self.code, self.names, list(self.slots), self.ret_slot, self.pc)
 
 
 class ExecState:
@@ -347,7 +324,7 @@ class ExecState:
         "pc",
         "trail",
         "printed",
-        "status",
+        "done",
     )
 
     def __init__(self, frames, heap, next_addr, globals_, pc, trail, printed):
@@ -358,7 +335,7 @@ class ExecState:
         self.pc = pc
         self.trail = trail
         self.printed = printed
-        self.status = Status.RUNNING
+        self.done = False
 
     @property
     def prints(self) -> list[str]:
@@ -384,10 +361,12 @@ class ExecState:
         return ArrayRef(addr)
 
     def lookup(self, name: str):
+        """The value of name in the top frame, from the latest-declared slot
+        of that name, or else the input of that name."""
         frame = self.frames[-1]
-        for scope in reversed(frame.scopes):
-            if name in scope:
-                return scope[name]
+        for i in range(len(frame.names) - 1, -1, -1):
+            if frame.names[i] == name:
+                return frame.slots[i]
         return self.globals.get(name)
 
 
@@ -523,12 +502,11 @@ class Engine:
         self.config = config
         self.funcs = {f.name: f for f in program.funcs}
         self.input_names = {d.name for d in program.inputs}
-        # a call finds its callee's body here when it runs, so a body may
-        # call a function that is lowered after it
-        self.bodies: dict[str, tuple] = {}
+        # a call finds its callee's code and slot names here when it runs,
+        # so a body may call a function that is lowered after it
+        self.bodies: dict[str, tuple[tuple, tuple]] = {}
         for f in program.funcs:
-            scopes = _Scopes(self, [p.name for p in f.params])
-            self.bodies[f.name] = _lower_block(f.body.stmts, scopes)
+            self.bodies[f.name] = _lower_function(self, f)
         self.inputs_desc: list[str] = []
 
     # --- initial state ---
@@ -543,8 +521,8 @@ class Engine:
         for name in overrides:
             if name not in int_inputs:
                 raise EngineInitError(f"-input{name} does not name an int input")
-        frame = Frame("main", {})
-        frame.push_block(self.bodies["main"])
+        code, names = self.bodies["main"]
+        frame = Frame(code, names, [None] * len(names))
         state = ExecState([frame], {}, 0, {}, PathCondition(), [], [])
         self.inputs_desc = desc = []
         ordinal = 0
@@ -578,7 +556,7 @@ class Engine:
     def _extent(self, decl: ast.InputDecl, state: ExecState) -> int:
         """The extent of a real input, from the inputs declared before it."""
         try:
-            n = _strict(_lower_value(decl.extent, _Scopes(self, ()))(state))
+            n = _strict(_lower_value(decl.extent, _Lowering(self, ()))(state))
         except NeedsConcretize as exc:
             raise EngineInitError(
                 f"extent of input '{decl.name}' depends on '{exc.sym.name}', which has no "
@@ -599,14 +577,22 @@ class Engine:
 # neither mutates the state. A statement closure takes the executor and
 # the state, and returns None when the same state simply goes on, or the
 # list of successors when the path forks or ends; its source location is
-# its `loc` attribute. When it runs, its block's cursor has already moved
-# past it, so a statement only pushes the blocks and frames it enters;
-# while alone steps its cursor back, to loop. A statement that raises has
-# left the state as it was. Every local name is resolved to the index of
-# its scope in the frame when it is lowered. Two concrete ints are
-# combined as Python ints, without a Poly; a test of `v.__class__ is int`
-# never takes a bool for an int. make_int, int_poly and the Poly operators
-# are looked up through this module when a closure runs.
+# its `loc` attribute. A function's statements are laid out in one flat
+# tuple, each statement followed by those of the blocks it holds, and a
+# closure's `next` attribute is the index of the statement that runs after
+# it: the first one of the block it enters, or else the one after it, where
+# the end of a block goes on after the block and the end of a loop body at
+# the loop's test. The frame's pc is at next before a statement runs, so a
+# statement only pushes the frames it enters, and if and while set the pc
+# themselves when their condition fails. A statement that raises has left
+# the state as it was. Every parameter and local declaration has a slot of
+# its own in the frame, which each use of its name is resolved to when it
+# is lowered. A slot keeps its value after its block ends, but no read
+# reaches it then: a read of a local follows the write of its declaration
+# in the same entry of its block. Two concrete ints are combined as Python
+# ints, without a Poly; a test of `v.__class__ is int` never takes a bool
+# for an int. make_int, int_poly and the Poly operators are looked up
+# through this module when a closure runs.
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {
@@ -617,40 +603,44 @@ _COMPARE = {
 }
 
 
-class _Scopes:
-    """The names that each scope of a frame holds, declared in statement
-    order while a function is lowered; index 0 holds the parameters and
-    every pushed block adds one, as Frame does at run time."""
+class _Lowering:
+    """A function while it is lowered: its flat code so far, the name of
+    each slot (the parameters first), and the slot that each name visible
+    here resolves to, one dict per enclosing block."""
 
     def __init__(self, eng: Engine, params):
         self.eng = eng
-        self.names: list[set[str]] = [set(params)]
+        self.code: list = []
+        self.names: list[str] = list(params)
+        self.visible: list[dict[str, int]] = [{p: i for i, p in enumerate(params)}]
 
-    def depth(self, name: str) -> "int | None":
-        """Index of the scope that holds name here, or None for an input."""
-        for depth in range(len(self.names) - 1, -1, -1):
-            if name in self.names[depth]:
-                return depth
+    def slot(self, name: str) -> "int | None":
+        """The slot that name resolves to here, or None for an input."""
+        for scope in reversed(self.visible):
+            if name in scope:
+                return scope[name]
         assert name in self.eng.input_names, f"unknown name '{name}' survived validation"
         return None
 
-    def declare(self, name: str) -> None:
-        self.names[-1].add(name)
+    def declare(self, name: str) -> int:
+        slot = self.visible[-1][name] = len(self.names)
+        self.names.append(name)
+        return slot
 
 
-def _lower_load(name: str, env: _Scopes):
+def _lower_load(name: str, env: _Lowering):
     """A closure that reads name, whatever it holds (arrays included)."""
-    depth = env.depth(name)
-    if depth is None:
+    slot = env.slot(name)
+    if slot is None:
         return lambda state: state.globals[name]
-    return lambda state: state.frames[-1].scopes[depth][name]
+    return lambda state: state.frames[-1].slots[slot]
 
 
-def _lower_store(name: str, env: _Scopes):
-    """The (scope index, name) that an assignment to name writes."""
-    depth = env.depth(name)
-    assert depth is not None, "inputs are never assigned"
-    return depth, name
+def _lower_store(name: str, env: _Lowering) -> int:
+    """The slot that an assignment to name writes."""
+    slot = env.slot(name)
+    assert slot is not None, "inputs are never assigned"
+    return slot
 
 
 def _strict(v: "int | SymInt") -> int:
@@ -664,13 +654,13 @@ def _strict(v: "int | SymInt") -> int:
 def _atom_formula(atom: Atom):
     if atom.poly.is_const():
         return atom.holds({})
-    return FAtom(atom)
+    return atom
 
 
 _UNVALIDATED = "the program was not validated; pass one that load_program returned"
 
 
-def _lower_value(e: ast.Expr, env: _Scopes):
+def _lower_value(e: ast.Expr, env: _Lowering):
     if e.ty is None:
         raise EngineInitError(_UNVALIDATED)
     if isinstance(e, ast.IntLit):
@@ -718,14 +708,14 @@ def _lower_value(e: ast.Expr, env: _Scopes):
     raise AssertionError(f"not a value: {type(e).__name__}")
 
 
-def _lower_name(e: ast.Name, env: _Scopes):
-    name, loc, depth = e.name, e.loc, env.depth(e.name)
-    if depth is None:
+def _lower_name(e: ast.Name, env: _Lowering):
+    name, loc, slot = e.name, e.loc, env.slot(e.name)
+    if slot is None:
         # inputs always hold a value
         return lambda state: state.globals[name]
 
     def read(state):
-        v = state.frames[-1].scopes[depth][name]
+        v = state.frames[-1].slots[slot]
         if v is UNDEFINED:
             raise Violating(Property.READ_UNDEFINED, loc, f"'{name}' is read before assignment")
         return v
@@ -733,7 +723,7 @@ def _lower_name(e: ast.Name, env: _Scopes):
     return read
 
 
-def _lower_index(e: ast.Index, env: _Scopes):
+def _lower_index(e: ast.Index, env: _Lowering):
     base, loc = e.base.name, e.loc
     array, index = _lower_load(base, env), _lower_value(e.index, env)
 
@@ -773,7 +763,7 @@ def _lower_quotient(lhs, rhs, loc: Loc):
     return divide
 
 
-def _lower_cond(e: ast.Expr, env: _Scopes):
+def _lower_cond(e: ast.Expr, env: _Lowering):
     if e.ty is None:
         raise EngineInitError(_UNVALIDATED)
     if isinstance(e, ast.Unary) and e.op == "!":
@@ -821,7 +811,7 @@ def _lower_cond(e: ast.Expr, env: _Scopes):
     raise AssertionError(f"not a condition: {type(e).__name__}")
 
 
-def _lower_equals(e: ast.EqualsCall, env: _Scopes):
+def _lower_equals(e: ast.EqualsCall, env: _Lowering):
     assert isinstance(e.lhs, ast.Name) and isinstance(e.rhs, ast.Name)
     lname, rname, loc = e.lhs.name, e.rhs.name, e.loc
     left, right = _lower_load(lname, env), _lower_load(rname, env)
@@ -849,37 +839,95 @@ def _lower_equals(e: ast.EqualsCall, env: _Scopes):
     return equals
 
 
-def _lower_block(stmts, env: _Scopes) -> tuple:
-    """The statements of a block that Frame.push_block will push."""
-    env.names.append(set())
-    body = tuple(_lower_stmt(s, env) for s in stmts)
-    env.names.pop()
-    return body
+def _lower_function(eng: Engine, f: ast.FuncDecl) -> tuple[tuple, tuple]:
+    """A function's flat code and the names of its slots."""
+    env = _Lowering(eng, [p.name for p in f.params])
+    end = _size(f.body.stmts)
+    _lower_block(f.body.stmts, env, end)
+    assert len(env.code) == end
+    return tuple(env.code), tuple(env.names)
 
 
-def _lower_stmt(s: ast.Stmt, env: _Scopes):
-    run = _LOWER_STMT[type(s)](s, env)
+def _size(stmts) -> int:
+    """How many statements stmts take in the flat code: one each, plus
+    those of the blocks that each holds."""
+    n = len(stmts)
+    for s in stmts:
+        if isinstance(s, ast.Block):
+            n += _size(s.stmts)
+        elif isinstance(s, ast.If):
+            n += _size(s.then.stmts) + _size(_else_stmts(s))
+        elif isinstance(s, ast.While):
+            n += _size(s.body.stmts)
+    return n
+
+
+def _else_stmts(s: ast.If):
+    """The statements of an if's else side; an else-if is one statement."""
+    if s.els is None:
+        return ()
+    if isinstance(s.els, ast.If):
+        return (s.els,)
+    return s.els.stmts
+
+
+def _lower_block(stmts, env: _Lowering, after: int) -> int:
+    """Append a block's statements to the flat code, the last of them going
+    on at after; the index where the block starts, which is after when the
+    block is empty. What the block declares is visible only inside it."""
+    if not stmts:
+        return after
+    start = len(env.code)
+    env.visible.append({})
+    last = len(stmts) - 1
+    for i, s in enumerate(stmts):
+        _lower_stmt(s, env, after if i == last else len(env.code) + _size((s,)))
+    env.visible.pop()
+    return start
+
+
+def _lower_stmt(s: ast.Stmt, env: _Lowering, nxt: int) -> None:
+    """Append s to the flat code, followed by the statements of the blocks
+    that it holds; nxt is the index of the statement after s."""
+    at = len(env.code)
+    env.code.append(None)
+    if isinstance(s, ast.Block):
+
+        def run(ex, state):
+            return None  # entering a block is a step of its own
+
+        run.next = _lower_block(s.stmts, env, nxt)
+    elif isinstance(s, ast.If):
+        cond = _lower_cond(s.cond, env)
+        then = _lower_block(s.then.stmts, env, nxt)
+        run = _branch(cond, s.loc, _lower_block(_else_stmts(s), env, nxt))
+        run.next = then
+    elif isinstance(s, ast.While):
+        run = _branch(_lower_cond(s.cond, env), s.loc, nxt)
+        run.next = _lower_block(s.body.stmts, env, at)  # the body ends at the test
+    else:
+        run = _LOWER_STMT[type(s)](s, env)
+        run.next = nxt
     run.loc = s.loc
-    return run
+    env.code[at] = run
 
 
-def _lower_var_decl(s: ast.VarDecl, env: _Scopes):
-    name = s.name
+def _lower_var_decl(s: ast.VarDecl, env: _Lowering):
     init = _lower_value(s.init, env) if s.init is not None else None
-    env.declare(name)
+    slot = env.declare(s.name)
 
     def run(ex, state):
         v = init(state) if init is not None else UNDEFINED
-        state.frames[-1].scopes[-1][name] = v
+        state.frames[-1].slots[slot] = v
 
     return run
 
 
-def _lower_arr_decl(s: ast.ArrDecl, env: _Scopes):
+def _lower_arr_decl(s: ast.ArrDecl, env: _Lowering):
     name, extent, extent_loc = s.name, _lower_value(s.extent, env), s.extent.loc
     kind = SymKind.INT if s.elem_ty is ast.Type.INT else SymKind.REAL
     loc = s.loc
-    env.declare(name)
+    slot = env.declare(name)
 
     def run(ex, state):
         n = _strict(extent(state))
@@ -890,18 +938,18 @@ def _lower_arr_decl(s: ast.ArrDecl, env: _Scopes):
             ex.cut_short(state, loc, message)
             return []
         storage = ArrayStorage([UNDEFINED] * n, kind, False, name)
-        state.frames[-1].scopes[-1][name] = state.alloc(storage)
+        state.frames[-1].slots[slot] = state.alloc(storage)
 
     return run
 
 
-def _lower_assign(s: ast.Assign, env: _Scopes):
+def _lower_assign(s: ast.Assign, env: _Lowering):
     value, target = _lower_value(s.value, env), s.target
     if isinstance(target, ast.Name):
-        depth, name = _lower_store(target.name, env)
+        slot = _lower_store(target.name, env)
 
         def run(ex, state):
-            state.frames[-1].scopes[depth][name] = value(state)
+            state.frames[-1].slots[slot] = value(state)
 
         return run
     base, loc, stmt_loc = target.base.name, target.loc, s.loc
@@ -949,9 +997,9 @@ class _Choices(Sequence):
         raise ValueError(d)
 
 
-def _lower_choose(s: ast.ChooseAssign, env: _Scopes):
+def _lower_choose(s: ast.ChooseAssign, env: _Lowering):
     arg = _lower_value(s.arg, env)
-    depth, name = _lower_store(s.target.name, env)
+    slot = _lower_store(s.target.name, env)
 
     def run(ex, state):
         k = _strict(arg(state))
@@ -960,93 +1008,49 @@ def _lower_choose(s: ast.ChooseAssign, env: _Scopes):
             return []
         out = []
         for st, i in ex.fork(state, _Choices(k)):
-            st.frames[-1].scopes[depth][name] = i
+            st.frames[-1].slots[slot] = i
             out.append(st)
         return out
 
     return run
 
 
-def _lower_nested_block(s: ast.Block, env: _Scopes):
-    body = _lower_block(s.stmts, env)
-
-    def run(ex, state):
-        state.frames[-1].push_block(body)
-
-    return run
-
-
-def _lower_call(s: ast.CallStmt, env: _Scopes):
-    callee = env.eng.funcs[s.name]
-    name, params = callee.name, tuple(p.name for p in callee.params)
+def _lower_call(s: ast.CallStmt, env: _Lowering):
+    name, nparams = s.name, len(env.eng.funcs[s.name].params)
     args = tuple(_lower_value(a, env) for a in s.args)
-    target = _lower_store(s.target.name, env) if s.target is not None else None
+    ret_slot = _lower_store(s.target.name, env) if s.target is not None else None
     bodies = env.eng.bodies
 
     def run(ex, state):
-        values = [a(state) for a in args]
-        frame = Frame(name, dict(zip(params, values)), target)
-        frame.push_block(bodies[name])
-        state.frames.append(frame)
+        code, names = bodies[name]
+        slots = [a(state) for a in args] + [None] * (len(names) - nparams)
+        state.frames.append(Frame(code, names, slots, ret_slot))
 
     return run
 
 
-def _lower_if(s: ast.If, env: _Scopes):
-    cond, then, loc = _lower_cond(s.cond, env), _lower_block(s.then.stmts, env), s.loc
-    if isinstance(s.els, ast.Block):
-        els = _lower_block(s.els.stmts, env)
-    elif isinstance(s.els, ast.If):
-        els = _lower_block((s.els,), env)  # an else-if runs as a block of its own
-    else:
-        els = None
+def _branch(cond, loc: Loc, other: int):
+    """The statement of an if or a while: it goes on at its next where cond
+    holds and at other where cond fails."""
 
     def run(ex, state):
         f = cond(state)
-        if f is True or f is False:
-            body = then if f else els
-            if body is not None:
-                state.frames[-1].push_block(body)
-            return None
-        out = []
-        for st, truth in ex.branch_walk(state, f, loc):
-            body = then if truth else els
-            if body is not None:
-                st.frames[-1].push_block(body)
-            out.append(st)
-        return out
-
-    return run
-
-
-def _lower_while(s: ast.While, env: _Scopes):
-    cond, body, loc = _lower_cond(s.cond, env), _lower_block(s.body.stmts, env), s.loc
-
-    def loop(state):
-        # the one statement that moves a cursor: back onto itself, so that
-        # the loop test runs again when the body is done
-        frame = state.frames[-1]
-        frame.control[-1].idx -= 1
-        frame.push_block(body)
-
-    def run(ex, state):
-        f = cond(state)
-        if f is False:
-            return None
         if f is True:
-            loop(state)
+            return None
+        if f is False:
+            state.frames[-1].pc = other
             return None
         out = []
         for st, truth in ex.branch_walk(state, f, loc):
-            if truth:
-                loop(st)
+            if not truth:
+                st.frames[-1].pc = other
             out.append(st)
         return out
 
     return run
 
 
-def _lower_assert(s: ast.Assert, env: _Scopes):
+def _lower_assert(s: ast.Assert, env: _Lowering):
     cond, c, loc = _lower_cond(s.cond, env), s.cond, s.loc
     # a failed equals() of two named arrays shows both under the witness
     shown = None
@@ -1062,7 +1066,7 @@ def _lower_assert(s: ast.Assert, env: _Scopes):
     return run
 
 
-def _lower_assume(s: ast.Assume, env: _Scopes):
+def _lower_assume(s: ast.Assume, env: _Lowering):
     cond, loc = _lower_cond(s.cond, env), s.loc
 
     def run(ex, state):
@@ -1074,24 +1078,23 @@ def _lower_assume(s: ast.Assume, env: _Scopes):
     return run
 
 
-def _lower_return(s: ast.Return, env: _Scopes):
+def _lower_return(s: ast.Return, env: _Lowering):
     value = _lower_value(s.value, env) if s.value is not None else None
 
     def run(ex, state):
         v = value(state) if value is not None else None
         frames = state.frames
         if len(frames) == 1:
-            state.status = Status.DONE
+            state.done = True
             return None
-        target = frames.pop().ret_target
-        if target is not None:
-            depth, name = target
-            frames[-1].scopes[depth][name] = v
+        ret_slot = frames.pop().ret_slot
+        if ret_slot is not None:
+            frames[-1].slots[ret_slot] = v
 
     return run
 
 
-def _lower_print(s: ast.Print, env: _Scopes):
+def _lower_print(s: ast.Print, env: _Lowering):
     parts = tuple(_lower_print_arg(a, env) for a in s.args)
 
     def run(ex, state):
@@ -1102,7 +1105,7 @@ def _lower_print(s: ast.Print, env: _Scopes):
     return run
 
 
-def _lower_print_arg(a: ast.Expr, env: _Scopes):
+def _lower_print_arg(a: ast.Expr, env: _Lowering):
     if isinstance(a, ast.StrLit):
         text = a.value
         return lambda state: text
@@ -1118,10 +1121,7 @@ _LOWER_STMT = {
     ast.ArrDecl: _lower_arr_decl,
     ast.Assign: _lower_assign,
     ast.ChooseAssign: _lower_choose,
-    ast.Block: _lower_nested_block,
     ast.CallStmt: _lower_call,
-    ast.If: _lower_if,
-    ast.While: _lower_while,
     ast.Assert: _lower_assert,
     ast.Assume: _lower_assume,
     ast.Return: _lower_return,
@@ -1141,9 +1141,7 @@ def _pin(state: ExecState, sym: SymConst, value: int) -> None:
         return v
 
     for frame in state.frames:
-        for scope in frame.scopes:
-            for name, v in scope.items():
-                scope[name] = subst(v)
+        frame.slots = [subst(v) for v in frame.slots]
     for storage in state.heap.values():
         if storage.elem_kind is SymKind.INT:
             storage.cells = [subst(v) for v in storage.cells]
@@ -1212,9 +1210,9 @@ class _Executor:
         statement's."""
         if f is True or f is False:
             return [(state, f)]
-        if isinstance(f, FAtom):
+        if isinstance(f, Atom):
             options, pcs = [], []
-            for side, atom in ((_THEN, f.atom), (_ELSE, f.atom.negated())):
+            for side, atom in ((_THEN, f), (_ELSE, f.negated())):
                 pc2 = state.pc.add(atom)
                 if self.sat(pc2).status is SatStatus.UNSAT:
                     self.stats.pruned += 1
@@ -1304,26 +1302,27 @@ class _Executor:
     def _advance(self, state: ExecState) -> "list[ExecState] | None":
         """Run the next statement of state. None means the same state goes
         on; otherwise the list of successors (empty when the path ends).
-        This is the one place a cursor moves forward: past the statement
-        before it runs, and back onto it when the statement needs a symbol
-        pinned, so that each pinned copy runs it again."""
+        The frame's pc moves to the statement's next before it runs, and
+        back onto the statement when it needs a symbol pinned, so that each
+        pinned copy runs it again."""
         self.stats.states += 1
         if self.max_depth and len(state.trail) >= self.max_depth:
             self.incomplete = True
             return []
-        cursor = state.frames[-1].control[-1]
-        run = cursor.stmts[cursor.idx]
-        cursor.idx += 1
+        frame = state.frames[-1]
+        pc = frame.pc
+        run = frame.code[pc]
+        frame.pc = run.next
         try:
             succs = run(self, state)
         except _STOPS as exc:
             if exc.__class__ is NeedsConcretize:
-                cursor.idx -= 1
+                frame.pc = pc
             return self._stopped(state, run.loc, exc)
         if succs is None:
-            # _normalize does nothing unless the current block is finished
-            cursor = state.frames[-1].control[-1]
-            if cursor.idx >= len(cursor.stmts):
+            # _normalize does nothing unless the top frame has ended
+            frame = state.frames[-1]
+            if frame.pc == len(frame.code):
                 _normalize(state)
         else:
             for st in succs:
@@ -1352,10 +1351,10 @@ class _Executor:
             self.stats.pruned += 1
             return []
         conjuncts = f.parts if isinstance(f, FAnd) else (f,)
-        if all(isinstance(p, FAtom) for p in conjuncts):
+        if all(isinstance(p, Atom) for p in conjuncts):
             pc = state.pc
             for p in conjuncts:
-                pc = pc.add(p.atom)
+                pc = pc.add(p)
             if self.sat(pc).status is SatStatus.UNSAT:
                 self.stats.pruned += 1
                 return []
@@ -1422,7 +1421,7 @@ class _Executor:
         counts as a terminal. With --first, a finding stops the path at the
         statement that made it."""
         first_only = self.eng.config.first_only
-        while st.status is Status.RUNNING:
+        while not st.done:
             succs = self._advance(st)
             if first_only and self.violations:
                 return st, []
@@ -1548,22 +1547,14 @@ def _worker(ex: _Executor, frontier, first: int, step: int, wfd: int, pipes) -> 
 
 
 def _normalize(state: ExecState) -> None:
-    """Pop exhausted blocks and frames; mark the state done at main's end."""
+    """Pop the frames of void functions that fell off their end; mark the
+    state done at main's end."""
     frames = state.frames
-    while frames:
-        frame = frames[-1]
-        control = frame.control
-        while control:
-            cursor = control[-1]
-            if cursor.idx < len(cursor.stmts):
-                return
-            if len(control) == 1 and len(frames) == 1:
-                state.status = Status.DONE
-                return
-            frame.pop_block()
-        # a void function fell off its end
+    while frames[-1].pc == len(frames[-1].code):
+        if len(frames) == 1:
+            state.done = True
+            return
         frames.pop()
-    state.status = Status.DONE
 
 
 def _assert_detail(state: ExecState, shown, witness) -> "list[tuple[str, str]] | None":

@@ -402,21 +402,27 @@ class _Parser:
         finally:
             self.depth -= 1
 
+    def chain(self, ops: tuple[str, ...], operand) -> ast.Expr:
+        """operand (op operand)* for op in ops, as a left-deep tree. Each
+        operator adds a level to that tree, so each one counts toward
+        MAX_DEPTH until the chain ends."""
+        e = operand()
+        depth = self.depth
+        try:
+            while self.peek().kind is TokKind.PUNCT and self.peek().lexeme in ops:
+                op = self.advance()
+                self.guard()
+                rhs = operand()
+                e = ast.Binary(op.lexeme, e, rhs, self.binop_loc(e, rhs))
+            return e
+        finally:
+            self.depth = depth
+
     def or_expr(self) -> ast.Expr:
-        e = self.and_expr()
-        while self.peek().is_punct("||"):
-            self.advance()
-            rhs = self.and_expr()
-            e = ast.Binary("||", e, rhs, self.binop_loc(e, rhs))
-        return e
+        return self.chain(("||",), self.and_expr)
 
     def and_expr(self) -> ast.Expr:
-        e = self.cmp_expr()
-        while self.peek().is_punct("&&"):
-            self.advance()
-            rhs = self.cmp_expr()
-            e = ast.Binary("&&", e, rhs, self.binop_loc(e, rhs))
-        return e
+        return self.chain(("&&",), self.cmp_expr)
 
     def cmp_expr(self) -> ast.Expr:
         e = self.add_expr()
@@ -437,20 +443,10 @@ class _Parser:
         return e
 
     def add_expr(self) -> ast.Expr:
-        e = self.mul_expr()
-        while self.peek().kind is TokKind.PUNCT and self.peek().lexeme in ("+", "-"):
-            op = self.advance()
-            rhs = self.mul_expr()
-            e = ast.Binary(op.lexeme, e, rhs, self.binop_loc(e, rhs))
-        return e
+        return self.chain(("+", "-"), self.mul_expr)
 
     def mul_expr(self) -> ast.Expr:
-        e = self.unary_expr()
-        while self.peek().kind is TokKind.PUNCT and self.peek().lexeme in ("*", "/"):
-            op = self.advance()
-            rhs = self.unary_expr()
-            e = ast.Binary(op.lexeme, e, rhs, self.binop_loc(e, rhs))
-        return e
+        return self.chain(("*", "/"), self.unary_expr)
 
     def unary_expr(self) -> ast.Expr:
         self.guard()

@@ -1261,3 +1261,102 @@ def test_a_bad_read_in_a_print_is_found_at_the_print(body, read, prop):
     assert out.state is None
     assert out.prints == ["before"]
     assert [(w.prop, w.loc) for w in out.violations] == [(prop, v.loc)]
+
+
+LOOP_LOCAL_AND_SHADOW = """
+func main() {
+  var int x = 1;
+  {
+    var int x = 7;
+    print(x);
+  }
+  print(x);
+  var int i = 0;
+  while (i < 2) {
+    var int y;
+    if (0 < i) {
+      print(y);
+    }
+    y = 3;
+    i = i + 1;
+  }
+}
+"""
+
+
+def test_a_loop_local_is_undefined_again_on_each_iteration_and_a_block_shadows():
+    # each entry of the loop body declares y afresh, so the value the first
+    # iteration wrote is gone when the second one reads it
+    prog = load(LOOP_LOCAL_AND_SHADOW)
+    r = explore(prog, SearchConfig())
+    assert (r.stats.states, r.stats.terminals) == (15, 0)
+    (v,) = r.violations
+    assert (v.prop, v.certainty) == (Property.READ_UNDEFINED, Certainty.PROVEABLE)
+    assert (v.loc.line, v.message) == (13, "'y' is read before assignment")
+    out = run_path(prog, SearchConfig())
+    assert out.state is None
+    assert out.prints == ["7", "1"]
+
+
+EMPTY_SIDES_AND_CALLS = """
+input int N;
+func tick(int[] c) {
+  c[0] = c[0] + 1;
+}
+func find(int[] a, int k) -> int {
+  var int j = 0;
+  while (j < 3) {
+    if (a[j] == k) {
+      return j;
+    }
+    j = j + 1;
+  }
+  return -1;
+}
+func main() {
+  assume(0 <= N && N <= 2);
+  var int a[3];
+  a[0] = 5;
+  a[1] = 6;
+  a[2] = 7;
+  var int r = 0;
+  if (N == 0) {
+  } else if (N == 1) {
+    r = 1;
+  } else {
+  }
+  while (r > 5) {
+  }
+  {}
+  var int k = 0;
+  while (k < N) {
+    k = k + 1;
+  }
+  var int c[1];
+  c[0] = 0;
+  var int i = 0;
+  while (i < 2) {
+    i = i + 1;
+    tick(c);
+  }
+  var int f;
+  f = find(a, a[N]);
+  print(r, " ", c[0], " ", f);
+}
+"""
+
+
+def test_empty_blocks_void_calls_and_returns_from_loops_keep_their_steps():
+    # entering a block, an if or while test and a return each take one
+    # step; the end of a block, empty or not, and the jump past an else or
+    # out of a callee's loop take none
+    prog = load(EMPTY_SIDES_AND_CALLS)
+    r = search(EMPTY_SIDES_AND_CALLS)
+    assert (r.stats.states, r.stats.terminals, r.stats.pruned, r.stats.solver_calls) == (
+        96, 3, 6, 20,
+    )
+    assert not r.violations
+    assert sorted(st.prints[0] for st in r.terminal_states) == ["0 2 0", "0 2 2", "1 2 1"]
+    for st in r.terminal_states:
+        out = run_path(prog, SearchConfig(), trail=list(st.trail))
+        assert out.prints == st.prints

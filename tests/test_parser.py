@@ -1,7 +1,7 @@
 import pytest
 
 from vlsym import ast
-from vlsym.parser import ParseError, parse_files, parse_program
+from vlsym.parser import ParseError, load_program, parse_files, parse_program
 
 
 def body_of(src, name="main"):
@@ -145,6 +145,25 @@ def test_deep_nesting_fails_cleanly():
     src = "func main() { var int x = " + "(" * 300 + "1" + ")" * 300 + "; }"
     with pytest.raises(ParseError, match="nesting too deep"):
         parse_program(src)
+
+
+CHAINS = {
+    "+": "func main() { var int x = %s; }",
+    "||": "input int N; func main() { assert(%s); }",
+}
+TERMS = {"+": "1", "||": "N == 0"}
+
+
+@pytest.mark.parametrize("op", ["+", "||"])
+def test_long_operator_chains_count_toward_the_nesting_limit(op):
+    # a chain is parsed in a loop but builds a tree as deep as it is long,
+    # which validation and the engine walk recursively
+    def chained(n):
+        return [("chain.vl", CHAINS[op] % f" {op} ".join([TERMS[op]] * n))]
+
+    assert isinstance(load_program(chained(150)), ast.Program)
+    (diag,) = load_program(chained(600))
+    assert diag.message == "nesting too deep"
 
 
 def test_missing_brace():
