@@ -1,8 +1,15 @@
 """Abstract syntax for VL programs: node types, static checks, printing.
 
-Nodes compare structurally. Source locations and inferred types are
-excluded from equality, so a parse -> print -> parse round trip yields
-equal trees.
+Nodes compare structurally. Source locations and what validation fills
+in (inferred types and frame slots) are excluded from equality, so a
+parse -> print -> parse round trip yields equal trees.
+
+Validation is the one place that resolves names. Each parameter and
+local declaration of a function gets a slot of its own in the function's
+frame: the parameters 0..n-1 in order, then each declaration in the
+order the checker meets it, an initializer before its own declaration.
+Every Name records the slot it reads or writes (None for an input), each
+declaration its own slot, and each function the names of its slots.
 """
 
 from __future__ import annotations
@@ -64,6 +71,7 @@ class Name:
     name: str
     loc: Loc = field(compare=False)
     ty: Type | None = field(default=None, compare=False, repr=False)
+    slot: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -119,6 +127,7 @@ class VarDecl:
     ty: Type  # INT or REAL
     init: Expr | None
     loc: Loc = field(compare=False)
+    slot: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -127,6 +136,7 @@ class ArrDecl:
     elem_ty: Type  # INT or REAL
     extent: Expr
     loc: Loc = field(compare=False)
+    slot: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -230,6 +240,8 @@ class FuncDecl:
     ret: Type  # INT, REAL or VOID
     body: Block
     loc: Loc = field(compare=False)
+    # the name of each frame slot; None until validation sets it
+    slots: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -258,11 +270,14 @@ class Program:
 
 
 class _Scope:
+    """The names that one block declares, each with its type and its frame
+    slot (None for an input), inside the scope that holds the block."""
+
     def __init__(self, parent: "_Scope | None" = None):
-        self.names: dict[str, Type] = {}
+        self.names: dict[str, tuple[Type, int | None]] = {}
         self.parent = parent
 
-    def lookup(self, name: str) -> Type | None:
+    def lookup(self, name: str) -> tuple[Type, int | None] | None:
         s: _Scope | None = self
         while s is not None:
             if name in s.names:
@@ -282,6 +297,8 @@ class _Checker:
         self.funcs: dict[str, FuncDecl] = {}
         self.calls: dict[str, set[str]] = {}
         self.current: FuncDecl | None = None
+        # the name of each slot of the current function's frame
+        self.slots: list[str] = []
 
     def err(self, message: str, loc: Loc) -> None:
         self.diags.append(error(message, loc))
@@ -317,7 +334,7 @@ class _Checker:
             scope = _Scope()
             for name, prior in self.inputs.items():
                 if prior.ty is Type.INT:
-                    scope.names[name] = Type.INT
+                    scope.names[name] = (Type.INT, None)
             assert decl.extent is not None
             ty = self.expr(decl.extent, scope)
             if ty is not None and ty is not Type.INT:
@@ -360,20 +377,22 @@ class _Checker:
 
     def check_func(self, f: FuncDecl) -> None:
         self.current = f
+        self.slots = [p.name for p in f.params]
         scope = _Scope()
         for decl in self.inputs.values():
-            scope.names[decl.name] = decl.ty
+            scope.names[decl.name] = (decl.ty, None)
         local = _Scope(scope)
-        for p in f.params:
+        for slot, p in enumerate(f.params):
             if p.name in self.inputs or p.name in self.funcs:
                 self.err(f"parameter '{p.name}' shadows an input or function", p.loc)
             elif local.declared_here(p.name):
                 self.err(f"duplicate parameter '{p.name}'", p.loc)
             else:
-                local.names[p.name] = p.ty
+                local.names[p.name] = (p.ty, slot)
         self.block(f.body, local)
         if f.ret is not Type.VOID and not _returns(f.body):
             self.err(f"function '{f.name}' must return a value on all paths", f.loc)
+        f.slots = tuple(self.slots)
         self.current = None
 
     # --- statements ---
@@ -383,13 +402,17 @@ class _Checker:
         for s in b.stmts:
             self.stmt(s, scope)
 
-    def declare(self, name: str, ty: Type, scope: _Scope, loc: Loc) -> None:
+    def declare(self, name: str, ty: Type, scope: _Scope, loc: Loc) -> int:
+        """The next slot of the frame, which name now resolves to in scope."""
+        slot = len(self.slots)
+        self.slots.append(name)
         if name in self.inputs or name in self.funcs:
             self.err(f"'{name}' shadows an input or function", loc)
         elif scope.declared_here(name):
             self.err(f"variable '{name}' already declared in this scope", loc)
         else:
-            scope.names[name] = ty
+            scope.names[name] = (ty, slot)
+        return slot
 
     def stmt(self, s: Stmt, scope: _Scope) -> None:
         if isinstance(s, VarDecl):
@@ -397,13 +420,13 @@ class _Checker:
                 ty = self.expr(s.init, scope)
                 if ty is not None and ty is not s.ty:
                     self.err(f"cannot initialize {s.ty.value} '{s.name}' with {ty.value}", s.loc)
-            self.declare(s.name, s.ty, scope, s.loc)
+            s.slot = self.declare(s.name, s.ty, scope, s.loc)
         elif isinstance(s, ArrDecl):
             ty = self.expr(s.extent, scope)
             if ty is not None and ty is not Type.INT:
                 self.err("array extent must be an int", s.extent.loc)
             arr_ty = Type.INT_ARRAY if s.elem_ty is Type.INT else Type.REAL_ARRAY
-            self.declare(s.name, arr_ty, scope, s.loc)
+            s.slot = self.declare(s.name, arr_ty, scope, s.loc)
         elif isinstance(s, Assign):
             self.check_assign(s, scope)
         elif isinstance(s, ChooseAssign):
@@ -523,9 +546,11 @@ class _Checker:
             self.err("string literals are only allowed in print", e.loc)
             return None
         if isinstance(e, Name):
-            ty = scope.lookup(e.name)
-            if ty is None:
+            found = scope.lookup(e.name)
+            if found is None:
                 self.err(f"unknown name '{e.name}'", e.loc)
+                return None
+            ty, e.slot = found
             return ty
         if isinstance(e, Index):
             bty = self.expr(e.base, scope)
@@ -613,9 +638,14 @@ def _stmt_returns(s: Stmt) -> bool:
 
 
 def validate(program: Program) -> list[Diagnostic]:
-    """Run all static checks; annotate expression types. Returns diagnostics."""
+    """Run all static checks; annotate expression types and frame slots.
+    Returns diagnostics. A program with any leaves every FuncDecl.slots
+    None, which the engine refuses."""
     checker = _Checker(program)
     checker.run()
+    if checker.diags:
+        for f in program.funcs:
+            f.slots = None
     return sorted(checker.diags, key=lambda d: (d.loc.file, d.loc.line, d.loc.col))
 
 

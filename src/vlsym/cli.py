@@ -82,13 +82,17 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read {path}: {exc}") from None
+
+
 def _load(paths: list[str]) -> tuple[ast.Program, dict[str, str]]:
-    files = []
-    for path in paths:
-        try:
-            files.append((path, Path(path).read_text()))
-        except OSError as exc:
-            raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    files = [(path, _read(path)) for path in paths]
     result = load_program(files)
     if not isinstance(result, ast.Program):
         raise UsageError("\n".join(d.render() for d in result))
@@ -96,18 +100,21 @@ def _load(paths: list[str]) -> tuple[ast.Program, dict[str, str]]:
 
 
 def _read_trail(path: str) -> list[engine.Decision]:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
-    return engine.parse_trail(text)
+    return engine.parse_trail(_read(path))
 
 
 def _emit_trails(directory: str, violations) -> None:
+    """Write each violation's trail into directory, which is made if it is
+    not there; with no violations, only make it."""
     out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    for i, v in enumerate(violations):
-        (out / f"violation-{i:04d}.trail").write_text(engine.render_trail(v.trail))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for i, v in enumerate(violations):
+            (out / f"violation-{i:04d}.trail").write_text(
+                engine.render_trail(v.trail), encoding="utf-8"
+            )
+    except OSError as exc:
+        raise UsageError(f"cannot write trails to {directory}: {exc.strerror}") from None
 
 
 def _config(args, overrides, **search) -> SearchConfig:
@@ -126,6 +133,8 @@ def cmd_verify(args, overrides) -> int:
         args, overrides, max_depth=args.max_depth, first_only=args.first, workers=args.workers
     )
     program, sources = _load(args.files)
+    if args.emit_trails:
+        _emit_trails(args.emit_trails, ())  # fail before the search, not after it
     started = time.monotonic()
     result = engine.explore(program, cfg)
     elapsed = time.monotonic() - started

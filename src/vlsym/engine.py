@@ -14,9 +14,11 @@ the trail of a path:
 - ``Z N=v/k`` a symbolic int was pinned to v, one of k feasible values
 
 Each function is lowered once into one flat tuple of statement closures,
-each of which names the index of the statement that runs after it, and
-each parameter and local declaration gets a slot of its own. A frame is
-its function's code, its slots and the index of its next statement.
+each of which names the index of the statement that runs after it. Names
+are not resolved here: validation gave each parameter and local
+declaration a slot of its own and each name the slot it refers to, and
+lowering translates that checked tree. A frame is its function's code,
+its slots and the index of its next statement.
 States are mutated in place along straight-line code and cloned only
 where paths fork. Integer inputs stay symbolic until a strict position
 (array extent, array index, choose_int argument) forces a value, at
@@ -101,8 +103,8 @@ class ChooseInt:
     def render(self) -> str:
         return f"C {self.index}/{self.fanout}"
 
-    def key(self) -> tuple:
-        return (0, self.index)
+    def key(self) -> int:
+        return self.index
 
 
 @dataclass(frozen=True)
@@ -112,8 +114,8 @@ class Branch:
     def render(self) -> str:
         return f"B {'t' if self.then_taken else 'e'}"
 
-    def key(self) -> tuple:
-        return (1, 0 if self.then_taken else 1)
+    def key(self) -> int:
+        return 0 if self.then_taken else 1
 
 
 @dataclass(frozen=True)
@@ -121,13 +123,12 @@ class ConcretizeInt:
     name: str
     value: int
     fanout: int
-    ord: int = field(default=0, compare=False)
 
     def render(self) -> str:
         return f"Z {self.name}={self.value}/{self.fanout}"
 
-    def key(self) -> tuple:
-        return (2, self.ord, self.value)
+    def key(self) -> int:
+        return self.value
 
 
 Decision = ChooseInt | Branch | ConcretizeInt
@@ -135,6 +136,11 @@ _THEN, _ELSE = Branch(True), Branch(False)
 
 
 def trail_key(trail) -> tuple:
+    """The sort key of a trail: each decision's position among the options
+    it was taken from. Two trails of one search first differ at a decision
+    point that both reached from the same state, so there both offered the
+    same options, of one kind and one fanout, and only the position taken
+    can tell them apart."""
     return tuple(d.key() for d in trail)
 
 
@@ -494,19 +500,15 @@ class SearchResult:
 
 class Engine:
     """Holds a program that load_program returned, lowered once, plus
-    everything shared across paths. Lowering reads the types that
-    validation annotated, so it refuses an expression that has none."""
+    everything shared across paths. Lowering reads the types and slots
+    that validation annotated, so it refuses a function that has none."""
 
     def __init__(self, program: ast.Program, config: SearchConfig):
         self.program = program
         self.config = config
-        self.funcs = {f.name: f for f in program.funcs}
-        self.input_names = {d.name for d in program.inputs}
         # a call finds its callee's code and slot names here when it runs,
         # so a body may call a function that is lowered after it
-        self.bodies: dict[str, tuple[tuple, tuple]] = {}
-        for f in program.funcs:
-            self.bodies[f.name] = _lower_function(self, f)
+        self.bodies = {f.name: _lower_function(f) for f in program.funcs}
         self.inputs_desc: list[str] = []
 
     # --- initial state ---
@@ -556,7 +558,7 @@ class Engine:
     def _extent(self, decl: ast.InputDecl, state: ExecState) -> int:
         """The extent of a real input, from the inputs declared before it."""
         try:
-            n = _strict(_lower_value(decl.extent, _Lowering(self, ()))(state))
+            n = _strict(_lower_value(decl.extent)(state))
         except NeedsConcretize as exc:
             raise EngineInitError(
                 f"extent of input '{decl.name}' depends on '{exc.sym.name}', which has no "
@@ -585,14 +587,15 @@ class Engine:
 # the loop's test. The frame's pc is at next before a statement runs, so a
 # statement only pushes the frames it enters, and if and while set the pc
 # themselves when their condition fails. A statement that raises has left
-# the state as it was. Every parameter and local declaration has a slot of
-# its own in the frame, which each use of its name is resolved to when it
-# is lowered. A slot keeps its value after its block ends, but no read
-# reaches it then: a read of a local follows the write of its declaration
-# in the same entry of its block. Two concrete ints are combined as Python
-# ints, without a Poly; a test of `v.__class__ is int` never takes a bool
-# for an int. make_int, int_poly and the Poly operators are looked up
-# through this module when a closure runs.
+# the state as it was. Validation gave every parameter and local
+# declaration a slot of its own in the frame and every name the slot it
+# reads or writes, so lowering keeps no scopes: it translates the checked
+# tree as it stands. A slot keeps its value after its block ends, but no
+# read reaches it then: a read of a local follows the write of its
+# declaration in the same entry of its block. Two concrete ints are
+# combined as Python ints, without a Poly; a test of `v.__class__ is int`
+# never takes a bool for an int. make_int, int_poly and the Poly operators
+# are looked up through this module when a closure runs.
 
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARE = {
@@ -603,44 +606,12 @@ _COMPARE = {
 }
 
 
-class _Lowering:
-    """A function while it is lowered: its flat code so far, the name of
-    each slot (the parameters first), and the slot that each name visible
-    here resolves to, one dict per enclosing block."""
-
-    def __init__(self, eng: Engine, params):
-        self.eng = eng
-        self.code: list = []
-        self.names: list[str] = list(params)
-        self.visible: list[dict[str, int]] = [{p: i for i, p in enumerate(params)}]
-
-    def slot(self, name: str) -> "int | None":
-        """The slot that name resolves to here, or None for an input."""
-        for scope in reversed(self.visible):
-            if name in scope:
-                return scope[name]
-        assert name in self.eng.input_names, f"unknown name '{name}' survived validation"
-        return None
-
-    def declare(self, name: str) -> int:
-        slot = self.visible[-1][name] = len(self.names)
-        self.names.append(name)
-        return slot
-
-
-def _lower_load(name: str, env: _Lowering):
-    """A closure that reads name, whatever it holds (arrays included)."""
-    slot = env.slot(name)
+def _lower_load(e: ast.Name):
+    """A closure that reads e, whatever it holds (arrays included)."""
+    name, slot = e.name, e.slot
     if slot is None:
         return lambda state: state.globals[name]
     return lambda state: state.frames[-1].slots[slot]
-
-
-def _lower_store(name: str, env: _Lowering) -> int:
-    """The slot that an assignment to name writes."""
-    slot = env.slot(name)
-    assert slot is not None, "inputs are never assigned"
-    return slot
 
 
 def _strict(v: "int | SymInt") -> int:
@@ -660,9 +631,7 @@ def _atom_formula(atom: Atom):
 _UNVALIDATED = "the program was not validated; pass one that load_program returned"
 
 
-def _lower_value(e: ast.Expr, env: _Lowering):
-    if e.ty is None:
-        raise EngineInitError(_UNVALIDATED)
+def _lower_value(e: ast.Expr):
     if isinstance(e, ast.IntLit):
         lit = e.value
         return lambda state: lit
@@ -670,12 +639,12 @@ def _lower_value(e: ast.Expr, env: _Lowering):
         dec = RealVal(Poly.const(e.value))
         return lambda state: dec
     if isinstance(e, ast.Name):
-        return _lower_name(e, env)
+        return _lower_name(e)
     if isinstance(e, ast.Index):
-        return _lower_index(e, env)
+        return _lower_index(e)
     if isinstance(e, ast.Unary):
         assert e.op == "-", "boolean operators are lowered as conditions"
-        operand = _lower_value(e.operand, env)
+        operand = _lower_value(e.operand)
         if e.ty is ast.Type.REAL:
             return lambda state: RealVal(-operand(state).poly)
 
@@ -687,7 +656,7 @@ def _lower_value(e: ast.Expr, env: _Lowering):
 
         return negate
     if isinstance(e, ast.Binary):
-        lhs, rhs = _lower_value(e.lhs, env), _lower_value(e.rhs, env)
+        lhs, rhs = _lower_value(e.lhs), _lower_value(e.rhs)
         if e.op == "/":
             return _lower_quotient(lhs, rhs, e.loc)
         op = _ARITH[e.op]
@@ -703,13 +672,13 @@ def _lower_value(e: ast.Expr, env: _Lowering):
 
         return arith
     if isinstance(e, ast.LenCall):
-        array = _lower_load(e.arg.name, env)
+        array = _lower_load(e.arg)
         return lambda state: len(state.heap[array(state).addr].cells)
     raise AssertionError(f"not a value: {type(e).__name__}")
 
 
-def _lower_name(e: ast.Name, env: _Lowering):
-    name, loc, slot = e.name, e.loc, env.slot(e.name)
+def _lower_name(e: ast.Name):
+    name, loc, slot = e.name, e.loc, e.slot
     if slot is None:
         # inputs always hold a value
         return lambda state: state.globals[name]
@@ -723,9 +692,9 @@ def _lower_name(e: ast.Name, env: _Lowering):
     return read
 
 
-def _lower_index(e: ast.Index, env: _Lowering):
+def _lower_index(e: ast.Index):
     base, loc = e.base.name, e.loc
-    array, index = _lower_load(base, env), _lower_value(e.index, env)
+    array, index = _lower_load(e.base), _lower_value(e.index)
 
     def read(state):
         cells = state.heap[array(state).addr].cells
@@ -763,14 +732,12 @@ def _lower_quotient(lhs, rhs, loc: Loc):
     return divide
 
 
-def _lower_cond(e: ast.Expr, env: _Lowering):
-    if e.ty is None:
-        raise EngineInitError(_UNVALIDATED)
+def _lower_cond(e: ast.Expr):
     if isinstance(e, ast.Unary) and e.op == "!":
-        operand = _lower_cond(e.operand, env)
+        operand = _lower_cond(e.operand)
         return lambda state: f_not(operand(state))
     if isinstance(e, ast.Binary) and e.op in ("&&", "||"):
-        lhs, rhs = _lower_cond(e.lhs, env), _lower_cond(e.rhs, env)
+        lhs, rhs = _lower_cond(e.lhs), _lower_cond(e.rhs)
         # short-circuit on a decided left side so guarded accesses on the
         # right stay unevaluated, matching run-time behavior
         if e.op == "&&":
@@ -792,7 +759,7 @@ def _lower_cond(e: ast.Expr, env: _Lowering):
         return disj
     if isinstance(e, ast.Binary) and e.op in _COMPARE:
         rel, test = _COMPARE[e.op]
-        lhs, rhs = _lower_value(e.lhs, env), _lower_value(e.rhs, env)
+        lhs, rhs = _lower_value(e.lhs), _lower_value(e.rhs)
         if e.lhs.ty is ast.Type.REAL:
             return lambda state: _atom_formula(
                 Atom(SymKind.REAL, rel, lhs(state).poly - rhs(state).poly)
@@ -807,14 +774,14 @@ def _lower_cond(e: ast.Expr, env: _Lowering):
 
         return compare
     if isinstance(e, ast.EqualsCall):
-        return _lower_equals(e, env)
+        return _lower_equals(e)
     raise AssertionError(f"not a condition: {type(e).__name__}")
 
 
-def _lower_equals(e: ast.EqualsCall, env: _Lowering):
+def _lower_equals(e: ast.EqualsCall):
     assert isinstance(e.lhs, ast.Name) and isinstance(e.rhs, ast.Name)
     lname, rname, loc = e.lhs.name, e.rhs.name, e.loc
-    left, right = _lower_load(lname, env), _lower_load(rname, env)
+    left, right = _lower_load(e.lhs), _lower_load(e.rhs)
 
     def equals(state):
         a = state.heap[left(state).addr]
@@ -839,13 +806,15 @@ def _lower_equals(e: ast.EqualsCall, env: _Lowering):
     return equals
 
 
-def _lower_function(eng: Engine, f: ast.FuncDecl) -> tuple[tuple, tuple]:
+def _lower_function(f: ast.FuncDecl) -> tuple[tuple, tuple]:
     """A function's flat code and the names of its slots."""
-    env = _Lowering(eng, [p.name for p in f.params])
+    if f.slots is None:
+        raise EngineInitError(_UNVALIDATED)
+    code: list = []
     end = _size(f.body.stmts)
-    _lower_block(f.body.stmts, env, end)
-    assert len(env.code) == end
-    return tuple(env.code), tuple(env.names)
+    _lower_block(f.body.stmts, code, end)
+    assert len(code) == end
+    return tuple(code), f.slots
 
 
 def _size(stmts) -> int:
@@ -871,50 +840,48 @@ def _else_stmts(s: ast.If):
     return s.els.stmts
 
 
-def _lower_block(stmts, env: _Lowering, after: int) -> int:
-    """Append a block's statements to the flat code, the last of them going
-    on at after; the index where the block starts, which is after when the
-    block is empty. What the block declares is visible only inside it."""
+def _lower_block(stmts, code: list, after: int) -> int:
+    """Append a block's statements to code, the last of them going on at
+    after; the index where the block starts, which is after when the block
+    is empty."""
     if not stmts:
         return after
-    start = len(env.code)
-    env.visible.append({})
+    start = len(code)
     last = len(stmts) - 1
     for i, s in enumerate(stmts):
-        _lower_stmt(s, env, after if i == last else len(env.code) + _size((s,)))
-    env.visible.pop()
+        _lower_stmt(s, code, after if i == last else len(code) + _size((s,)))
     return start
 
 
-def _lower_stmt(s: ast.Stmt, env: _Lowering, nxt: int) -> None:
-    """Append s to the flat code, followed by the statements of the blocks
-    that it holds; nxt is the index of the statement after s."""
-    at = len(env.code)
-    env.code.append(None)
+def _lower_stmt(s: ast.Stmt, code: list, nxt: int) -> None:
+    """Append s to code, followed by the statements of the blocks that it
+    holds; nxt is the index of the statement after s."""
+    at = len(code)
+    code.append(None)
     if isinstance(s, ast.Block):
 
         def run(ex, state):
             return None  # entering a block is a step of its own
 
-        run.next = _lower_block(s.stmts, env, nxt)
+        run.next = _lower_block(s.stmts, code, nxt)
     elif isinstance(s, ast.If):
-        cond = _lower_cond(s.cond, env)
-        then = _lower_block(s.then.stmts, env, nxt)
-        run = _branch(cond, s.loc, _lower_block(_else_stmts(s), env, nxt))
+        cond = _lower_cond(s.cond)
+        then = _lower_block(s.then.stmts, code, nxt)
+        run = _branch(cond, s.loc, _lower_block(_else_stmts(s), code, nxt))
         run.next = then
     elif isinstance(s, ast.While):
-        run = _branch(_lower_cond(s.cond, env), s.loc, nxt)
-        run.next = _lower_block(s.body.stmts, env, at)  # the body ends at the test
+        run = _branch(_lower_cond(s.cond), s.loc, nxt)
+        run.next = _lower_block(s.body.stmts, code, at)  # the body ends at the test
     else:
-        run = _LOWER_STMT[type(s)](s, env)
+        run = _LOWER_STMT[type(s)](s)
         run.next = nxt
     run.loc = s.loc
-    env.code[at] = run
+    code[at] = run
 
 
-def _lower_var_decl(s: ast.VarDecl, env: _Lowering):
-    init = _lower_value(s.init, env) if s.init is not None else None
-    slot = env.declare(s.name)
+def _lower_var_decl(s: ast.VarDecl):
+    init = _lower_value(s.init) if s.init is not None else None
+    slot = s.slot
 
     def run(ex, state):
         v = init(state) if init is not None else UNDEFINED
@@ -923,11 +890,10 @@ def _lower_var_decl(s: ast.VarDecl, env: _Lowering):
     return run
 
 
-def _lower_arr_decl(s: ast.ArrDecl, env: _Lowering):
-    name, extent, extent_loc = s.name, _lower_value(s.extent, env), s.extent.loc
+def _lower_arr_decl(s: ast.ArrDecl):
+    name, extent, extent_loc = s.name, _lower_value(s.extent), s.extent.loc
     kind = SymKind.INT if s.elem_ty is ast.Type.INT else SymKind.REAL
-    loc = s.loc
-    slot = env.declare(name)
+    loc, slot = s.loc, s.slot
 
     def run(ex, state):
         n = _strict(extent(state))
@@ -943,17 +909,17 @@ def _lower_arr_decl(s: ast.ArrDecl, env: _Lowering):
     return run
 
 
-def _lower_assign(s: ast.Assign, env: _Lowering):
-    value, target = _lower_value(s.value, env), s.target
+def _lower_assign(s: ast.Assign):
+    value, target = _lower_value(s.value), s.target
     if isinstance(target, ast.Name):
-        slot = _lower_store(target.name, env)
+        slot = target.slot
 
         def run(ex, state):
             state.frames[-1].slots[slot] = value(state)
 
         return run
     base, loc, stmt_loc = target.base.name, target.loc, s.loc
-    array, index = _lower_load(base, env), _lower_value(target.index, env)
+    array, index = _lower_load(target.base), _lower_value(target.index)
 
     def run_cell(ex, state):
         v = value(state)
@@ -997,9 +963,8 @@ class _Choices(Sequence):
         raise ValueError(d)
 
 
-def _lower_choose(s: ast.ChooseAssign, env: _Lowering):
-    arg = _lower_value(s.arg, env)
-    slot = _lower_store(s.target.name, env)
+def _lower_choose(s: ast.ChooseAssign):
+    arg, slot = _lower_value(s.arg), s.target.slot
 
     def run(ex, state):
         k = _strict(arg(state))
@@ -1015,15 +980,16 @@ def _lower_choose(s: ast.ChooseAssign, env: _Lowering):
     return run
 
 
-def _lower_call(s: ast.CallStmt, env: _Lowering):
-    name, nparams = s.name, len(env.eng.funcs[s.name].params)
-    args = tuple(_lower_value(a, env) for a in s.args)
-    ret_slot = _lower_store(s.target.name, env) if s.target is not None else None
-    bodies = env.eng.bodies
+def _lower_call(s: ast.CallStmt):
+    # validation fixed the arity, so the arguments fill the callee's
+    # parameter slots and its locals follow them
+    name, nargs = s.name, len(s.args)
+    args = tuple(_lower_value(a) for a in s.args)
+    ret_slot = s.target.slot if s.target is not None else None
 
     def run(ex, state):
-        code, names = bodies[name]
-        slots = [a(state) for a in args] + [None] * (len(names) - nparams)
+        code, names = ex.eng.bodies[name]
+        slots = [a(state) for a in args] + [None] * (len(names) - nargs)
         state.frames.append(Frame(code, names, slots, ret_slot))
 
     return run
@@ -1050,12 +1016,12 @@ def _branch(cond, loc: Loc, other: int):
     return run
 
 
-def _lower_assert(s: ast.Assert, env: _Lowering):
-    cond, c, loc = _lower_cond(s.cond, env), s.cond, s.loc
+def _lower_assert(s: ast.Assert):
+    cond, c, loc = _lower_cond(s.cond), s.cond, s.loc
     # a failed equals() of two named arrays shows both under the witness
     shown = None
     if isinstance(c, ast.EqualsCall):
-        shown = tuple((n.name, _lower_load(n.name, env)) for n in (c.lhs, c.rhs))
+        shown = tuple((n.name, _lower_load(n)) for n in (c.lhs, c.rhs))
 
     def run(ex, state):
         neg = f_not(cond(state))
@@ -1066,8 +1032,8 @@ def _lower_assert(s: ast.Assert, env: _Lowering):
     return run
 
 
-def _lower_assume(s: ast.Assume, env: _Lowering):
-    cond, loc = _lower_cond(s.cond, env), s.loc
+def _lower_assume(s: ast.Assume):
+    cond, loc = _lower_cond(s.cond), s.loc
 
     def run(ex, state):
         f = cond(state)
@@ -1078,8 +1044,8 @@ def _lower_assume(s: ast.Assume, env: _Lowering):
     return run
 
 
-def _lower_return(s: ast.Return, env: _Lowering):
-    value = _lower_value(s.value, env) if s.value is not None else None
+def _lower_return(s: ast.Return):
+    value = _lower_value(s.value) if s.value is not None else None
 
     def run(ex, state):
         v = value(state) if value is not None else None
@@ -1094,8 +1060,8 @@ def _lower_return(s: ast.Return, env: _Lowering):
     return run
 
 
-def _lower_print(s: ast.Print, env: _Lowering):
-    parts = tuple(_lower_print_arg(a, env) for a in s.args)
+def _lower_print(s: ast.Print):
+    parts = tuple(_lower_print_arg(a) for a in s.args)
 
     def run(ex, state):
         # every argument is evaluated here, so that a bad read is found at
@@ -1105,15 +1071,15 @@ def _lower_print(s: ast.Print, env: _Lowering):
     return run
 
 
-def _lower_print_arg(a: ast.Expr, env: _Lowering):
+def _lower_print_arg(a: ast.Expr):
     if isinstance(a, ast.StrLit):
         text = a.value
         return lambda state: text
-    if a.ty is not None and a.ty.is_array():
+    if a.ty.is_array():
         assert isinstance(a, ast.Name)
-        array = _lower_load(a.name, env)
+        array = _lower_load(a)
         return lambda state: tuple(state.heap[array(state).addr].cells)
-    return _lower_value(a, env)
+    return _lower_value(a)
 
 
 _LOWER_STMT = {
@@ -1255,7 +1221,7 @@ class _Executor:
             values.append(v)
             pcs.append(pc2)
         name, fanout = sym.render(), len(values)
-        options = [ConcretizeInt(name, v, fanout, sym.ord) for v in values]
+        options = [ConcretizeInt(name, v, fanout) for v in values]
         out = []
         for st, i in self.fork(state, options):
             st.pc = pcs[i]

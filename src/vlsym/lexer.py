@@ -106,6 +106,11 @@ def decimal_to_fraction(lexeme: str) -> Fraction:
     return Fraction(int(whole) * scale + int(frac), scale)
 
 
+def _is_digit(c: str) -> bool:
+    """An ASCII digit; str.isdigit also takes the likes of '²' and '٣'."""
+    return "0" <= c <= "9"
+
+
 def tokenize(source: str, file: str = "<input>") -> list[Token]:
     """Tokenize VL source. Raises LexError at the first lexical error."""
     toks: list[Token] = []
@@ -154,18 +159,18 @@ def tokenize(source: str, file: str = "<input>") -> list[Token]:
             i += 2
             col += 2
             continue
-        if c.isdigit():
+        if _is_digit(c):
             start = i
             start_col = col
-            while i < n and source[i].isdigit():
+            while i < n and _is_digit(source[i]):
                 i += 1
                 col += 1
             if i < n and source[i] == ".":
                 i += 1
                 col += 1
-                if i >= n or not source[i].isdigit():
+                if i >= n or not _is_digit(source[i]):
                     raise fail("malformed decimal literal: digit expected after '.'")
-                while i < n and source[i].isdigit():
+                while i < n and _is_digit(source[i]):
                     i += 1
                     col += 1
                 toks.append(Token(TokKind.DEC_LIT, source[start:i], line, start_col, file))

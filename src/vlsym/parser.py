@@ -7,8 +7,6 @@ stages only ever see the smaller statement and operator sets.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import ast
 from .diagnostics import Diagnostic, Loc, error
 from .lexer import LexError, TokKind, Token, decimal_to_fraction, tokenize
@@ -79,6 +77,31 @@ class _Parser:
         if self.depth > MAX_DEPTH:
             raise self.fail("nesting too deep")
 
+    def scalar_type(self, message: str) -> ast.Type:
+        """The type that the next token, 'int' or 'real', names; message is
+        the error where it is neither."""
+        tok = self.peek()
+        if tok.is_kw("int"):
+            ty = ast.Type.INT
+        elif tok.is_kw("real"):
+            ty = ast.Type.REAL
+        else:
+            raise self.fail(message)
+        self.advance()
+        return ty
+
+    def paren_list(self, item) -> list:
+        """A parenthesised, comma-separated list of what item parses."""
+        self.expect_punct("(")
+        items = []
+        if not self.peek().is_punct(")"):
+            items.append(item())
+            while self.peek().is_punct(","):
+                self.advance()
+                items.append(item())
+        self.expect_punct(")")
+        return items
+
     # --- declarations ---
 
     def program(self) -> tuple[list[ast.InputDecl], list[ast.FuncDecl]]:
@@ -124,43 +147,22 @@ class _Parser:
     def func_decl(self) -> ast.FuncDecl:
         start = self.expect_kw("func")
         name = self.expect_ident("function name")
-        self.expect_punct("(")
-        params: list[ast.Param] = []
-        if not self.peek().is_punct(")"):
-            params.append(self.param())
-            while self.peek().is_punct(","):
-                self.advance()
-                params.append(self.param())
-        self.expect_punct(")")
+        params = self.paren_list(self.param)
         ret = ast.Type.VOID
         if self.peek().is_punct("->"):
             self.advance()
-            tok = self.peek()
-            if tok.is_kw("int"):
-                ret = ast.Type.INT
-            elif tok.is_kw("real"):
-                ret = ast.Type.REAL
-            else:
-                raise self.fail("return type must be 'int' or 'real'")
-            self.advance()
+            ret = self.scalar_type("return type must be 'int' or 'real'")
         header = self.span(start)
         body = self.block()
         return ast.FuncDecl(name.lexeme, params, ret, body, header)
 
     def param(self) -> ast.Param:
         tok = self.peek()
-        if tok.is_kw("int"):
-            base = ast.Type.INT
-        elif tok.is_kw("real"):
-            base = ast.Type.REAL
-        else:
-            raise self.fail("parameter type must be 'int' or 'real'")
-        self.advance()
-        ty = base
+        ty = self.scalar_type("parameter type must be 'int' or 'real'")
         if self.peek().is_punct("["):
             self.advance()
             self.expect_punct("]")
-            ty = ast.Type.INT_ARRAY if base is ast.Type.INT else ast.Type.REAL_ARRAY
+            ty = ast.Type.INT_ARRAY if ty is ast.Type.INT else ast.Type.REAL_ARRAY
         name = self.expect_ident("parameter name")
         return ast.Param(name.lexeme, ty, self.span(tok))
 
@@ -214,14 +216,7 @@ class _Parser:
             return [ast.Assert(cond, loc) if tok.lexeme == "assert" else ast.Assume(cond, loc)]
         if tok.is_kw("print"):
             self.advance()
-            self.expect_punct("(")
-            args: list[ast.Expr] = []
-            if not self.peek().is_punct(")"):
-                args.append(self.print_arg())
-                while self.peek().is_punct(","):
-                    self.advance()
-                    args.append(self.print_arg())
-            self.expect_punct(")")
+            args = self.paren_list(self.print_arg)
             self.expect_punct(";")
             return [ast.Print(args, self.span(tok))]
         if tok.kind is TokKind.IDENT:
@@ -230,14 +225,7 @@ class _Parser:
 
     def var_decl(self) -> ast.Stmt:
         start = self.expect_kw("var")
-        tok = self.peek()
-        if tok.is_kw("int"):
-            ty = ast.Type.INT
-        elif tok.is_kw("real"):
-            ty = ast.Type.REAL
-        else:
-            raise self.fail("variable type must be 'int' or 'real'")
-        self.advance()
+        ty = self.scalar_type("variable type must be 'int' or 'real'")
         name = self.expect_ident("variable name")
         if self.peek().is_punct("["):
             self.advance()
@@ -283,14 +271,7 @@ class _Parser:
         init: ast.Assign | ast.VarDecl | None = None
         if self.peek().is_kw("var"):
             var_tok = self.advance()
-            ty_tok = self.peek()
-            if ty_tok.is_kw("int"):
-                ty = ast.Type.INT
-            elif ty_tok.is_kw("real"):
-                ty = ast.Type.REAL
-            else:
-                raise self.fail("expected 'int' or 'real'", ty_tok)
-            self.advance()
+            ty = self.scalar_type("expected 'int' or 'real'")
             name = self.expect_ident("loop variable")
             self.expect_punct("=")
             value = self.expr()
@@ -333,7 +314,7 @@ class _Parser:
         name = self.expect_ident()
         nxt = self.peek()
         if nxt.is_punct("("):
-            args = self.call_args()
+            args = self.paren_list(self.expr)
             self.expect_punct(";")
             return ast.CallStmt(name.lexeme, args, None, self.span(name))
         if nxt.is_punct("["):
@@ -365,7 +346,7 @@ class _Parser:
                 return ast.ChooseAssign(target, arg, self.span(name))
             if self.peek().kind is TokKind.IDENT and self.peek(1).is_punct("("):
                 callee = self.advance()
-                args = self.call_args()
+                args = self.paren_list(self.expr)
                 if not self.peek().is_punct(";"):
                     raise self.fail("function calls are only allowed as statements")
                 self.advance()
@@ -374,17 +355,6 @@ class _Parser:
             self.expect_punct(";")
             return ast.Assign(target, value, self.span(name))
         raise self.fail(f"expected '(', '[' or '=' but found {self.describe(nxt)}")
-
-    def call_args(self) -> list[ast.Expr]:
-        self.expect_punct("(")
-        args: list[ast.Expr] = []
-        if not self.peek().is_punct(")"):
-            args.append(self.expr())
-            while self.peek().is_punct(","):
-                self.advance()
-                args.append(self.expr())
-        self.expect_punct(")")
-        return args
 
     def print_arg(self) -> ast.Expr:
         tok = self.peek()

@@ -74,9 +74,6 @@ class Atom:
             return v == 0
         return v != 0
 
-    def render(self) -> str:
-        return f"{self.poly.render()} {self.rel.value} 0"
-
 
 Bounds = tuple["int | None", "int | None"]
 
@@ -132,11 +129,6 @@ class PathCondition:
 
     def bounds(self, sym: SymConst) -> Bounds:
         return self.box.get(sym, (None, None))
-
-    def render(self) -> str:
-        if not self.atoms:
-            return "true"
-        return " && ".join(a.render() for a in self.atoms)
 
 
 def _tighten(

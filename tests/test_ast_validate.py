@@ -198,10 +198,48 @@ def test_print_rejects_bool():
 
 def test_annotations_are_set():
     prog = parse_program("func main() { var real s = 0.5; var real t = s * s; }")
+    assert prog.func("main").slots is None
     assert validate(prog) == []
     init = prog.func("main").body.stmts[1].init
     assert init.ty is Type.REAL
     assert init.lhs.ty is Type.REAL
+    assert prog.func("main").slots == ("s", "t")
+
+    # every name is bound to its frame slot, or to None for an input
+    src = """
+input int N;
+func f(int n, real[] v) -> int {
+  var int k = n + N;
+  {
+    var int k = k;
+    var int a[k];
+    a[0] = n;
+  }
+  while (k < n) {
+    var real k2 = v[0];
+  }
+  return k;
+}
+func main() {}
+"""
+    prog = parse_program(src)
+    assert validate(prog) == []
+    f = prog.func("f")
+    # parameters first, then each declaration in the order it is met
+    assert f.slots == ("n", "v", "k", "k", "a", "k2")
+    outer, block, loop, ret = f.body.stmts
+    assert outer.slot == 2
+    assert (outer.init.lhs.slot, outer.init.rhs.slot) == (0, None)  # N is an input
+    inner, arr, write = block.stmts
+    # the initializer reads the outer k; the block's k shadows it after
+    assert (inner.slot, inner.init.slot) == (3, 2)
+    assert (arr.slot, arr.extent.slot) == (4, 3)
+    assert (write.target.base.slot, write.value.slot) == (4, 0)
+    assert (loop.cond.lhs.slot, loop.cond.rhs.slot) == (2, 0)
+    (decl,) = loop.body.stmts
+    assert (decl.slot, decl.init.base.slot) == (5, 1)
+    assert ret.value.slot == 2
+    assert prog.func("main").slots == ()
 
 
 def test_diagnostics_sorted_by_location():

@@ -147,6 +147,24 @@ def test_missing_file_and_bad_source_exit_1(capsys, tmp_path):
     assert cli.main(["verify", str(untyped)]) == 1
     assert "error:" in capsys.readouterr().err
 
+    # a source and a trail that are not UTF-8
+    latin = tmp_path / "latin.vl"
+    latin.write_bytes(b"func main() { print(\"\xe9\"); }\n")
+    assert cli.main(["verify", str(latin)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"vlsym: cannot read {latin}: 'utf-8' codec can't decode")
+    swap = corpus_argv(SWAP_FILES)
+    assert cli.main(["replay", "--trail", str(latin), *swap]) == 1
+    assert capsys.readouterr().err.startswith(f"vlsym: cannot read {latin}: 'utf-8'")
+
+    # a trail directory that is a file is refused before the search runs
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main(["verify", "--emit-trails", str(taken), *swap]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"vlsym: cannot write trails to {taken}: File exists\n"
+
 
 def test_out_of_range_bounds_are_usage_errors(capsys):
     files = corpus_argv(CLEAN_FILES)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from vlsym import cli, engine
-from vlsym.ast import Program
+from vlsym.ast import Program, validate
 from vlsym.corpus import CLEAN_FILES, COLMAX_FILES, SWAP_FILES, load_sources
 from vlsym.engine import (
     Certainty,
@@ -792,8 +792,8 @@ def test_replay_reaches_recorded_violation():
     assert out.violations[0].loc == v.loc
     assert trail_key(out.violations[0].trail) == trail_key(v.trail)
 
-    # N is the second symbol, so its pin sorts by an ord that a trail file
-    # does not carry; the replayed trail still has it
+    # N is the second symbol; its pin read back from a trail file sorts as
+    # the one that the search recorded, and the replayed trail matches it
     src = """
         input int M;
         input int N;
@@ -805,7 +805,7 @@ def test_replay_reaches_recorded_violation():
         }
         """
     v = search(src).violations[0]
-    assert v.trail[0].ord == 1
+    assert trail_key(parse_trail(render_trail(v.trail))) == trail_key(v.trail)
     out = replay(load(src), SearchConfig(), parse_trail(render_trail(v.trail)))
     assert out.violations[0].loc == v.loc
     assert trail_key(out.violations[0].trail) == trail_key(v.trail)
@@ -814,6 +814,14 @@ def test_replay_reaches_recorded_violation():
 def test_unvalidated_program_is_refused_when_the_engine_is_built():
     with pytest.raises(engine.EngineInitError, match="not validated"):
         explore(parse_program(SMALL), SearchConfig())
+    # a function with no expression in it is refused too
+    with pytest.raises(engine.EngineInitError, match="not validated"):
+        explore(parse_program("func main() { var int x; }"), SearchConfig())
+    # and so is a program that validation found faults in
+    prog = parse_program("func main() { print(y); }")
+    assert validate(prog)
+    with pytest.raises(engine.EngineInitError, match="not validated"):
+        explore(prog, SearchConfig())
 
 
 def test_first_only_stops_early():
@@ -1296,6 +1304,48 @@ def test_a_loop_local_is_undefined_again_on_each_iteration_and_a_block_shadows()
     out = run_path(prog, SearchConfig())
     assert out.state is None
     assert out.prints == ["7", "1"]
+
+
+SHADOWED_NAMES = """
+func shifted(int x) -> int {
+  var int r = x;
+  {
+    var int x = x + 10;
+    r = r + x;
+  }
+  return r;
+}
+func main() {
+  var int x = 1;
+  {
+    var int x = x + 1;
+    print(x);
+  }
+  var int y;
+  y = shifted(x);
+  print(x, " ", y);
+  var int s = 0;
+  for (var int i = 0; i < 3; i++) {
+    s = s + i;
+  }
+  for (var int i = 0; i < 2; i++) {
+    s = s + 1;
+  }
+  print(s);
+  print(x + 1);
+}
+"""
+
+
+def test_each_name_reads_the_declaration_in_scope():
+    # an initializer reads the outer x before its own x is declared, the
+    # callee shadows its parameter the same way, and each sibling loop has
+    # an i of its own; the outer x is untouched by all of them
+    prog = load(SHADOWED_NAMES)
+    assert run_path(prog, SearchConfig()).prints == ["2", "1 12", "5", "2"]
+    r = explore(prog, SearchConfig())
+    assert (r.stats.states, r.stats.terminals) == (36, 1)
+    assert not r.violations
 
 
 EMPTY_SIDES_AND_CALLS = """

@@ -53,6 +53,16 @@ def test_decimal_literal_exact():
     assert decimal_to_fraction("2.50") == Fraction(5, 2)
 
 
+def test_only_ascii_digits_make_a_number():
+    # str.isdigit takes both of these, and int('²') raises
+    for source, char in (("var int x = ²;", "²"), ("var int x = ٣;", "٣")):
+        with pytest.raises(LexError) as exc:
+            tokenize(source)
+        assert exc.value.diagnostic.message == f"unknown character {char!r}"
+        assert exc.value.diagnostic.loc.col == 13
+    assert kinds_and_lexemes(tokenize("7.25")) == [(TokKind.DEC_LIT, "7.25")]
+
+
 def test_double_dot_is_a_lex_error():
     with pytest.raises(LexError) as exc:
         tokenize("x = 1..2;")

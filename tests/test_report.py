@@ -29,7 +29,7 @@ def make_violation(prop=Property.ASSERTION_VIOLATION, certainty=Certainty.PROVEA
     defaults = dict(
         loc=Loc("t.vl", 2, 3, 10),
         message="asserted condition fails",
-        trail=(ConcretizeInt("N", 1, 3, 0), ChooseInt(0, 2), Branch(True)),
+        trail=(ConcretizeInt("N", 1, 3), ChooseInt(0, 2), Branch(True)),
         witness={SymConst("N", None, SymKind.INT, 0): 1},
         detail=None,
     )
