@@ -105,10 +105,13 @@ def _read_trail(path: str) -> list[engine.Decision]:
 
 def _emit_trails(directory: str, violations) -> None:
     """Write each violation's trail into directory, which is made if it is
-    not there; with no violations, only make it."""
+    not there, in place of the trails an earlier run left there; with no
+    violations, only make it."""
     out = Path(directory)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        for old in out.glob("violation-*.trail"):
+            old.unlink()
         for i, v in enumerate(violations):
             (out / f"violation-{i:04d}.trail").write_text(
                 engine.render_trail(v.trail), encoding="utf-8"

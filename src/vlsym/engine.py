@@ -13,12 +13,15 @@ the trail of a path:
 - ``B t|e``   a symbolic branch took the then or else side
 - ``Z N=v/k`` a symbolic int was pinned to v, one of k feasible values
 
-Each function is lowered once into one flat tuple of statement closures,
-each of which names the index of the statement that runs after it. Names
-are not resolved here: validation gave each parameter and local
-declaration a slot of its own and each name the slot it refers to, and
-lowering translates that checked tree. A frame is its function's code,
-its slots and the index of its next statement.
+Each function's statements are laid out in one flat array and cut into
+basic blocks, and each block is translated into the Python source of one
+function, compiled the first time a path enters it. A block runs from any
+entry statement in it, follows the jumps of the tests it decides, counts
+the statements it ran and leaves where a path forks, calls, returns or
+stops. Names are not resolved here: validation gave each parameter and
+local declaration a slot of its own and each name the slot it refers to,
+and translation writes that checked tree out. A frame is its function's
+code, its slots and the index of its next statement.
 States are mutated in place along straight-line code and cloned only
 where paths fork. Integer inputs stay symbolic until a strict position
 (array extent, array index, choose_int argument) forces a value, at
@@ -26,16 +29,15 @@ which point the path fans out over the feasible range.
 
 verify searches depth first. With more than one worker it first runs the
 search breadth first until FRONTIER_STATES paths are live, then forks one
-process per worker over that frontier: a worker inherits the lowered
-program and the live states, searches every N-th of them depth first, and
-sends back only its counts and findings, which the parent adds up and
+process per worker over that frontier: a worker inherits the blocks
+translated so far and the live states, searches every N-th of them depth
+first, and sends back only its counts and findings, which the parent adds up and
 sorts by trail as the serial search does.
 """
 
 from __future__ import annotations
 
 import enum
-import operator
 import os
 from collections import deque
 from collections.abc import Sequence
@@ -298,13 +300,14 @@ class ArrayStorage:
 
 
 class Frame:
-    """One call of a function: the function's flat code, the name of each
-    of its slots, the slots' values and pc, the index in code of the
-    statement that runs next (len(code) once the function has ended)."""
+    """One call of a function: the function's code, which holds the block
+    of each of its statements, the name of each of its slots, the slots'
+    values and pc, the index in code of the statement that runs next
+    (len(code) once the function has ended)."""
 
     __slots__ = ("code", "names", "slots", "pc", "ret_slot")
 
-    def __init__(self, code: tuple, names: tuple, slots: list, ret_slot=None, pc=0):
+    def __init__(self, code: list, names: tuple, slots: list, ret_slot=None, pc=0):
         self.code = code
         self.names = names
         self.slots = slots
@@ -499,16 +502,16 @@ class SearchResult:
 
 
 class Engine:
-    """Holds a program that load_program returned, lowered once, plus
-    everything shared across paths. Lowering reads the types and slots
-    that validation annotated, so it refuses a function that has none."""
+    """Holds a program that load_program returned, with the code of each
+    function, plus everything shared across paths. Translation reads the
+    types and slots that validation annotated, so the engine refuses a
+    function that has none."""
 
     def __init__(self, program: ast.Program, config: SearchConfig):
         self.program = program
         self.config = config
-        # a call finds its callee's code and slot names here when it runs,
-        # so a body may call a function that is lowered after it
-        self.bodies = {f.name: _lower_function(f) for f in program.funcs}
+        # a call finds its callee here when it runs
+        self.bodies = {f.name: _Function(f) for f in program.funcs}
         self.inputs_desc: list[str] = []
 
     # --- initial state ---
@@ -523,8 +526,8 @@ class Engine:
         for name in overrides:
             if name not in int_inputs:
                 raise EngineInitError(f"-input{name} does not name an int input")
-        code, names = self.bodies["main"]
-        frame = Frame(code, names, [None] * len(names))
+        main = self.bodies["main"]
+        frame = Frame(main.code, main.names, [None] * len(main.names))
         state = ExecState([frame], {}, 0, {}, PathCondition(), [], [])
         self.inputs_desc = desc = []
         ordinal = 0
@@ -558,7 +561,7 @@ class Engine:
     def _extent(self, decl: ast.InputDecl, state: ExecState) -> int:
         """The extent of a real input, from the inputs declared before it."""
         try:
-            n = _strict(_lower_value(decl.extent)(state))
+            n = _strict(_compile_value(decl.extent)(state))
         except NeedsConcretize as exc:
             raise EngineInitError(
                 f"extent of input '{decl.name}' depends on '{exc.sym.name}', which has no "
@@ -572,46 +575,39 @@ class Engine:
 
 
 # ---------------------------------------------------------------------------
-# lowering: every expression and statement becomes a closure, once per Engine
+# translation: each basic block of a function becomes one Python function
 #
-# A value closure maps a state to a value (an int, a SymInt, a RealVal or
-# an array's ArrayRef) and a condition closure maps a state to a formula;
-# neither mutates the state. A statement closure takes the executor and
-# the state, and returns None when the same state simply goes on, or the
-# list of successors when the path forks or ends; its source location is
-# its `loc` attribute. A function's statements are laid out in one flat
-# tuple, each statement followed by those of the blocks it holds, and a
-# closure's `next` attribute is the index of the statement that runs after
-# it: the first one of the block it enters, or else the one after it, where
-# the end of a block goes on after the block and the end of a loop body at
-# the loop's test. The frame's pc is at next before a statement runs, so a
-# statement only pushes the frames it enters, and if and while set the pc
-# themselves when their condition fails. A statement that raises has left
-# the state as it was. Validation gave every parameter and local
-# declaration a slot of its own in the frame and every name the slot it
-# reads or writes, so lowering keeps no scopes: it translates the checked
-# tree as it stands. A slot keeps its value after its block ends, but no
-# read reaches it then: a read of a local follows the write of its
-# declaration in the same entry of its block. Two concrete ints are
-# combined as Python ints, without a Poly; a test of `v.__class__ is int`
-# never takes a bool for an int. make_int, int_poly and the Poly operators
-# are looked up through this module when a closure runs.
+# A function's statements are laid out in one flat array, each followed by
+# those of the blocks it holds, and each names where it goes on (next): the
+# end of a block goes on after the block and the end of a loop body at the
+# loop's test; an if or a while goes to other when its condition fails.
+# Validation gave every parameter and local declaration a slot of its own
+# and every name the slot it reads or writes, so translation keeps no
+# scopes. A block starts at the start of the function, at each while test
+# and after each statement that always leaves it (_LEAVES). It is written
+# out as the source of one Python function the first time a path enters it,
+# and runs from the frame's pc, its entry, which may lie inside it: its
+# statements are split at the possible entries into segments, each run
+# only when the entry lies at or before it. The block follows a decided
+# jump itself, round its loop to a target inside it, and leaves with the
+# pc on any other. It also leaves where a path may fork or end, through the
+# executor's methods, and on an error, through _stopped with the pc on the
+# statement that raised, so that each pinned copy runs it again. A pass
+# through the block runs the statements from its entry to where it leaves
+# or jumps; each counts one state, added up as the block leaves.
+#
+# An expression becomes Python statements that leave its value in a temp,
+# with the fast path for two concrete ints written out (tested by
+# `v.__class__ is int`, which never takes a bool for an int); a leaf is read
+# where it is used. The code finds make_int, int_poly and the helpers below, and
+# the Poly operators, through this module's globals. VL names and strings
+# never enter its source: they reach it as constants, and slots as indices.
 
-_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-_COMPARE = {
-    "<": (Rel.LT, operator.lt),
-    "<=": (Rel.LE, operator.le),
-    "==": (Rel.EQ, operator.eq),
-    "!=": (Rel.NE, operator.ne),
-}
-
-
-def _lower_load(e: ast.Name):
-    """A closure that reads e, whatever it holds (arrays included)."""
-    name, slot = e.name, e.slot
-    if slot is None:
-        return lambda state: state.globals[name]
-    return lambda state: state.frames[-1].slots[slot]
+_COMPARE = {"<": "LT", "<=": "LE", "==": "EQ", "!=": "NE"}
+# statements that always leave their block, and those that go on at
+# their next within it
+_LEAVES = (ast.ChooseAssign, ast.CallStmt, ast.Return)
+_INLINE = (ast.VarDecl, ast.Assign, ast.Print, ast.ArrDecl, ast.Block)
 
 
 def _strict(v: "int | SymInt") -> int:
@@ -628,207 +624,80 @@ def _atom_formula(atom: Atom):
     return atom
 
 
-_UNVALIDATED = "the program was not validated; pass one that load_program returned"
+def _int_atom(rel: Rel, a, b):
+    return _atom_formula(Atom(SymKind.INT, rel, int_poly(a) - int_poly(b)))
 
 
-def _lower_value(e: ast.Expr):
-    if isinstance(e, ast.IntLit):
-        lit = e.value
-        return lambda state: lit
-    if isinstance(e, ast.DecLit):
-        dec = RealVal(Poly.const(e.value))
-        return lambda state: dec
-    if isinstance(e, ast.Name):
-        return _lower_name(e)
-    if isinstance(e, ast.Index):
-        return _lower_index(e)
-    if isinstance(e, ast.Unary):
-        assert e.op == "-", "boolean operators are lowered as conditions"
-        operand = _lower_value(e.operand)
-        if e.ty is ast.Type.REAL:
-            return lambda state: RealVal(-operand(state).poly)
-
-        def negate(state):
-            v = operand(state)
-            if v.__class__ is int:
-                return -v
-            return make_int(-int_poly(v))
-
-        return negate
-    if isinstance(e, ast.Binary):
-        lhs, rhs = _lower_value(e.lhs), _lower_value(e.rhs)
-        if e.op == "/":
-            return _lower_quotient(lhs, rhs, e.loc)
-        op = _ARITH[e.op]
-        if e.ty is ast.Type.REAL:
-            return lambda state: RealVal(op(lhs(state).poly, rhs(state).poly))
-
-        def arith(state):
-            a = lhs(state)
-            b = rhs(state)
-            if a.__class__ is int and b.__class__ is int:
-                return op(a, b)
-            return make_int(op(int_poly(a), int_poly(b)))
-
-        return arith
-    if isinstance(e, ast.LenCall):
-        array = _lower_load(e.arg)
-        return lambda state: len(state.heap[array(state).addr].cells)
-    raise AssertionError(f"not a value: {type(e).__name__}")
+def _real_atom(rel: Rel, a: RealVal, b: RealVal):
+    return _atom_formula(Atom(SymKind.REAL, rel, a.poly - b.poly))
 
 
-def _lower_name(e: ast.Name):
-    name, loc, slot = e.name, e.loc, e.slot
-    if slot is None:
-        # inputs always hold a value
-        return lambda state: state.globals[name]
-
-    def read(state):
-        v = state.frames[-1].slots[slot]
-        if v is UNDEFINED:
-            raise Violating(Property.READ_UNDEFINED, loc, f"'{name}' is read before assignment")
-        return v
-
-    return read
+def _unset(name: str, loc: Loc):
+    raise Violating(Property.READ_UNDEFINED, loc, f"'{name}' is read before assignment")
 
 
-def _lower_index(e: ast.Index):
-    base, loc = e.base.name, e.loc
-    array, index = _lower_load(e.base), _lower_value(e.index)
-
-    def read(state):
-        cells = state.heap[array(state).addr].cells
-        i = _strict(index(state))
-        if i < 0 or i >= len(cells):
-            raise Violating(
-                Property.OUT_OF_BOUNDS, loc, f"index {i} outside '{base}' of length {len(cells)}"
-            )
-        cell = cells[i]
-        if cell is UNDEFINED:
-            raise Violating(
-                Property.READ_UNDEFINED, loc, f"'{base}[{i}]' is read before assignment"
-            )
-        return cell
-
-    return read
+def _bad_cell(storage: ArrayStorage, i, base: str, loc: Loc, write_loc: "Loc | None" = None):
+    """Raise the error of a read of cell i of storage, or of a write to it
+    by the statement at write_loc, that is not a plain one."""
+    i, n = _strict(i), len(storage.cells)
+    if i < 0 or i >= n:
+        raise Violating(Property.OUT_OF_BOUNDS, loc, f"index {i} outside '{base}' of length {n}")
+    if write_loc is None:
+        raise Violating(Property.READ_UNDEFINED, loc, f"'{base}[{i}]' is read before assignment")
+    raise Violating(Property.WRITE_TO_INPUT, write_loc, f"write to input '{storage.label}'")
 
 
-def _lower_quotient(lhs, rhs, loc: Loc):
-    def divide(state):
-        dividend = lhs(state).poly
-        divisor = rhs(state).poly
-        try:
-            return RealVal(dividend.div(divisor))
-        except NonConstantDivisor:
-            raise Violating(
-                Property.DIVISION_BY_ZERO,
-                loc,
-                f"cannot show the divisor {divisor.render()} is never zero",
-                force_maybe=True,
-            ) from None
-        except DivisionByZero:
-            raise Violating(Property.DIVISION_BY_ZERO, loc, "division by zero") from None
-
-    return divide
+def _divide(dividend: Poly, divisor: Poly, loc: Loc) -> RealVal:
+    try:
+        return RealVal(dividend.div(divisor))
+    except NonConstantDivisor:
+        raise Violating(
+            Property.DIVISION_BY_ZERO,
+            loc,
+            f"cannot show the divisor {divisor.render()} is never zero",
+            force_maybe=True,
+        ) from None
+    except DivisionByZero:
+        raise Violating(Property.DIVISION_BY_ZERO, loc, "division by zero") from None
 
 
-def _lower_cond(e: ast.Expr):
-    if isinstance(e, ast.Unary) and e.op == "!":
-        operand = _lower_cond(e.operand)
-        return lambda state: f_not(operand(state))
-    if isinstance(e, ast.Binary) and e.op in ("&&", "||"):
-        lhs, rhs = _lower_cond(e.lhs), _lower_cond(e.rhs)
-        # short-circuit on a decided left side so guarded accesses on the
-        # right stay unevaluated, matching run-time behavior
-        if e.op == "&&":
-
-            def conj(state):
-                left = lhs(state)
-                if left is False:
-                    return False
-                return f_and((left, rhs(state)))
-
-            return conj
-
-        def disj(state):
-            left = lhs(state)
-            if left is True:
-                return True
-            return f_or((left, rhs(state)))
-
-        return disj
-    if isinstance(e, ast.Binary) and e.op in _COMPARE:
-        rel, test = _COMPARE[e.op]
-        lhs, rhs = _lower_value(e.lhs), _lower_value(e.rhs)
-        if e.lhs.ty is ast.Type.REAL:
-            return lambda state: _atom_formula(
-                Atom(SymKind.REAL, rel, lhs(state).poly - rhs(state).poly)
-            )
-
-        def compare(state):
-            a = lhs(state)
-            b = rhs(state)
-            if a.__class__ is int and b.__class__ is int:
-                return test(a, b)
-            return _atom_formula(Atom(SymKind.INT, rel, int_poly(a) - int_poly(b)))
-
-        return compare
-    if isinstance(e, ast.EqualsCall):
-        return _lower_equals(e)
-    raise AssertionError(f"not a condition: {type(e).__name__}")
+def _equals(state: ExecState, left: ArrayRef, right: ArrayRef, lname: str, rname: str, loc: Loc):
+    a, b = state.heap[left.addr], state.heap[right.addr]
+    if len(a.cells) != len(b.cells):
+        return False
+    parts = []
+    for i, (va, vb) in enumerate(zip(a.cells, b.cells)):
+        for v, name in ((va, lname), (vb, rname)):
+            if v is UNDEFINED:
+                raise Violating(
+                    Property.READ_UNDEFINED, loc, f"'{name}[{i}]' is read before assignment"
+                )
+        if a.elem_kind is SymKind.REAL:
+            poly = va.poly - vb.poly
+        else:
+            poly = int_poly(va) - int_poly(vb)
+        parts.append(_atom_formula(Atom(a.elem_kind, Rel.EQ, poly)))
+    return f_and(parts)
 
 
-def _lower_equals(e: ast.EqualsCall):
-    assert isinstance(e.lhs, ast.Name) and isinstance(e.rhs, ast.Name)
-    lname, rname, loc = e.lhs.name, e.rhs.name, e.loc
-    left, right = _lower_load(e.lhs), _lower_load(e.rhs)
-
-    def equals(state):
-        a = state.heap[left(state).addr]
-        b = state.heap[right(state).addr]
-        if len(a.cells) != len(b.cells):
-            return False
-        parts = []
-        for i in range(len(a.cells)):
-            for arr, name in ((a, lname), (b, rname)):
-                if arr.cells[i] is UNDEFINED:
-                    raise Violating(
-                        Property.READ_UNDEFINED, loc, f"'{name}[{i}]' is read before assignment"
-                    )
-            va, vb = a.cells[i], b.cells[i]
-            if a.elem_kind is SymKind.REAL:
-                poly = va.poly - vb.poly
-            else:
-                poly = int_poly(va) - int_poly(vb)
-            parts.append(_atom_formula(Atom(a.elem_kind, Rel.EQ, poly)))
-        return f_and(parts)
-
-    return equals
+def _bad_extent(ex: "_Executor", state: ExecState, n: int, name: str, extent_loc: Loc, loc: Loc):
+    """The successors of an array declaration whose extent n is negative or
+    above the cap."""
+    if n < 0:
+        raise Violating(Property.OUT_OF_BOUNDS, extent_loc, f"negative extent {n} for '{name}'")
+    message = f"extent {n} of array '{name}' exceeds the cap of {MAX_ARRAY_CELLS} cells"
+    ex.cut_short(state, loc, message)
+    return []
 
 
-def _lower_function(f: ast.FuncDecl) -> tuple[tuple, tuple]:
-    """A function's flat code and the names of its slots."""
-    if f.slots is None:
-        raise EngineInitError(_UNVALIDATED)
-    code: list = []
-    end = _size(f.body.stmts)
-    _lower_block(f.body.stmts, code, end)
-    assert len(code) == end
-    return tuple(code), f.slots
-
-
-def _size(stmts) -> int:
-    """How many statements stmts take in the flat code: one each, plus
-    those of the blocks that each holds."""
-    n = len(stmts)
-    for s in stmts:
-        if isinstance(s, ast.Block):
-            n += _size(s.stmts)
-        elif isinstance(s, ast.If):
-            n += _size(s.then.stmts) + _size(_else_stmts(s))
-        elif isinstance(s, ast.While):
-            n += _size(s.body.stmts)
-    return n
+def _return(state: ExecState, v) -> None:
+    frames = state.frames
+    if len(frames) == 1:
+        state.done = True
+        return
+    ret_slot = frames.pop().ret_slot
+    if ret_slot is not None:
+        frames[-1].slots[ret_slot] = v
 
 
 def _else_stmts(s: ast.If):
@@ -840,103 +709,400 @@ def _else_stmts(s: ast.If):
     return s.els.stmts
 
 
-def _lower_block(stmts, code: list, after: int) -> int:
-    """Append a block's statements to code, the last of them going on at
-    after; the index where the block starts, which is after when the block
-    is empty."""
-    if not stmts:
-        return after
-    start = len(code)
-    last = len(stmts) - 1
-    for i, s in enumerate(stmts):
-        _lower_stmt(s, code, after if i == last else len(code) + _size((s,)))
-    return start
+class _Stmt:
+    """One statement of a function's flat code: where it goes on (for a
+    test, where its condition holds), where a test's condition fails, and
+    the flat indices of the statements of each block it holds."""
+
+    __slots__ = ("node", "next", "other", "blocks")
+
+    def __init__(self, node: ast.Stmt):
+        self.node = node
+        self.next = self.other = None
+        self.blocks: list[list[int]] = []
 
 
-def _lower_stmt(s: ast.Stmt, code: list, nxt: int) -> None:
-    """Append s to code, followed by the statements of the blocks that it
-    holds; nxt is the index of the statement after s."""
-    at = len(code)
-    code.append(None)
-    if isinstance(s, ast.Block):
-
-        def run(ex, state):
-            return None  # entering a block is a step of its own
-
-        run.next = _lower_block(s.stmts, code, nxt)
-    elif isinstance(s, ast.If):
-        cond = _lower_cond(s.cond)
-        then = _lower_block(s.then.stmts, code, nxt)
-        run = _branch(cond, s.loc, _lower_block(_else_stmts(s), code, nxt))
-        run.next = then
-    elif isinstance(s, ast.While):
-        run = _branch(_lower_cond(s.cond), s.loc, nxt)
-        run.next = _lower_block(s.body.stmts, code, at)  # the body ends at the test
-    else:
-        run = _LOWER_STMT[type(s)](s)
-        run.next = nxt
-    run.loc = s.loc
-    code[at] = run
+def _flatten(stmts, flat: list) -> list[int]:
+    """Append stmts to flat, each followed by the statements of the blocks
+    it holds; the flat index of each of stmts."""
+    at = []
+    for s in stmts:
+        at.append(len(flat))
+        entry = _Stmt(s)
+        flat.append(entry)
+        if isinstance(s, ast.Block):
+            entry.blocks.append(_flatten(s.stmts, flat))
+        elif isinstance(s, ast.If):
+            entry.blocks.append(_flatten(s.then.stmts, flat))
+            entry.blocks.append(_flatten(_else_stmts(s), flat))
+        elif isinstance(s, ast.While):
+            entry.blocks.append(_flatten(s.body.stmts, flat))
+    return at
 
 
-def _lower_var_decl(s: ast.VarDecl):
-    init = _lower_value(s.init) if s.init is not None else None
-    slot = s.slot
-
-    def run(ex, state):
-        v = init(state) if init is not None else UNDEFINED
-        state.frames[-1].slots[slot] = v
-
-    return run
-
-
-def _lower_arr_decl(s: ast.ArrDecl):
-    name, extent, extent_loc = s.name, _lower_value(s.extent), s.extent.loc
-    kind = SymKind.INT if s.elem_ty is ast.Type.INT else SymKind.REAL
-    loc, slot = s.loc, s.slot
-
-    def run(ex, state):
-        n = _strict(extent(state))
-        if n < 0:
-            raise Violating(Property.OUT_OF_BOUNDS, extent_loc, f"negative extent {n} for '{name}'")
-        if n > MAX_ARRAY_CELLS:
-            message = f"extent {n} of array '{name}' exceeds the cap of {MAX_ARRAY_CELLS} cells"
-            ex.cut_short(state, loc, message)
-            return []
-        storage = ArrayStorage([UNDEFINED] * n, kind, False, name)
-        state.frames[-1].slots[slot] = state.alloc(storage)
-
-    return run
+def _link(flat: list, at: list[int], after: int) -> int:
+    """Set where each statement of one block goes on, the last of them at
+    after; the index where the block starts, which is after when it is
+    empty."""
+    for j, i in enumerate(at):
+        s = flat[i]
+        nxt = at[j + 1] if j + 1 < len(at) else after
+        if isinstance(s.node, ast.If):
+            s.next = _link(flat, s.blocks[0], nxt)
+            s.other = _link(flat, s.blocks[1], nxt)
+        elif isinstance(s.node, ast.While):
+            s.next = _link(flat, s.blocks[0], i)  # the body ends at the test
+            s.other = nxt
+        elif isinstance(s.node, ast.Block):
+            s.next = _link(flat, s.blocks[0], nxt)
+        else:
+            s.next = nxt
+    return at[0] if at else after
 
 
-def _lower_assign(s: ast.Assign):
-    value, target = _lower_value(s.value), s.target
-    if isinstance(target, ast.Name):
-        slot = target.slot
+_UNVALIDATED = "the program was not validated; pass one that load_program returned"
 
-        def run(ex, state):
-            state.frames[-1].slots[slot] = value(state)
 
-        return run
-    base, loc, stmt_loc = target.base.name, target.loc, s.loc
-    array, index = _lower_load(target.base), _lower_value(target.index)
+class _Function:
+    """A function's flat code and the names of its slots. code[pc] is the
+    Python function of the block that holds statement pc; until a path
+    first enters a block, its entries translate it."""
 
-    def run_cell(ex, state):
-        v = value(state)
-        storage = state.heap[array(state).addr]
-        i = _strict(index(state))
-        cells = storage.cells
-        if i < 0 or i >= len(cells):
-            raise Violating(
-                Property.OUT_OF_BOUNDS, loc, f"index {i} outside '{base}' of length {len(cells)}"
-            )
-        if storage.read_only:
-            raise Violating(
-                Property.WRITE_TO_INPUT, stmt_loc, f"write to input '{storage.label}'"
-            )
-        cells[i] = v
+    def __init__(self, f: ast.FuncDecl):
+        if f.slots is None:
+            raise EngineInitError(_UNVALIDATED)
+        self.name = f.name
+        self.names = f.slots
+        self.flat: list[_Stmt] = []
+        flat = self.flat
+        _link(flat, _flatten(f.body.stmts, flat), len(flat))
+        self.locs = tuple(s.node.loc for s in flat)
+        # the slots that a declaration without an initializer leaves
+        # undefined; no other local slot is ever read undefined
+        self.unset = {
+            s.node.slot for s in flat if isinstance(s.node, ast.VarDecl) and s.node.init is None
+        }
+        # where a path may enter a block other than from the statement
+        # before it: a block's start, a jump's target and where a path goes
+        # on after a fork or a call (the writer adds each statement that a
+        # pinned copy runs again)
+        starts, entries = {0}, set()
+        for i, s in enumerate(flat):
+            node = s.node
+            if isinstance(node, _LEAVES):
+                starts.add(i + 1)
+            elif isinstance(node, ast.While):
+                starts.add(i)
+            if s.next != i + 1 or not isinstance(node, _INLINE):
+                entries.add(s.next)
+            if s.other is not None:
+                entries.add(s.other)
+        self.entries = entries | starts
+        bounds = sorted(b for b in starts if b < len(flat)) + [len(flat)]
+        self.code: list = [None] * len(flat)
+        for start, stop in zip(bounds, bounds[1:]):
+            self.code[start:stop] = [self._translate_on_entry(start, stop)] * (stop - start)
 
-    return run_cell
+    def _translate_on_entry(self, start: int, stop: int):
+        def enter(ex, state, frame):
+            block = _Writer(self, start, stop).function()
+            self.code[start:stop] = [block] * (stop - start)
+            return block(ex, state, frame)
+
+        return enter
+
+
+class _Writer:
+    """Writes the Python source of the block of fn's statements
+    start..stop-1 and compiles it."""
+
+    def __init__(self, fn: _Function, start: int, stop: int):
+        self.fn, self.start, self.stop = fn, start, stop
+        self.consts: list = []
+        self.const_names: dict[int, str] = {}
+        self.lines: list[str] = []
+        self.indent = ""
+        self.temps = 0
+        # whether the block jumps within itself, and whether the statement
+        # being written may raise or stop to have a symbolic int pinned
+        self.loops = self.raises = self.pins = False
+
+    def function(self):
+        fn, start, stop = self.fn, self.start, self.stop
+        locs = self.const(fn.locs)
+        code, entries = [], [start]
+        for q in range(start, stop):
+            self.lines, self.raises, self.pins = [], False, False
+            self.write(q)
+            if self.raises:
+                self.lines.insert(0, f"k = {q}")
+            code.append(self.lines)
+            if q != start and (q in fn.entries or self.pins):
+                entries.append(q)
+        # one segment per entry; each but the last runs only when the
+        # block is entered at or before it
+        body = []
+        indent = "   " if self.loops else "  "
+        for first, end in zip(entries, entries[1:] + [stop]):
+            lines = [line for q in range(first, end) for line in code[q - start]] or ["pass"]
+            if first != entries[-1]:
+                body.append(f"{indent}if e <= {first}:")
+                lines = [" " + line for line in lines]
+            body.extend(indent + line for line in lines)
+        if self.loops:
+            body.insert(0, "  while True:")
+        head = ["def run(ex, state, frame):", " S = frame.slots", " e = k = frame.pc", " n = -e"]
+        handler = [" except _STOPS as exc:", "  frame.pc = k", "  ex.stats.states += n + k + 1"]
+        lines = head + [" try:", *body, *handler, f"  return ex._stopped(state, {locs}[k], exc)"]
+        return _compile(lines, f"<vl {fn.name} block {start}>", self.consts)
+
+    # --- output ---
+
+    def put(self, line: str) -> None:
+        self.lines.append(self.indent + line)
+
+    def const(self, value) -> str:
+        name = self.const_names.get(id(value))
+        if name is None:
+            name = self.const_names[id(value)] = f"C{len(self.consts)}"
+            self.consts.append(value)
+        return name
+
+    def temp(self) -> str:
+        self.temps += 1
+        return f"t{self.temps}"
+
+    def jump(self, q: int, target: int) -> str:
+        """The code by which statement q goes on at target."""
+        if self.start <= target < self.stop:
+            self.loops = True
+            return f"n += {q + 1 - target}; e = {target}; continue"
+        return f"frame.pc = {target}; ex.stats.states += n + {q + 1}; return None"
+
+    def leave(self, q: int, call: str) -> str:
+        """The code by which statement q leaves the block with call's result."""
+        self.raises = True
+        return f"r = {call}; ex.stats.states += n + {q + 1}; return r"
+
+    # --- statements ---
+
+    def write(self, q: int) -> None:
+        """Write statement q. Where its code may raise, function() sets k,
+        the statement that the block's error handler stops at, before it."""
+        s = self.fn.flat[q]
+        node = s.node
+        if isinstance(node, ast.VarDecl):
+            if node.init is None:
+                self.put(f"S[{node.slot}] = UNDEFINED")
+            else:
+                self.put(f"S[{node.slot}] = {self.value(node.init)}")
+        elif isinstance(node, ast.Assign):
+            self.assign(node)
+        elif isinstance(node, ast.Print):
+            args = [self.print_arg(a) for a in node.args]
+            self.put(f"state.printed.append(({''.join(a + ', ' for a in args)}))")
+        elif isinstance(node, ast.ArrDecl):
+            n = self.strict(node.extent)
+            call = f"_bad_extent(ex, state, {n}, {self.const(node.name)}, "
+            call += f"{self.const(node.extent.loc)}, {self.const(node.loc)})"
+            self.put(f"if not 0 <= {n} <= MAX_ARRAY_CELLS: {self.leave(q, call)}")
+            kind = "INT" if node.elem_ty is ast.Type.INT else "REAL"
+            cells = f"[UNDEFINED] * {n}, SymKind.{kind}, False, {self.const(node.name)}"
+            self.put(f"S[{node.slot}] = state.alloc(ArrayStorage({cells}))")
+        elif isinstance(node, ast.ChooseAssign):
+            n = self.strict(node.arg)
+            self.put(f"frame.pc = {s.next}")
+            self.put(self.leave(q, f"ex.choose(state, {n}, {node.target.slot})"))
+            return
+        elif isinstance(node, ast.CallStmt):
+            args = "".join(self.value(a) + ", " for a in node.args)
+            self.put(f"frame.pc = {s.next}")
+            self.put(f"f = ex.eng.bodies[{self.const(node.name)}]")
+            slots = f"[{args}] + [None] * (len(f.names) - {len(node.args)})"
+            ret_slot = node.target.slot if node.target is not None else None
+            self.put(f"state.frames.append(Frame(f.code, f.names, {slots}, {ret_slot}))")
+            self.put(f"ex.stats.states += n + {q + 1}; return None")
+            return
+        elif isinstance(node, ast.Return):
+            v = self.value(node.value) if node.value is not None else "None"
+            self.put(f"_return(state, {v}); ex.stats.states += n + {q + 1}; return None")
+            return
+        elif isinstance(node, (ast.If, ast.While)):
+            c = self.cond(node.cond)
+            self.put(f"if {c} is not True:")
+            self.put(f" if {c} is False: {self.jump(q, s.other)}")
+            self.put(f" frame.pc = {s.next}")
+            call = f"ex.branch(state, {c}, {self.const(node.loc)}, {s.other})"
+            self.put(" " + self.leave(q, call))
+        elif isinstance(node, ast.Assert):
+            c = self.cond(node.cond)
+            shown = "None"
+            if isinstance(node.cond, ast.EqualsCall):
+                # a failed equals() of two named arrays shows both under the witness
+                a, b = node.cond.lhs, node.cond.rhs
+                shown = f"(({self.const(a.name)}, {self.load(a)}), "
+                shown += f"({self.const(b.name)}, {self.load(b)}))"
+            call = f"ex.check_assert(state, f_not({c}), {self.const(node.loc)}, {shown})"
+            self.put(f"if {c} is not True: frame.pc = {s.next}; {self.leave(q, call)}")
+        elif isinstance(node, ast.Assume):
+            c = self.cond(node.cond)
+            call = f"ex.apply_assume(state, {c}, {self.const(node.loc)})"
+            self.put(f"if {c} is not True: frame.pc = {s.next}; {self.leave(q, call)}")
+        else:
+            assert isinstance(node, ast.Block)  # entering a block is a step of its own
+        if s.next != q + 1 or q + 1 == self.stop:
+            self.put(self.jump(q, s.next))
+
+    def assign(self, s: ast.Assign) -> None:
+        v = self.value(s.value)
+        target = s.target
+        if isinstance(target, ast.Name):
+            self.put(f"S[{target.slot}] = {v}")
+            return
+        i = self.value(target.index)
+        storage, tests = self.temp(), self.concrete((target.index, i))
+        self.raises, self.pins = True, self.pins or bool(tests)
+        self.put(f"{storage} = state.heap[{self.load(target.base)}.addr]")
+        tests += [f"0 <= {i} < len({storage}.cells)", f"not {storage}.read_only"]
+        self.put(f"if {' and '.join(tests)}: {storage}.cells[{i}] = {v}")
+        where = f"{self.const(target.base.name)}, {self.const(target.loc)}, {self.const(s.loc)}"
+        self.put(f"else: _bad_cell({storage}, {i}, {where})")
+
+    def print_arg(self, a: ast.Expr) -> str:
+        # every argument is evaluated here, so that a bad read is found at
+        # the print; ExecState.prints renders them when it is read
+        if isinstance(a, ast.StrLit):
+            return self.const(a.value)
+        if a.ty.is_array():
+            return f"tuple(state.heap[{self.load(a)}.addr].cells)"
+        return self.value(a)
+
+    # --- expressions ---
+
+    def load(self, e: ast.Name) -> str:
+        """Where e is held, whatever it holds (arrays included)."""
+        if e.slot is None:
+            return f"state.globals[{self.const(e.name)}]"
+        return f"S[{e.slot}]"
+
+    def concrete(self, *ints: tuple[ast.Expr, str]) -> list[str]:
+        """Tests that each int value v of an expression e, given as (e, v),
+        is concrete; a literal needs none."""
+        return [f"{v}.__class__ is int" for e, v in ints if not isinstance(e, ast.IntLit)]
+
+    def fast_or_slow(self, t: str, tests: list[str], fast: str, slow: str) -> None:
+        """Set t to fast where every test holds, else to slow."""
+        self.put(f"{t} = {fast} if {' and '.join(tests)} else {slow}" if tests else f"{t} = {fast}")
+
+    def strict(self, e: ast.Expr) -> str:
+        v = self.value(e)
+        if isinstance(e, ast.IntLit):
+            return v
+        t = self.temp()
+        self.raises = self.pins = True
+        self.put(f"{t} = {v} if {v}.__class__ is int else _strict({v})")
+        return t
+
+    def value(self, e: ast.Expr) -> str:
+        if isinstance(e, ast.IntLit):
+            return repr(e.value)
+        if isinstance(e, ast.DecLit):
+            return self.const(RealVal(Poly.const(e.value)))
+        if isinstance(e, ast.Name):
+            if e.slot is None or e.slot not in self.fn.unset:
+                # inputs always hold a value, and so do parameters
+                return self.load(e)
+            t = self.temp()
+            self.raises = True
+            self.put(f"{t} = S[{e.slot}]")
+            self.put(f"if {t} is UNDEFINED: _unset({self.const(e.name)}, {self.const(e.loc)})")
+            return t
+        t = self.temp()
+        if isinstance(e, ast.Index):
+            i = self.value(e.index)
+            storage, tests = self.temp(), self.concrete((e.index, i))
+            self.raises, self.pins = True, self.pins or bool(tests)
+            self.put(f"{storage} = state.heap[{self.load(e.base)}.addr]")
+            plain = " and ".join([*tests, f"0 <= {i} < len({storage}.cells)"])
+            bad = f"_bad_cell({storage}, {i}, {self.const(e.base.name)}, {self.const(e.loc)})"
+            self.put(f"if not ({plain}) or ({t} := {storage}.cells[{i}]) is UNDEFINED: {bad}")
+        elif isinstance(e, ast.Unary):
+            assert e.op == "-", "boolean operators are translated as conditions"
+            x = self.value(e.operand)
+            if e.ty is ast.Type.REAL:
+                self.put(f"{t} = RealVal(-{x}.poly)")
+            else:
+                tests = self.concrete((e.operand, x))
+                self.fast_or_slow(t, tests, f"-{x}", f"make_int(-int_poly({x}))")
+        elif isinstance(e, ast.Binary):
+            a, b = self.value(e.lhs), self.value(e.rhs)
+            if e.op == "/":
+                self.raises = True
+                self.put(f"{t} = _divide({a}.poly, {b}.poly, {self.const(e.loc)})")
+            elif e.ty is ast.Type.REAL:
+                self.put(f"{t} = RealVal({a}.poly {e.op} {b}.poly)")
+            else:
+                tests = self.concrete((e.lhs, a), (e.rhs, b))
+                slow = f"make_int(int_poly({a}) {e.op} int_poly({b}))"
+                self.fast_or_slow(t, tests, f"{a} {e.op} {b}", slow)
+        elif isinstance(e, ast.LenCall):
+            self.put(f"{t} = len(state.heap[{self.load(e.arg)}.addr].cells)")
+        else:
+            raise AssertionError(f"not a value: {type(e).__name__}")
+        return t
+
+    def cond(self, e: ast.Expr) -> str:
+        """A temp holding e's formula; a decided one is True or False."""
+        if isinstance(e, ast.Unary) and e.op == "!":
+            x = self.cond(e.operand)
+            self.put(f"{x} = f_not({x})")
+            return x
+        if isinstance(e, ast.Binary) and e.op in ("&&", "||"):
+            # short-circuit on a decided left side so guarded accesses on
+            # the right stay unevaluated, matching run-time behavior
+            x = self.cond(e.lhs)
+            settled, join = ("False", "f_and") if e.op == "&&" else ("True", "f_or")
+            self.put(f"if {x} is not {settled}:")
+            self.indent += " "
+            y = self.cond(e.rhs)
+            self.put(f"{x} = {join}(({x}, {y}))")
+            self.indent = self.indent[:-1]
+            return x
+        t = self.temp()
+        if isinstance(e, ast.Binary) and e.op in _COMPARE:
+            a, b = self.value(e.lhs), self.value(e.rhs)
+            rel = f"Rel.{_COMPARE[e.op]}"
+            if e.lhs.ty is ast.Type.REAL:
+                self.put(f"{t} = _real_atom({rel}, {a}, {b})")
+            else:
+                tests = self.concrete((e.lhs, a), (e.rhs, b))
+                self.fast_or_slow(t, tests, f"{a} {e.op} {b}", f"_int_atom({rel}, {a}, {b})")
+        elif isinstance(e, ast.EqualsCall):
+            names = f"{self.const(e.lhs.name)}, {self.const(e.rhs.name)}"
+            args = f"state, {self.load(e.lhs)}, {self.load(e.rhs)}, {names}, {self.const(e.loc)}"
+            self.raises = True
+            self.put(f"{t} = _equals({args})")
+        else:
+            raise AssertionError(f"not a condition: {type(e).__name__}")
+        return t
+
+
+def _compile(lines: list[str], filename: str, consts: list):
+    """The function run that lines define, compiled with consts as C0, C1,
+    ... and this module's globals."""
+    params = ", ".join(f"C{i}" for i in range(len(consts)))
+    source = "\n".join([f"def _make({params}):", *(" " + line for line in lines), " return run"])
+    made: dict = {}
+    exec(compile(source + "\n", filename, "exec"), globals(), made)
+    return made["_make"](*consts)
+
+
+def _compile_value(e: ast.Expr):
+    """A function of a state that evaluates e, an expression over inputs."""
+    w = _Writer(None, 0, 0)
+    v = w.value(e)
+    lines = ["def run(state):", *(" " + line for line in w.lines), f" return {v}"]
+    return _compile(lines, "<vl extent>", w.consts)
 
 
 class _Choices(Sequence):
@@ -961,138 +1127,6 @@ class _Choices(Sequence):
         if isinstance(d, ChooseInt) and d.fanout == self.fanout and 0 <= d.index < d.fanout:
             return d.index
         raise ValueError(d)
-
-
-def _lower_choose(s: ast.ChooseAssign):
-    arg, slot = _lower_value(s.arg), s.target.slot
-
-    def run(ex, state):
-        k = _strict(arg(state))
-        if k <= 0:
-            ex.stats.pruned += 1
-            return []
-        out = []
-        for st, i in ex.fork(state, _Choices(k)):
-            st.frames[-1].slots[slot] = i
-            out.append(st)
-        return out
-
-    return run
-
-
-def _lower_call(s: ast.CallStmt):
-    # validation fixed the arity, so the arguments fill the callee's
-    # parameter slots and its locals follow them
-    name, nargs = s.name, len(s.args)
-    args = tuple(_lower_value(a) for a in s.args)
-    ret_slot = s.target.slot if s.target is not None else None
-
-    def run(ex, state):
-        code, names = ex.eng.bodies[name]
-        slots = [a(state) for a in args] + [None] * (len(names) - nargs)
-        state.frames.append(Frame(code, names, slots, ret_slot))
-
-    return run
-
-
-def _branch(cond, loc: Loc, other: int):
-    """The statement of an if or a while: it goes on at its next where cond
-    holds and at other where cond fails."""
-
-    def run(ex, state):
-        f = cond(state)
-        if f is True:
-            return None
-        if f is False:
-            state.frames[-1].pc = other
-            return None
-        out = []
-        for st, truth in ex.branch_walk(state, f, loc):
-            if not truth:
-                st.frames[-1].pc = other
-            out.append(st)
-        return out
-
-    return run
-
-
-def _lower_assert(s: ast.Assert):
-    cond, c, loc = _lower_cond(s.cond), s.cond, s.loc
-    # a failed equals() of two named arrays shows both under the witness
-    shown = None
-    if isinstance(c, ast.EqualsCall):
-        shown = tuple((n.name, _lower_load(n)) for n in (c.lhs, c.rhs))
-
-    def run(ex, state):
-        neg = f_not(cond(state))
-        if neg is False:
-            return None
-        return ex.check_assert(state, neg, loc, shown)
-
-    return run
-
-
-def _lower_assume(s: ast.Assume):
-    cond, loc = _lower_cond(s.cond), s.loc
-
-    def run(ex, state):
-        f = cond(state)
-        if f is True:
-            return None
-        return ex.apply_assume(state, f, loc)
-
-    return run
-
-
-def _lower_return(s: ast.Return):
-    value = _lower_value(s.value) if s.value is not None else None
-
-    def run(ex, state):
-        v = value(state) if value is not None else None
-        frames = state.frames
-        if len(frames) == 1:
-            state.done = True
-            return None
-        ret_slot = frames.pop().ret_slot
-        if ret_slot is not None:
-            frames[-1].slots[ret_slot] = v
-
-    return run
-
-
-def _lower_print(s: ast.Print):
-    parts = tuple(_lower_print_arg(a) for a in s.args)
-
-    def run(ex, state):
-        # every argument is evaluated here, so that a bad read is found at
-        # the print; ExecState.prints renders them when it is read
-        state.printed.append(tuple([part(state) for part in parts]))
-
-    return run
-
-
-def _lower_print_arg(a: ast.Expr):
-    if isinstance(a, ast.StrLit):
-        text = a.value
-        return lambda state: text
-    if a.ty.is_array():
-        assert isinstance(a, ast.Name)
-        array = _lower_load(a)
-        return lambda state: tuple(state.heap[array(state).addr].cells)
-    return _lower_value(a)
-
-
-_LOWER_STMT = {
-    ast.VarDecl: _lower_var_decl,
-    ast.ArrDecl: _lower_arr_decl,
-    ast.Assign: _lower_assign,
-    ast.ChooseAssign: _lower_choose,
-    ast.CallStmt: _lower_call,
-    ast.Assert: _lower_assert,
-    ast.Assume: _lower_assume,
-    ast.Return: _lower_return,
-    ast.Print: _lower_print,
-}
 
 
 def _pin(state: ExecState, sym: SymConst, value: int) -> None:
@@ -1265,35 +1299,28 @@ class _Executor:
 
     # --- statements ---
 
-    def _advance(self, state: ExecState) -> "list[ExecState] | None":
-        """Run the next statement of state. None means the same state goes
-        on; otherwise the list of successors (empty when the path ends).
-        The frame's pc moves to the statement's next before it runs, and
-        back onto the statement when it needs a symbol pinned, so that each
-        pinned copy runs it again."""
-        self.stats.states += 1
-        if self.max_depth and len(state.trail) >= self.max_depth:
-            self.incomplete = True
+    def choose(self, state: ExecState, k: int, slot: int) -> list[ExecState]:
+        """Successors of a choose_int of k alternatives into slot; the
+        frame's pc is already on the statement after it."""
+        if k <= 0:
+            self.stats.pruned += 1
             return []
-        frame = state.frames[-1]
-        pc = frame.pc
-        run = frame.code[pc]
-        frame.pc = run.next
-        try:
-            succs = run(self, state)
-        except _STOPS as exc:
-            if exc.__class__ is NeedsConcretize:
-                frame.pc = pc
-            return self._stopped(state, run.loc, exc)
-        if succs is None:
-            # _normalize does nothing unless the top frame has ended
-            frame = state.frames[-1]
-            if frame.pc == len(frame.code):
-                _normalize(state)
-        else:
-            for st in succs:
-                _normalize(st)
-        return succs
+        out = []
+        for st, i in self.fork(state, _Choices(k)):
+            st.frames[-1].slots[slot] = i
+            out.append(st)
+        return out
+
+    def branch(self, state: ExecState, f, loc: Loc, other: int) -> list[ExecState]:
+        """Successors of an if or a while test whose condition f is not
+        decided: those where f holds go on at the frame's pc, which the
+        block set to where it holds, and those where it fails at other."""
+        out = []
+        for st, truth in self.branch_walk(state, f, loc):
+            if not truth:
+                st.frames[-1].pc = other
+            out.append(st)
+        return out
 
     def _stopped(self, state: ExecState, loc: Loc, exc: Exception) -> list[ExecState]:
         """Successors of a statement that raised: the pinned copies of state
@@ -1381,18 +1408,31 @@ class _Executor:
     # --- search ---
 
     def _run(self, st: ExecState) -> "tuple[ExecState, list[ExecState] | None]":
-        """Advance st along its path until the path forks, stops or ends.
-        Returns the state that ran last with the fork's successors, with []
+        """Run st's blocks one after another until its path forks, stops or
+        ends. Returns the state that ran last with the fork's successors, with []
         when the path stopped, or with None when it ran to its end, which
         counts as a terminal. With --first, a finding stops the path at the
         statement that made it."""
         first_only = self.eng.config.first_only
+        max_depth = self.max_depth
         while not st.done:
-            succs = self._advance(st)
+            if max_depth and len(st.trail) >= max_depth:
+                # the statement where the path stops counts one state
+                self.stats.states += 1
+                self.incomplete = True
+                return st, []
+            frame = st.frames[-1]
+            succs = frame.code[frame.pc](self, st, frame)
             if first_only and self.violations:
                 return st, []
             if succs is None:
+                # _normalize does nothing unless the top frame has ended
+                frame = st.frames[-1]
+                if frame.pc == len(frame.code):
+                    _normalize(st)
                 continue
+            for s in succs:
+                _normalize(s)
             if len(succs) != 1:
                 return st, succs
             st = succs[0]
@@ -1526,9 +1566,7 @@ def _normalize(state: ExecState) -> None:
 def _assert_detail(state: ExecState, shown, witness) -> "list[tuple[str, str]] | None":
     if shown is None:
         return None
-    return [
-        (name, _render_cells(state.heap[array(state).addr].cells, witness)) for name, array in shown
-    ]
+    return [(name, _render_cells(state.heap[ref.addr].cells, witness)) for name, ref in shown]
 
 
 def _render_print_arg(p) -> str:

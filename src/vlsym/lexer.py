@@ -111,6 +111,12 @@ def _is_digit(c: str) -> bool:
     return "0" <= c <= "9"
 
 
+def _is_name_start(c: str) -> bool:
+    """An ASCII letter or '_'; str.isalpha also takes the likes of 'Ñ',
+    which no -input option could then name."""
+    return "a" <= c <= "z" or "A" <= c <= "Z" or c == "_"
+
+
 def tokenize(source: str, file: str = "<input>") -> list[Token]:
     """Tokenize VL source. Raises LexError at the first lexical error."""
     toks: list[Token] = []
@@ -177,10 +183,10 @@ def tokenize(source: str, file: str = "<input>") -> list[Token]:
             else:
                 toks.append(Token(TokKind.INT_LIT, source[start:i], line, start_col, file))
             continue
-        if c.isalpha() or c == "_":
+        if _is_name_start(c):
             start = i
             start_col = col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
+            while i < n and (_is_name_start(source[i]) or _is_digit(source[i])):
                 i += 1
                 col += 1
             word = source[start:i]

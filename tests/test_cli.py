@@ -54,6 +54,19 @@ def test_verify_reports_violations_and_exits_2(capsys, tmp_path):
     assert emitted[0].read_text().startswith("# trail v1\n")
 
 
+def test_emitted_trails_replace_those_of_an_earlier_run(capsys, tmp_path):
+    trails = tmp_path / "trails"
+    trails.mkdir()
+    (trails / "notes.txt").write_text("kept")
+    swap = corpus_argv(SWAP_FILES)
+    assert cli.main(["verify", "--max-depth", "8", "--emit-trails", str(trails), *swap]) == 2
+    assert len(list(trails.glob("violation-*.trail"))) == 141
+    assert cli.main(["verify", "--first", "--emit-trails", str(trails), *swap]) == 2
+    capsys.readouterr()
+    assert sorted(p.name for p in trails.iterdir()) == ["notes.txt", "violation-0000.trail"]
+    assert (trails / "notes.txt").read_text() == "kept"
+
+
 def test_override_shrinks_the_search(capsys):
     rc = cli.main(["verify", "-inputM_B=1", *corpus_argv(CLEAN_FILES)])
     captured = capsys.readouterr()

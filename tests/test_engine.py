@@ -1410,3 +1410,188 @@ def test_empty_blocks_void_calls_and_returns_from_loops_keep_their_steps():
     for st in r.terminal_states:
         out = run_path(prog, SearchConfig(), trail=list(st.trail))
         assert out.prints == st.prints
+
+
+SYMBOLIC_INDEX_MID_RUN = """
+input int N;
+func main() {
+  assume(0 <= N && N <= 2);
+  var int a[3];
+  a[0] = 10;
+  a[1] = 11;
+  a[2] = 12;
+  var int x = 1;
+  var int y = x + a[N];
+  x = y * 2;
+  print(x, " ", y);
+}
+"""
+
+
+def test_a_pin_in_the_middle_of_a_run_runs_only_that_statement_again():
+    # seven statements up to the read of a[N], which stops to pin N; each
+    # of the three pinned copies runs that statement again and the two
+    # after it: 7 + 3 * 3 states
+    r = search(SYMBOLIC_INDEX_MID_RUN)
+    assert (r.stats.states, r.stats.terminals, r.stats.pruned, r.stats.solver_calls) == (
+        16, 3, 0, 4,
+    )
+    assert not r.violations
+    assert sorted(st.prints[0] for st in r.terminal_states) == ["22 11", "24 12", "26 13"]
+
+
+OUT_OF_BOUNDS_MID_RUN = """
+input int N;
+func main() {
+  assume(0 <= N && N <= 3);
+  var int a[3];
+  a[0] = 1;
+  a[1] = 2;
+  a[2] = 3;
+  var int s = 4;
+  a[1] = s + 1;
+  print("s=", s, " a=", a);
+  var int t = a[N - 1];
+  s = t;
+  print("t=", t);
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "first_only, counts, terminals",
+    [(False, (19, 3, 0, 6), ["t=1", "t=3", "t=5"]), (True, (10, 0, 0, 6), [])],
+    ids=["full", "first"],
+)
+def test_an_out_of_bounds_read_in_the_middle_of_a_run_keeps_the_writes_before_it(
+    first_only, counts, terminals
+):
+    # N=0 reads a[-1]; the writes and the print before the read, in the
+    # same run of statements, are on the path the violation replays
+    prog = load(OUT_OF_BOUNDS_MID_RUN)
+    r = search(OUT_OF_BOUNDS_MID_RUN, first_only=first_only)
+    assert (r.stats.states, r.stats.terminals, r.stats.pruned, r.stats.solver_calls) == counts
+    (v,) = r.violations
+    assert (v.prop, v.certainty, v.loc.line, v.loc.col) == (
+        Property.OUT_OF_BOUNDS, Certainty.PROVEABLE, 12, 15,
+    )
+    assert v.message == "index -1 outside 'a' of length 3"
+    assert render_trail(v.trail) == "# trail v1\nZ N=0/4\n"
+    assert sorted(st.prints[1] for st in r.terminal_states) == terminals
+    trail = list(v.trail)
+    for out in (replay(prog, SearchConfig(), trail), run_path(prog, SearchConfig(), trail)):
+        assert out.state is None
+        assert out.prints == ["s=4 a=[ 1 5 3 ]"]
+        assert [w.message for w in out.violations] == [v.message]
+
+
+def test_max_depth_met_where_a_block_starts_counts_that_statement():
+    # the choose_int ends a block; on each of its two copies the depth is
+    # reached at the declaration of y, which counts one state and runs not
+    src = """
+    func main() {
+      var int x;
+      x = choose_int(2);
+      var int y = x + 1;
+      print(y);
+    }
+    """
+    full = search(src)
+    assert (full.stats.states, full.stats.terminals, full.incomplete) == (6, 2, False)
+    r = search(src, max_depth=1)
+    assert (r.stats.states, r.stats.terminals, r.stats.pruned, r.stats.solver_calls) == (
+        4, 0, 0, 0,
+    )
+    assert r.incomplete and not r.violations
+
+
+def test_a_decided_loop_goes_round_within_its_block():
+    # two declarations, five rounds of test, body and increment, the final
+    # test and the print
+    src = """
+    func main() {
+      var int i = 0;
+      var int s = 0;
+      while (i < 5) {
+        s = s + i;
+        i = i + 1;
+      }
+      print(s);
+    }
+    """
+    r = search(src)
+    assert (r.stats.states, r.stats.terminals, r.stats.pruned, r.stats.solver_calls) == (
+        19, 1, 0, 0,
+    )
+    (st,) = r.terminal_states
+    assert st.prints == ["10"]
+
+
+# every local below is named like a name of the engine's generated block
+# code or a Python keyword or builtin, and the first print's string is one
+# that would end a quoted Python string; neither may reach that code as
+# anything but a value
+NAMES_LIKE_THE_GENERATED_CODE = r"""
+input int C0 = 2;
+input int S;
+
+func _make(int state, int frame, int[] ex) {
+  var int self = state + frame;
+  ex[0] = self * C0;
+}
+
+func block(int k, int n) {
+  var int t1 = k - n;
+  print("x'); import os; ('\{0}", t1);
+  return;
+}
+
+func main() {
+  assume(0 <= S && S <= 1);
+  var int state = 1;
+  var int frame = 2;
+  var int ex = 3;
+  var int self = 4;
+  var int k = 5;
+  var int n = 6;
+  var int t1 = 7;
+  var int None = 8;
+  var int True = 9;
+  var int lambda = 10;
+  var int import = 11;
+  var int __class__ = 12;
+  var int e;
+  e = choose_int(2);
+  var int r[3];
+  r[S] = state + frame * ex - self + k * n + t1 + None - True + lambda + import - __class__;
+  _make(None, True, r);
+  block(__class__, lambda);
+  print("r=", r, " e=", e, " S=", S);
+  assert(r[S] != 48 || e == 1);
+}
+"""
+
+
+def test_names_and_strings_never_become_generated_code(capsys, tmp_path):
+    prog = load(NAMES_LIKE_THE_GENERATED_CODE)
+    r = search(NAMES_LIKE_THE_GENERATED_CODE)
+    assert (r.stats.states, r.stats.terminals, r.stats.pruned, r.stats.solver_calls) == (
+        59, 3, 0, 6,
+    )
+    (v,) = r.violations
+    assert (v.prop, v.certainty, v.loc.line, v.loc.col) == (
+        Property.ASSERTION_VIOLATION, Certainty.PROVEABLE, 37, 3,
+    )
+    assert render_trail(v.trail) == "# trail v1\nC 0/2\nZ S=1/2\n"
+    assert {sym.render(): value for sym, value in v.witness.items()} == {"S": 1}
+    said = "x'); import os; ('\\{0}2"
+    assert sorted(st.prints for st in r.terminal_states) == [
+        [said, "r=[ 34 48 undef ] e=1 S=1"],
+        [said, "r=[ 34 undef undef ] e=0 S=0"],
+        [said, "r=[ 34 undef undef ] e=1 S=0"],
+    ]
+    assert run_path(prog, SearchConfig(seed=4)).prints == [said, "r=[ 34 48 undef ] e=0 S=1"]
+    src = tmp_path / "names.vl"
+    src.write_text(NAMES_LIKE_THE_GENERATED_CODE)
+    assert cli.main(["run", "--seed", "3", str(src)]) == 0
+    assert capsys.readouterr().out == f"{said}\nr=[ 34 undef undef ] e=0 S=0\n"

@@ -63,6 +63,24 @@ def test_only_ascii_digits_make_a_number():
     assert kinds_and_lexemes(tokenize("7.25")) == [(TokKind.DEC_LIT, "7.25")]
 
 
+def test_only_ascii_letters_digits_and_underscores_make_a_name():
+    # str.isalpha takes 'Ñ' and str.isalnum '²', but an -input option can
+    # name only an ASCII identifier
+    for source, char, col in (
+        ("input int Ñ = 2;", "Ñ", 11),
+        ("var int x² = 1;", "²", 10),
+        ("var int é;", "é", 9),
+    ):
+        with pytest.raises(LexError) as exc:
+            tokenize(source)
+        assert exc.value.diagnostic.message == f"unknown character {char!r}"
+        assert exc.value.diagnostic.loc.col == col
+    assert kinds_and_lexemes(tokenize("_a9Z z_0")) == [
+        (TokKind.IDENT, "_a9Z"),
+        (TokKind.IDENT, "z_0"),
+    ]
+
+
 def test_double_dot_is_a_lex_error():
     with pytest.raises(LexError) as exc:
         tokenize("x = 1..2;")
