@@ -78,14 +78,14 @@ class Atom:
 Bounds = tuple["int | None", "int | None"]
 
 
-def _linear(poly: Poly) -> tuple[SymConst, Fraction, Fraction] | None:
+def _linear(poly: Poly) -> tuple[SymConst, Fraction | int, Fraction | int] | None:
     """Decompose a univariate degree-1 poly as a*s + b."""
     syms = poly.symbols()
     if len(syms) != 1 or poly.degree() != 1:
         return None
     s = next(iter(syms))
-    a = poly.terms.get((s,), Fraction(0))
-    b = poly.terms.get((), Fraction(0))
+    a = poly.terms.get((s,), 0)
+    b = poly.terms.get((), 0)
     if a == 0:
         return None
     return s, a, b
@@ -132,10 +132,10 @@ class PathCondition:
 
 
 def _tighten(
-    lo: int | None, hi: int | None, a: Fraction, b: Fraction, rel: Rel
+    lo: int | None, hi: int | None, a: Fraction | int, b: Fraction | int, rel: Rel
 ) -> tuple[int | None, int | None, bool]:
     """Tighten [lo, hi] with a*s + b rel 0; returns (lo, hi, unsat)."""
-    bound = -b / a
+    bound = Fraction(-b, a)  # exact, where int / int would be a float
     if rel is Rel.EQ:
         if bound.denominator != 1:
             return lo, hi, True

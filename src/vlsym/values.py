@@ -1,7 +1,7 @@
 """Exact symbolic value algebra: rationals, symbolic constants, polynomials.
 
 Every numeric value in the engine is exact. Reals are multivariate
-polynomials over symbolic constants with Fraction coefficients; a concrete
+polynomials over symbolic constants with rational coefficients; a concrete
 real is just a constant polynomial. Integers are either concrete Python
 ints or integer-valued polynomials over int-kind symbols. No floats appear
 anywhere.
@@ -10,6 +10,10 @@ Polynomials are kept in canonical expanded form (a map from monomial to
 nonzero coefficient), so two polynomials denote the same function iff they
 compare equal. That makes equality of symbolic reals decidable by
 structural comparison, which is what the solver's zero test relies on.
+A coefficient is a Python int when it is integral and a Fraction only when
+it is not, so integer arithmetic, which is nearly all of it, never builds
+a Fraction. An int and the Fraction of the same value compare and hash
+equal and print the same, so the choice shows in no comparison or report.
 """
 
 from __future__ import annotations
@@ -66,7 +70,29 @@ def _mono_key(m: Monomial) -> tuple:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
+    if not a:
+        return b
+    if not b:
+        return a
+    if len(a) == 1 and len(b) == 1:
+        x, y = a[0], b[0]
+        return (x, y) if x.ord <= y.ord else (y, x)
     return tuple(sorted(a + b, key=lambda s: s.ord))
+
+
+def _coeff(c: Fraction | int) -> Fraction | int:
+    """c as a Poly coefficient: an int when it is integral, else a Fraction."""
+    if c.__class__ is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _poly(terms: dict[Monomial, Fraction | int]) -> "Poly":
+    """A Poly that takes ownership of terms already in canonical form."""
+    p = object.__new__(Poly)
+    p.terms = terms
+    return p
 
 
 class DivisionByZero(ArithmeticError):
@@ -82,20 +108,25 @@ class MissingAssignment(KeyError):
 
 
 class Poly:
-    """Canonical multivariate polynomial with exact rational coefficients."""
+    """Canonical multivariate polynomial with exact rational coefficients.
+
+    A coefficient is a Python int when it is integral and a Fraction only
+    when it is not. Nothing writes to `terms` after construction, so an
+    operator may return one of its operands as its result.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        self.terms: dict[Monomial, Fraction] = {}
+    def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
+        self.terms: dict[Monomial, Fraction | int] = {}
         if terms:
             for m, c in terms.items():
                 if c != 0:
-                    self.terms[m] = Fraction(c)
+                    self.terms[m] = _coeff(c)
 
     @classmethod
     def const(cls, value: Fraction | int) -> Poly:
-        v = Fraction(value)
+        v = _coeff(value)
         p = cls()
         if v != 0:
             p.terms[_ONE] = v
@@ -104,7 +135,7 @@ class Poly:
     @classmethod
     def symbol(cls, sym: SymConst) -> Poly:
         p = cls()
-        p.terms[(sym,)] = Fraction(1)
+        p.terms[(sym,)] = 1
         return p
 
     def is_zero(self) -> bool:
@@ -113,11 +144,12 @@ class Poly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ONE in self.terms)
 
-    def const_value(self) -> Fraction:
-        """Value of a constant polynomial (the zero poly evaluates to 0)."""
+    def const_value(self) -> Fraction | int:
+        """Value of a constant polynomial (the zero poly evaluates to 0):
+        an int when it is integral, else a Fraction."""
         if not self.is_const():
             raise ValueError(f"polynomial is not constant: {self.render()}")
-        return self.terms.get(_ONE, Fraction(0))
+        return self.terms.get(_ONE, 0)
 
     def symbols(self) -> set[SymConst]:
         out: set[SymConst] = set()
@@ -129,54 +161,84 @@ class Poly:
         return max((len(m) for m in self.terms), default=0)
 
     def __add__(self, other: Poly) -> Poly:
+        b = other.terms
+        if not b:
+            return self
+        if not self.terms:
+            return other
         res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, Fraction(0)) + c
-            if s == 0:
-                res.pop(m, None)
+        for m, c in b.items():
+            if m in res:
+                s = res[m] + c
+                if s.__class__ is not int and s.denominator == 1:
+                    s = s.numerator
+                if s:
+                    res[m] = s
+                else:
+                    del res[m]
             else:
-                res[m] = s
-        out = Poly()
-        out.terms = res
-        return out
+                res[m] = c
+        return _poly(res)
 
     def __sub__(self, other: Poly) -> Poly:
+        b = other.terms
+        if not b:
+            return self
+        if not self.terms:
+            return -other
         res = dict(self.terms)
-        for m, c in other.terms.items():
-            s = res.get(m, Fraction(0)) - c
-            if s == 0:
-                res.pop(m, None)
+        for m, c in b.items():
+            if m in res:
+                s = res[m] - c
+                if s.__class__ is not int and s.denominator == 1:
+                    s = s.numerator
+                if s:
+                    res[m] = s
+                else:
+                    del res[m]
             else:
-                res[m] = s
-        out = Poly()
-        out.terms = res
-        return out
+                res[m] = -c
+        return _poly(res)
 
     def __neg__(self) -> Poly:
-        out = Poly()
-        out.terms = {m: -c for m, c in self.terms.items()}
-        return out
+        return _poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: Poly) -> Poly:
-        res: dict[Monomial, Fraction] = {}
-        for ma, ca in self.terms.items():
-            for mb, cb in other.terms.items():
+        a, b = self.terms, other.terms
+        if not a:
+            return self
+        if not b:
+            return other
+        if len(a) == 1 and len(b) == 1:
+            # one term times one term, the commonest product: nothing to collect
+            ((ma, ca),) = a.items()
+            ((mb, cb),) = b.items()
+            c = ca * cb
+            if c.__class__ is not int and c.denominator == 1:
+                c = c.numerator
+            return _poly({_mono_mul(ma, mb): c})
+        res: dict[Monomial, Fraction | int] = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
                 m = _mono_mul(ma, mb)
-                s = res.get(m, Fraction(0)) + ca * cb
-                if s == 0:
-                    res.pop(m, None)
+                c = ca * cb
+                if m in res:
+                    c += res[m]
+                if c.__class__ is not int and c.denominator == 1:
+                    c = c.numerator
+                if c:
+                    res[m] = c
                 else:
-                    res[m] = s
-        out = Poly()
-        out.terms = res
-        return out
+                    del res[m]
+        return _poly(res)
 
     def scale(self, c: Fraction | int) -> Poly:
-        c = Fraction(c)
-        out = Poly()
-        if c != 0:
-            out.terms = {m: k * c for m, k in self.terms.items()}
-        return out
+        c = _coeff(c)
+        if c == 0:
+            return Poly()
+        if c == 1:
+            return self
+        return Poly({m: k * c for m, k in self.terms.items()})
 
     def div(self, divisor: Poly) -> Poly:
         """Divide by a constant polynomial.
@@ -195,23 +257,22 @@ class Poly:
         """Replace the given symbols by constants; others stay symbolic."""
         if not assignment or not self.terms:
             return self
-        res = Poly()
+        res: dict[Monomial, Fraction | int] = {}
         for m, c in self.terms.items():
-            coeff = c
             rest: list[SymConst] = []
             for s in m:
                 if s in assignment:
-                    coeff *= assignment[s]
+                    c = c * assignment[s]
                 else:
                     rest.append(s)
-            if coeff == 0:
-                continue
-            res = res + Poly({tuple(rest): coeff})
-        return res
+            key = tuple(rest)
+            res[key] = res.get(key, 0) + c
+        return Poly(res)
 
-    def eval(self, point: Mapping[SymConst, Fraction | int]) -> Fraction:
-        """Exact evaluation; every symbol must be assigned."""
-        total = Fraction(0)
+    def eval(self, point: Mapping[SymConst, Fraction | int]) -> Fraction | int:
+        """Exact evaluation; every symbol must be assigned. The value is an
+        int when every coefficient and every value used is an int."""
+        total = 0
         for m, c in self.terms.items():
             v = c
             for s in m:
@@ -285,8 +346,8 @@ def make_int(poly: Poly) -> "int | SymInt":
     """An integer-valued polynomial as a value: an int when it is constant."""
     if poly.is_const():
         c = poly.const_value()
-        assert c.denominator == 1, "integer poly with non-integer constant"
-        return int(c)
+        assert c.__class__ is int, "integer poly with non-integer constant"
+        return c
     return SymInt(poly)
 
 

@@ -27,7 +27,7 @@ from vlsym.engine import (
 )
 from vlsym.parser import load_program, parse_program
 from vlsym.solver import Atom, PathCondition, Rel, SatStatus
-from vlsym.values import Poly, SymConst, SymKind
+from vlsym.values import Poly, RealVal, SymConst, SymInt, SymKind
 
 
 def load(src: str) -> Program:
@@ -932,6 +932,50 @@ def test_symbolic_print_renders_polynomials():
     )
     (st,) = r.terminal_states
     assert st.prints == ["n=N x=X_V[0]"]
+
+
+@pytest.mark.parametrize(
+    "cond, pruned, pins",
+    [("2 * N == 7", 1, []), ("2 * N == 8", 0, [4]), ("3 * N <= 7", 0, [0, 1, 2])],
+)
+def test_linear_assumptions_bound_an_int_input_exactly(cond, pruned, pins):
+    # the slope and the constant are ints, so the bound must be an exact
+    # quotient: a non-integral equality prunes, an integral one pins
+    r = search(
+        f"""
+        input int N;
+        func main() {{
+          assume(0 <= N && N <= 10);
+          assume({cond});
+          var int a[N];
+          print(N);
+        }}
+        """
+    )
+    assert r.stats.terminals == len(pins) and r.stats.pruned == pruned
+    assert not r.violations
+    got = sorted((render_trail(st.trail), st.prints) for st in r.terminal_states)
+    assert got == [(f"# trail v1\nZ N={v}/{len(pins)}\n", [str(v)]) for v in pins]
+
+
+def test_values_under_a_witness_render_as_exact_rationals():
+    n = SymConst("N", None, SymKind.INT, 0)
+    a0 = SymConst("A", 0, SymKind.REAL, 1)
+    v0 = SymConst("V", 0, SymKind.REAL, 4)
+    prod = Poly.symbol(a0) * Poly.symbol(v0)
+    half = Poly.const(Fraction(1, 2))
+    cases = [
+        (RealVal(prod + half), {a0: Fraction(3, 2), v0: 2}, "7/2"),
+        (RealVal(prod + half), {a0: Fraction(1), v0: Fraction(1)}, "3/2"),
+        (RealVal(prod.scale(2)), {a0: Fraction(3, 2), v0: 1}, "3"),
+        (RealVal(prod - half.scale(3)), {a0: Fraction(-1, 4), v0: 1}, "-7/4"),
+        (RealVal(Poly.symbol(v0) + Poly.const(2)), {}, "2"),
+        (SymInt(Poly.symbol(n).scale(3) + Poly.const(1)), {n: 2}, "7"),
+        (SymInt(Poly.symbol(n).scale(-3)), {n: 2}, "-6"),
+    ]
+    for value, witness, want in cases:
+        assert engine._render_value(value, witness) == want
+    assert engine._render_value(RealVal(prod + half)) == "X_A[0]*X_V[0] + 1/2"
 
 
 def test_start_state_errors_are_the_same_in_every_mode():

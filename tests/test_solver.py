@@ -74,6 +74,28 @@ def test_non_integral_equality_is_unsat():
     assert pc_sat(pc).status is SatStatus.UNSAT
 
 
+def test_linear_int_bounds_are_exact():
+    # every coefficient here is an int, and int / int would give a float:
+    # 2N == 7 has no integer solution, 2N == 8 pins N to 4, 3N <= 7 caps N at 2
+    assert type(atom(Rel.EQ, {N: 2}, -7).poly.terms[(N,)]) is int
+    assert pc_of(bounded(N, 0, 10) + [atom(Rel.EQ, {N: 2}, -7)]).unsat
+    assert pc_of(bounded(N, 0, 10) + [atom(Rel.EQ, {N: 2}, -8)]).bounds(N) == (4, 4)
+    assert pc_of(bounded(N, 0, 10) + [atom(Rel.LE, {N: 3}, -7)]).bounds(N) == (0, 2)
+    # 3N < 7 gives N <= 2; -3N + 7 < 0 gives N >= 3
+    assert pc_of(bounded(N, 0, 10) + [atom(Rel.LT, {N: 3}, -7)]).bounds(N) == (0, 2)
+    assert pc_of(bounded(N, 0, 10) + [atom(Rel.LT, {N: -3}, 7)]).bounds(N) == (3, 10)
+
+
+def test_linear_int_bounds_with_rational_coefficients():
+    def cond(rel, slope, k):
+        return Atom(SymKind.INT, rel, Poly.symbol(N).scale(slope) - Poly.const(k))
+
+    # N/2 == 2 pins N to 4; N/2 == 3/4 has no integer solution; 4N/3 <= 5 gives N <= 3
+    assert pc_of(bounded(N, 0, 10) + [cond(Rel.EQ, Fraction(1, 2), 2)]).bounds(N) == (4, 4)
+    assert pc_of(bounded(N, 0, 10) + [cond(Rel.EQ, Fraction(1, 2), Fraction(3, 4))]).unsat
+    assert pc_of(bounded(N, 0, 10) + [cond(Rel.LE, Fraction(4, 3), 5)]).bounds(N) == (0, 3)
+
+
 def test_constant_atoms_fold():
     pc = pc_of([Atom(SymKind.INT, Rel.LE, Poly.const(Fraction(-1)))])
     assert pc.atoms == ()

@@ -17,6 +17,7 @@ from vlsym.values import (
     SymConst,
     SymKind,
     SymInt,
+    _poly,
     make_int,
 )
 
@@ -164,6 +165,169 @@ def test_ring_axioms(a, b, c):
     assert (a - a).is_zero()
     assert a + Poly() == a
     assert a * const(1) == a
+
+
+# --- int-or-Fraction coefficients against a plain dict model ------------------
+#
+# The model maps each monomial to a Fraction and drops zeros; it knows nothing
+# of the int path, so each Poly result must equal it term by term, and its
+# coefficients must be ints exactly where the model's are integral.
+
+def _norm(terms):
+    return {m: Fraction(c) for m, c in terms.items() if c != 0}
+
+
+def m_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + c
+    return _norm(out)
+
+
+def m_mul(a, b):
+    out = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(sorted(ma + mb, key=lambda s: s.ord))
+            out[m] = out.get(m, 0) + ca * cb
+    return _norm(out)
+
+
+def m_scale(a, k):
+    return _norm({m: c * k for m, c in a.items()})
+
+
+def m_substitute(a, assignment):
+    out = {}
+    for m, c in a.items():
+        rest = tuple(s for s in m if s not in assignment)
+        for s in m:
+            if s in assignment:
+                c = c * assignment[s]
+        out[rest] = out.get(rest, 0) + c
+    return _norm(out)
+
+
+def m_eval(a, point):
+    total = Fraction(0)
+    for m, c in a.items():
+        for s in m:
+            c = c * point[s]
+        total += c
+    return total
+
+
+def m_render(a):
+    parts = []
+    for m in sorted(a, key=lambda m: (len(m), [s.ord for s in m]), reverse=True):
+        c = a[m]
+        mono = "*".join(s.render() for s in m)
+        body = str(abs(c)) if not m else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        sign = "" if c > 0 else "-"
+        parts.append(f"{sign}{body}" if not parts else f"{'+' if c > 0 else '-'} {body}")
+    return " ".join(parts) or "0"
+
+
+def assert_matches(p, model):
+    assert p.terms == model
+    for c in p.terms.values():
+        assert c != 0
+        assert (type(c) is int) == (Fraction(c).denominator == 1), c
+        assert type(c) in (int, Fraction)
+    # the same poly with every coefficient held as a Fraction, as a solver
+    # memo or Atom hash built by the Fraction path would see it
+    as_fractions = _poly({m: Fraction(c) for m, c in p.terms.items()})
+    assert as_fractions == p and hash(as_fractions) == hash(p)
+    assert p.render() == as_fractions.render() == m_render(model)
+
+
+# coefficients integral or not, written as ints or as Fractions
+coefficients = st.one_of(
+    st.integers(-6, 6),
+    st.integers(-6, 6).map(Fraction),
+    st.fractions(min_value=-6, max_value=6, max_denominator=4),
+)
+monomials = st.lists(st.sampled_from(SYMS), max_size=2).map(
+    lambda ss: tuple(sorted(ss, key=lambda s: s.ord))
+)
+models = st.dictionaries(monomials, coefficients, max_size=4).map(_norm)
+
+
+def build(model, route):
+    """A Poly for the model, built term by term through the operators: on
+    the int route from int constants where the coefficient is integral, on
+    the Fraction route from a third of it times 3."""
+    p = Poly()
+    for m, c in model.items():
+        if route == "int":
+            term = const(int(c) if c.denominator == 1 else c)
+        else:
+            term = const(c / 3) * const(3)
+        for s in m:
+            term = term * Poly.symbol(s)
+        p = p + term
+    return p
+
+
+@given(models, models, coefficients, st.sampled_from(["int", "fraction"]),
+       st.dictionaries(st.sampled_from(SYMS), coefficients, max_size=3),
+       st.fixed_dictionaries({s: coefficients for s in SYMS}))
+@settings(derandomize=True, max_examples=300, deadline=None)
+def test_coefficient_rules_match_a_fraction_model(ma, mb, k, route, assignment, point):
+    a, b = build(ma, route), build(mb, route)
+    assert_matches(a, ma)
+    assert_matches(b, mb)
+    # the int route and the Fraction route build equal polys, hashed alike
+    for model, p in ((ma, a), (mb, b)):
+        other = build(model, "fraction" if route == "int" else "int")
+        assert_matches(other, model)
+        assert other == p and hash(other) == hash(p)
+    assert_matches(a + b, m_add(ma, mb))
+    assert_matches(a - b, m_add(ma, m_scale(mb, -1)))
+    assert_matches(-a, m_scale(ma, -1))
+    assert_matches(a * b, m_mul(ma, mb))
+    assert_matches(a.scale(k), m_scale(ma, Fraction(k)))
+    if k != 0:
+        assert_matches(a.div(Poly.const(k)), m_scale(ma, 1 / Fraction(k)))
+    assert_matches(a.substitute(assignment), m_substitute(ma, assignment))
+    value = a.eval(point)
+    assert value == m_eval(ma, point)
+    if all(type(c) is int for c in a.terms.values()) and all(
+        type(x) is int for x in point.values()
+    ):
+        assert type(value) is int
+
+
+def test_eval_at_an_int_point_stays_on_ints():
+    n = SymConst("N", None, SymKind.INT, 0)
+    m = SymConst("M", None, SymKind.INT, 1)
+    p = Poly.symbol(n) * Poly.symbol(m).scale(3) + Poly.symbol(n).scale(2) - const(5)
+    assert all(type(c) is int for c in p.terms.values())
+    value = p.eval({n: 2, m: 3})
+    assert type(value) is int and value == 17
+    assert type(Poly().eval({})) is int
+    # a Fraction anywhere makes a Fraction, and an integral one still equals
+    assert p.eval({n: Fraction(2), m: 3}) == 17
+
+
+def test_integral_results_of_fraction_arithmetic_go_back_to_ints():
+    half = const(Fraction(1, 2))
+    x = sym(XA0)
+    for p in (half + half, (half * x) * const(2), x.scale(Fraction(1, 2)).scale(2),
+              x.div(const(Fraction(1, 3))), (x * half).substitute({XA0: 4}),
+              half - const(Fraction(-1, 2))):
+        assert all(type(c) is int for c in p.terms.values()), p.terms
+    assert type(const(Fraction(4, 2)).const_value()) is int
+    assert type(const(Fraction(1, 2)).const_value()) is Fraction
+    assert type(Poly().const_value()) is int
+
+
+def test_operators_return_an_operand_when_the_other_is_zero_or_one():
+    x, zero = sym(XA0), Poly()
+    assert (x + zero) is x and (zero + x) is x and (x - zero) is x
+    assert (x * zero).is_zero() and (zero * x).is_zero()
+    assert x.scale(1) is x
+    assert x.terms == {(XA0,): 1}  # untouched by any of the above
 
 
 # --- canonical form iff point agreement (Schwartz-Zippel style) --------------
