@@ -236,8 +236,6 @@ class Poly:
         c = _coeff(c)
         if c == 0:
             return Poly()
-        if c == 1:
-            return self
         return Poly({m: k * c for m, k in self.terms.items()})
 
     def div(self, divisor: Poly) -> Poly:
