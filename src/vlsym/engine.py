@@ -23,9 +23,12 @@ local declaration a slot of its own and each name the slot it refers to,
 and translation writes that checked tree out. A frame is its function's
 code, its slots and the index of its next statement.
 States are mutated in place along straight-line code and cloned only
-where paths fork. Integer inputs stay symbolic until a strict position
-(array extent, array index, choose_int argument) forces a value, at
-which point the path fans out over the feasible range.
+where paths fork, and a clone shares the values its cells hold; the
+engine keeps each real operation's result under its operand objects, so
+a search computes each distinct real value once. Integer inputs stay
+symbolic until a strict position (array extent, array index, choose_int
+argument) forces a value, at which point the path fans out over the
+feasible range.
 
 verify searches depth first. With more than one worker it first runs the
 search breadth first until FRONTIER_STATES paths are live, then forks one
@@ -77,6 +80,13 @@ MAX_DNF_DISJUNCTS = 4096
 # leaves the workers unevenly loaded, and more grows the parent's memory
 # without a faster search
 FRONTIER_STATES = 64
+# entries one of an engine's real memos holds before it is emptied; the
+# corpus at -inputM_B=5 needs under a thousand in the largest of them
+REAL_MEMO_ENTRIES = 1 << 12
+# the operations whose results an engine keeps, each in a dict of its own
+# keyed by its operand objects: unary minus (keyed by the operand itself),
+# the binary operators, the comparisons and a real cell pair of equals()
+_REAL_OPS = ("neg", "+", "-", "*", "/", "<", "<=", "==", "!=", "equals")
 
 
 class Property(enum.Enum):
@@ -505,11 +515,22 @@ class Engine:
     """Holds a program that load_program returned, with the code of each
     function, plus everything shared across paths. Translation reads the
     types and slots that validation annotated, so the engine refuses a
-    function that has none."""
+    function that has none.
+
+    memos holds, for each real operation, the result of each one computed
+    so far, keyed by its operands. A RealVal compares by identity, and
+    clones share the values they hold, so every path that reaches the same
+    operands, whatever its decisions, gets the same result object without
+    computing it again. A kept result is the one a new computation would
+    give: nothing rewrites a RealVal or a Poly, and a pin rewrites only
+    ints. A memo is emptied when it is full, so no answer depends on a hit.
+    Each engine, and so each search, has memos of its own; forked workers
+    inherit theirs."""
 
     def __init__(self, program: ast.Program, config: SearchConfig):
         self.program = program
         self.config = config
+        self.memos: dict[str, dict] = {op: {} for op in _REAL_OPS}
         # a call finds its callee here when it runs
         self.bodies = {f.name: _Function(f) for f in program.funcs}
         self.inputs_desc: list[str] = []
@@ -561,7 +582,7 @@ class Engine:
     def _extent(self, decl: ast.InputDecl, state: ExecState) -> int:
         """The extent of a real input, from the inputs declared before it."""
         try:
-            n = _strict(_compile_value(decl.extent)(state))
+            n = _strict(_compile_value(decl.extent, self.memos)(state))
         except NeedsConcretize as exc:
             raise EngineInitError(
                 f"extent of input '{decl.name}' depends on '{exc.sym.name}', which has no "
@@ -583,25 +604,30 @@ class Engine:
 # loop's test; an if or a while goes to other when its condition fails.
 # Validation gave every parameter and local declaration a slot of its own
 # and every name the slot it reads or writes, so translation keeps no
-# scopes. A block starts at the start of the function, at each while test
-# and after each statement that always leaves it (_LEAVES). It is written
-# out as the source of one Python function the first time a path enters it,
-# and runs from the frame's pc, its entry, which may lie inside it: its
+# scopes. A block starts at the start of the function and after each
+# statement that always leaves it (_LEAVES), so a loop whose body holds
+# none of them lies in one block with its test. A block is written out as
+# the source of one Python function the first time a path enters it, and
+# runs from the frame's pc, its entry, which may lie inside it: its
 # statements are split at the possible entries into segments, each run
 # only when the entry lies at or before it. The block follows a decided
-# jump itself, round its loop to a target inside it, and leaves with the
-# pc on any other. It also leaves where a path may fork or end, through the
-# executor's methods, and on an error, through _stopped with the pc on the
-# statement that raised, so that each pinned copy runs it again. A pass
-# through the block runs the statements from its entry to where it leaves
-# or jumps; each counts one state, added up as the block leaves.
+# jump itself, round its loop to a target inside it (a loop's back edge
+# among them), and leaves with the pc on any other. It also leaves where a
+# path may fork or end, through the executor's methods, and on an error,
+# through _stopped with the pc on the statement that raised, so that each
+# pinned copy runs it again. A pass through the block runs the statements
+# from its entry to where it leaves or jumps; each counts one state, added
+# up as the block leaves.
 #
 # An expression becomes Python statements that leave its value in a temp,
 # with the fast path for two concrete ints written out (tested by
 # `v.__class__ is int`, which never takes a bool for an int); a leaf is read
-# where it is used. The code finds make_int, int_poly and the helpers below, and
-# the Poly operators, through this module's globals. VL names and strings
-# never enter its source: they reach it as constants, and slots as indices.
+# where it is used. A real operation first looks its operands up in the
+# engine's memo of that operation, a constant of the block, and computes
+# only on a miss, with the Poly operators, keeping the result (_keep). The
+# code finds make_int, int_poly and the helpers below, and the Poly
+# operators, through this module's globals. VL names and strings never
+# enter its source: they reach it as constants, and slots as indices.
 
 _COMPARE = {"<": "LT", "<=": "LE", "==": "EQ", "!=": "NE"}
 # statements that always leave their block, and those that go on at
@@ -630,6 +656,15 @@ def _int_atom(rel: Rel, a, b):
 
 def _real_atom(rel: Rel, a: RealVal, b: RealVal):
     return _atom_formula(Atom(SymKind.REAL, rel, a.poly - b.poly))
+
+
+def _keep(memo: dict, key, value):
+    """value, kept under key in one of an engine's real memos, which is
+    emptied first when it holds REAL_MEMO_ENTRIES."""
+    if len(memo) >= REAL_MEMO_ENTRIES:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _unset(name: str, loc: Loc):
@@ -661,10 +696,15 @@ def _divide(dividend: Poly, divisor: Poly, loc: Loc) -> RealVal:
         raise Violating(Property.DIVISION_BY_ZERO, loc, "division by zero") from None
 
 
-def _equals(state: ExecState, left: ArrayRef, right: ArrayRef, lname: str, rname: str, loc: Loc):
+def _equals(
+    memo: dict, state: ExecState, left: ArrayRef, right: ArrayRef, lname: str, rname: str, loc: Loc
+):
+    """The formula of equals() on two arrays; memo keeps the formula of
+    each pair of real cells."""
     a, b = state.heap[left.addr], state.heap[right.addr]
     if len(a.cells) != len(b.cells):
         return False
+    real = a.elem_kind is SymKind.REAL
     parts = []
     for i, (va, vb) in enumerate(zip(a.cells, b.cells)):
         for v, name in ((va, lname), (vb, rname)):
@@ -672,11 +712,13 @@ def _equals(state: ExecState, left: ArrayRef, right: ArrayRef, lname: str, rname
                 raise Violating(
                     Property.READ_UNDEFINED, loc, f"'{name}[{i}]' is read before assignment"
                 )
-        if a.elem_kind is SymKind.REAL:
-            poly = va.poly - vb.poly
+        if real:
+            f = memo.get((va, vb))
+            if f is None:
+                f = _keep(memo, (va, vb), _real_atom(Rel.EQ, va, vb))
         else:
-            poly = int_poly(va) - int_poly(vb)
-        parts.append(_atom_formula(Atom(a.elem_kind, Rel.EQ, poly)))
+            f = _atom_formula(Atom(SymKind.INT, Rel.EQ, int_poly(va) - int_poly(vb)))
+        parts.append(f)
     return f_and(parts)
 
 
@@ -791,8 +833,6 @@ class _Function:
             node = s.node
             if isinstance(node, _LEAVES):
                 starts.add(i + 1)
-            elif isinstance(node, ast.While):
-                starts.add(i)
             if s.next != i + 1 or not isinstance(node, _INLINE):
                 entries.add(s.next)
             if s.other is not None:
@@ -805,7 +845,7 @@ class _Function:
 
     def _translate_on_entry(self, start: int, stop: int):
         def enter(ex, state, frame):
-            block = _Writer(self, start, stop).function()
+            block = _Writer(self, start, stop, ex.eng.memos).function()
             self.code[start:stop] = [block] * (stop - start)
             return block(ex, state, frame)
 
@@ -816,8 +856,9 @@ class _Writer:
     """Writes the Python source of the block of fn's statements
     start..stop-1 and compiles it."""
 
-    def __init__(self, fn: _Function, start: int, stop: int):
+    def __init__(self, fn: _Function, start: int, stop: int, memos: dict):
         self.fn, self.start, self.stop = fn, start, stop
+        self.memos = memos
         self.consts: list = []
         self.const_names: dict[int, str] = {}
         self.lines: list[str] = []
@@ -994,6 +1035,14 @@ class _Writer:
         """Set t to fast where every test holds, else to slow."""
         self.put(f"{t} = {fast} if {' and '.join(tests)} else {slow}" if tests else f"{t} = {fast}")
 
+    def kept(self, t: str, op: str, key: str, compute: str) -> None:
+        """Set t to the result that the engine's memo of op keeps under
+        key, or else to compute, which is then kept there; a compute that
+        raises keeps nothing."""
+        memo = self.const(self.memos[op])
+        self.put(f"{t} = {memo}.get({key})")
+        self.put(f"if {t} is None: {t} = _keep({memo}, {key}, {compute})")
+
     def strict(self, e: ast.Expr) -> str:
         v = self.value(e)
         if isinstance(e, ast.IntLit):
@@ -1030,7 +1079,7 @@ class _Writer:
             assert e.op == "-", "boolean operators are translated as conditions"
             x = self.value(e.operand)
             if e.ty is ast.Type.REAL:
-                self.put(f"{t} = RealVal(-{x}.poly)")
+                self.kept(t, "neg", x, f"RealVal(-{x}.poly)")
             else:
                 tests = self.concrete((e.operand, x))
                 self.fast_or_slow(t, tests, f"-{x}", f"make_int(-int_poly({x}))")
@@ -1038,9 +1087,10 @@ class _Writer:
             a, b = self.value(e.lhs), self.value(e.rhs)
             if e.op == "/":
                 self.raises = True
-                self.put(f"{t} = _divide({a}.poly, {b}.poly, {self.const(e.loc)})")
+                div = f"_divide({a}.poly, {b}.poly, {self.const(e.loc)})"
+                self.kept(t, "/", f"({a}, {b})", div)
             elif e.ty is ast.Type.REAL:
-                self.put(f"{t} = RealVal({a}.poly {e.op} {b}.poly)")
+                self.kept(t, e.op, f"({a}, {b})", f"RealVal({a}.poly {e.op} {b}.poly)")
             else:
                 tests = self.concrete((e.lhs, a), (e.rhs, b))
                 slow = f"make_int(int_poly({a}) {e.op} int_poly({b}))"
@@ -1073,13 +1123,15 @@ class _Writer:
             a, b = self.value(e.lhs), self.value(e.rhs)
             rel = f"Rel.{_COMPARE[e.op]}"
             if e.lhs.ty is ast.Type.REAL:
-                self.put(f"{t} = _real_atom({rel}, {a}, {b})")
+                self.kept(t, e.op, f"({a}, {b})", f"_real_atom({rel}, {a}, {b})")
             else:
                 tests = self.concrete((e.lhs, a), (e.rhs, b))
                 self.fast_or_slow(t, tests, f"{a} {e.op} {b}", f"_int_atom({rel}, {a}, {b})")
         elif isinstance(e, ast.EqualsCall):
             names = f"{self.const(e.lhs.name)}, {self.const(e.rhs.name)}"
-            args = f"state, {self.load(e.lhs)}, {self.load(e.rhs)}, {names}, {self.const(e.loc)}"
+            arrays = f"{self.load(e.lhs)}, {self.load(e.rhs)}"
+            memo = self.const(self.memos["equals"])
+            args = f"{memo}, state, {arrays}, {names}, {self.const(e.loc)}"
             self.raises = True
             self.put(f"{t} = _equals({args})")
         else:
@@ -1097,9 +1149,9 @@ def _compile(lines: list[str], filename: str, consts: list):
     return made["_make"](*consts)
 
 
-def _compile_value(e: ast.Expr):
+def _compile_value(e: ast.Expr, memos: dict):
     """A function of a state that evaluates e, an expression over inputs."""
-    w = _Writer(None, 0, 0)
+    w = _Writer(None, 0, 0, memos)
     v = w.value(e)
     lines = ["def run(state):", *(" " + line for line in w.lines), f" return {v}"]
     return _compile(lines, "<vl extent>", w.consts)

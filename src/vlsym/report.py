@@ -30,21 +30,28 @@ def _witness_text(v: Violation) -> str:
     return ", ".join(f"{sym.render()} = {value}" for sym, value in items)
 
 
-def _snippet(v: Violation, sources: dict[str, str]) -> str:
-    text = sources.get(v.loc.file)
-    if text is None:
+def _split(sources: dict[str, str]) -> dict[str, list[str]]:
+    return {name: text.splitlines() for name, text in sources.items()}
+
+
+def _snippet(v: Violation, lines: dict[str, list[str]]) -> str:
+    file_lines = lines.get(v.loc.file)
+    if file_lines is None or not 1 <= v.loc.line <= len(file_lines):
         return v.loc.render()
-    lines = text.splitlines()
-    if not 1 <= v.loc.line <= len(lines):
-        return v.loc.render()
-    return f"{v.loc.render()} | {lines[v.loc.line - 1].strip()}"
+    return f"{v.loc.render()} | {file_lines[v.loc.line - 1].strip()}"
 
 
 def render_violation(index: int, v: Violation, sources: dict[str, str]) -> str:
+    """One violation as the report shows it; sources maps each file to
+    its text."""
+    return _render_violation(index, v, _split(sources))
+
+
+def _render_violation(index: int, v: Violation, lines: dict[str, list[str]]) -> str:
     out = [
         f"Violation {index} encountered at depth {v.depth}:",
         f"(property: {v.prop.value}, certainty: {v.certainty.value}) at",
-        _snippet(v, sources),
+        _snippet(v, lines),
         f"cause: {v.message}",
     ]
     if v.prop is not Property.ENUM_BUDGET:
@@ -98,7 +105,8 @@ def render_report(
     if result.violations:
         out.append("")
         out.append("=== Violations ===")
+        lines = _split(sources)
         for i, v in enumerate(result.violations):
             out.append("")
-            out.append(render_violation(i, v, sources))
+            out.append(_render_violation(i, v, lines))
     return "\n".join(out) + "\n"

@@ -14,6 +14,12 @@ A coefficient is a Python int when it is integral and a Fraction only when
 it is not, so integer arithmetic, which is nearly all of it, never builds
 a Fraction. An int and the Fraction of the same value compare and hash
 equal and print the same, so the choice shows in no comparison or report.
+
+A RealVal, unlike a Poly, compares and hashes by identity: one object is
+one value computed once, and the engine keys its memo of real arithmetic
+by the operand objects. Nothing rewrites a RealVal's poly or a Poly's
+terms after construction, so a result found under its operands is the
+one a new computation would give. Compare real values through `.poly`.
 """
 
 from __future__ import annotations
@@ -321,9 +327,18 @@ class SymInt:
     poly: Poly
 
 
-@dataclass(frozen=True)
 class RealVal:
-    poly: Poly
+    """A real value: a polynomial over real symbols. It compares and hashes
+    by identity, so that the engine can key its memo of real arithmetic by
+    operand objects; compare two values through their polys."""
+
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: Poly):
+        self.poly = poly
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"RealVal({self.poly.render()})"
 
 
 class UndefinedVal:

@@ -1639,3 +1639,150 @@ def test_names_and_strings_never_become_generated_code(capsys, tmp_path):
     src.write_text(NAMES_LIKE_THE_GENERATED_CODE)
     assert cli.main(["run", "--seed", "3", str(src)]) == 0
     assert capsys.readouterr().out == f"{said}\nr=[ 34 undef undef ] e=0 S=0\n"
+
+
+# --- the memo of real arithmetic ---
+
+
+@pytest.fixture
+def engines(monkeypatch):
+    """Every Engine built while the test runs, in order."""
+    made = []
+    real_init = engine.Engine.__init__
+
+    def init(self, *args, **kwargs):
+        real_init(self, *args, **kwargs)
+        made.append(self)
+
+    monkeypatch.setattr(engine.Engine, "__init__", init)
+    return made
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The number of Poly products computed while the test runs."""
+    count = [0]
+    real_mul = Poly.__mul__
+
+    def mul(a, b):
+        count[0] += 1
+        return real_mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", mul)
+    return count
+
+
+# 2^14 paths; the products are the same two on every path, but each path
+# builds sums of its own, 32,766 in all, more than a memo holds
+SUMS_OF_SQUARES = """
+input real A[2];
+func main() {
+  var real s = 0.0;
+  for (var int i = 0; i < 14; i++) {
+    var int c;
+    c = choose_int(2);
+    s = s + A[c] * A[c];
+  }
+  print(s);
+}
+"""
+
+
+def test_real_memos_stay_bounded_and_each_path_keeps_its_own_value(engines, products):
+    a0, a1 = (Poly.symbol(SymConst("A", i, SymKind.REAL, i)) for i in (0, 1))
+    # the value a path's own choices imply, by how many of its 14 picked
+    # c = 1: c = 0 adds A[0]^2 and c = 1 adds A[1]^2
+    want = [(a0 * a0).scale(14 - ones) + (a1 * a1).scale(ones) for ones in range(15)]
+    wrong = []
+
+    def check(st):
+        # the printed value itself, compared as a Poly: rendering every
+        # path's print would take most of the test's time under tracemalloc
+        assert all(d.fanout == 2 for d in st.trail) and len(st.trail) == 14
+        ((s,),) = st.printed
+        if s.poly != want[sum(d.index for d in st.trail)]:
+            wrong.append((render_trail(st.trail), st.prints))
+
+    prog = load(SUMS_OF_SQUARES)
+    tracemalloc.start()
+    try:
+        r = explore(prog, SearchConfig(), on_terminal=check)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.stats == engine.Stats(147452, 16384, 0, 0)
+    assert not r.violations
+    assert wrong == []
+    # the two distinct products are computed once each
+    assert products[0] == 2 + 2 * len(want)
+    (eng,) = engines
+    assert len(eng.memos["*"]) == 2
+    assert 0 < len(eng.memos["+"]) <= engine.REAL_MEMO_ENTRIES
+    # 0.17 MB without the memo, 12.5 MB with memos that are never emptied
+    assert peak < 4_000_000
+
+
+def test_the_bounded_memos_give_the_same_report_with_workers(tmp_path, capsys):
+    src = tmp_path / "squares.vl"
+    src.write_text(SUMS_OF_SQUARES)
+    reports = []
+    for workers in ("1", "2"):
+        assert cli.main(["verify", "--workers", workers, str(src)]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        reports.append(re.sub(r"(?m)^time \(s\) *: .*$", "time", out.out))
+    assert reports[0] == reports[1]
+    assert "states explored : 147452\nterminal paths  : 16384\n" in reports[0]
+
+
+def test_a_division_that_raises_keeps_nothing(engines):
+    # the divisor is the same zero on every path: each path must raise
+    # again, not find a result that the first one left
+    r = search(
+        """
+        input real V[1];
+        func main() {
+          var int c;
+          c = choose_int(3);
+          var real y = 1.0 / (V[0] - V[0]);
+        }
+        """
+    )
+    assert (r.stats.states, r.stats.terminals, r.stats.pruned, r.stats.solver_calls) == (
+        5, 0, 0, 3,
+    )
+    assert [render_trail(v.trail) for v in r.violations] == [
+        f"# trail v1\nC {i}/3\n" for i in range(3)
+    ]
+    for v in r.violations:
+        assert (v.prop, v.certainty, v.message, v.witness) == (
+            Property.DIVISION_BY_ZERO, Certainty.PROVEABLE, "division by zero", {},
+        )
+    (eng,) = engines
+    assert len(eng.memos["-"]) == 1
+    assert eng.memos["/"] == {}
+
+
+def test_each_search_computes_its_real_values_in_memos_of_its_own(engines, products):
+    prog = load(
+        """
+        input real A[2];
+        func main() {
+          var int c;
+          c = choose_int(2);
+          var real p = A[0] * A[1];
+          print(p);
+        }
+        """
+    )
+    first = explore(prog, SearchConfig())
+    after_first = products[0]
+    second = explore(prog, SearchConfig())
+    assert first.stats == second.stats == engine.Stats(6, 2, 0, 0)
+    # both paths of a search share the product; the second search computes
+    # it again, in its own memo
+    assert (after_first, products[0]) == (1, 2)
+    one, two = engines
+    assert set(one.memos) == set(two.memos) == set(engine._REAL_OPS)
+    assert {id(m) for m in one.memos.values()}.isdisjoint(id(m) for m in two.memos.values())
+    assert len({id(m) for m in one.memos.values()}) == len(engine._REAL_OPS)
