@@ -24,8 +24,8 @@ and translation writes that checked tree out. A frame is its function's
 code, its slots and the index of its next statement.
 States are mutated in place along straight-line code and cloned only
 where paths fork, and a clone shares the values its cells hold; the
-engine keeps each real operation's result under its operand objects, so
-a search computes each distinct real value once. Integer inputs stay
+engine keeps each real sum, difference and product under its operand
+objects, so a search computes each distinct one once. Integer inputs stay
 symbolic until a strict position (array extent, array index, choose_int
 argument) forces a value, at which point the path fans out over the
 feasible range.
@@ -84,9 +84,9 @@ FRONTIER_STATES = 64
 # corpus at -inputM_B=5 needs under a thousand in the largest of them
 REAL_MEMO_ENTRIES = 1 << 12
 # the operations whose results an engine keeps, each in a dict of its own
-# keyed by its operand objects: unary minus (keyed by the operand itself),
-# the binary operators, the comparisons and a real cell pair of equals()
-_REAL_OPS = ("neg", "+", "-", "*", "/", "<", "<=", "==", "!=", "equals")
+# keyed by its operand objects: the binary + - * and a real cell pair of
+# equals(), the only real operations the benchmark workloads repeat
+_REAL_OPS = ("+", "-", "*", "equals")
 
 
 class Property(enum.Enum):
@@ -517,8 +517,8 @@ class Engine:
     types and slots that validation annotated, so the engine refuses a
     function that has none.
 
-    memos holds, for each real operation, the result of each one computed
-    so far, keyed by its operands. A RealVal compares by identity, and
+    memos holds, for each real operation of _REAL_OPS, the result of each
+    one computed so far, keyed by its operands. A RealVal compares by identity, and
     clones share the values they hold, so every path that reaches the same
     operands, whatever its decisions, gets the same result object without
     computing it again. A kept result is the one a new computation would
@@ -582,7 +582,7 @@ class Engine:
     def _extent(self, decl: ast.InputDecl, state: ExecState) -> int:
         """The extent of a real input, from the inputs declared before it."""
         try:
-            n = _strict(_compile_value(decl.extent, self.memos)(state))
+            n = _strict(_compile_value(decl.extent)(state))
         except NeedsConcretize as exc:
             raise EngineInitError(
                 f"extent of input '{decl.name}' depends on '{exc.sym.name}', which has no "
@@ -622,8 +622,8 @@ class Engine:
 # An expression becomes Python statements that leave its value in a temp,
 # with the fast path for two concrete ints written out (tested by
 # `v.__class__ is int`, which never takes a bool for an int); a leaf is read
-# where it is used. A real operation first looks its operands up in the
-# engine's memo of that operation, a constant of the block, and computes
+# where it is used. A real +, - or * first looks its operands up in the
+# engine's memo of that operator, a constant of the block, and computes
 # only on a miss, with the Poly operators, keeping the result (_keep). The
 # code finds make_int, int_poly and the helpers below, and the Poly
 # operators, through this module's globals. VL names and strings never
@@ -856,7 +856,7 @@ class _Writer:
     """Writes the Python source of the block of fn's statements
     start..stop-1 and compiles it."""
 
-    def __init__(self, fn: _Function, start: int, stop: int, memos: dict):
+    def __init__(self, fn: _Function, start: int, stop: int, memos: dict | None = None):
         self.fn, self.start, self.stop = fn, start, stop
         self.memos = memos
         self.consts: list = []
@@ -1037,8 +1037,7 @@ class _Writer:
 
     def kept(self, t: str, op: str, key: str, compute: str) -> None:
         """Set t to the result that the engine's memo of op keeps under
-        key, or else to compute, which is then kept there; a compute that
-        raises keeps nothing."""
+        key, or else to compute, which is then kept there."""
         memo = self.const(self.memos[op])
         self.put(f"{t} = {memo}.get({key})")
         self.put(f"if {t} is None: {t} = _keep({memo}, {key}, {compute})")
@@ -1079,7 +1078,7 @@ class _Writer:
             assert e.op == "-", "boolean operators are translated as conditions"
             x = self.value(e.operand)
             if e.ty is ast.Type.REAL:
-                self.kept(t, "neg", x, f"RealVal(-{x}.poly)")
+                self.put(f"{t} = RealVal(-{x}.poly)")
             else:
                 tests = self.concrete((e.operand, x))
                 self.fast_or_slow(t, tests, f"-{x}", f"make_int(-int_poly({x}))")
@@ -1087,8 +1086,7 @@ class _Writer:
             a, b = self.value(e.lhs), self.value(e.rhs)
             if e.op == "/":
                 self.raises = True
-                div = f"_divide({a}.poly, {b}.poly, {self.const(e.loc)})"
-                self.kept(t, "/", f"({a}, {b})", div)
+                self.put(f"{t} = _divide({a}.poly, {b}.poly, {self.const(e.loc)})")
             elif e.ty is ast.Type.REAL:
                 self.kept(t, e.op, f"({a}, {b})", f"RealVal({a}.poly {e.op} {b}.poly)")
             else:
@@ -1123,7 +1121,7 @@ class _Writer:
             a, b = self.value(e.lhs), self.value(e.rhs)
             rel = f"Rel.{_COMPARE[e.op]}"
             if e.lhs.ty is ast.Type.REAL:
-                self.kept(t, e.op, f"({a}, {b})", f"_real_atom({rel}, {a}, {b})")
+                self.put(f"{t} = _real_atom({rel}, {a}, {b})")
             else:
                 tests = self.concrete((e.lhs, a), (e.rhs, b))
                 self.fast_or_slow(t, tests, f"{a} {e.op} {b}", f"_int_atom({rel}, {a}, {b})")
@@ -1149,9 +1147,9 @@ def _compile(lines: list[str], filename: str, consts: list):
     return made["_make"](*consts)
 
 
-def _compile_value(e: ast.Expr, memos: dict):
+def _compile_value(e: ast.Expr):
     """A function of a state that evaluates e, an expression over inputs."""
-    w = _Writer(None, 0, 0, memos)
+    w = _Writer(None, 0, 0)
     v = w.value(e)
     lines = ["def run(state):", *(" " + line for line in w.lines), f" return {v}"]
     return _compile(lines, "<vl extent>", w.consts)

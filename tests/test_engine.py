@@ -1735,34 +1735,6 @@ def test_the_bounded_memos_give_the_same_report_with_workers(tmp_path, capsys):
     assert "states explored : 147452\nterminal paths  : 16384\n" in reports[0]
 
 
-def test_a_division_that_raises_keeps_nothing(engines):
-    # the divisor is the same zero on every path: each path must raise
-    # again, not find a result that the first one left
-    r = search(
-        """
-        input real V[1];
-        func main() {
-          var int c;
-          c = choose_int(3);
-          var real y = 1.0 / (V[0] - V[0]);
-        }
-        """
-    )
-    assert (r.stats.states, r.stats.terminals, r.stats.pruned, r.stats.solver_calls) == (
-        5, 0, 0, 3,
-    )
-    assert [render_trail(v.trail) for v in r.violations] == [
-        f"# trail v1\nC {i}/3\n" for i in range(3)
-    ]
-    for v in r.violations:
-        assert (v.prop, v.certainty, v.message, v.witness) == (
-            Property.DIVISION_BY_ZERO, Certainty.PROVEABLE, "division by zero", {},
-        )
-    (eng,) = engines
-    assert len(eng.memos["-"]) == 1
-    assert eng.memos["/"] == {}
-
-
 def test_each_search_computes_its_real_values_in_memos_of_its_own(engines, products):
     prog = load(
         """
