@@ -15,7 +15,6 @@ declaration its own slot, and each function the names of its slots.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .diagnostics import Diagnostic, Loc, error
@@ -41,77 +40,121 @@ class Type(enum.Enum):
         raise ValueError(f"{self.value} has no element type")
 
 
+class Node:
+    """The base of the node classes. A node's fields are its __slots__, in
+    the order its constructor takes them. Equality compares the fields
+    before `loc`, the node's structure; `loc` and the fields after it,
+    which validation fills in and which default to None, are left out.
+    Nodes are mutable, so they are unhashable."""
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()  # the fields before loc, per class
+
+    def __init_subclass__(cls) -> None:
+        slots = cls.__slots__
+        cls._compared = slots[: slots.index("loc")] if "loc" in slots else slots
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._compared)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._compared)
+        return f"{type(self).__name__}({fields})"
+
+
 # ---------------------------------------------------------------------------
 # expressions
 
 
-@dataclass
-class IntLit:
-    value: int
-    loc: Loc = field(compare=False)
-    ty: Type | None = field(default=None, compare=False, repr=False)
+class IntLit(Node):
+    __slots__ = ("value", "loc", "ty")
+
+    def __init__(self, value: int, loc: Loc, ty: Type | None = None):
+        self.value = value
+        self.loc = loc
+        self.ty = ty
 
 
-@dataclass
-class DecLit:
-    value: Fraction
-    loc: Loc = field(compare=False)
-    ty: Type | None = field(default=None, compare=False, repr=False)
+class DecLit(Node):
+    __slots__ = ("value", "loc", "ty")
+
+    def __init__(self, value: Fraction, loc: Loc, ty: Type | None = None):
+        self.value = value
+        self.loc = loc
+        self.ty = ty
 
 
-@dataclass
-class StrLit:
-    value: str
-    loc: Loc = field(compare=False)
-    ty: Type | None = field(default=None, compare=False, repr=False)
+class StrLit(Node):
+    __slots__ = ("value", "loc", "ty")
+
+    def __init__(self, value: str, loc: Loc, ty: Type | None = None):
+        self.value = value
+        self.loc = loc
+        self.ty = ty
 
 
-@dataclass
-class Name:
-    name: str
-    loc: Loc = field(compare=False)
-    ty: Type | None = field(default=None, compare=False, repr=False)
-    slot: int | None = field(default=None, compare=False, repr=False)
+class Name(Node):
+    __slots__ = ("name", "loc", "ty", "slot")
+
+    def __init__(self, name: str, loc: Loc, ty: Type | None = None, slot: int | None = None):
+        self.name = name
+        self.loc = loc
+        self.ty = ty
+        self.slot = slot
 
 
-@dataclass
-class Index:
-    base: Name
-    index: "Expr"
-    loc: Loc = field(compare=False)
-    ty: Type | None = field(default=None, compare=False, repr=False)
+class Index(Node):
+    __slots__ = ("base", "index", "loc", "ty")
+
+    def __init__(self, base: Name, index: Expr, loc: Loc, ty: Type | None = None):
+        self.base = base
+        self.index = index
+        self.loc = loc
+        self.ty = ty
 
 
-@dataclass
-class Unary:
-    op: str  # "-" or "!"
-    operand: "Expr"
-    loc: Loc = field(compare=False)
-    ty: Type | None = field(default=None, compare=False, repr=False)
+class Unary(Node):
+    __slots__ = ("op", "operand", "loc", "ty")
+
+    def __init__(self, op: str, operand: Expr, loc: Loc, ty: Type | None = None):
+        self.op = op  # "-" or "!"
+        self.operand = operand
+        self.loc = loc
+        self.ty = ty
 
 
-@dataclass
-class Binary:
-    op: str  # + - * / < <= == != && ||
-    lhs: "Expr"
-    rhs: "Expr"
-    loc: Loc = field(compare=False)
-    ty: Type | None = field(default=None, compare=False, repr=False)
+class Binary(Node):
+    __slots__ = ("op", "lhs", "rhs", "loc", "ty")
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr, loc: Loc, ty: Type | None = None):
+        self.op = op  # + - * / < <= == != && ||
+        self.lhs = lhs
+        self.rhs = rhs
+        self.loc = loc
+        self.ty = ty
 
 
-@dataclass
-class EqualsCall:
-    lhs: "Expr"
-    rhs: "Expr"
-    loc: Loc = field(compare=False)
-    ty: Type | None = field(default=None, compare=False, repr=False)
+class EqualsCall(Node):
+    __slots__ = ("lhs", "rhs", "loc", "ty")
+
+    def __init__(self, lhs: Expr, rhs: Expr, loc: Loc, ty: Type | None = None):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.loc = loc
+        self.ty = ty
 
 
-@dataclass
-class LenCall:
-    arg: "Expr"
-    loc: Loc = field(compare=False)
-    ty: Type | None = field(default=None, compare=False, repr=False)
+class LenCall(Node):
+    __slots__ = ("arg", "loc", "ty")
+
+    def __init__(self, arg: Expr, loc: Loc, ty: Type | None = None):
+        self.arg = arg
+        self.loc = loc
+        self.ty = ty
 
 
 Expr = IntLit | DecLit | StrLit | Name | Index | Unary | Binary | EqualsCall | LenCall
@@ -121,89 +164,113 @@ Expr = IntLit | DecLit | StrLit | Name | Index | Unary | Binary | EqualsCall | L
 # statements
 
 
-@dataclass
-class VarDecl:
-    name: str
-    ty: Type  # INT or REAL
-    init: Expr | None
-    loc: Loc = field(compare=False)
-    slot: int | None = field(default=None, compare=False, repr=False)
+class VarDecl(Node):
+    __slots__ = ("name", "ty", "init", "loc", "slot")
+
+    def __init__(self, name: str, ty: Type, init: Expr | None, loc: Loc, slot: int | None = None):
+        self.name = name
+        self.ty = ty  # INT or REAL
+        self.init = init
+        self.loc = loc
+        self.slot = slot
 
 
-@dataclass
-class ArrDecl:
-    name: str
-    elem_ty: Type  # INT or REAL
-    extent: Expr
-    loc: Loc = field(compare=False)
-    slot: int | None = field(default=None, compare=False, repr=False)
+class ArrDecl(Node):
+    __slots__ = ("name", "elem_ty", "extent", "loc", "slot")
+
+    def __init__(self, name: str, elem_ty: Type, extent: Expr, loc: Loc, slot: int | None = None):
+        self.name = name
+        self.elem_ty = elem_ty  # INT or REAL
+        self.extent = extent
+        self.loc = loc
+        self.slot = slot
 
 
-@dataclass
-class Assign:
-    target: Name | Index
-    value: Expr
-    loc: Loc = field(compare=False)
+class Assign(Node):
+    __slots__ = ("target", "value", "loc")
+
+    def __init__(self, target: Name | Index, value: Expr, loc: Loc):
+        self.target = target
+        self.value = value
+        self.loc = loc
 
 
-@dataclass
-class ChooseAssign:
-    target: Name
-    arg: Expr
-    loc: Loc = field(compare=False)
+class ChooseAssign(Node):
+    __slots__ = ("target", "arg", "loc")
+
+    def __init__(self, target: Name, arg: Expr, loc: Loc):
+        self.target = target
+        self.arg = arg
+        self.loc = loc
 
 
-@dataclass
-class CallStmt:
-    name: str
-    args: list[Expr]
-    target: Name | None
-    loc: Loc = field(compare=False)
+class CallStmt(Node):
+    __slots__ = ("name", "args", "target", "loc")
+
+    def __init__(self, name: str, args: list[Expr], target: Name | None, loc: Loc):
+        self.name = name
+        self.args = args
+        self.target = target
+        self.loc = loc
 
 
-@dataclass
-class Block:
-    stmts: list["Stmt"]
-    loc: Loc = field(compare=False)
+class Block(Node):
+    __slots__ = ("stmts", "loc")
+
+    def __init__(self, stmts: list[Stmt], loc: Loc):
+        self.stmts = stmts
+        self.loc = loc
 
 
-@dataclass
-class If:
-    cond: Expr
-    then: Block
-    els: "Block | If | None"
-    loc: Loc = field(compare=False)
+class If(Node):
+    __slots__ = ("cond", "then", "els", "loc")
+
+    def __init__(self, cond: Expr, then: Block, els: Block | If | None, loc: Loc):
+        self.cond = cond
+        self.then = then
+        self.els = els
+        self.loc = loc
 
 
-@dataclass
-class While:
-    cond: Expr
-    body: Block
-    loc: Loc = field(compare=False)
+class While(Node):
+    __slots__ = ("cond", "body", "loc")
+
+    def __init__(self, cond: Expr, body: Block, loc: Loc):
+        self.cond = cond
+        self.body = body
+        self.loc = loc
 
 
-@dataclass
-class Assert:
-    cond: Expr
-    loc: Loc = field(compare=False)
+class Assert(Node):
+    __slots__ = ("cond", "loc")
+
+    def __init__(self, cond: Expr, loc: Loc):
+        self.cond = cond
+        self.loc = loc
 
 
-@dataclass
-class Assume:
-    cond: Expr
-    loc: Loc = field(compare=False)
+class Assume(Node):
+    __slots__ = ("cond", "loc")
+
+    def __init__(self, cond: Expr, loc: Loc):
+        self.cond = cond
+        self.loc = loc
 
 
-@dataclass
-class Return:
-    value: Expr | None
-    loc: Loc = field(compare=False)
+class Return(Node):
+    __slots__ = ("value", "loc")
+
+    def __init__(self, value: Expr | None, loc: Loc):
+        self.value = value
+        self.loc = loc
 
 
-@dataclass
-class Print:
-    args: list[Expr]
-    loc: Loc = field(compare=False)
+class Print(Node):
+    __slots__ = ("args", "loc")
+
+    def __init__(self, args: list[Expr], loc: Loc):
+        self.args = args
+        self.loc = loc
 
 
 Stmt = (
@@ -226,37 +293,53 @@ Stmt = (
 # declarations
 
 
-@dataclass
-class Param:
-    name: str
-    ty: Type  # INT, REAL, INT_ARRAY or REAL_ARRAY
-    loc: Loc = field(compare=False)
+class Param(Node):
+    __slots__ = ("name", "ty", "loc")
+
+    def __init__(self, name: str, ty: Type, loc: Loc):
+        self.name = name
+        self.ty = ty  # INT, REAL, INT_ARRAY or REAL_ARRAY
+        self.loc = loc
 
 
-@dataclass
-class FuncDecl:
-    name: str
-    params: list[Param]
-    ret: Type  # INT, REAL or VOID
-    body: Block
-    loc: Loc = field(compare=False)
-    # the name of each frame slot; None until validation sets it
-    slots: tuple[str, ...] | None = field(default=None, compare=False, repr=False)
+class FuncDecl(Node):
+    __slots__ = ("name", "params", "ret", "body", "loc", "slots")
+
+    def __init__(
+        self,
+        name: str,
+        params: list[Param],
+        ret: Type,
+        body: Block,
+        loc: Loc,
+        slots: tuple[str, ...] | None = None,
+    ):
+        self.name = name
+        self.params = params
+        self.ret = ret  # INT, REAL or VOID
+        self.body = body
+        self.loc = loc
+        # the name of each frame slot; None until validation sets it
+        self.slots = slots
 
 
-@dataclass
-class InputDecl:
-    name: str
-    ty: Type  # INT (scalar) or REAL_ARRAY
-    extent: Expr | None  # for arrays
-    default: int | None  # for ints
-    loc: Loc = field(compare=False)
+class InputDecl(Node):
+    __slots__ = ("name", "ty", "extent", "default", "loc")
+
+    def __init__(self, name: str, ty: Type, extent: Expr | None, default: int | None, loc: Loc):
+        self.name = name
+        self.ty = ty  # INT (scalar) or REAL_ARRAY
+        self.extent = extent  # for arrays
+        self.default = default  # for ints
+        self.loc = loc
 
 
-@dataclass
-class Program:
-    inputs: list[InputDecl]
-    funcs: list[FuncDecl]
+class Program(Node):
+    __slots__ = ("inputs", "funcs")
+
+    def __init__(self, inputs: list[InputDecl], funcs: list[FuncDecl]):
+        self.inputs = inputs
+        self.funcs = funcs
 
     def func(self, name: str) -> FuncDecl:
         for f in self.funcs:

@@ -11,9 +11,9 @@ against an implementation that shares none of its code.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from ..engine import ChooseInt, ConcretizeInt, Decision
 
@@ -60,8 +60,7 @@ def crs_to_dense_native(val, col_ind, row_ptr, n: int, m: int) -> list[Fraction]
     return dense
 
 
-@dataclass(frozen=True)
-class Skeleton:
+class Skeleton(NamedTuple):
     """The structural part of one compressed-row matrix: sizes and
     positions, with the stored values left open."""
 

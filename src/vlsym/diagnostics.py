@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Loc:
+class Loc(NamedTuple):
     """A source span on a single line. Columns are 1-based and inclusive."""
 
     file: str
@@ -18,8 +17,7 @@ class Loc:
         return f"{self.file}:{self.line}:{self.col}-{self.end_col}"
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     message: str
     loc: Loc
 

@@ -44,7 +44,6 @@ import enum
 import os
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from random import Random
 
@@ -103,14 +102,44 @@ class Certainty(enum.Enum):
     MAYBE = "MAYBE"
 
 
+class _ByValue:
+    """A slotted class whose instances compare by class and the values of
+    their slots, and show those values in their repr, as a dataclass's do.
+    Only the decisions are hashable, since only they are immutable."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+
 # ---------------------------------------------------------------------------
 # decisions and trails
 
 
-@dataclass(frozen=True)
-class ChooseInt:
-    index: int
-    fanout: int
+class _Decision(_ByValue):
+    # a trail policy finds a decision among the options by equality
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+
+class ChooseInt(_Decision):
+    __slots__ = ("index", "fanout")
+
+    def __init__(self, index: int, fanout: int):
+        self.index = index
+        self.fanout = fanout
 
     def render(self) -> str:
         return f"C {self.index}/{self.fanout}"
@@ -119,9 +148,11 @@ class ChooseInt:
         return self.index
 
 
-@dataclass(frozen=True)
-class Branch:
-    then_taken: bool
+class Branch(_Decision):
+    __slots__ = ("then_taken",)
+
+    def __init__(self, then_taken: bool):
+        self.then_taken = then_taken
 
     def render(self) -> str:
         return f"B {'t' if self.then_taken else 'e'}"
@@ -130,11 +161,13 @@ class Branch:
         return 0 if self.then_taken else 1
 
 
-@dataclass(frozen=True)
-class ConcretizeInt:
-    name: str
-    value: int
-    fanout: int
+class ConcretizeInt(_Decision):
+    __slots__ = ("name", "value", "fanout")
+
+    def __init__(self, name: str, value: int, fanout: int):
+        self.name = name
+        self.value = value
+        self.fanout = fanout
 
     def render(self) -> str:
         return f"Z {self.name}={self.value}/{self.fanout}"
@@ -198,17 +231,22 @@ def parse_trail(text: str) -> list[Decision]:
 
 # ---------------------------------------------------------------------------
 # boolean formulas (kept in negation normal form by construction): a
-# solver Atom is a leaf, and a decided formula is the bool True or False
+# solver Atom is a leaf, and a decided formula is the bool True or False.
+# The connectives compare by identity.
 
 
-@dataclass(frozen=True)
 class FAnd:
-    parts: tuple
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
 
 
-@dataclass(frozen=True)
 class FOr:
-    parts: tuple
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple):
+        self.parts = parts
 
 
 def f_and(parts) -> object:
@@ -291,9 +329,13 @@ def dnf(f) -> list[list[Atom]]:
 # runtime state
 
 
-@dataclass(frozen=True)
 class ArrayRef:
-    addr: int
+    """The address of an array in a state's heap; it compares by identity."""
+
+    __slots__ = ("addr",)
+
+    def __init__(self, addr: int):
+        self.addr = addr
 
 
 class ArrayStorage:
@@ -393,15 +435,26 @@ class ExecState:
 # violations
 
 
-@dataclass
-class Violation:
-    prop: Property
-    certainty: Certainty
-    loc: Loc
-    message: str
-    trail: tuple
-    witness: "dict[SymConst, int | Fraction] | None"
-    detail: "list[tuple[str, str]] | None" = None
+class Violation(_ByValue):
+    __slots__ = ("prop", "certainty", "loc", "message", "trail", "witness", "detail")
+
+    def __init__(
+        self,
+        prop: Property,
+        certainty: Certainty,
+        loc: Loc,
+        message: str,
+        trail: tuple,
+        witness: dict[SymConst, int | Fraction] | None,
+        detail: list[tuple[str, str]] | None = None,
+    ):
+        self.prop = prop
+        self.certainty = certainty
+        self.loc = loc
+        self.message = message
+        self.trail = trail
+        self.witness = witness
+        self.detail = detail
 
     @property
     def depth(self) -> int:
@@ -481,34 +534,46 @@ def _offered(options: Sequence[Decision]) -> str:
 # stats and configuration
 
 
-@dataclass
-class Stats:
-    states: int = 0
-    terminals: int = 0
-    pruned: int = 0
-    solver_calls: int = 0
+class Stats(_ByValue):
+    __slots__ = ("states", "terminals", "pruned", "solver_calls")
+
+    def __init__(
+        self, states: int = 0, terminals: int = 0, pruned: int = 0, solver_calls: int = 0
+    ):
+        self.states = states
+        self.terminals = terminals
+        self.pruned = pruned
+        self.solver_calls = solver_calls
 
     def add(self, other: "Stats") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in self.__slots__:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
-@dataclass
 class SearchConfig:
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
-    max_depth: int = 0  # 0 means unlimited
-    first_only: bool = False
-    workers: int = 1
-    overrides: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        budget: int = DEFAULT_BUDGET,
+        seed: int = 0,
+        max_depth: int = 0,
+        first_only: bool = False,
+        workers: int = 1,
+        overrides: dict | None = None,
+    ):
+        self.budget = budget
+        self.seed = seed
+        self.max_depth = max_depth  # 0 means unlimited
+        self.first_only = first_only
+        self.workers = workers
+        self.overrides = {} if overrides is None else overrides
 
 
-@dataclass
 class SearchResult:
-    violations: list
-    stats: Stats
-    incomplete: bool
-    inputs_desc: list
+    def __init__(self, violations: list, stats: Stats, incomplete: bool, inputs_desc: list):
+        self.violations = violations
+        self.stats = stats
+        self.incomplete = incomplete
+        self.inputs_desc = inputs_desc
 
 
 class Engine:
@@ -1672,11 +1737,11 @@ def explore(program: ast.Program, config: SearchConfig, on_terminal=None) -> Sea
     return SearchResult(ex.violations, ex.stats, ex.incomplete, eng.inputs_desc)
 
 
-@dataclass
 class PathOutcome:
-    state: "ExecState | None"
-    violations: list
-    prints: list
+    def __init__(self, state: ExecState | None, violations: list, prints: list):
+        self.state = state
+        self.violations = violations
+        self.prints = prints
 
 
 def _follow(ex: _Executor, state: ExecState) -> PathOutcome:

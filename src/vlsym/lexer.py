@@ -8,8 +8,8 @@ Decimal literals denote exact rationals (0.1 is 1/10, not a float).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .diagnostics import Diagnostic, Loc, error
 
@@ -74,8 +74,7 @@ PUNCTS = (
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokKind
     lexeme: str
     line: int

@@ -16,7 +16,6 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -36,27 +35,38 @@ class Rel(enum.Enum):
 _FLIP = {Rel.LT: Rel.LE, Rel.LE: Rel.LT, Rel.EQ: Rel.NE, Rel.NE: Rel.EQ}
 
 
-@dataclass(frozen=True)
 class Atom:
-    """The constraint `poly rel 0` over symbols of a single kind."""
+    """The constraint `poly rel 0` over symbols of a single kind. Atoms
+    compare by value."""
 
-    kind: SymKind
-    rel: Rel
-    poly: Poly
+    __slots__ = ("kind", "rel", "poly", "_hash")
+
+    def __init__(self, kind: SymKind, rel: Rel, poly: Poly):
+        self.kind = kind
+        self.rel = rel
+        self.poly = poly
+        self._hash = None
+
+    def __eq__(self, other):
+        if other.__class__ is not Atom:
+            return NotImplemented
+        return self.kind == other.kind and self.rel == other.rel and self.poly == other.poly
 
     def __hash__(self) -> int:
         # a solver memo keyed on a path condition's atoms hashes each atom
         # on every query, and hashing a Poly builds a frozenset of its terms,
         # so the first hash is kept
-        try:
-            return self.__dict__["_hash"]
-        except KeyError:
-            h = self.__dict__["_hash"] = hash((self.kind, self.rel, self.poly))
-            return h
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.kind, self.rel, self.poly))
+        return h
 
-    def __getstate__(self) -> dict:
+    def __reduce__(self):
         # the kept hash includes Enum hashes, which differ between processes
-        return {"kind": self.kind, "rel": self.rel, "poly": self.poly}
+        return Atom, (self.kind, self.rel, self.poly)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Atom({self.poly.render()} {self.rel.value} 0)"
 
     def negated(self) -> "Atom":
         if self.rel in (Rel.EQ, Rel.NE):
@@ -158,10 +168,10 @@ class SatStatus(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass
 class SatResult:
-    status: SatStatus
-    witness: dict[SymConst, "int | Fraction"] | None = None
+    def __init__(self, status: SatStatus, witness: dict[SymConst, int | Fraction] | None = None):
+        self.status = status
+        self.witness = witness
 
 
 class UnboundedSymbol(Exception):

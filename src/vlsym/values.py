@@ -25,7 +25,6 @@ one a new computation would give. Compare real values through `.poly`.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -35,19 +34,31 @@ class SymKind(enum.Enum):
     REAL = "real"
 
 
-@dataclass(frozen=True)
 class SymConst:
     """A symbolic constant, e.g. the array cell X_A[2] or the scalar N.
 
     `ord` is the global declaration position (input order, then flat index
     within an array input); it fixes the monomial order independent of how
-    the search happens to visit states.
+    the search happens to visit states. Symbols compare by value.
     """
 
-    name: str
-    index: int | None
-    kind: SymKind
-    ord: int
+    __slots__ = ("name", "index", "kind", "ord")
+
+    def __init__(self, name: str, index: int | None, kind: SymKind, ord: int):
+        self.name = name
+        self.index = index
+        self.kind = kind
+        self.ord = ord
+
+    def __eq__(self, other):
+        if other.__class__ is not SymConst:
+            return NotImplemented
+        return (
+            self.name == other.name
+            and self.index == other.index
+            and self.kind == other.kind
+            and self.ord == other.ord
+        )
 
     def __hash__(self) -> int:
         # every Poly term lookup hashes its symbols, so hash the int ord
@@ -320,11 +331,17 @@ class Poly:
 # Runtime values: a concrete int is a Python int, and these hold the rest
 
 
-@dataclass(frozen=True)
 class SymInt:
-    """An integer whose value is a non-constant polynomial over int symbols."""
+    """An integer whose value is a non-constant polynomial over int symbols.
+    Like a RealVal, it compares by identity; compare two through their polys."""
 
-    poly: Poly
+    __slots__ = ("poly",)
+
+    def __init__(self, poly: Poly):
+        self.poly = poly
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"SymInt({self.poly.render()})"
 
 
 class RealVal:

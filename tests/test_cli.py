@@ -225,3 +225,17 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == str(corpus_dir())
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # every launch pays for what `import vlsym.cli` imports: dataclasses
+    # and the inspect module it pulls in cost about 10 ms
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import vlsym.cli\n"
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -1083,7 +1083,7 @@ def forked_matches_serial(prog, **kw) -> engine.SearchResult:
     forked = explore(prog, SearchConfig(workers=2, **kw))
     assert forked.stats == serial.stats
     assert forked.incomplete == serial.incomplete
-    # dataclass equality: prop, certainty, loc, message, trail, witness and
+    # value equality: prop, certainty, loc, message, trail, witness and
     # detail of every violation, in order
     assert forked.violations == serial.violations
     assert forked.inputs_desc == serial.inputs_desc
@@ -1233,7 +1233,7 @@ def test_kept_answers_give_the_findings_of_the_uncached_solver(monkeypatch, name
         fresh = explore(prog, SearchConfig(workers=workers))
     assert kept.stats == fresh.stats
     assert kept.incomplete == fresh.incomplete
-    # dataclass equality: prop, certainty, loc, message, trail, witness and
+    # value equality: prop, certainty, loc, message, trail, witness and
     # detail of every violation, in order
     assert kept.violations == fresh.violations
     assert kept.violations
