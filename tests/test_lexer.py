@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from vlsym.diagnostics import Loc
 from vlsym.lexer import LexError, TokKind, Token, decimal_to_fraction, tokenize
 
 
@@ -111,6 +112,63 @@ def test_unterminated_block_comment():
     assert "unterminated block comment" in exc.value.diagnostic.message
 
 
+@pytest.mark.parametrize(
+    "source, message, loc",
+    [
+        # at the second dot, the character where a digit was expected
+        ("x = 1..2;", "malformed decimal literal: digit expected after '.'", (1, 7, 7)),
+        # past the end of the input
+        ("x = 1.", "malformed decimal literal: digit expected after '.'", (1, 7, 7)),
+        # at the opening quote, also where the line ends first
+        ('print("oops);', "unterminated string literal", (1, 7, 7)),
+        ('a\n  print("ab\nc");', "unterminated string literal", (2, 9, 9)),
+        # at the '/*', two columns wide
+        ("a\n b /* never closed", "unterminated block comment", (2, 4, 5)),
+        ("a /*/", "unterminated block comment", (1, 3, 4)),
+        ("a\n\tb $", "unknown character '$'", (2, 4, 4)),
+        ("a . b", "unknown character '.'", (1, 3, 3)),
+    ],
+)
+def test_lex_error_message_and_loc(source, message, loc):
+    with pytest.raises(LexError) as exc:
+        tokenize(source, "f.vl")
+    assert exc.value.diagnostic.message == message
+    assert exc.value.diagnostic.loc == Loc("f.vl", *loc)
+
+
+def positions(toks):
+    return [(t.kind, t.lexeme, t.line, t.col) for t in toks]
+
+
+def test_positions_after_a_block_comment_spanning_lines():
+    toks = tokenize("a /* one\ntwo\n */ b\n  c")
+    assert positions(toks) == [
+        (TokKind.IDENT, "a", 1, 1),
+        (TokKind.IDENT, "b", 3, 5),
+        (TokKind.IDENT, "c", 4, 3),
+        (TokKind.EOF, "", 4, 4),
+    ]
+
+
+def test_positions_after_crlf():
+    # '\r' takes a column, as a space does, and '\n' starts the next line
+    toks = tokenize("a\r\nb\r\n c \r")
+    assert positions(toks) == [
+        (TokKind.IDENT, "a", 1, 1),
+        (TokKind.IDENT, "b", 2, 1),
+        (TokKind.IDENT, "c", 3, 2),
+        (TokKind.EOF, "", 3, 5),
+    ]
+
+
+def test_eof_after_a_trailing_line_comment():
+    assert positions(tokenize("a // end")) == [
+        (TokKind.IDENT, "a", 1, 1),
+        (TokKind.EOF, "", 1, 9),
+    ]
+    assert positions(tokenize("a\n// end\n"))[-1] == (TokKind.EOF, "", 3, 1)
+
+
 def test_string_literal_for_print():
     toks = tokenize('print("n: ", n);')
     strs = [t for t in toks if t.kind is TokKind.STR_LIT]
@@ -134,7 +192,7 @@ def test_idents_round_trip_through_whitespace(words):
     assert lexed == words
 
 
-@given(st.text(alphabet="abc019 \n\t=<>!&|+-*/(){}[];,", max_size=80))
+@given(st.text(alphabet='abc019 .\n\t\r"=<>!&|+-*/(){}[];,Ñ²', max_size=80))
 def test_arbitrary_soup_never_crashes(src):
     # either a token list or a LexError; nothing else
     try:
