@@ -83,7 +83,12 @@ class Token(NamedTuple):
 
     @property
     def loc(self) -> Loc:
-        width = max(1, len(self.lexeme))
+        """The token's span; a string's lexeme leaves out its quotes, and
+        the end of input is one column wide."""
+        if self.kind is TokKind.STR_LIT:
+            width = len(self.lexeme) + 2
+        else:
+            width = max(1, len(self.lexeme))
         return Loc(self.file, self.line, self.col, self.col + width - 1)
 
     def is_kw(self, word: str) -> bool:

@@ -93,6 +93,15 @@ def test_string_only_in_print():
         parse_program('func main() { var int x; x = "no"; }')
 
 
+def test_a_string_literal_spans_its_quotes():
+    for literal, end_col in (('"abc"', 31), ('""', 28)):
+        with pytest.raises(ParseError) as exc:
+            parse_program(f"func main() {{ var int x = {literal}; }}")
+        assert exc.value.diagnostic.loc.render() == f"<input>:1:27-{end_col}"
+    stmts = body_of('func main() { print("n: ", 1); }')
+    assert stmts[0].args[0].loc.render() == "<input>:1:21-25"
+
+
 def test_else_if_chain():
     stmts = body_of(
         "func main() { var int a = 1; if (a < 1) {} else if (a < 2) {} else {} }"
