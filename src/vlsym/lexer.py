@@ -8,6 +8,7 @@ Decimal literals denote exact rationals (0.1 is 1/10, not a float).
 from __future__ import annotations
 
 import enum
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -45,35 +46,6 @@ KEYWORDS = frozenset(
     }
 )
 
-# longest-match first
-PUNCTS = (
-    "&&",
-    "||",
-    "==",
-    "!=",
-    "<=",
-    ">=",
-    "++",
-    "->",
-    "<",
-    ">",
-    "=",
-    "!",
-    "+",
-    "-",
-    "*",
-    "/",
-    "(",
-    ")",
-    "{",
-    "}",
-    "[",
-    "]",
-    ";",
-    ",",
-)
-
-
 class Token(NamedTuple):
     kind: TokKind
     lexeme: str
@@ -83,12 +55,8 @@ class Token(NamedTuple):
 
     @property
     def loc(self) -> Loc:
-        """The token's span; a string's lexeme leaves out its quotes, and
-        the end of input is one column wide."""
-        if self.kind is TokKind.STR_LIT:
-            width = len(self.lexeme) + 2
-        else:
-            width = max(1, len(self.lexeme))
+        # a string's lexeme leaves out its quotes; the end of input is one column
+        width = len(self.lexeme) + 2 if self.kind is TokKind.STR_LIT else max(1, len(self.lexeme))
         return Loc(self.file, self.line, self.col, self.col + width - 1)
 
     def is_kw(self, word: str) -> bool:
@@ -110,118 +78,59 @@ def decimal_to_fraction(lexeme: str) -> Fraction:
     return Fraction(int(whole) * scale + int(frac), scale)
 
 
-def _is_digit(c: str) -> bool:
-    """An ASCII digit; str.isdigit also takes the likes of '²' and '٣'."""
-    return "0" <= c <= "9"
-
-
-def _is_name_start(c: str) -> bool:
-    """An ASCII letter or '_'; str.isalpha also takes the likes of 'Ñ',
-    which no -input option could then name."""
-    return "a" <= c <= "z" or "A" <= c <= "Z" or c == "_"
+# One alternative per kind of match, tried in order at each offset: text
+# to skip, a token, or the start of a lexical error. Only ASCII digits make
+# a number (str.isdigit also takes '²') and only ASCII letters, digits and
+# '_' a name (str.isalpha also takes 'Ñ', which no -input option could
+# name). The last alternative takes any character, so matches tile the input.
+_TOKEN = re.compile(
+    r"""
+    (?P<SKIP> [ \t\r\n]+ | //[^\n]* | /\*.*?\*/ )
+  | (?P<OPEN_COMMENT> /\* )
+  | (?P<DEC_LIT> [0-9]+\.[0-9]+ )
+  | (?P<BAD_DEC> [0-9]+\. )
+  | (?P<INT_LIT> [0-9]+ )
+  | (?P<IDENT> [A-Za-z_][A-Za-z0-9_]* )
+  | (?P<STR_LIT> "[^"\n]*" )
+  | (?P<OPEN_STR> " )
+  | (?P<PUNCT> && | \|\| | == | != | <= | >= | \+\+ | -> | [<>=!+\-*/(){}\[\];,] )
+  | (?P<UNKNOWN> . )
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_KINDS = {kind.name: kind for kind in TokKind}
+_ERRORS = {
+    "OPEN_COMMENT": "unterminated block comment",
+    "BAD_DEC": "malformed decimal literal: digit expected after '.'",
+    "OPEN_STR": "unterminated string literal",
+}
 
 
 def tokenize(source: str, file: str = "<input>") -> list[Token]:
     """Tokenize VL source. Raises LexError at the first lexical error."""
     toks: list[Token] = []
-    i = 0
     line = 1
-    col = 1
-    n = len(source)
-
-    def here(width: int = 1) -> Loc:
-        return Loc(file, line, col, col + width - 1)
-
-    def fail(msg: str, width: int = 1) -> LexError:
-        return LexError(error(msg, here(width)))
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line_start = 0  # the offset at which the line starts
+    for m in _TOKEN.finditer(source):
+        group, text, start = m.lastgroup, m.group(), m.start()
+        if group == "SKIP":
+            last_newline = text.rfind("\n")
+            if last_newline >= 0:
+                line += text.count("\n")
+                line_start = start + last_newline + 1
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if source.startswith("/*", i):
-            start_line, start_col = line, col
-            i += 2
-            col += 2
-            while i < n and not source.startswith("*/", i):
-                if source[i] == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-                i += 1
-            if i >= n:
-                raise LexError(
-                    error("unterminated block comment", Loc(file, start_line, start_col, start_col + 1))
-                )
-            i += 2
-            col += 2
-            continue
-        if _is_digit(c):
-            start = i
-            start_col = col
-            while i < n and _is_digit(source[i]):
-                i += 1
-                col += 1
-            if i < n and source[i] == ".":
-                i += 1
-                col += 1
-                if i >= n or not _is_digit(source[i]):
-                    raise fail("malformed decimal literal: digit expected after '.'")
-                while i < n and _is_digit(source[i]):
-                    i += 1
-                    col += 1
-                toks.append(Token(TokKind.DEC_LIT, source[start:i], line, start_col, file))
-            else:
-                toks.append(Token(TokKind.INT_LIT, source[start:i], line, start_col, file))
-            continue
-        if _is_name_start(c):
-            start = i
-            start_col = col
-            while i < n and (_is_name_start(source[i]) or _is_digit(source[i])):
-                i += 1
-                col += 1
-            word = source[start:i]
-            kind = TokKind.KEYWORD if word in KEYWORDS else TokKind.IDENT
-            toks.append(Token(kind, word, line, start_col, file))
-            continue
-        if c == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            chars: list[str] = []
-            while i < n and source[i] not in '"\n':
-                chars.append(source[i])
-                i += 1
-                col += 1
-            if i >= n or source[i] == "\n":
-                raise LexError(
-                    error("unterminated string literal", Loc(file, start_line, start_col, start_col))
-                )
-            i += 1
-            col += 1
-            toks.append(Token(TokKind.STR_LIT, "".join(chars), start_line, start_col, file))
-            continue
-        for p in PUNCTS:
-            if source.startswith(p, i):
-                toks.append(Token(TokKind.PUNCT, p, line, col, file))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise fail(f"unknown character {c!r}")
-
-    toks.append(Token(TokKind.EOF, "", line, col, file))
+        col = start - line_start + 1
+        kind = _KINDS.get(group)
+        if kind is None:  # an error alternative
+            if group == "BAD_DEC":
+                col += len(text)  # where a digit was expected
+            message = _ERRORS.get(group) or f"unknown character {text!r}"
+            end = col + 1 if group == "OPEN_COMMENT" else col
+            raise LexError(error(message, Loc(file, line, col, end)))
+        if kind is TokKind.IDENT and text in KEYWORDS:
+            kind = TokKind.KEYWORD
+        elif kind is TokKind.STR_LIT:
+            text = text[1:-1]
+        toks.append(Token(kind, text, line, col, file))
+    toks.append(Token(TokKind.EOF, "", line, len(source) - line_start + 1, file))
     return toks
