@@ -67,7 +67,6 @@ from .values import (
     Poly,
     RealVal,
     SymConst,
-    SymInt,
     SymKind,
     int_poly,
     make_int,
@@ -629,7 +628,7 @@ class Engine:
                 else:
                     sym = SymConst(name, None, SymKind.INT, ordinal)
                     ordinal += 1
-                    state.globals[name] = SymInt(Poly.symbol(sym))
+                    state.globals[name] = Poly.symbol(sym)
                     desc.append(f"{name} : int, symbolic")
                 continue
             n = self._extent(decl, state)
@@ -701,12 +700,12 @@ _LEAVES = (ast.ChooseAssign, ast.CallStmt, ast.Return)
 _INLINE = (ast.VarDecl, ast.Assign, ast.Print, ast.ArrDecl, ast.Block)
 
 
-def _strict(v: "int | SymInt") -> int:
+def _strict(v: "int | Poly") -> int:
     """The value of an int in a strict position; a symbolic one is pinned
     first, by its earliest declared symbol."""
     if v.__class__ is int:
         return v
-    raise NeedsConcretize(min(v.poly.symbols(), key=lambda s: s.ord))
+    raise NeedsConcretize(min(v.symbols(), key=lambda s: s.ord))
 
 
 def _atom_formula(atom: Atom):
@@ -782,7 +781,7 @@ def _equals(
             if f is None:
                 f = _keep(memo, (va, vb), _real_atom(Rel.EQ, va, vb))
         else:
-            f = _atom_formula(Atom(SymKind.INT, Rel.EQ, int_poly(va) - int_poly(vb)))
+            f = _int_atom(Rel.EQ, va, vb)
         parts.append(f)
     return f_and(parts)
 
@@ -1251,8 +1250,8 @@ def _pin(state: ExecState, sym: SymConst, value: int) -> None:
     assignment = {sym: value}
 
     def subst(v):
-        if v.__class__ is SymInt:
-            return make_int(v.poly.substitute(assignment))
+        if v.__class__ is Poly:
+            return make_int(v.substitute(assignment))
         return v
 
     for frame in state.frames:
@@ -1705,7 +1704,7 @@ def _render_value(v, witness=None) -> str:
         return "undef"
     if v.__class__ is int:
         return str(v)
-    poly = v.poly
+    poly = v if v.__class__ is Poly else v.poly
     if witness is None:
         return poly.render()
     point = {sym: witness.get(sym, 0) for sym in poly.symbols()}

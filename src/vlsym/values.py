@@ -328,20 +328,8 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# Runtime values: a concrete int is a Python int, and these hold the rest
-
-
-class SymInt:
-    """An integer whose value is a non-constant polynomial over int symbols.
-    Like a RealVal, it compares by identity; compare two through their polys."""
-
-    __slots__ = ("poly",)
-
-    def __init__(self, poly: Poly):
-        self.poly = poly
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SymInt({self.poly.render()})"
+# Runtime values: a concrete int is a Python int, a symbolic one a
+# non-constant Poly over int symbols, and these hold the rest
 
 
 class RealVal:
@@ -372,18 +360,18 @@ class UndefinedVal:
 UNDEFINED = UndefinedVal()
 
 
-def make_int(poly: Poly) -> "int | SymInt":
+def make_int(poly: Poly) -> "int | Poly":
     """An integer-valued polynomial as a value: an int when it is constant."""
     if poly.is_const():
         c = poly.const_value()
         assert c.__class__ is int, "integer poly with non-integer constant"
         return c
-    return SymInt(poly)
+    return poly
 
 
-def int_poly(v: "int | SymInt") -> Poly:
+def int_poly(v: "int | Poly") -> Poly:
     if v.__class__ is int:
         return Poly.const(v)
-    if v.__class__ is SymInt:
-        return v.poly
+    if v.__class__ is Poly:
+        return v
     raise TypeError(f"not an integer value: {v!r}")

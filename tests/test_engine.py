@@ -27,7 +27,7 @@ from vlsym.engine import (
 )
 from vlsym.parser import load_program, parse_program
 from vlsym.solver import Atom, PathCondition, Rel, SatStatus
-from vlsym.values import Poly, RealVal, SymConst, SymInt, SymKind
+from vlsym.values import Poly, RealVal, SymConst, SymKind
 
 
 def load(src: str) -> Program:
@@ -970,8 +970,8 @@ def test_values_under_a_witness_render_as_exact_rationals():
         (RealVal(prod.scale(2)), {a0: Fraction(3, 2), v0: 1}, "3"),
         (RealVal(prod - half.scale(3)), {a0: Fraction(-1, 4), v0: 1}, "-7/4"),
         (RealVal(Poly.symbol(v0) + Poly.const(2)), {}, "2"),
-        (SymInt(Poly.symbol(n).scale(3) + Poly.const(1)), {n: 2}, "7"),
-        (SymInt(Poly.symbol(n).scale(-3)), {n: 2}, "-6"),
+        (Poly.symbol(n).scale(3) + Poly.const(1), {n: 2}, "7"),
+        (Poly.symbol(n).scale(-3), {n: 2}, "-6"),
     ]
     for value, witness, want in cases:
         assert engine._render_value(value, witness) == want

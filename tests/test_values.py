@@ -14,10 +14,11 @@ from vlsym.values import (
     MissingAssignment,
     NonConstantDivisor,
     Poly,
+    RealVal,
     SymConst,
     SymKind,
-    SymInt,
     _poly,
+    int_poly,
     make_int,
 )
 
@@ -382,9 +383,18 @@ def test_make_int_collapses_constants():
     v = make_int(Poly.const(3))
     assert type(v) is int and v == 3
     v = make_int(Poly.symbol(n))
-    assert isinstance(v, SymInt)
+    assert type(v) is Poly and v == Poly.symbol(n)
     v = make_int(Poly.symbol(n) - Poly.symbol(n))
     assert type(v) is int and v == 0
+
+
+def test_int_poly_takes_an_int_or_a_poly_only():
+    p = Poly.symbol(SymConst("N", None, SymKind.INT, 0))
+    assert int_poly(3) == Poly.const(3)
+    assert int_poly(p) is p
+    for bad in (RealVal(p), True, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            int_poly(bad)
 
 
 # --- symbol hashing ------------------------------------------------------------
