@@ -26,6 +26,7 @@ from vlsym.engine import (
     trail_key,
 )
 from vlsym.parser import load_program, parse_program
+from vlsym.report import render_violation
 from vlsym.solver import Atom, PathCondition, Rel, SatStatus
 from vlsym.values import Poly, RealVal, SymConst, SymKind
 
@@ -976,6 +977,34 @@ def test_values_under_a_witness_render_as_exact_rationals():
     for value, witness, want in cases:
         assert engine._render_value(value, witness) == want
     assert engine._render_value(RealVal(prod + half)) == "X_A[0]*X_V[0] + 1/2"
+
+
+SAMPLED_WITNESS = """
+input real V[2];
+func main() {
+  assume(V[0] + 2.0 < 0.0);
+  var real a[1];
+  var real b[1];
+  a[0] = V[0] * V[1];
+  b[0] = V[1];
+  assert(equals(a, b));
+}
+"""
+
+
+def test_the_sampler_keeps_its_draws():
+    # the all-ones point fails the assume, so the witness is the seed-0
+    # sampler's first random point that satisfies it
+    r = search(SAMPLED_WITNESS, seed=0)
+    (v,) = r.violations
+    assert v.certainty is Certainty.PROVEABLE
+    text = render_violation(0, v, {"<input>": SAMPLED_WITNESS})
+    assert "witness: X_V[0] = -917/34, X_V[1] = 326/21" in text.splitlines()
+    assert "a: [ -21353/51 ]" in text.splitlines()
+    assert v.witness
+    for value in v.witness.values():
+        integral = Fraction(value).denominator == 1
+        assert value.__class__ is (int if integral else Fraction)
 
 
 def test_start_state_errors_are_the_same_in_every_mode():
