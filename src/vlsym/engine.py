@@ -405,7 +405,10 @@ class ExecState:
     def clone(self) -> "ExecState":
         st = ExecState(
             [f.clone() for f in self.frames],
-            {addr: s.clone() for addr, s in self.heap.items()},
+            # an input's cells are never written (run_path fills them before
+            # the first clone, and _pin rewrites int storages only), so
+            # every path shares them
+            {addr: s if s.read_only else s.clone() for addr, s in self.heap.items()},
             self.next_addr,
             self.globals,
             self.pc,
@@ -1503,7 +1506,7 @@ class _Executor:
                     loc,
                     "asserted condition fails",
                     res.witness,
-                    _assert_detail(state, shown, res.witness),
+                    _assert_detail(state, shown, res),
                 )
                 return []
             if res.status is SatStatus.UNKNOWN:
@@ -1677,10 +1680,12 @@ def _normalize(state: ExecState) -> None:
         frames.pop()
 
 
-def _assert_detail(state: ExecState, shown, witness) -> "list[tuple[str, str]] | None":
+def _assert_detail(state: ExecState, shown, res: SatResult) -> "list[tuple[str, str]] | None":
+    """The two arrays of a failed equals() under the witness of res."""
     if shown is None:
         return None
-    return [(name, _render_cells(state.heap[ref.addr].cells, witness)) for name, ref in shown]
+    w, texts = res.witness, res.texts
+    return [(name, _render_cells(state.heap[ref.addr].cells, w, texts)) for name, ref in shown]
 
 
 def _render_print_arg(p) -> str:
@@ -1692,14 +1697,18 @@ def _render_print_arg(p) -> str:
     return _render_value(p)
 
 
-def _render_cells(cells, witness=None) -> str:
-    vals = [_render_value(c, witness) for c in cells]
+def _render_cells(cells, witness=None, texts=None) -> str:
+    vals = [_render_value(c, witness, texts) for c in cells]
     return "[ " + " ".join(vals) + " ]" if vals else "[ ]"
 
 
-def _render_value(v, witness=None) -> str:
+def _render_value(v, witness=None, texts=None) -> str:
     """v as print shows it; under a witness, its symbols take their values
-    (0 for a symbol the witness leaves out)."""
+    (0 for a symbol the witness leaves out). texts, if given, is the cache
+    of values already rendered under this witness (a SatResult's texts): a
+    RealVal is found there by identity and an int Poly by its terms, so a
+    value met again, on this path or on another that shares the witness,
+    is not evaluated again."""
     if v is UNDEFINED:
         return "undef"
     if v.__class__ is int:
@@ -1707,8 +1716,24 @@ def _render_value(v, witness=None) -> str:
     poly = v if v.__class__ is Poly else v.poly
     if witness is None:
         return poly.render()
-    point = {sym: witness.get(sym, 0) for sym in poly.symbols()}
-    return str(poly.eval(point))
+    if texts is None:
+        return str(_value_at(poly, witness))
+    text = texts.get(v)
+    if text is None:
+        text = texts[v] = str(_value_at(poly, witness))
+    return text
+
+
+def _value_at(poly: Poly, witness) -> "int | Fraction":
+    """poly.eval at the point where each symbol has its witness value, or 0
+    where the witness leaves it out, read straight from the terms."""
+    total = 0
+    get = witness.get
+    for m, c in poly.terms.items():
+        for sym in m:
+            c = c * get(sym, 0)
+        total += c
+    return total
 
 
 # ---------------------------------------------------------------------------

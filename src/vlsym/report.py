@@ -20,14 +20,22 @@ CATEGORY_ROWS = (
 ABSENCE_LEGEND = "All errors marked with '+' are absent on all executions."
 
 
-def _witness_text(v: Violation) -> str:
-    if v.witness is None:
+def _witness_text(witness, texts: dict[int, str]) -> str:
+    """The text of a witness. texts keeps the text of each witness dict by
+    its id while the violations that hold the dicts are being rendered:
+    many violations share the witness of one solver answer."""
+    if witness is None:
         return "(none)"
-    if not v.witness:
-        # a condition without atoms: the path fails whatever the inputs are
-        return "(any input)"
-    items = sorted(v.witness.items(), key=lambda kv: kv[0].ord)
-    return ", ".join(f"{sym.render()} = {value}" for sym, value in items)
+    text = texts.get(id(witness))
+    if text is None:
+        if not witness:
+            # a condition without atoms: the path fails whatever the inputs are
+            text = "(any input)"
+        else:
+            items = sorted(witness.items(), key=lambda kv: kv[0].ord)
+            text = ", ".join(f"{sym.render()} = {value}" for sym, value in items)
+        texts[id(witness)] = text
+    return text
 
 
 def _split(sources: dict[str, str]) -> dict[str, list[str]]:
@@ -44,10 +52,12 @@ def _snippet(v: Violation, lines: dict[str, list[str]]) -> str:
 def render_violation(index: int, v: Violation, sources: dict[str, str]) -> str:
     """One violation as the report shows it; sources maps each file to
     its text."""
-    return _render_violation(index, v, _split(sources))
+    return _render_violation(index, v, _split(sources), {})
 
 
-def _render_violation(index: int, v: Violation, lines: dict[str, list[str]]) -> str:
+def _render_violation(
+    index: int, v: Violation, lines: dict[str, list[str]], witness_texts: dict[int, str]
+) -> str:
     out = [
         f"Violation {index} encountered at depth {v.depth}:",
         f"(property: {v.prop.value}, certainty: {v.certainty.value}) at",
@@ -55,7 +65,7 @@ def _render_violation(index: int, v: Violation, lines: dict[str, list[str]]) -> 
         f"cause: {v.message}",
     ]
     if v.prop is not Property.ENUM_BUDGET:
-        out.append(f"witness: {_witness_text(v)}")
+        out.append(f"witness: {_witness_text(v.witness, witness_texts)}")
     if v.detail:
         for name, rendered in v.detail:
             out.append(f"{name}: {rendered}")
@@ -105,8 +115,8 @@ def render_report(
     if result.violations:
         out.append("")
         out.append("=== Violations ===")
-        lines = _split(sources)
+        lines, witness_texts = _split(sources), {}
         for i, v in enumerate(result.violations):
             out.append("")
-            out.append(_render_violation(i, v, lines))
+            out.append(_render_violation(i, v, lines, witness_texts))
     return "\n".join(out) + "\n"

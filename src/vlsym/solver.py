@@ -9,6 +9,13 @@ rationals. Answers are conservative: SAT always carries a checked
 witness; UNSAT is reported only for a condition that holds a false
 constant or whose integer atoms enumeration rules out, never because of
 a real atom; and a real question that no sample satisfies is UNKNOWN.
+
+A sample point follows the rule of Poly coefficients: a value is a Python
+int when it is integral and a Fraction only when it is not. The first
+point is the int 1 for every symbol; a random one draws, for each symbol
+in `ord` order, a numerator `randint(-999, 999)` and then a denominator
+`randint(1, 64)`. So a witness, and every atom checked against it, runs
+on ints wherever it can.
 """
 
 from __future__ import annotations
@@ -39,13 +46,14 @@ class Atom:
     """The constraint `poly rel 0` over symbols of a single kind. Atoms
     compare by value."""
 
-    __slots__ = ("kind", "rel", "poly", "_hash")
+    __slots__ = ("kind", "rel", "poly", "_hash", "_neg")
 
     def __init__(self, kind: SymKind, rel: Rel, poly: Poly):
         self.kind = kind
         self.rel = rel
         self.poly = poly
         self._hash = None
+        self._neg = None
 
     def __eq__(self, other):
         if other.__class__ is not Atom:
@@ -62,17 +70,26 @@ class Atom:
         return h
 
     def __reduce__(self):
-        # the kept hash includes Enum hashes, which differ between processes
+        # the kept hash includes Enum hashes, which differ between processes;
+        # the kept negation is rebuilt on demand
         return Atom, (self.kind, self.rel, self.poly)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Atom({self.poly.render()} {self.rel.value} 0)"
 
     def negated(self) -> "Atom":
-        if self.rel in (Rel.EQ, Rel.NE):
-            return Atom(self.kind, _FLIP[self.rel], self.poly)
-        # not (p < 0) is -p <= 0; not (p <= 0) is -p < 0
-        return Atom(self.kind, _FLIP[self.rel], -self.poly)
+        """The atom's negation, built once and kept on both atoms, so that a
+        memoized atom's negation keeps its hash from path to path."""
+        neg = self._neg
+        if neg is None:
+            if self.rel in (Rel.EQ, Rel.NE):
+                neg = Atom(self.kind, _FLIP[self.rel], self.poly)
+            else:
+                # not (p < 0) is -p <= 0; not (p <= 0) is -p < 0
+                neg = Atom(self.kind, _FLIP[self.rel], -self.poly)
+            neg._neg = self
+            self._neg = neg
+        return neg
 
     def holds(self, assign) -> bool:
         v = self.poly.eval(assign)
@@ -169,9 +186,16 @@ class SatStatus(enum.Enum):
 
 
 class SatResult:
+    """The solver's answer. texts holds the text of each value rendered so
+    far under witness (see engine._render_value), so that a result shared
+    by every query of one path condition renders each value once."""
+
+    __slots__ = ("status", "witness", "texts")
+
     def __init__(self, status: SatStatus, witness: dict[SymConst, int | Fraction] | None = None):
         self.status = status
         self.witness = witness
+        self.texts: dict = {}
 
 
 class UnboundedSymbol(Exception):
@@ -229,12 +253,12 @@ def pc_sat(pc: PathCondition, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Sa
         found = False
         for trial in range(SAMPLE_TRIALS):
             if trial == 0:
-                sample = {s: Fraction(1) for s in real_syms}
+                sample = dict.fromkeys(real_syms, 1)
             else:
-                sample = {
-                    s: Fraction(rng.randint(-999, 999), rng.randint(1, 64))
-                    for s in real_syms
-                }
+                sample = {}
+                for s in real_syms:
+                    num, den = rng.randint(-999, 999), rng.randint(1, 64)
+                    sample[s] = num // den if num % den == 0 else Fraction(num, den)
             if all(a.holds(sample) for a in real_atoms):
                 assign.update(sample)
                 found = True

@@ -8,6 +8,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies
 
 from vlsym import cli, engine
 from vlsym.ast import Program, validate
@@ -1007,6 +1008,75 @@ def test_the_sampler_keeps_its_draws():
         assert value.__class__ is (int if integral else Fraction)
 
 
+def test_a_clone_shares_its_inputs_and_copies_every_writable_storage():
+    st = engine.Engine(load("input real V[2]; input real W[1]; func main() { }"), SearchConfig())
+    st = st.init_state()
+    st.alloc(engine.ArrayStorage([1, 2], SymKind.INT))
+    st.alloc(engine.ArrayStorage([RealVal(Poly.const(1))], SymKind.REAL))
+    copy = st.clone()
+    assert copy.heap.keys() == st.heap.keys()
+    assert sum(s.read_only for s in st.heap.values()) == 2
+    for addr, storage in st.heap.items():
+        if storage.read_only:
+            assert copy.heap[addr] is storage
+        else:
+            assert copy.heap[addr] is not storage
+            assert copy.heap[addr].cells is not storage.cells
+            assert copy.heap[addr].cells == storage.cells
+
+
+def test_a_write_to_an_input_on_a_cloned_path_is_refused():
+    r = search(
+        """
+        input int N;
+        input real V[2];
+        func poke(real[] p, int i) {
+          p[i] = 1.0;
+        }
+        func main() {
+          assume(0 <= N && N <= 1);
+          if (N == 0) { poke(V, 0); } else { poke(V, 1); }
+        }
+        """
+    )
+    # the branch runs one of its two paths on a copy of the state
+    assert [(v.prop, render_trail(v.trail)) for v in r.violations] == [
+        (Property.WRITE_TO_INPUT, "# trail v1\nB t\n"),
+        (Property.WRITE_TO_INPUT, "# trail v1\nB e\n"),
+    ]
+    assert r.stats.terminals == 0
+
+
+_SYMS = [SymConst("V", i, SymKind.REAL, i) for i in range(3)]
+_NUMBERS = strategies.one_of(
+    strategies.integers(-50, 50),
+    strategies.fractions(min_value=-50, max_value=50, max_denominator=12),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    terms=strategies.lists(
+        strategies.tuples(_NUMBERS, strategies.lists(strategies.sampled_from(_SYMS), max_size=3)),
+        max_size=5,
+    ),
+    witness=strategies.dictionaries(strategies.sampled_from(_SYMS), _NUMBERS),
+)
+def test_a_value_under_a_witness_is_its_poly_evaluated_there(terms, witness):
+    poly = Poly()
+    for c, syms in terms:
+        mono = Poly.const(c)
+        for s in syms:
+            mono = mono * Poly.symbol(s)
+        poly = poly + mono
+    want = str(poly.eval({s: witness.get(s, 0) for s in poly.symbols()}))
+    assert str(engine._value_at(poly, witness)) == want
+    assert engine._render_value(RealVal(poly), witness) == want
+    value, texts = RealVal(poly), {}
+    assert engine._render_value(value, witness, texts) == want
+    assert texts == {value: want}
+
+
 def test_start_state_errors_are_the_same_in_every_mode():
     cases = [
         (
@@ -1266,6 +1336,50 @@ def test_kept_answers_give_the_findings_of_the_uncached_solver(monkeypatch, name
     # detail of every violation, in order
     assert kept.violations == fresh.violations
     assert kept.violations
+
+
+def test_each_distinct_value_is_rendered_once_per_witness(monkeypatch):
+    evaluated = []
+    value_at = engine._value_at
+
+    def counting(poly, witness):
+        evaluated.append((poly, witness))
+        return value_at(poly, witness)
+
+    monkeypatch.setattr(engine, "_value_at", counting)
+    r = explore(corpus_program(SWAP_FILES), SearchConfig())
+    shown = [text for v in r.violations for _, text in v.detail or ()]
+    assert len(r.violations) == 673
+    assert sum(len(text.split()) - 2 for text in shown) == 3832
+    assert len(evaluated) == 372
+
+
+TWO_WITNESSES = """
+input int N;
+input real V[1];
+func main() {
+  assume(0 <= N && N <= 1);
+  var real a[1];
+  var real b[1];
+  a[0] = V[0] * 2.0;
+  b[0] = 1.0;
+  if (N == 0) { assume(V[0] < 0.0); }
+  assert(equals(a, b));
+}
+"""
+
+
+def test_one_value_under_two_witnesses_renders_each_witness_value():
+    r = search(TWO_WITNESSES)
+    v0 = SymConst("V", 0, SymKind.REAL, 1)
+    shown = {}
+    for v in r.violations:
+        assert v.certainty is Certainty.PROVEABLE
+        (_, a), _ = v.detail
+        assert a == f"[ {2 * v.witness[v0]} ]"
+        shown[v.witness[v0] < 0] = a
+    # the same value of a[0], under the sampled negative V[0] and under 1
+    assert len(shown) == 2 and shown[False] == "[ 2 ]"
 
 
 def test_a_false_constant_is_unsat_after_its_condition_was_answered_sat(solver_runs):

@@ -113,6 +113,26 @@ def test_a_finding_on_a_path_without_conditions_has_any_input_as_witness(tmp_pat
     assert "\nwitness: (any input)\n" in capsys.readouterr().err
 
 
+def test_each_witness_is_rendered_once_per_report(monkeypatch):
+    n, m = SymConst("N", None, SymKind.INT, 0), SymConst("M", None, SymKind.INT, 1)
+    one, two, same_as_one = {m: 4, n: 1}, {n: 2}, {n: 1, m: 4}
+    witnesses = [one, two, one, same_as_one, one, two, {}, None]
+    rendered = []
+    render = SymConst.render
+
+    def counting(sym):
+        rendered.append(sym)
+        return render(sym)
+
+    monkeypatch.setattr(SymConst, "render", counting)
+    text = render_report([], [], 0.0, make_result(make_violation(witness=w) for w in witnesses), {})
+    # the three dicts with atoms, each once; two that are equal are two dicts
+    assert rendered == [n, m, n, n, m]
+    shown = [line[len("witness: "):] for line in text.splitlines() if line.startswith("witness:")]
+    both = "N = 1, M = 4"
+    assert shown == [both, "N = 2", both, both, both, "N = 2", "(any input)", "(none)"]
+
+
 def test_detail_rows_follow_the_witness():
     v = make_violation(detail=[("actual", "[ 0 ]"), ("expected", "[ 1 ]")])
     block = render_violation(0, v, SOURCES)

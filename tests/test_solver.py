@@ -208,6 +208,36 @@ def test_negation_table():
     assert back == a
 
 
+def test_an_atom_keeps_its_negation():
+    for a in (atom(Rel.LT, {N: 1}, -3), atom(Rel.LE, {N: 2}), atom(Rel.EQ, {N: 1})):
+        n = a.negated()
+        assert a.negated() is n
+        assert n.negated() is a
+        fresh = Atom(a.kind, a.rel, a.poly).negated()
+        assert n == fresh and hash(n) == hash(fresh)
+        back = pickle.loads(pickle.dumps(n))
+        assert back == n and back._neg is None
+
+
+def test_a_sample_value_is_an_int_when_it_is_integral():
+    assert pc_sat(pc_of([Atom(SymKind.REAL, Rel.NE, Poly.symbol(X0))])).witness[X0].__class__ is int
+    # X < 0 fails at the all-ones point, so the witness is the first
+    # negative draw of the seeded sampler
+    pc = pc_of([Atom(SymKind.REAL, Rel.LT, Poly.symbol(X0))])
+    kinds = set()
+    for seed in range(200):
+        rng = Random(seed)
+        while True:
+            draw = Fraction(rng.randint(-999, 999), rng.randint(1, 64))
+            if draw < 0:
+                break
+        got = pc_sat(pc, seed=seed).witness[X0]
+        assert got == draw
+        assert got.__class__ is (int if draw.denominator == 1 else Fraction)
+        kinds.add(got.__class__)
+    assert kinds == {int, Fraction}
+
+
 def test_determinism_fresh_rng_per_call():
     p = Poly.symbol(X0) * Poly.symbol(X1) - Poly.const(Fraction(1))
     pc = pc_of([Atom(SymKind.REAL, Rel.NE, p)])
