@@ -1009,8 +1009,8 @@ def test_the_sampler_keeps_its_draws():
 
 
 def test_a_clone_shares_its_inputs_and_copies_every_writable_storage():
-    st = engine.Engine(load("input real V[2]; input real W[1]; func main() { }"), SearchConfig())
-    st = st.init_state()
+    prog = load("input real V[2]; input real W[1]; func main() { }")
+    st = engine.Engine(prog, SearchConfig()).init_state()
     st.alloc(engine.ArrayStorage([1, 2], SymKind.INT))
     st.alloc(engine.ArrayStorage([RealVal(Poly.const(1))], SymKind.REAL))
     copy = st.clone()

@@ -220,7 +220,8 @@ def test_an_atom_keeps_its_negation():
 
 
 def test_a_sample_value_is_an_int_when_it_is_integral():
-    assert pc_sat(pc_of([Atom(SymKind.REAL, Rel.NE, Poly.symbol(X0))])).witness[X0].__class__ is int
+    ones = pc_sat(pc_of([Atom(SymKind.REAL, Rel.NE, Poly.symbol(X0))]))
+    assert ones.witness[X0].__class__ is int
     # X < 0 fails at the all-ones point, so the witness is the first
     # negative draw of the seeded sampler
     pc = pc_of([Atom(SymKind.REAL, Rel.LT, Poly.symbol(X0))])
