@@ -146,8 +146,11 @@ def cmd_verify(args, overrides) -> int:
     )
     if args.emit_trails:
         _emit_trails(args.emit_trails, result.violations)
+    tails: dict = {}
     sys.stderr.write(
-        "".join(f"{report.violation_summary(i, v)}\n" for i, v in enumerate(result.violations))
+        "".join(
+            f"{report.violation_summary(i, v, tails)}\n" for i, v in enumerate(result.violations)
+        )
     )
     return 2 if result.violations else 0
 

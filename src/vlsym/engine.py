@@ -21,7 +21,10 @@ the statements it ran and leaves where a path forks, calls, returns or
 stops. Names are not resolved here: validation gave each parameter and
 local declaration a slot of its own and each name the slot it refers to,
 and translation writes that checked tree out. A frame is its function's
-code, its slots and the index of its next statement.
+code, its slots and the index of its next statement. Each block is
+translated two ways: in general, and for a path whose ints are all
+Python ints, with no test for a symbolic one; a path's frames move to the
+second once no int input is symbolic.
 States are mutated in place along straight-line code and cloned only
 where paths fork, and a clone shares the values its cells hold; the
 engine keeps each real sum, difference and product under its operand
@@ -351,10 +354,11 @@ class ArrayStorage:
 
 
 class Frame:
-    """One call of a function: the function's code, which holds the block
-    of each of its statements, the name of each of its slots, the slots'
-    values and pc, the index in code of the statement that runs next
-    (len(code) once the function has ended)."""
+    """One call of a function: the function's code (its general or its
+    concrete array), which holds the block of each of its statements, the
+    name of each of its slots, the slots' values and pc, the index in code
+    of the statement that runs next (len(code) once the function has
+    ended)."""
 
     __slots__ = ("code", "names", "slots", "pc", "ret_slot")
 
@@ -600,6 +604,8 @@ class Engine:
         self.memos: dict[str, dict] = {op: {} for op in _REAL_OPS}
         # a call finds its callee here when it runs
         self.bodies = {f.name: _Function(f) for f in program.funcs}
+        # the concrete code of each function, by the id of its general code
+        self.concrete_of = {id(f.code): f.concrete for f in self.bodies.values()}
         self.inputs_desc: list[str] = []
 
     # --- initial state ---
@@ -644,7 +650,26 @@ class Engine:
             state.globals[name] = state.alloc(storage)
             desc.append(f"{name} : real[{n}], symbolic")
         _normalize(state)
+        self.settle(state)
         return state
+
+    def settle(self, state: ExecState) -> None:
+        """Move every frame of state onto its function's concrete code once
+        no int input in state.globals is symbolic. That is sound because a
+        symbolic int is only ever a polynomial over the symbols of int
+        inputs (every other int source, a literal, len(), choose_int or the
+        index a fork picks, is a Python int, and no operation turns a real
+        into an int), and _pin substitutes a pinned symbol into every int
+        that the state holds: frame slots, int heap cells and globals. Once
+        the last symbolic int input is pinned, no int that the path holds
+        or later computes is a Poly, so a concrete block needs no test for
+        one. A state settles at most once, in init_state or at the pin of
+        its last symbolic int input, and never goes back."""
+        if any(v.__class__ is Poly for v in state.globals.values()):
+            return
+        concrete_of = self.concrete_of
+        for frame in state.frames:
+            frame.code = concrete_of[id(frame.code)]
 
     def _extent(self, decl: ast.InputDecl, state: ExecState) -> int:
         """The extent of a real input, from the inputs declared before it."""
@@ -689,7 +714,10 @@ class Engine:
 # An expression becomes Python statements that leave its value in a temp,
 # with the fast path for two concrete ints written out (tested by
 # `v.__class__ is int`, which never takes a bool for an int); a leaf is read
-# where it is used. A real +, - or * first looks its operands up in the
+# where it is used. Each block is also written a second way, for a path
+# whose ints are all Python ints (Engine.settle): there the fast path is
+# all there is, and an if or while test that compares ints only is a
+# Python bool. A real +, - or * first looks its operands up in the
 # engine's memo of that operator, a constant of the block, and computes
 # only on a miss, with the Poly operators, keeping the result (_keep). The
 # code finds make_int, int_poly and the helpers below, and the Poly
@@ -875,7 +903,9 @@ _UNVALIDATED = "the program was not validated; pass one that load_program return
 class _Function:
     """A function's flat code and the names of its slots. code[pc] is the
     Python function of the block that holds statement pc; until a path
-    first enters a block, its entries translate it."""
+    first enters a block, its entries translate it. concrete has the same
+    blocks, entries and layout, each translated for a path whose ints are
+    all Python ints (see Engine.settle)."""
 
     def __init__(self, f: ast.FuncDecl):
         if f.slots is None:
@@ -907,13 +937,17 @@ class _Function:
         self.entries = entries | starts
         bounds = sorted(b for b in starts if b < len(flat)) + [len(flat)]
         self.code: list = [None] * len(flat)
-        for start, stop in zip(bounds, bounds[1:]):
-            self.code[start:stop] = [self._translate_on_entry(start, stop)] * (stop - start)
+        self.concrete: list = [None] * len(flat)
+        for code in (self.code, self.concrete):
+            for start, stop in zip(bounds, bounds[1:]):
+                code[start:stop] = [self._translate_on_entry(code, start, stop)] * (stop - start)
 
-    def _translate_on_entry(self, start: int, stop: int):
+    def _translate_on_entry(self, code: list, start: int, stop: int):
+        concrete = code is self.concrete
+
         def enter(ex, state, frame):
-            block = _Writer(self, start, stop, ex.eng.memos).function()
-            self.code[start:stop] = [block] * (stop - start)
+            block = _Writer(self, start, stop, ex.eng.memos, concrete).function()
+            code[start:stop] = [block] * (stop - start)
             return block(ex, state, frame)
 
         return enter
@@ -921,11 +955,19 @@ class _Function:
 
 class _Writer:
     """Writes the Python source of the block of fn's statements
-    start..stop-1 and compiles it."""
+    start..stop-1 and compiles it. A concrete block is written for a path
+    whose ints are all Python ints: its int operations, indices and strict
+    positions take them as they are, and a test that compares ints only is
+    a Python bool. Its segments, entries, k and state counts are those of
+    the general block, since a pinned copy resumes in it at the statement
+    that stopped to have the pin."""
 
-    def __init__(self, fn: _Function, start: int, stop: int, memos: dict | None = None):
+    def __init__(
+        self, fn: _Function, start: int, stop: int, memos: dict | None = None, concrete=False
+    ):
         self.fn, self.start, self.stop = fn, start, stop
         self.memos = memos
+        self.concrete = concrete
         self.consts: list = []
         self.const_names: dict[int, str] = {}
         self.lines: list[str] = []
@@ -1028,7 +1070,8 @@ class _Writer:
             self.put(f"f = ex.eng.bodies[{self.const(node.name)}]")
             slots = f"[{args}] + [None] * (len(f.names) - {len(node.args)})"
             ret_slot = node.target.slot if node.target is not None else None
-            self.put(f"state.frames.append(Frame(f.code, f.names, {slots}, {ret_slot}))")
+            code = "f.concrete" if self.concrete else "f.code"
+            self.put(f"state.frames.append(Frame({code}, f.names, {slots}, {ret_slot}))")
             self.put(f"ex.stats.states += n + {q + 1}; return None")
             return
         elif isinstance(node, ast.Return):
@@ -1036,12 +1079,15 @@ class _Writer:
             self.put(f"_return(state, {v}); ex.stats.states += n + {q + 1}; return None")
             return
         elif isinstance(node, (ast.If, ast.While)):
-            c = self.cond(node.cond)
-            self.put(f"if {c} is not True:")
-            self.put(f" if {c} is False: {self.jump(q, s.other)}")
-            self.put(f" frame.pc = {s.next}")
-            call = f"ex.branch(state, {c}, {self.const(node.loc)}, {s.other})"
-            self.put(" " + self.leave(q, call))
+            if self.concrete and _compares_ints(node.cond):
+                self.put(f"if not {self.test(node.cond)}: {self.jump(q, s.other)}")
+            else:
+                c = self.cond(node.cond)
+                self.put(f"if {c} is not True:")
+                self.put(f" if {c} is False: {self.jump(q, s.other)}")
+                self.put(f" frame.pc = {s.next}")
+                call = f"ex.branch(state, {c}, {self.const(node.loc)}, {s.other})"
+                self.put(" " + self.leave(q, call))
         elif isinstance(node, ast.Assert):
             c = self.cond(node.cond)
             shown = "None"
@@ -1068,8 +1114,8 @@ class _Writer:
             self.put(f"S[{target.slot}] = {v}")
             return
         i = self.value(target.index)
-        storage, tests = self.temp(), self.concrete((target.index, i))
-        self.raises, self.pins = True, self.pins or bool(tests)
+        storage, tests = self.temp(), self.int_tests((target.index, i))
+        self.raises, self.pins = True, self.pins or not isinstance(target.index, ast.IntLit)
         self.put(f"{storage} = state.heap[{self.load(target.base)}.addr]")
         tests += [f"0 <= {i} < len({storage}.cells)", f"not {storage}.read_only"]
         self.put(f"if {' and '.join(tests)}: {storage}.cells[{i}] = {v}")
@@ -1093,9 +1139,12 @@ class _Writer:
             return f"state.globals[{self.const(e.name)}]"
         return f"S[{e.slot}]"
 
-    def concrete(self, *ints: tuple[ast.Expr, str]) -> list[str]:
+    def int_tests(self, *ints: tuple[ast.Expr, str]) -> list[str]:
         """Tests that each int value v of an expression e, given as (e, v),
-        is concrete; a literal needs none."""
+        is concrete; a literal needs none, and nor does any value in a
+        concrete block."""
+        if self.concrete:
+            return []
         return [f"{v}.__class__ is int" for e, v in ints if not isinstance(e, ast.IntLit)]
 
     def fast_or_slow(self, t: str, tests: list[str], fast: str, slow: str) -> None:
@@ -1113,8 +1162,10 @@ class _Writer:
         v = self.value(e)
         if isinstance(e, ast.IntLit):
             return v
-        t = self.temp()
         self.raises = self.pins = True
+        if self.concrete:
+            return v
+        t = self.temp()
         self.put(f"{t} = {v} if {v}.__class__ is int else _strict({v})")
         return t
 
@@ -1135,8 +1186,8 @@ class _Writer:
         t = self.temp()
         if isinstance(e, ast.Index):
             i = self.value(e.index)
-            storage, tests = self.temp(), self.concrete((e.index, i))
-            self.raises, self.pins = True, self.pins or bool(tests)
+            storage, tests = self.temp(), self.int_tests((e.index, i))
+            self.raises, self.pins = True, self.pins or not isinstance(e.index, ast.IntLit)
             self.put(f"{storage} = state.heap[{self.load(e.base)}.addr]")
             plain = " and ".join([*tests, f"0 <= {i} < len({storage}.cells)"])
             bad = f"_bad_cell({storage}, {i}, {self.const(e.base.name)}, {self.const(e.loc)})"
@@ -1147,7 +1198,7 @@ class _Writer:
             if e.ty is ast.Type.REAL:
                 self.put(f"{t} = RealVal(-{x}.poly)")
             else:
-                tests = self.concrete((e.operand, x))
+                tests = self.int_tests((e.operand, x))
                 self.fast_or_slow(t, tests, f"-{x}", f"make_int(-int_poly({x}))")
         elif isinstance(e, ast.Binary):
             a, b = self.value(e.lhs), self.value(e.rhs)
@@ -1157,7 +1208,7 @@ class _Writer:
             elif e.ty is ast.Type.REAL:
                 self.kept(t, e.op, f"({a}, {b})", f"RealVal({a}.poly {e.op} {b}.poly)")
             else:
-                tests = self.concrete((e.lhs, a), (e.rhs, b))
+                tests = self.int_tests((e.lhs, a), (e.rhs, b))
                 slow = f"make_int(int_poly({a}) {e.op} int_poly({b}))"
                 self.fast_or_slow(t, tests, f"{a} {e.op} {b}", slow)
         elif isinstance(e, ast.LenCall):
@@ -1190,7 +1241,7 @@ class _Writer:
             if e.lhs.ty is ast.Type.REAL:
                 self.put(f"{t} = _real_atom({rel}, {a}, {b})")
             else:
-                tests = self.concrete((e.lhs, a), (e.rhs, b))
+                tests = self.int_tests((e.lhs, a), (e.rhs, b))
                 self.fast_or_slow(t, tests, f"{a} {e.op} {b}", f"_int_atom({rel}, {a}, {b})")
         elif isinstance(e, ast.EqualsCall):
             names = f"{self.const(e.lhs.name)}, {self.const(e.rhs.name)}"
@@ -1202,6 +1253,40 @@ class _Writer:
         else:
             raise AssertionError(f"not a condition: {type(e).__name__}")
         return t
+
+    def test(self, e: ast.Expr) -> str:
+        """A Python bool expression of e, a condition that compares ints
+        only, in a concrete block. The right side of && and || runs only
+        where the left side does not settle it, so statements that it needs
+        go under an if."""
+        if isinstance(e, ast.Unary):
+            return f"(not {self.test(e.operand)})"
+        if e.op in _COMPARE:
+            return f"{self.value(e.lhs)} {e.op} {self.value(e.rhs)}"
+        x = self.test(e.lhs)
+        at = len(self.lines)
+        self.indent += " "
+        y = self.test(e.rhs)
+        self.indent = self.indent[:-1]
+        op = "and" if e.op == "&&" else "or"
+        if len(self.lines) == at:
+            return f"({x} {op} {y})"
+        t = self.temp()
+        go_on = t if op == "and" else f"not {t}"
+        self.lines[at:at] = [f"{self.indent}{t} = {x}", f"{self.indent}if {go_on}:"]
+        self.put(f" {t} = {y}")
+        return t
+
+
+def _compares_ints(e: ast.Expr) -> bool:
+    """Whether condition e compares ints only, joined by &&, || and !."""
+    if isinstance(e, ast.Unary):
+        return _compares_ints(e.operand)
+    if not isinstance(e, ast.Binary):
+        return False
+    if e.op in ("&&", "||"):
+        return _compares_ints(e.lhs) and _compares_ints(e.rhs)
+    return e.op in _COMPARE and e.lhs.ty is ast.Type.INT
 
 
 def _compile(lines: list[str], filename: str, consts: list):
@@ -1223,13 +1308,15 @@ def _compile_value(e: ast.Expr):
 
 
 class _Choices(Sequence):
-    """The k options of a choose_int, each built only when read, so a
-    policy that takes one of them costs O(1) whatever k is."""
+    """The k options of a choose_int, each built when it is first read and
+    then kept, so a policy that takes one of them costs O(1) whatever k is,
+    and every path that takes one option holds the same decision object."""
 
-    __slots__ = ("fanout",)
+    __slots__ = ("fanout", "built")
 
     def __init__(self, fanout: int):
         self.fanout = fanout
+        self.built: dict[int, ChooseInt] = {}
 
     def __len__(self) -> int:
         return self.fanout
@@ -1237,8 +1324,11 @@ class _Choices(Sequence):
     def __getitem__(self, i):
         picked = range(self.fanout)[i]
         if isinstance(picked, range):
-            return [ChooseInt(j, self.fanout) for j in picked]
-        return ChooseInt(picked, self.fanout)
+            return [self[j] for j in picked]
+        d = self.built.get(picked)
+        if d is None:
+            d = self.built[picked] = ChooseInt(picked, self.fanout)
+        return d
 
     def index(self, d: Decision) -> int:
         if isinstance(d, ChooseInt) and d.fanout == self.fanout and 0 <= d.index < d.fanout:
@@ -1281,6 +1371,8 @@ class _Executor:
         self.max_depth = engine.config.max_depth
         # pc_sat's answer for each path condition's atoms
         self.answers: dict[tuple[Atom, ...], SatResult] = {}
+        # the options of each choose_int fanout met so far
+        self.choices: dict[int, _Choices] = {}
 
     def sat(self, pc: PathCondition) -> SatResult:
         """The solver's answer for pc. Stats count every query, but each
@@ -1377,6 +1469,7 @@ class _Executor:
         for st, i in self.fork(state, options):
             st.pc = pcs[i]
             _pin(st, sym, values[i])
+            self.eng.settle(st)
             out.append(st)
         return out
 
@@ -1422,8 +1515,11 @@ class _Executor:
         if k <= 0:
             self.stats.pruned += 1
             return []
+        choices = self.choices.get(k)
+        if choices is None:
+            choices = self.choices[k] = _Choices(k)
         out = []
-        for st, i in self.fork(state, _Choices(k)):
+        for st, i in self.fork(state, choices):
             st.frames[-1].slots[slot] = i
             out.append(st)
         return out

@@ -20,7 +20,7 @@ CATEGORY_ROWS = (
 ABSENCE_LEGEND = "All errors marked with '+' are absent on all executions."
 
 
-def _witness_text(witness, texts: dict[int, str]) -> str:
+def _witness_text(witness, texts: dict) -> str:
     """The text of a witness. texts keeps the text of each witness dict by
     its id while the violations that hold the dicts are being rendered:
     many violations share the witness of one solver answer."""
@@ -55,28 +55,46 @@ def render_violation(index: int, v: Violation, sources: dict[str, str]) -> str:
     return _render_violation(index, v, _split(sources), {})
 
 
-def _render_violation(
-    index: int, v: Violation, lines: dict[str, list[str]], witness_texts: dict[int, str]
-) -> str:
-    out = [
-        f"Violation {index} encountered at depth {v.depth}:",
-        f"(property: {v.prop.value}, certainty: {v.certainty.value}) at",
-        _snippet(v, lines),
-        f"cause: {v.message}",
-    ]
+def _render_violation(index: int, v: Violation, lines: dict[str, list[str]], texts: dict) -> str:
+    """One violation as the report shows it. texts keeps, while one report
+    is built, the text of each witness dict and each trail step by the id
+    of its object, and of each header by its property, certainty, location
+    object and cause: forks hand the same decision objects to every path
+    below them, and one statement's findings share a header."""
+    key = (id(v.prop), id(v.certainty), id(v.loc), v.message)
+    head = texts.get(key)
+    if head is None:
+        head = texts[key] = (
+            f"(property: {v.prop.value}, certainty: {v.certainty.value}) at\n"
+            f"{_snippet(v, lines)}\ncause: {v.message}"
+        )
+    out = [f"Violation {index} encountered at depth {v.depth}:", head]
     if v.prop is not Property.ENUM_BUDGET:
-        out.append(f"witness: {_witness_text(v.witness, witness_texts)}")
+        out.append(f"witness: {_witness_text(v.witness, texts)}")
     if v.detail:
         for name, rendered in v.detail:
             out.append(f"{name}: {rendered}")
     if v.trail:
         out.append("trail:")
-        out.extend(f"  {d.render()}" for d in v.trail)
+        for d in v.trail:
+            step = texts.get(id(d))
+            if step is None:
+                step = texts[id(d)] = f"  {d.render()}"
+            out.append(step)
     return "\n".join(out)
 
 
-def violation_summary(index: int, v: Violation) -> str:
-    return f"violation {index}: {v.prop.value} ({v.certainty.value}) at {v.loc.render()}"
+def violation_summary(index: int, v: Violation, tails: dict | None = None) -> str:
+    """One violation's summary line. tails, if given, keeps the text after
+    the index for each property, certainty and location object while one
+    run's summaries are written."""
+    if tails is None:
+        tails = {}
+    key = (id(v.prop), id(v.certainty), id(v.loc))
+    tail = tails.get(key)
+    if tail is None:
+        tail = tails[key] = f": {v.prop.value} ({v.certainty.value}) at {v.loc.render()}"
+    return f"violation {index}{tail}"
 
 
 def render_report(
@@ -115,8 +133,8 @@ def render_report(
     if result.violations:
         out.append("")
         out.append("=== Violations ===")
-        lines, witness_texts = _split(sources), {}
+        lines, texts = _split(sources), {}
         for i, v in enumerate(result.violations):
             out.append("")
-            out.append(_render_violation(i, v, lines, witness_texts))
+            out.append(_render_violation(i, v, lines, texts))
     return "\n".join(out) + "\n"

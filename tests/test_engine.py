@@ -428,6 +428,25 @@ def test_wide_choose_int_costs_one_option_in_run_and_replay():
     assert replayed.state.trail == last
 
 
+def test_every_path_that_takes_one_choice_holds_the_same_decision_object():
+    # the report renders each decision object once, so paths that took the
+    # same option of the same choose_int share it
+    r = search(
+        """
+        func main() {
+          for (var int i = 0; i < 3; i++) {
+            var int c;
+            c = choose_int(i + 2);
+          }
+        }
+        """
+    )
+    assert (r.stats.terminals, r.stats.states) == (24, 85)
+    steps = [d for st in r.terminal_states for d in st.trail]
+    assert len(steps) == 72
+    assert len({id(d) for d in steps}) == len(set(steps)) == 2 + 3 + 4
+
+
 def test_concrete_loop_accumulates():
     r = search(
         """
@@ -1901,3 +1920,250 @@ def test_each_search_computes_its_real_values_in_memos_of_its_own(engines, produ
     assert set(one.memos) == set(two.memos) == set(engine._REAL_OPS)
     assert {id(m) for m in one.memos.values()}.isdisjoint(id(m) for m in two.memos.values())
     assert len({id(m) for m in one.memos.values()}) == len(engine._REAL_OPS)
+
+
+# --- the concrete translation ---
+
+
+def frame_codes(eng, state) -> list[str]:
+    """Which of its function's two arrays each frame of state runs."""
+    kinds = {}
+    for f in eng.bodies.values():
+        kinds[id(f.code)] = f"{f.name} general"
+        kinds[id(f.concrete)] = f"{f.name} concrete"
+    return [kinds[id(frame.code)] for frame in state.frames]
+
+
+def translated(code: list) -> bool:
+    """Whether any block of a function's array has been written out."""
+    return any(block.__name__ == "run" for block in code)
+
+
+ALL_INTS_GIVEN = """
+input int N = 3;
+input int K;
+input real V[N];
+func sq(int x) -> int {
+  return x * x;
+}
+func main() {
+  var int a[N];
+  var int s = 0;
+  for (var int i = 0; i < N; i++) {
+    var int q;
+    q = sq(i);
+    a[i] = q - K;
+    if (!(a[i] < 0) && i != 1 || i == 0) {
+      s = s + a[i];
+    }
+  }
+  var real x = V[0] + V[N - 1];
+  print(s, " ", a, " ", -s);
+  assert(s != 4 || x != 2.0);
+}
+"""
+
+
+def test_a_program_whose_int_inputs_are_all_given_starts_on_the_concrete_code(engines):
+    prog = load(ALL_INTS_GIVEN)
+    r = search(ALL_INTS_GIVEN, overrides={"K": 0})
+    assert (r.stats.states, r.stats.terminals, r.stats.pruned, r.stats.solver_calls) == (
+        31, 0, 0, 1,
+    )
+    (v,) = r.violations
+    assert (v.prop, v.certainty, v.loc.line) == (
+        Property.ASSERTION_VIOLATION, Certainty.PROVEABLE, 21,
+    )
+    assert render_trail(v.trail) == "# trail v1\n"
+    assert {sym.render(): value for sym, value in v.witness.items()} == {
+        "X_V[0]": 1, "X_V[2]": 1,
+    }
+    r = search(ALL_INTS_GIVEN, overrides={"K": 1})
+    assert (r.stats.states, r.stats.terminals, r.stats.pruned, r.stats.solver_calls) == (
+        31, 1, 0, 0,
+    )
+    assert not r.violations
+    (st,) = r.terminal_states
+    assert st.prints == ["2 [ -1 0 3 ] -2"]
+    assert len(engines) == 2
+    for eng in engines:
+        # main starts on its concrete code, so no general block is ever written
+        assert frame_codes(eng, eng.init_state()) == ["main concrete"]
+        assert not any(translated(f.code) for f in eng.bodies.values())
+        assert all(translated(f.concrete) for f in eng.bodies.values())
+    assert run_path(prog, SearchConfig(overrides={"K": 1})).prints == ["2 [ -1 0 3 ] -2"]
+
+
+# N is pinned by main's array extent, then walk's loop test forks on M
+# while M is still symbolic, and walk's array extent pins M: from there on
+# main and walk run their concrete code, and total is called from it
+TWO_PINS = """
+input int N;
+input int M;
+input real V[2];
+func total(int[] b, int m) -> int {
+  var int s = 0;
+  for (var int j = 0; j < m; j++) {
+    s = s + b[j];
+  }
+  return s;
+}
+func walk(int[] a, int[] out) {
+  var int i = 0;
+  while (i < M) {
+    print("round ", i);
+    i = i + 1;
+  }
+  var int b[M];
+  for (var int j = 0; j < M; j++) {
+    b[j] = N * 10 + j;
+  }
+  var int s;
+  s = total(b, M);
+  out[0] = s;
+  out[1] = a[M - 1];
+}
+func main() {
+  assume(1 <= N && N <= 2 && 1 <= M && M <= 2);
+  var int a[N];
+  a[0] = 7;
+  if (1 < N) {
+    a[1] = 8;
+  }
+  var int out[2];
+  walk(a, out);
+  var real x = V[0] * V[1];
+  assert(out[0] != 41 || x != 1.0);
+  print("N=", N, " M=", M, " out=", out);
+}
+"""
+
+
+def test_a_path_moves_to_the_concrete_code_at_the_pin_of_its_last_symbolic_int(
+    monkeypatch, engines, tmp_path, capsys
+):
+    seen = []
+    real_concretize, real_branch = engine._Executor._concretize, engine._Executor.branch
+
+    def concretize(self, state, sym):
+        before = frame_codes(self.eng, state)
+        out = real_concretize(self, state, sym)
+        seen.append((f"pin {sym.name}", before, [frame_codes(self.eng, st) for st in out]))
+        return out
+
+    def branch(self, state, f, loc, other):
+        seen.append(("branch", frame_codes(self.eng, state)))
+        return real_branch(self, state, f, loc, other)
+
+    monkeypatch.setattr(engine._Executor, "_concretize", concretize)
+    monkeypatch.setattr(engine._Executor, "branch", branch)
+    r = search(TWO_PINS)
+    assert (r.stats.states, r.stats.terminals, r.stats.pruned, r.stats.solver_calls) == (
+        129, 2, 4, 21,
+    )
+    general, concrete = ["main general", "walk general"], ["main concrete", "walk concrete"]
+    to_m = ("pin M", general, [concrete])
+    # each value of N: the loop tests 0 < M, 1 < M and, where 1 < M, 2 < M;
+    # then each side of 1 < M pins M
+    per_n = [("branch", general)] * 3 + [to_m] * 2
+    assert seen == [("pin N", ["main general"], [["main general"]] * 2), *per_n, *per_n]
+    (eng,) = engines
+    total = eng.bodies["total"]
+    assert translated(total.concrete) and not translated(total.code)
+    oob, failed = r.violations
+    assert (oob.prop, oob.certainty, oob.loc.line, oob.loc.col) == (
+        Property.OUT_OF_BOUNDS, Certainty.PROVEABLE, 25, 12,
+    )
+    assert oob.message == "index 1 outside 'a' of length 1"
+    assert render_trail(oob.trail) == "# trail v1\nZ N=1/2\nB t\nB t\nB e\nZ M=2/1\n"
+    assert (failed.prop, failed.certainty, failed.loc.line) == (
+        Property.ASSERTION_VIOLATION, Certainty.PROVEABLE, 37,
+    )
+    assert render_trail(failed.trail) == "# trail v1\nZ N=2/2\nB t\nB t\nB e\nZ M=2/1\n"
+    assert {sym.render(): value for sym, value in failed.witness.items()} == {
+        "N": 2, "M": 2, "X_V[0]": 1, "X_V[1]": 1,
+    }
+    assert sorted((render_trail(st.trail), st.prints) for st in r.terminal_states) == [
+        ("# trail v1\nZ N=1/2\nB t\nB e\nZ M=1/1\n", ["round 0", "N=1 M=1 out=[ 10 7 ]"]),
+        ("# trail v1\nZ N=2/2\nB t\nB e\nZ M=1/1\n", ["round 0", "N=2 M=1 out=[ 20 7 ]"]),
+    ]
+    src = tmp_path / "two_pins.vl"
+    src.write_text(TWO_PINS)
+    assert cli.main(["verify", str(src)]) == 2
+    out = capsys.readouterr().out
+    table = out[out.index("=== Result ===") :].splitlines()[2:7]
+    assert table == [
+        " - Assertion violations",
+        " - Out of bounds accesses",
+        " + Division by zero",
+        " + Reads of undefined values",
+        " + Writes to input variables",
+    ]
+
+
+def test_replay_and_run_path_across_the_switch_give_the_verify_path():
+    prog = load(TWO_PINS)
+    r = search(TWO_PINS)
+    for st in r.terminal_states:
+        trail = list(st.trail)
+        for out in (replay(prog, SearchConfig(), trail), run_path(prog, SearchConfig(), trail)):
+            assert out.state is not None and not out.violations
+            assert out.prints == st.prints
+    assert len(r.violations) == 2
+    for v in r.violations:
+        trail = list(v.trail)
+        out = replay(prog, SearchConfig(), trail)
+        assert out.state is None and out.violations == [v]
+        assert out.prints == ["round 0", "round 1"]
+        out = run_path(prog, SearchConfig(), trail, reals={"V": [1, 1]})
+        assert out.state is None and out.prints == ["round 0", "round 1"]
+        (w,) = out.violations
+        assert (w.prop, w.certainty, w.loc, w.message, w.trail) == (
+            v.prop, Certainty.PROVEABLE, v.loc, v.message, v.trail,
+        )
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [
+        *(load_sources(names) for names in (CLEAN_FILES, SWAP_FILES, COLMAX_FILES)),
+        [("<input>", NAMES_LIKE_THE_GENERATED_CODE)],
+        [("<input>", TWO_PINS)],
+        [("<input>", ALL_INTS_GIVEN)],
+    ],
+    ids=["clean", "swap", "colmax", "names", "two-pins", "all-ints-given"],
+)
+def test_every_block_translates_both_ways_and_the_concrete_one_tests_no_int(monkeypatch, sources):
+    # blocks are written only when a path enters them, so a search would
+    # leave a fault in a block that no path reaches unseen
+    written = []
+    real_compile = engine._compile
+
+    def compile_(lines, filename, consts):
+        written.append("\n".join(lines))
+        return real_compile(lines, filename, consts)
+
+    monkeypatch.setattr(engine, "_compile", compile_)
+    prog = load_program(sources)
+    eng = engine.Engine(prog, SearchConfig())
+    blocks = 0
+    for fn in eng.bodies.values():
+        starts = [pc for pc in range(len(fn.code)) if pc == 0 or fn.code[pc] is not fn.code[pc - 1]]
+        for start, stop in zip(starts, [*starts[1:], len(fn.code)]):
+            sources = []
+            for concrete in (False, True):
+                written.clear()
+                block = engine._Writer(fn, start, stop, eng.memos, concrete).function()
+                assert callable(block)
+                (source,) = written
+                sources.append(source)
+            general, concrete = sources
+            for general_only in ("__class__ is int", "make_int", "int_poly", "_strict"):
+                assert general_only not in concrete, (fn.name, start, concrete)
+            # a pinned copy resumes in the concrete block where it stopped
+            # in the general one, so both have the same segments
+            assert re.findall(r"if e <= (\d+):", general) == re.findall(
+                r"if e <= (\d+):", concrete
+            )
+            blocks += 1
+    assert blocks >= len(eng.bodies)

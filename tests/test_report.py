@@ -151,3 +151,40 @@ def test_unknown_source_falls_back_to_bare_location():
 def test_summary_line():
     line = violation_summary(4, make_violation())
     assert line == "violation 4: ASSERTION_VIOLATION (PROVEABLE) at t.vl:2:3-10"
+
+
+def test_each_trail_step_header_and_summary_tail_is_rendered_once_per_report(monkeypatch):
+    loc, equal_loc = Loc("t.vl", 2, 3, 10), Loc("t.vl", 2, 3, 10)
+    pin, pick, equal_pick = ConcretizeInt("N", 1, 3), ChooseInt(0, 2), ChooseInt(0, 2)
+    then = Branch(True)
+    violations = [
+        make_violation(loc=loc, trail=(pin, pick, then)),
+        make_violation(loc=loc, trail=(pin, equal_pick)),
+        make_violation(loc=loc, trail=(pin, pick), message="other cause"),
+        make_violation(loc=equal_loc, trail=(pin, pick)),
+        make_violation(Property.OUT_OF_BOUNDS, loc=loc, trail=()),
+    ]
+    # each block and line as it is rendered on its own, with nothing kept
+    alone = [render_violation(i, v, SOURCES) for i, v in enumerate(violations)]
+    summaries = [violation_summary(i, v) for i, v in enumerate(violations)]
+    rendered = []
+    for cls in (Loc, ConcretizeInt, ChooseInt, Branch):
+        render = cls.render
+
+        def counting(obj, render=render):
+            rendered.append(obj)
+            return render(obj)
+
+        monkeypatch.setattr(cls, "render", counting)
+    text = render_report(["t.vl"], [], 0.0, make_result(violations), SOURCES)
+    assert text.endswith("=== Violations ===\n\n" + "\n\n".join(alone) + "\n")
+    # a header per property, certainty, location object and cause, and a
+    # step per decision object; equal objects are rendered each on its own
+    headers = [r for r in rendered if isinstance(r, Loc)]
+    assert [id(r) for r in headers] == [id(loc), id(loc), id(equal_loc), id(loc)]
+    steps = [r for r in rendered if not isinstance(r, Loc)]
+    assert [id(r) for r in steps] == [id(pin), id(pick), id(then), id(equal_pick)]
+    rendered.clear()
+    tails: dict = {}
+    assert [violation_summary(i, v, tails) for i, v in enumerate(violations)] == summaries
+    assert [id(r) for r in rendered] == [id(loc), id(equal_loc), id(loc)]
