@@ -2150,14 +2150,14 @@ def test_every_block_translates_both_ways_and_the_concrete_one_tests_no_int(monk
     for fn in eng.bodies.values():
         starts = [pc for pc in range(len(fn.code)) if pc == 0 or fn.code[pc] is not fn.code[pc - 1]]
         for start, stop in zip(starts, [*starts[1:], len(fn.code)]):
-            sources = []
+            both = []
             for concrete in (False, True):
                 written.clear()
                 block = engine._Writer(fn, start, stop, eng.memos, concrete).function()
                 assert callable(block)
                 (source,) = written
-                sources.append(source)
-            general, concrete = sources
+                both.append(source)
+            general, concrete = both
             for general_only in ("__class__ is int", "make_int", "int_poly", "_strict"):
                 assert general_only not in concrete, (fn.name, start, concrete)
             # a pinned copy resumes in the concrete block where it stopped
