@@ -1,6 +1,9 @@
 """Abstract syntax for VL programs: node types, static checks, printing.
 
-Nodes compare structurally. Source locations and what validation fills
+A node class is declared by its fields alone, as its __slots__: the
+fields up to and including `loc` are the constructor's required
+parameters, in order, and those after `loc` are optional and default to
+None. Nodes compare structurally. Source locations and what validation fills
 in (inferred types and frame slots) are excluded from equality, so a
 parse -> print -> parse round trip yields equal trees.
 
@@ -40,19 +43,40 @@ class Type(enum.Enum):
         raise ValueError(f"{self.value} has no element type")
 
 
+def init_from_slots(cls, defaults: tuple = ()) -> None:
+    """Give cls a constructor that takes its __slots__ as parameters, in
+    order, and stores each in its slot; the last len(defaults) of them may
+    be left out and then take those defaults. It is a real function, so
+    keywords, the TypeError of a missing field and inspect.signature are
+    those of a hand-written one."""
+    fields = cls.__slots__
+    body = "".join(f"\n self.{f} = {f}" for f in fields) or " pass"
+    namespace: dict = {}
+    exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = defaults
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+
+
 class Node:
-    """The base of the node classes. A node's fields are its __slots__, in
-    the order its constructor takes them. Equality compares the fields
-    before `loc`, the node's structure; `loc` and the fields after it,
-    which validation fills in and which default to None, are left out.
-    Nodes are mutable, so they are unhashable."""
+    """The base of the node classes. A node class declares its fields as
+    its __slots__, and its constructor takes them in that order
+    (init_from_slots). The fields up to and including `loc` are required;
+    those after it, which validation fills in, default to None. Equality
+    and repr use the fields before `loc`, the node's structure. A class
+    without `loc` requires and compares all of its fields. Nodes are
+    mutable, so they are unhashable."""
 
     __slots__ = ()
     _compared: tuple[str, ...] = ()  # the fields before loc, per class
 
     def __init_subclass__(cls) -> None:
         slots = cls.__slots__
-        cls._compared = slots[: slots.index("loc")] if "loc" in slots else slots
+        loc = slots.index("loc") if "loc" in slots else len(slots)
+        cls._compared = slots[:loc]
+        # no defaults when there is no loc: (None,) * -1 is ()
+        init_from_slots(cls, (None,) * (len(slots) - loc - 1))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -73,88 +97,37 @@ class Node:
 class IntLit(Node):
     __slots__ = ("value", "loc", "ty")
 
-    def __init__(self, value: int, loc: Loc, ty: Type | None = None):
-        self.value = value
-        self.loc = loc
-        self.ty = ty
-
 
 class DecLit(Node):
-    __slots__ = ("value", "loc", "ty")
-
-    def __init__(self, value: Fraction, loc: Loc, ty: Type | None = None):
-        self.value = value
-        self.loc = loc
-        self.ty = ty
+    __slots__ = ("value", "loc", "ty")  # value: a Fraction
 
 
 class StrLit(Node):
     __slots__ = ("value", "loc", "ty")
 
-    def __init__(self, value: str, loc: Loc, ty: Type | None = None):
-        self.value = value
-        self.loc = loc
-        self.ty = ty
-
 
 class Name(Node):
     __slots__ = ("name", "loc", "ty", "slot")
 
-    def __init__(self, name: str, loc: Loc, ty: Type | None = None, slot: int | None = None):
-        self.name = name
-        self.loc = loc
-        self.ty = ty
-        self.slot = slot
-
 
 class Index(Node):
-    __slots__ = ("base", "index", "loc", "ty")
-
-    def __init__(self, base: Name, index: Expr, loc: Loc, ty: Type | None = None):
-        self.base = base
-        self.index = index
-        self.loc = loc
-        self.ty = ty
+    __slots__ = ("base", "index", "loc", "ty")  # base: a Name
 
 
 class Unary(Node):
-    __slots__ = ("op", "operand", "loc", "ty")
-
-    def __init__(self, op: str, operand: Expr, loc: Loc, ty: Type | None = None):
-        self.op = op  # "-" or "!"
-        self.operand = operand
-        self.loc = loc
-        self.ty = ty
+    __slots__ = ("op", "operand", "loc", "ty")  # op: "-" or "!"
 
 
 class Binary(Node):
-    __slots__ = ("op", "lhs", "rhs", "loc", "ty")
-
-    def __init__(self, op: str, lhs: Expr, rhs: Expr, loc: Loc, ty: Type | None = None):
-        self.op = op  # + - * / < <= == != && ||
-        self.lhs = lhs
-        self.rhs = rhs
-        self.loc = loc
-        self.ty = ty
+    __slots__ = ("op", "lhs", "rhs", "loc", "ty")  # op: + - * / < <= == != && ||
 
 
 class EqualsCall(Node):
     __slots__ = ("lhs", "rhs", "loc", "ty")
 
-    def __init__(self, lhs: Expr, rhs: Expr, loc: Loc, ty: Type | None = None):
-        self.lhs = lhs
-        self.rhs = rhs
-        self.loc = loc
-        self.ty = ty
-
 
 class LenCall(Node):
     __slots__ = ("arg", "loc", "ty")
-
-    def __init__(self, arg: Expr, loc: Loc, ty: Type | None = None):
-        self.arg = arg
-        self.loc = loc
-        self.ty = ty
 
 
 Expr = IntLit | DecLit | StrLit | Name | Index | Unary | Binary | EqualsCall | LenCall
@@ -165,112 +138,51 @@ Expr = IntLit | DecLit | StrLit | Name | Index | Unary | Binary | EqualsCall | L
 
 
 class VarDecl(Node):
-    __slots__ = ("name", "ty", "init", "loc", "slot")
-
-    def __init__(self, name: str, ty: Type, init: Expr | None, loc: Loc, slot: int | None = None):
-        self.name = name
-        self.ty = ty  # INT or REAL
-        self.init = init
-        self.loc = loc
-        self.slot = slot
+    __slots__ = ("name", "ty", "init", "loc", "slot")  # ty: INT or REAL; init may be None
 
 
 class ArrDecl(Node):
-    __slots__ = ("name", "elem_ty", "extent", "loc", "slot")
-
-    def __init__(self, name: str, elem_ty: Type, extent: Expr, loc: Loc, slot: int | None = None):
-        self.name = name
-        self.elem_ty = elem_ty  # INT or REAL
-        self.extent = extent
-        self.loc = loc
-        self.slot = slot
+    __slots__ = ("name", "elem_ty", "extent", "loc", "slot")  # elem_ty: INT or REAL
 
 
 class Assign(Node):
-    __slots__ = ("target", "value", "loc")
-
-    def __init__(self, target: Name | Index, value: Expr, loc: Loc):
-        self.target = target
-        self.value = value
-        self.loc = loc
+    __slots__ = ("target", "value", "loc")  # target: a Name or an Index
 
 
 class ChooseAssign(Node):
-    __slots__ = ("target", "arg", "loc")
-
-    def __init__(self, target: Name, arg: Expr, loc: Loc):
-        self.target = target
-        self.arg = arg
-        self.loc = loc
+    __slots__ = ("target", "arg", "loc")  # target: a Name
 
 
 class CallStmt(Node):
-    __slots__ = ("name", "args", "target", "loc")
-
-    def __init__(self, name: str, args: list[Expr], target: Name | None, loc: Loc):
-        self.name = name
-        self.args = args
-        self.target = target
-        self.loc = loc
+    __slots__ = ("name", "args", "target", "loc")  # target: a Name or None
 
 
 class Block(Node):
     __slots__ = ("stmts", "loc")
 
-    def __init__(self, stmts: list[Stmt], loc: Loc):
-        self.stmts = stmts
-        self.loc = loc
-
 
 class If(Node):
-    __slots__ = ("cond", "then", "els", "loc")
-
-    def __init__(self, cond: Expr, then: Block, els: Block | If | None, loc: Loc):
-        self.cond = cond
-        self.then = then
-        self.els = els
-        self.loc = loc
+    __slots__ = ("cond", "then", "els", "loc")  # els: a Block, an If or None
 
 
 class While(Node):
     __slots__ = ("cond", "body", "loc")
 
-    def __init__(self, cond: Expr, body: Block, loc: Loc):
-        self.cond = cond
-        self.body = body
-        self.loc = loc
-
 
 class Assert(Node):
     __slots__ = ("cond", "loc")
-
-    def __init__(self, cond: Expr, loc: Loc):
-        self.cond = cond
-        self.loc = loc
 
 
 class Assume(Node):
     __slots__ = ("cond", "loc")
 
-    def __init__(self, cond: Expr, loc: Loc):
-        self.cond = cond
-        self.loc = loc
-
 
 class Return(Node):
-    __slots__ = ("value", "loc")
-
-    def __init__(self, value: Expr | None, loc: Loc):
-        self.value = value
-        self.loc = loc
+    __slots__ = ("value", "loc")  # value may be None
 
 
 class Print(Node):
     __slots__ = ("args", "loc")
-
-    def __init__(self, args: list[Expr], loc: Loc):
-        self.args = args
-        self.loc = loc
 
 
 Stmt = (
@@ -294,52 +206,21 @@ Stmt = (
 
 
 class Param(Node):
-    __slots__ = ("name", "ty", "loc")
-
-    def __init__(self, name: str, ty: Type, loc: Loc):
-        self.name = name
-        self.ty = ty  # INT, REAL, INT_ARRAY or REAL_ARRAY
-        self.loc = loc
+    __slots__ = ("name", "ty", "loc")  # ty: INT, REAL, INT_ARRAY or REAL_ARRAY
 
 
 class FuncDecl(Node):
+    # ret: INT, REAL or VOID; slots: the name of each frame slot
     __slots__ = ("name", "params", "ret", "body", "loc", "slots")
-
-    def __init__(
-        self,
-        name: str,
-        params: list[Param],
-        ret: Type,
-        body: Block,
-        loc: Loc,
-        slots: tuple[str, ...] | None = None,
-    ):
-        self.name = name
-        self.params = params
-        self.ret = ret  # INT, REAL or VOID
-        self.body = body
-        self.loc = loc
-        # the name of each frame slot; None until validation sets it
-        self.slots = slots
 
 
 class InputDecl(Node):
+    # ty: INT (scalar, with an optional default) or REAL_ARRAY (with an extent)
     __slots__ = ("name", "ty", "extent", "default", "loc")
-
-    def __init__(self, name: str, ty: Type, extent: Expr | None, default: int | None, loc: Loc):
-        self.name = name
-        self.ty = ty  # INT (scalar) or REAL_ARRAY
-        self.extent = extent  # for arrays
-        self.default = default  # for ints
-        self.loc = loc
 
 
 class Program(Node):
     __slots__ = ("inputs", "funcs")
-
-    def __init__(self, inputs: list[InputDecl], funcs: list[FuncDecl]):
-        self.inputs = inputs
-        self.funcs = funcs
 
     def func(self, name: str) -> FuncDecl:
         for f in self.funcs:

@@ -105,11 +105,17 @@ class Certainty(enum.Enum):
 
 
 class _ByValue:
-    """A slotted class whose instances compare by class and the values of
-    their slots, and show those values in their repr, as a dataclass's do.
-    Only the decisions are hashable, since only they are immutable."""
+    """A record. A record class is declared by its fields alone, as its
+    __slots__, and its constructor takes them in that order
+    (ast.init_from_slots); the class keyword `defaults` gives the defaults
+    of its last fields. Records compare by class and the values of their
+    fields, and show those values in their repr, as a dataclass's do. Only
+    the decisions are hashable, since only they are immutable."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, defaults: tuple = ()) -> None:
+        ast.init_from_slots(cls, defaults)
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -139,10 +145,6 @@ class _Decision(_ByValue):
 class ChooseInt(_Decision):
     __slots__ = ("index", "fanout")
 
-    def __init__(self, index: int, fanout: int):
-        self.index = index
-        self.fanout = fanout
-
     def render(self) -> str:
         return f"C {self.index}/{self.fanout}"
 
@@ -153,9 +155,6 @@ class ChooseInt(_Decision):
 class Branch(_Decision):
     __slots__ = ("then_taken",)
 
-    def __init__(self, then_taken: bool):
-        self.then_taken = then_taken
-
     def render(self) -> str:
         return f"B {'t' if self.then_taken else 'e'}"
 
@@ -165,11 +164,6 @@ class Branch(_Decision):
 
 class ConcretizeInt(_Decision):
     __slots__ = ("name", "value", "fanout")
-
-    def __init__(self, name: str, value: int, fanout: int):
-        self.name = name
-        self.value = value
-        self.fanout = fanout
 
     def render(self) -> str:
         return f"Z {self.name}={self.value}/{self.fanout}"
@@ -354,24 +348,23 @@ class ArrayStorage:
 
 
 class Frame:
-    """One call of a function: the function's code (its general or its
-    concrete array), which holds the block of each of its statements, the
-    name of each of its slots, the slots' values and pc, the index in code
-    of the statement that runs next (len(code) once the function has
-    ended)."""
+    """One call of a function: the code it runs (fn.code or fn.concrete),
+    which holds the block of each of its statements, the _Function fn, the
+    slots' values and pc, the index in code of the statement that runs next
+    (len(code) once the function has ended)."""
 
-    __slots__ = ("code", "names", "slots", "pc", "ret_slot")
+    __slots__ = ("code", "fn", "slots", "pc", "ret_slot")
 
-    def __init__(self, code: list, names: tuple, slots: list, ret_slot=None, pc=0):
+    def __init__(self, code: list, fn: _Function, slots: list, ret_slot=None, pc=0):
         self.code = code
-        self.names = names
+        self.fn = fn
         self.slots = slots
         # the slot of the caller's frame that receives the result
         self.ret_slot = ret_slot
         self.pc = pc
 
     def clone(self) -> "Frame":
-        return Frame(self.code, self.names, list(self.slots), self.ret_slot, self.pc)
+        return Frame(self.code, self.fn, list(self.slots), self.ret_slot, self.pc)
 
 
 class ExecState:
@@ -431,8 +424,9 @@ class ExecState:
         """The value of name in the top frame, from the latest-declared slot
         of that name, or else the input of that name."""
         frame = self.frames[-1]
-        for i in range(len(frame.names) - 1, -1, -1):
-            if frame.names[i] == name:
+        names = frame.fn.names
+        for i in range(len(names) - 1, -1, -1):
+            if names[i] == name:
                 return frame.slots[i]
         return self.globals.get(name)
 
@@ -441,26 +435,10 @@ class ExecState:
 # violations
 
 
-class Violation(_ByValue):
+class Violation(_ByValue, defaults=(None,)):
+    # witness: each symbol's value, or None; detail: the (label, text)
+    # lines of an equals() finding, or None
     __slots__ = ("prop", "certainty", "loc", "message", "trail", "witness", "detail")
-
-    def __init__(
-        self,
-        prop: Property,
-        certainty: Certainty,
-        loc: Loc,
-        message: str,
-        trail: tuple,
-        witness: dict[SymConst, int | Fraction] | None,
-        detail: list[tuple[str, str]] | None = None,
-    ):
-        self.prop = prop
-        self.certainty = certainty
-        self.loc = loc
-        self.message = message
-        self.trail = trail
-        self.witness = witness
-        self.detail = detail
 
     @property
     def depth(self) -> int:
@@ -540,16 +518,8 @@ def _offered(options: Sequence[Decision]) -> str:
 # stats and configuration
 
 
-class Stats(_ByValue):
+class Stats(_ByValue, defaults=(0, 0, 0, 0)):
     __slots__ = ("states", "terminals", "pruned", "solver_calls")
-
-    def __init__(
-        self, states: int = 0, terminals: int = 0, pruned: int = 0, solver_calls: int = 0
-    ):
-        self.states = states
-        self.terminals = terminals
-        self.pruned = pruned
-        self.solver_calls = solver_calls
 
     def add(self, other: "Stats") -> None:
         for name in self.__slots__:
@@ -604,8 +574,6 @@ class Engine:
         self.memos: dict[str, dict] = {op: {} for op in _REAL_OPS}
         # a call finds its callee here when it runs
         self.bodies = {f.name: _Function(f) for f in program.funcs}
-        # the concrete code of each function, by the id of its general code
-        self.concrete_of = {id(f.code): f.concrete for f in self.bodies.values()}
         self.inputs_desc: list[str] = []
 
     # --- initial state ---
@@ -621,7 +589,7 @@ class Engine:
             if name not in int_inputs:
                 raise EngineInitError(f"-input{name} does not name an int input")
         main = self.bodies["main"]
-        frame = Frame(main.code, main.names, [None] * len(main.names))
+        frame = Frame(main.code, main, [None] * len(main.names))
         state = ExecState([frame], {}, 0, {}, PathCondition(), [], [])
         self.inputs_desc = desc = []
         ordinal = 0
@@ -667,9 +635,8 @@ class Engine:
         its last symbolic int input, and never goes back."""
         if any(v.__class__ is Poly for v in state.globals.values()):
             return
-        concrete_of = self.concrete_of
         for frame in state.frames:
-            frame.code = concrete_of[id(frame.code)]
+            frame.code = frame.fn.concrete
 
     def _extent(self, decl: ast.InputDecl, state: ExecState) -> int:
         """The extent of a real input, from the inputs declared before it."""
@@ -1071,7 +1038,7 @@ class _Writer:
             slots = f"[{args}] + [None] * (len(f.names) - {len(node.args)})"
             ret_slot = node.target.slot if node.target is not None else None
             code = "f.concrete" if self.concrete else "f.code"
-            self.put(f"state.frames.append(Frame({code}, f.names, {slots}, {ret_slot}))")
+            self.put(f"state.frames.append(Frame({code}, f, {slots}, {ret_slot}))")
             self.put(f"ex.stats.states += n + {q + 1}; return None")
             return
         elif isinstance(node, ast.Return):

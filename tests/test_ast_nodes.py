@@ -1,42 +1,106 @@
-"""The contract of the syntax tree's node classes: constructors, equality, hashing."""
+"""The contract of the syntax tree's node classes and the engine's records:
+constructors, defaults, equality, hashing."""
 
 import inspect
 
 import pytest
 
-from vlsym import ast
+from vlsym import ast, engine
 from vlsym.diagnostics import Loc
 
 DECLS = [ast.Param, ast.FuncDecl, ast.InputDecl, ast.Program]
 NODES = [*ast.Expr.__args__, *ast.Stmt.__args__, *DECLS]
+RECORDS = [engine.ChooseInt, engine.Branch, engine.ConcretizeInt, engine.Violation, engine.Stats]
+# the default of each field that a record may leave out
+RECORD_DEFAULTS = {
+    engine.Violation: {"detail": None},
+    engine.Stats: {"states": 0, "terminals": 0, "pruned": 0, "solver_calls": 0},
+}
 
 
-@pytest.mark.parametrize("cls", NODES, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", NODES + RECORDS, ids=lambda cls: cls.__name__)
 def test_node_contract(cls):
     params = inspect.signature(cls).parameters.values()
+    assert [p.name for p in params] == list(cls.__slots__)
     required = [p.name for p in params if p.default is p.empty]
-    # what validation fills in: an expression's type and a name's or a
-    # declaration's frame slot(s)
     filled = [p.name for p in params if p.default is not p.empty]
-    assert set(filled) <= {"ty", "slot", "slots"}
+    defaults = {p.name: p.default for p in params if p.default is not p.empty}
+    if issubclass(cls, ast.Node):
+        # what validation fills in: an expression's type and a name's or a
+        # declaration's frame slot(s)
+        assert set(filled) <= {"ty", "slot", "slots"}
+        assert set(defaults.values()) <= {None}
+    else:
+        assert defaults == RECORD_DEFAULTS.get(cls, {})
     values = {name: object() for name in required}
     if "loc" in values:
         values["loc"] = Loc("a.vl", 1, 1, 1)
     node = cls(**values)
+    for name, default in defaults.items():
+        assert getattr(node, name) == default
 
     for name in required:
         with pytest.raises(TypeError):
             cls(**{k: v for k, v in values.items() if k != name})
 
-    # equal whatever the location and what validation filled in
-    elsewhere = dict(values, **{name: object() for name in filled})
-    if "loc" in values:
-        elsewhere["loc"] = Loc("b.vl", 2, 3, 4)
-    assert node == cls(**elsewhere)
+    # keywords and positions build the same object
+    positional = cls(*values.values())
+    assert positional == node
+    assert all(getattr(positional, f) is getattr(node, f) for f in cls.__slots__)
+
+    if issubclass(cls, ast.Node):
+        # equal whatever the location and what validation filled in
+        ignored = {"loc", *filled}
+        elsewhere = dict(values, **{name: object() for name in filled})
+        if "loc" in values:
+            elsewhere["loc"] = Loc("b.vl", 2, 3, 4)
+        assert node == cls(**elsewhere)
+    else:
+        ignored = set()
     # but every other field counts
-    for name in required:
-        if name != "loc":
+    for name in cls.__slots__:
+        if name not in ignored:
             assert node != cls(**dict(values, **{name: object()}))
 
+    if issubclass(cls, engine._Decision):
+        assert hash(cls(**values)) == hash(node)
+    else:
+        with pytest.raises(TypeError):
+            hash(node)
+
+
+def test_a_class_gets_its_constructor_from_its_slots():
+    class Pair(ast.Node):
+        __slots__ = ("left", "right", "loc", "note")
+
+    loc = Loc("a.vl", 1, 1, 1)
+    assert list(inspect.signature(Pair).parameters) == ["left", "right", "loc", "note"]
+    pair = Pair(1, 2, loc)
+    assert (pair.left, pair.right, pair.loc, pair.note) == (1, 2, loc, None)
+    noted = Pair(left=1, right=2, loc=loc, note="x")
+    assert noted.note == "x"
+    # the field after loc is left out of == and repr
+    assert noted == pair and Pair(1, 2, loc, "y") == pair
+    assert repr(noted) == repr(pair) == "Pair(left=1, right=2)"
+    assert pair != Pair(1, 3, loc)
     with pytest.raises(TypeError):
-        hash(node)
+        Pair(1, 2)
+    with pytest.raises(TypeError):
+        Pair(1, 2, loc, "x", "y")
+    with pytest.raises(TypeError):
+        Pair(1, 2, loc, colour="red")
+    with pytest.raises(TypeError):
+        hash(pair)
+
+    class Count(engine._ByValue, defaults=(0,)):
+        __slots__ = ("label", "n")
+
+    assert list(inspect.signature(Count).parameters) == ["label", "n"]
+    assert Count("a").n == 0 and Count("a", n=2).n == 2
+    # every field of a record counts, and it shows each in its repr
+    assert Count("a") != Count("a", 1)
+    assert repr(Count("a", 1)) == "Count(label='a', n=1)"
+    with pytest.raises(TypeError):
+        Count()
+    with pytest.raises(TypeError):
+        hash(Count("a"))
