@@ -16,9 +16,10 @@ the trail of a path:
 Each function's statements are laid out in one flat array and cut into
 basic blocks, and each block is translated into the Python source of one
 function, compiled the first time a path enters it. A block runs from any
-entry statement in it, follows the jumps of the tests it decides, counts
-the statements it ran and leaves where a path forks, calls, returns or
-stops. Names are not resolved here: validation gave each parameter and
+entry statement in it, holds the frame's slots in Python locals, runs
+each loop that lies in it as a Python loop, follows the jumps of the tests
+it decides, counts the statements it ran and leaves where a path forks,
+calls, returns or stops. Names are not resolved here: validation gave each parameter and
 local declaration a slot of its own and each name the slot it refers to,
 and translation writes that checked tree out. A frame is its function's
 code, its slots and the index of its next statement. Each block is
@@ -572,8 +573,10 @@ class Engine:
         self.program = program
         self.config = config
         self.memos: dict[str, dict] = {op: {} for op in _REAL_OPS}
-        # a call finds its callee here when it runs
-        self.bodies = {f.name: _Function(f) for f in program.funcs}
+        # each function's block code finds its callees here when it is written
+        self.bodies: dict[str, _Function] = {}
+        for f in program.funcs:
+            self.bodies[f.name] = _Function(f, self.bodies)
         self.inputs_desc: list[str] = []
 
     # --- initial state ---
@@ -667,16 +670,22 @@ class Engine:
 # statement that always leaves it (_LEAVES), so a loop whose body holds
 # none of them lies in one block with its test. A block is written out as
 # the source of one Python function the first time a path enters it, and
-# runs from the frame's pc, its entry, which may lie inside it: its
+# runs from the frame's pc, its entry (e), which may lie inside it: its
 # statements are split at the possible entries into segments, each run
-# only when the entry lies at or before it. The block follows a decided
-# jump itself, round its loop to a target inside it (a loop's back edge
-# among them), and leaves with the pc on any other. It also leaves where a
-# path may fork or end, through the executor's methods, and on an error,
-# through _stopped with the pc on the statement that raised, so that each
-# pinned copy runs it again. A pass through the block runs the statements
-# from its entry to where it leaves or jumps; each counts one state, added
-# up as the block leaves.
+# only when the entry lies at or before it. Each while that lies wholly in
+# the block is a Python `while True:` loop, entered only while the entry
+# lies before the loop's end. The block follows a decided jump itself: a
+# loop's back edge goes round the Python loop that holds it, testing only
+# that loop's segments again, a loop's exit breaks out of it, and a jump
+# forward goes on past the segments before its target. It leaves with the
+# pc on any other target, and where the function ends it pops the frames
+# that have ended. It also leaves where a path may fork or end, through
+# the executor's methods, and on an error, through _stopped with the pc on
+# the statement that raised (k), so that each pinned copy runs it again.
+# The block holds the frame's slots in locals and writes the ones it
+# writes back to the frame before it leaves. A pass through the block runs
+# the statements from its entry to where it leaves; each counts one state,
+# added up in n as it jumps and as it leaves.
 #
 # An expression becomes Python statements that leave its value in a temp,
 # with the fast path for two concrete ints written out (tested by
@@ -802,6 +811,8 @@ def _return(state: ExecState, v) -> None:
     ret_slot = frames.pop().ret_slot
     if ret_slot is not None:
         frames[-1].slots[ret_slot] = v
+    # a call that was its caller's last statement ends the caller too
+    _normalize(state)
 
 
 def _else_stmts(s: ast.If):
@@ -815,10 +826,11 @@ def _else_stmts(s: ast.If):
 
 class _Stmt:
     """One statement of a function's flat code: where it goes on (for a
-    test, where its condition holds), where a test's condition fails, and
-    the flat indices of the statements of each block it holds."""
+    test, where its condition holds), where a test's condition fails, the
+    flat indices of the statements of each block it holds, and end, the
+    flat index after the last of them."""
 
-    __slots__ = ("node", "next", "other", "blocks")
+    __slots__ = ("node", "next", "other", "blocks", "end")
 
     def __init__(self, node: ast.Stmt):
         self.node = node
@@ -841,6 +853,7 @@ def _flatten(stmts, flat: list) -> list[int]:
             entry.blocks.append(_flatten(_else_stmts(s), flat))
         elif isinstance(s, ast.While):
             entry.blocks.append(_flatten(s.body.stmts, flat))
+        entry.end = len(flat)
     return at
 
 
@@ -868,17 +881,21 @@ _UNVALIDATED = "the program was not validated; pass one that load_program return
 
 
 class _Function:
-    """A function's flat code and the names of its slots. code[pc] is the
-    Python function of the block that holds statement pc; until a path
-    first enters a block, its entries translate it. concrete has the same
-    blocks, entries and layout, each translated for a path whose ints are
-    all Python ints (see Engine.settle)."""
+    """A function's flat code and the names of its slots, the first params
+    of which are its parameters. code[pc] is the Python function of the
+    block that holds statement pc; until a path first enters a block, its
+    entries translate it. concrete has the same blocks, entries and
+    layout, each translated for a path whose ints are all Python ints (see
+    Engine.settle). bodies maps the name of every function of the program,
+    this one's callees among them, to its _Function."""
 
-    def __init__(self, f: ast.FuncDecl):
+    def __init__(self, f: ast.FuncDecl, bodies: dict):
         if f.slots is None:
             raise EngineInitError(_UNVALIDATED)
         self.name = f.name
         self.names = f.slots
+        self.params = len(f.params)
+        self.bodies = bodies
         self.flat: list[_Stmt] = []
         flat = self.flat
         _link(flat, _flatten(f.body.stmts, flat), len(flat))
@@ -920,13 +937,29 @@ class _Function:
         return enter
 
 
+# the most Python loops that one block nests: CPython compiles at most 20
+# statically nested blocks in one function, the block's try among them,
+# and the indentation of a loop nest adds to that of a deep condition
+_MAX_LOOPS = 8
+
+
 class _Writer:
     """Writes the Python source of the block of fn's statements
-    start..stop-1 and compiles it. A concrete block is written for a path
-    whose ints are all Python ints: its int operations, indices and strict
-    positions take them as they are, and a test that compares ints only is
-    a Python bool. Its segments, entries, k and state counts are those of
-    the general block, since a pinned copy resumes in it at the statement
+    start..stop-1 and compiles it. A run of the block holds the frame
+    slots that it reads or writes in locals, bound once as it starts,
+    along with each input it reads and the storage, cells and length of
+    each array that a parameter or an input holds: neither is ever
+    reassigned, and no run replaces a storage's cells. It writes back
+    the slots it writes before every way out (a jump out, a call's frame
+    push, a return, an executor method that may fork, and an error). Each
+    while that lies wholly in the block, up to _MAX_LOOPS deep, runs as a
+    Python loop of its own, entered only while the entry lies before the
+    loop's end: its back edge goes round that loop alone and its exit
+    breaks out of it. A concrete block is written for a path whose ints
+    are all Python ints: its int operations, indices and strict positions
+    take them as they are, and a test that compares ints only is a Python
+    bool. Its segments, entries, k and state counts are those of the
+    general block, since a pinned copy resumes in it at the statement
     that stopped to have the pin."""
 
     def __init__(
@@ -940,38 +973,98 @@ class _Writer:
         self.lines: list[str] = []
         self.indent = ""
         self.temps = 0
-        # whether the block jumps within itself, and whether the statement
-        # being written may raise or stop to have a symbolic int pinned
-        self.loops = self.raises = self.pins = False
+        # the frame slots that the block holds in locals, and the local
+        # that each other value it binds as it starts goes in, by source
+        self.slots: set[int] = set()
+        self.bound: dict[str, str] = {}
+        # the code that writes the block's written slots back
+        self.put_back = ""
+        # for each statement, the (test, end) of each Python loop that
+        # holds it, innermost last, and the end of each Python loop by test
+        self.loops: dict[int, tuple] = {}
+        self.heads: dict[int, int] = {}
+        # whether the statement being written may raise or stop to have a
+        # symbolic int pinned
+        self.raises = self.pins = False
 
     def function(self):
         fn, start, stop = self.fn, self.start, self.stop
         locs = self.const(fn.locs)
-        code, entries = [], [start]
+        held: list[tuple[int, int]] = []
+        written = set()
+        for q in range(start, stop):
+            while held and held[-1][1] <= q:
+                held.pop()
+            s = fn.flat[q]
+            node = s.node
+            if isinstance(node, ast.While) and s.end <= stop and len(held) < _MAX_LOOPS:
+                held.append((q, s.end))
+                self.heads[q] = s.end
+            self.loops[q] = tuple(held)
+            if isinstance(node, (ast.VarDecl, ast.ArrDecl)):
+                written.add(node.slot)
+            elif isinstance(node, ast.Assign) and isinstance(node.target, ast.Name):
+                written.add(node.target.slot)
+        if written:
+            written = sorted(written)
+            self.slots.update(written)
+            self.put_back = ", ".join(f"S[{i}]" for i in written) + " = "
+            self.put_back += ", ".join(f"s{i}" for i in written) + "; "
+        code, entries = {}, [start]
         for q in range(start, stop):
             self.lines, self.raises, self.pins = [], False, False
             self.write(q)
             if self.raises:
                 self.lines.insert(0, f"k = {q}")
-            code.append(self.lines)
+            code[q] = self.lines
             if q != start and (q in fn.entries or self.pins):
                 entries.append(q)
-        # one segment per entry; each but the last runs only when the
-        # block is entered at or before it
-        body = []
-        indent = "   " if self.loops else "  "
-        for first, end in zip(entries, entries[1:] + [stop]):
-            lines = [line for q in range(first, end) for line in code[q - start]] or ["pass"]
-            if first != entries[-1]:
-                body.append(f"{indent}if e <= {first}:")
-                lines = [" " + line for line in lines]
-            body.extend(indent + line for line in lines)
-        if self.loops:
-            body.insert(0, "  while True:")
-        head = ["def run(ex, state, frame):", " S = frame.slots", " e = k = frame.pc", " n = -e"]
-        handler = [" except _STOPS as exc:", "  frame.pc = k", "  ex.stats.states += n + k + 1"]
-        lines = head + [" try:", *body, *handler, f"  return ex._stopped(state, {locs}[k], exc)"]
+        body = self.region(start, stop, code, entries)
+        head = ["def run(ex, state, frame):", " S = frame.slots", *self.prelude(" ")]
+        head += [" e = k = frame.pc", " n = -e", " try:"]
+        handler = [" except _STOPS as exc:", f"  {self.put_back}frame.pc = k"]
+        handler += ["  ex.stats.states += n + k + 1", f"  return ex._stopped(state, {locs}[k], exc)"]
+        lines = head + ["  " + line for line in body] + handler
         return _compile(lines, f"<vl {fn.name} block {start}>", self.consts)
+
+    def region(self, lo: int, hi: int, code: dict, entries: list[int]) -> list[str]:
+        """The code of statements lo..hi-1: a Python loop for each loop
+        that starts there, and between them segments, cut at the entries.
+        A segment or a loop runs only when the entry lies at or before it,
+        which it tests only where an entry lies after it."""
+        out, q = [], lo
+        while q < hi:
+            end = self.heads.get(q)
+            if end is not None:
+                body = self.guard(f"if e <= {q}:", code[q], entries, q + 1, end)
+                body += self.region(q + 1, end, code, entries)
+                loop = ["while True:", *(" " + line for line in body), *self.after(q)]
+                out += self.guard(f"if e < {end}:", loop, entries, end, hi)
+                q = end
+                continue
+            nxt = q + 1
+            while nxt < hi and nxt not in entries and nxt not in self.heads:
+                nxt += 1
+            lines = [line for x in range(q, nxt) for line in code[x]]
+            out += self.guard(f"if e <= {q}:", lines, entries, q + 1, hi)
+            q = nxt
+        return out
+
+    @staticmethod
+    def guard(test: str, lines: list[str], entries: list[int], lo: int, hi: int) -> list[str]:
+        """lines, under test where an entry lies in lo..hi-1."""
+        if lines and any(lo <= x < hi for x in entries):
+            return [test, *(" " + line for line in lines)]
+        return lines
+
+    def prelude(self, indent: str) -> list[str]:
+        """The lines that bind the block's locals as a run starts."""
+        lines = []
+        if self.slots:
+            names = [f"s{i}" if i in self.slots else "_" for i in range(len(self.fn.names))]
+            lines.append(f"{', '.join(names)}, = S")
+        lines += [f"{name} = {source}" for source, name in self.bound.items()]
+        return [indent + line for line in lines]
 
     # --- output ---
 
@@ -989,17 +1082,52 @@ class _Writer:
         self.temps += 1
         return f"t{self.temps}"
 
+    def bind(self, source: str) -> str:
+        """The local that a run sets to source as it starts."""
+        name = self.bound.get(source)
+        if name is None:
+            name = self.bound[source] = f"v{len(self.bound)}"
+        return name
+
+    # --- control ---
+
     def jump(self, q: int, target: int) -> str:
         """The code by which statement q goes on at target."""
+        step = f"n += {q + 1 - target}; " if q + 1 != target else ""
+        held = self.loops[q]
+        if held and self.start <= target < self.stop and not held[-1][0] <= target < held[-1][1]:
+            return f"{step}break"  # q is the loop's test, and after() goes on
+        return step + self.go(held, q + 1, target)
+
+    def after(self, w: int) -> list[str]:
+        """The code after the Python loop of the while at w, which its exit
+        breaks out to."""
+        s = self.fn.flat[w]
+        if not self.start <= s.other < self.stop:
+            return []  # the test leaves the block itself
+        go = self.go(self.loops[w][:-1], s.end, s.other)
+        return [go] if go else []
+
+    def go(self, held: tuple, at: int, target: int) -> str:
+        """The code that goes on at target, where n counts the statements
+        before it, from the code of statement at within the Python loops
+        held: round the innermost of them, on past the segments before
+        target, or out of the block, popping the frames that have ended
+        at the function's end."""
         if self.start <= target < self.stop:
-            self.loops = True
-            return f"n += {q + 1 - target}; e = {target}; continue"
-        return f"frame.pc = {target}; ex.stats.states += n + {q + 1}; return None"
+            if held and target == held[-1][0]:
+                return f"e = {target}; continue"
+            if target > at:
+                return f"e = {target}"
+            if target == at:
+                return ""
+        ends = "_normalize(state); " if target == len(self.fn.flat) else ""
+        return f"{self.put_back}frame.pc = {target}; {ends}ex.stats.states += n + {target}; return None"
 
     def leave(self, q: int, call: str) -> str:
         """The code by which statement q leaves the block with call's result."""
         self.raises = True
-        return f"r = {call}; ex.stats.states += n + {q + 1}; return r"
+        return f"{self.put_back}r = {call}; ex.stats.states += n + {q + 1}; return r"
 
     # --- statements ---
 
@@ -1009,10 +1137,8 @@ class _Writer:
         s = self.fn.flat[q]
         node = s.node
         if isinstance(node, ast.VarDecl):
-            if node.init is None:
-                self.put(f"S[{node.slot}] = UNDEFINED")
-            else:
-                self.put(f"S[{node.slot}] = {self.value(node.init)}")
+            value = "UNDEFINED" if node.init is None else self.value(node.init)
+            self.put(f"{self.slot(node.slot)} = {value}")
         elif isinstance(node, ast.Assign):
             self.assign(node)
         elif isinstance(node, ast.Print):
@@ -1025,36 +1151,42 @@ class _Writer:
             self.put(f"if not 0 <= {n} <= MAX_ARRAY_CELLS: {self.leave(q, call)}")
             kind = "INT" if node.elem_ty is ast.Type.INT else "REAL"
             cells = f"[UNDEFINED] * {n}, SymKind.{kind}, False, {self.const(node.name)}"
-            self.put(f"S[{node.slot}] = state.alloc(ArrayStorage({cells}))")
+            self.put(f"{self.slot(node.slot)} = state.alloc(ArrayStorage({cells}))")
         elif isinstance(node, ast.ChooseAssign):
             n = self.strict(node.arg)
             self.put(f"frame.pc = {s.next}")
             self.put(self.leave(q, f"ex.choose(state, {n}, {node.target.slot})"))
             return
         elif isinstance(node, ast.CallStmt):
-            args = "".join(self.value(a) + ", " for a in node.args)
-            self.put(f"frame.pc = {s.next}")
-            self.put(f"f = ex.eng.bodies[{self.const(node.name)}]")
-            slots = f"[{args}] + [None] * (len(f.names) - {len(node.args)})"
+            f = self.fn.bodies[node.name]
+            args = [self.value(a) for a in node.args] + ["None"] * (len(f.names) - len(node.args))
+            callee = self.const(f)
+            code = f"{callee}.concrete" if self.concrete else f"{callee}.code"
             ret_slot = node.target.slot if node.target is not None else None
-            code = "f.concrete" if self.concrete else "f.code"
-            self.put(f"state.frames.append(Frame({code}, f, {slots}, {ret_slot}))")
+            self.put(f"frame.pc = {s.next}; {self.put_back}")
+            self.put(f"state.frames.append(Frame({code}, {callee}, [{', '.join(args)}], {ret_slot}))")
+            if not f.flat:
+                self.put("_normalize(state)")
             self.put(f"ex.stats.states += n + {q + 1}; return None")
             return
         elif isinstance(node, ast.Return):
             v = self.value(node.value) if node.value is not None else "None"
-            self.put(f"_return(state, {v}); ex.stats.states += n + {q + 1}; return None")
+            self.put(f"{self.put_back}_return(state, {v}); ex.stats.states += n + {q + 1}; return None")
             return
         elif isinstance(node, (ast.If, ast.While)):
+            # each side ends in its own jump, since one that goes on past
+            # the segments before its target runs on to the next line
             if self.concrete and _compares_ints(node.cond):
-                self.put(f"if not {self.test(node.cond)}: {self.jump(q, s.other)}")
+                self.put(f"if not {self.test(node.cond)}: {self.jump(q, s.other) or 'pass'}")
             else:
                 c = self.cond(node.cond)
                 self.put(f"if {c} is not True:")
-                self.put(f" if {c} is False: {self.jump(q, s.other)}")
-                self.put(f" frame.pc = {s.next}")
+                self.put(f" if {c} is False: {self.jump(q, s.other) or 'pass'}")
                 call = f"ex.branch(state, {c}, {self.const(node.loc)}, {s.other})"
-                self.put(" " + self.leave(q, call))
+                self.put(f" else: frame.pc = {s.next}; {self.leave(q, call)}")
+            if s.next != q + 1 or q + 1 == self.stop:
+                self.put(f"else: {self.jump(q, s.next) or 'pass'}")
+            return
         elif isinstance(node, ast.Assert):
             c = self.cond(node.cond)
             shown = "None"
@@ -1072,20 +1204,22 @@ class _Writer:
         else:
             assert isinstance(node, ast.Block)  # entering a block is a step of its own
         if s.next != q + 1 or q + 1 == self.stop:
-            self.put(self.jump(q, s.next))
+            jump = self.jump(q, s.next)
+            if jump:
+                self.put(jump)
 
     def assign(self, s: ast.Assign) -> None:
         v = self.value(s.value)
         target = s.target
         if isinstance(target, ast.Name):
-            self.put(f"S[{target.slot}] = {v}")
+            self.put(f"{self.slot(target.slot)} = {v}")
             return
         i = self.value(target.index)
-        storage, tests = self.temp(), self.int_tests((target.index, i))
+        storage, cells, n = self.array(target.base)
+        tests = self.int_tests((target.index, i))
         self.raises, self.pins = True, self.pins or not isinstance(target.index, ast.IntLit)
-        self.put(f"{storage} = state.heap[{self.load(target.base)}.addr]")
-        tests += [f"0 <= {i} < len({storage}.cells)", f"not {storage}.read_only"]
-        self.put(f"if {' and '.join(tests)}: {storage}.cells[{i}] = {v}")
+        tests += [f"0 <= {i} < {n}", f"not {storage}.read_only"]
+        self.put(f"if {' and '.join(tests)}: {cells}[{i}] = {v}")
         where = f"{self.const(target.base.name)}, {self.const(target.loc)}, {self.const(s.loc)}"
         self.put(f"else: _bad_cell({storage}, {i}, {where})")
 
@@ -1095,16 +1229,34 @@ class _Writer:
         if isinstance(a, ast.StrLit):
             return self.const(a.value)
         if a.ty.is_array():
-            return f"tuple(state.heap[{self.load(a)}.addr].cells)"
+            return f"tuple({self.array(a)[1]})"
         return self.value(a)
 
     # --- expressions ---
 
+    def slot(self, i: int) -> str:
+        """The local that holds frame slot i."""
+        self.slots.add(i)
+        return f"s{i}"
+
     def load(self, e: ast.Name) -> str:
-        """Where e is held, whatever it holds (arrays included)."""
+        """The local that holds e's value, whatever it is (arrays included)."""
         if e.slot is None:
-            return f"state.globals[{self.const(e.name)}]"
-        return f"S[{e.slot}]"
+            return self.bind(f"state.globals[{self.const(e.name)}]")
+        return self.slot(e.slot)
+
+    def array(self, e: ast.Name) -> tuple[str, str, str]:
+        """The storage, cells and length of the array that e names: a
+        parameter's or an input's array has them bound as a run starts,
+        and a local array's are looked up where they are used."""
+        ref = self.load(e)
+        if e.slot is None or e.slot < self.fn.params:
+            storage = self.bind(f"state.heap[{ref}.addr]")
+            cells = self.bind(f"{storage}.cells")
+            return storage, cells, self.bind(f"len({cells})")
+        storage = self.temp()
+        self.put(f"{storage} = state.heap[{ref}.addr]")
+        return storage, f"{storage}.cells", f"len({storage}.cells)"
 
     def int_tests(self, *ints: tuple[ast.Expr, str]) -> list[str]:
         """Tests that each int value v of an expression e, given as (e, v),
@@ -1142,23 +1294,21 @@ class _Writer:
         if isinstance(e, ast.DecLit):
             return self.const(RealVal(Poly.const(e.value)))
         if isinstance(e, ast.Name):
-            if e.slot is None or e.slot not in self.fn.unset:
+            v = self.load(e)
+            if e.slot is not None and e.slot in self.fn.unset:
                 # inputs always hold a value, and so do parameters
-                return self.load(e)
-            t = self.temp()
-            self.raises = True
-            self.put(f"{t} = S[{e.slot}]")
-            self.put(f"if {t} is UNDEFINED: _unset({self.const(e.name)}, {self.const(e.loc)})")
-            return t
+                self.raises = True
+                self.put(f"if {v} is UNDEFINED: _unset({self.const(e.name)}, {self.const(e.loc)})")
+            return v
         t = self.temp()
         if isinstance(e, ast.Index):
             i = self.value(e.index)
-            storage, tests = self.temp(), self.int_tests((e.index, i))
+            storage, cells, n = self.array(e.base)
+            tests = self.int_tests((e.index, i))
             self.raises, self.pins = True, self.pins or not isinstance(e.index, ast.IntLit)
-            self.put(f"{storage} = state.heap[{self.load(e.base)}.addr]")
-            plain = " and ".join([*tests, f"0 <= {i} < len({storage}.cells)"])
+            plain = " and ".join([*tests, f"0 <= {i} < {n}"])
             bad = f"_bad_cell({storage}, {i}, {self.const(e.base.name)}, {self.const(e.loc)})"
-            self.put(f"if not ({plain}) or ({t} := {storage}.cells[{i}]) is UNDEFINED: {bad}")
+            self.put(f"if not ({plain}) or ({t} := {cells}[{i}]) is UNDEFINED: {bad}")
         elif isinstance(e, ast.Unary):
             assert e.op == "-", "boolean operators are translated as conditions"
             x = self.value(e.operand)
@@ -1179,7 +1329,7 @@ class _Writer:
                 slow = f"make_int(int_poly({a}) {e.op} int_poly({b}))"
                 self.fast_or_slow(t, tests, f"{a} {e.op} {b}", slow)
         elif isinstance(e, ast.LenCall):
-            self.put(f"{t} = len(state.heap[{self.load(e.arg)}.addr].cells)")
+            return self.array(e.arg)[2]
         else:
             raise AssertionError(f"not a value: {type(e).__name__}")
         return t
@@ -1270,7 +1420,7 @@ def _compile_value(e: ast.Expr):
     """A function of a state that evaluates e, an expression over inputs."""
     w = _Writer(None, 0, 0)
     v = w.value(e)
-    lines = ["def run(state):", *(" " + line for line in w.lines), f" return {v}"]
+    lines = ["def run(state):", *w.prelude(" "), *(" " + line for line in w.lines), f" return {v}"]
     return _compile(lines, "<vl extent>", w.consts)
 
 
@@ -1606,10 +1756,6 @@ class _Executor:
             if first_only and self.violations:
                 return st, []
             if succs is None:
-                # _normalize does nothing unless the top frame has ended
-                frame = st.frames[-1]
-                if frame.pc == len(frame.code):
-                    _normalize(st)
                 continue
             for s in succs:
                 _normalize(s)
