@@ -1,7 +1,7 @@
 """Abstract syntax for VL programs: node types, static checks, printing.
 
-A node class is declared by its fields alone, as its __slots__: the
-fields up to and including `loc` are the constructor's required
+A node class is a Record, declared by its fields alone, as its __slots__:
+the fields up to and including `loc` are the constructor's required
 parameters, in order, and those after `loc` are optional and default to
 None. Nodes compare structurally. Source locations and what validation fills
 in (inferred types and frame slots) are excluded from equality, so a
@@ -59,24 +59,33 @@ def init_from_slots(cls, defaults: tuple = ()) -> None:
     cls.__init__ = init
 
 
-class Node:
-    """The base of the node classes. A node class declares its fields as
-    its __slots__, and its constructor takes them in that order
-    (init_from_slots). The fields up to and including `loc` are required;
-    those after it, which validation fills in, default to None. Equality
-    and repr use the fields before `loc`, the node's structure. A class
-    without `loc` requires and compares all of its fields. Nodes are
-    mutable, so they are unhashable."""
+class Record:
+    """The one base of the syntax nodes and the engine's value records. A
+    record class declares its fields as its __slots__, and its constructor
+    takes them in that order (init_from_slots).
+    - A class that names the defaults of its last fields with the class
+      keyword `defaults` requires the others, and == and repr use all of
+      its fields.
+    - Otherwise, as a node, the fields up to and including `loc` are
+      required; those after it, which validation fills in, default to
+      None; and == and repr use the fields before `loc`, the node's
+      structure. A class without `loc` requires and compares all of its
+      fields.
+    Records are mutable, so they are unhashable unless a class says
+    otherwise."""
 
     __slots__ = ()
-    _compared: tuple[str, ...] = ()  # the fields before loc, per class
+    _compared: tuple[str, ...] = ()  # the fields that == and repr use, per class
 
-    def __init_subclass__(cls) -> None:
+    def __init_subclass__(cls, defaults: tuple | None = None) -> None:
         slots = cls.__slots__
-        loc = slots.index("loc") if "loc" in slots else len(slots)
-        cls._compared = slots[:loc]
-        # no defaults when there is no loc: (None,) * -1 is ()
-        init_from_slots(cls, (None,) * (len(slots) - loc - 1))
+        if defaults is None and "loc" in slots:
+            loc = slots.index("loc")
+            cls._compared = slots[:loc]
+            defaults = (None,) * (len(slots) - loc - 1)
+        else:
+            cls._compared = slots
+        init_from_slots(cls, defaults or ())
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -94,39 +103,39 @@ class Node:
 # expressions
 
 
-class IntLit(Node):
+class IntLit(Record):
     __slots__ = ("value", "loc", "ty")
 
 
-class DecLit(Node):
+class DecLit(Record):
     __slots__ = ("value", "loc", "ty")  # value: a Fraction
 
 
-class StrLit(Node):
+class StrLit(Record):
     __slots__ = ("value", "loc", "ty")
 
 
-class Name(Node):
+class Name(Record):
     __slots__ = ("name", "loc", "ty", "slot")
 
 
-class Index(Node):
+class Index(Record):
     __slots__ = ("base", "index", "loc", "ty")  # base: a Name
 
 
-class Unary(Node):
+class Unary(Record):
     __slots__ = ("op", "operand", "loc", "ty")  # op: "-" or "!"
 
 
-class Binary(Node):
+class Binary(Record):
     __slots__ = ("op", "lhs", "rhs", "loc", "ty")  # op: + - * / < <= == != && ||
 
 
-class EqualsCall(Node):
+class EqualsCall(Record):
     __slots__ = ("lhs", "rhs", "loc", "ty")
 
 
-class LenCall(Node):
+class LenCall(Record):
     __slots__ = ("arg", "loc", "ty")
 
 
@@ -137,51 +146,51 @@ Expr = IntLit | DecLit | StrLit | Name | Index | Unary | Binary | EqualsCall | L
 # statements
 
 
-class VarDecl(Node):
+class VarDecl(Record):
     __slots__ = ("name", "ty", "init", "loc", "slot")  # ty: INT or REAL; init may be None
 
 
-class ArrDecl(Node):
+class ArrDecl(Record):
     __slots__ = ("name", "elem_ty", "extent", "loc", "slot")  # elem_ty: INT or REAL
 
 
-class Assign(Node):
+class Assign(Record):
     __slots__ = ("target", "value", "loc")  # target: a Name or an Index
 
 
-class ChooseAssign(Node):
+class ChooseAssign(Record):
     __slots__ = ("target", "arg", "loc")  # target: a Name
 
 
-class CallStmt(Node):
+class CallStmt(Record):
     __slots__ = ("name", "args", "target", "loc")  # target: a Name or None
 
 
-class Block(Node):
+class Block(Record):
     __slots__ = ("stmts", "loc")
 
 
-class If(Node):
+class If(Record):
     __slots__ = ("cond", "then", "els", "loc")  # els: a Block, an If or None
 
 
-class While(Node):
+class While(Record):
     __slots__ = ("cond", "body", "loc")
 
 
-class Assert(Node):
+class Assert(Record):
     __slots__ = ("cond", "loc")
 
 
-class Assume(Node):
+class Assume(Record):
     __slots__ = ("cond", "loc")
 
 
-class Return(Node):
+class Return(Record):
     __slots__ = ("value", "loc")  # value may be None
 
 
-class Print(Node):
+class Print(Record):
     __slots__ = ("args", "loc")
 
 
@@ -205,21 +214,21 @@ Stmt = (
 # declarations
 
 
-class Param(Node):
+class Param(Record):
     __slots__ = ("name", "ty", "loc")  # ty: INT, REAL, INT_ARRAY or REAL_ARRAY
 
 
-class FuncDecl(Node):
+class FuncDecl(Record):
     # ret: INT, REAL or VOID; slots: the name of each frame slot
     __slots__ = ("name", "params", "ret", "body", "loc", "slots")
 
 
-class InputDecl(Node):
+class InputDecl(Record):
     # ty: INT (scalar, with an optional default) or REAL_ARRAY (with an extent)
     __slots__ = ("name", "ty", "extent", "default", "loc")
 
 
-class Program(Node):
+class Program(Record):
     __slots__ = ("inputs", "funcs")
 
     def func(self, name: str) -> FuncDecl:

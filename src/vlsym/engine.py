@@ -105,42 +105,19 @@ class Certainty(enum.Enum):
     MAYBE = "MAYBE"
 
 
-class _ByValue:
-    """A record. A record class is declared by its fields alone, as its
-    __slots__, and its constructor takes them in that order
-    (ast.init_from_slots); the class keyword `defaults` gives the defaults
-    of its last fields. Records compare by class and the values of their
-    fields, and show those values in their repr, as a dataclass's do. Only
-    the decisions are hashable, since only they are immutable."""
-
-    __slots__ = ()
-
-    def __init_subclass__(cls, defaults: tuple = ()) -> None:
-        ast.init_from_slots(cls, defaults)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({shown})"
-
-
 # ---------------------------------------------------------------------------
 # decisions and trails
 
 
-class _Decision(_ByValue):
-    # a trail policy finds a decision among the options by equality
+class _Decision(ast.Record):
+    """A decision is a record (ast.Record) that compares and hashes by the
+    values of its fields: a trail policy finds it among the options by
+    equality."""
+
     __slots__ = ()
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(tuple([getattr(self, f) for f in self.__slots__]))
 
 
 class ChooseInt(_Decision):
@@ -235,15 +212,13 @@ def parse_trail(text: str) -> list[Decision]:
 class FAnd:
     __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple):
-        self.parts = parts
-
 
 class FOr:
     __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple):
-        self.parts = parts
+
+ast.init_from_slots(FAnd)
+ast.init_from_slots(FOr)
 
 
 def f_and(parts) -> object:
@@ -323,26 +298,19 @@ def dnf(f) -> list[list[Atom]]:
 
 
 # ---------------------------------------------------------------------------
-# runtime state
+# runtime state: plain classes, which compare by identity, each declared
+# by its fields alone, as its __slots__, with its constructor from them
+# (ast.init_from_slots), as are the choice policies and search settings
 
 
 class ArrayRef:
-    """The address of an array in a state's heap; it compares by identity."""
+    """The address of an array in a state's heap."""
 
     __slots__ = ("addr",)
-
-    def __init__(self, addr: int):
-        self.addr = addr
 
 
 class ArrayStorage:
     __slots__ = ("cells", "elem_kind", "read_only", "label")
-
-    def __init__(self, cells, elem_kind: SymKind, read_only: bool = False, label: str = ""):
-        self.cells = cells
-        self.elem_kind = elem_kind
-        self.read_only = read_only
-        self.label = label
 
     def clone(self) -> "ArrayStorage":
         return ArrayStorage(list(self.cells), self.elem_kind, self.read_only, self.label)
@@ -351,18 +319,11 @@ class ArrayStorage:
 class Frame:
     """One call of a function: the code it runs (fn.code or fn.concrete),
     which holds the block of each of its statements, the _Function fn, the
-    slots' values and pc, the index in code of the statement that runs next
+    slots' values, ret_slot, the slot of the caller's frame that receives
+    the result, and pc, the index in code of the statement that runs next
     (len(code) once the function has ended)."""
 
-    __slots__ = ("code", "fn", "slots", "pc", "ret_slot")
-
-    def __init__(self, code: list, fn: _Function, slots: list, ret_slot=None, pc=0):
-        self.code = code
-        self.fn = fn
-        self.slots = slots
-        # the slot of the caller's frame that receives the result
-        self.ret_slot = ret_slot
-        self.pc = pc
+    __slots__ = ("code", "fn", "slots", "ret_slot", "pc")
 
     def clone(self) -> "Frame":
         return Frame(self.code, self.fn, list(self.slots), self.ret_slot, self.pc)
@@ -372,28 +333,9 @@ class ExecState:
     """One path's state. printed holds each print's evaluated arguments, as
     a tuple of literal strings, values and snapshots (tuples) of printed
     arrays' cells; prints renders them, so a search that never reads its
-    output never renders it."""
+    output never renders it. done is set once main has ended."""
 
-    __slots__ = (
-        "frames",
-        "heap",
-        "next_addr",
-        "globals",
-        "pc",
-        "trail",
-        "printed",
-        "done",
-    )
-
-    def __init__(self, frames, heap, next_addr, globals_, pc, trail, printed):
-        self.frames = frames
-        self.heap = heap
-        self.next_addr = next_addr
-        self.globals = globals_
-        self.pc = pc
-        self.trail = trail
-        self.printed = printed
-        self.done = False
+    __slots__ = ("frames", "heap", "next_addr", "globals", "pc", "trail", "printed", "done")
 
     @property
     def prints(self) -> list[str]:
@@ -432,13 +374,22 @@ class ExecState:
         return self.globals.get(name)
 
 
+ast.init_from_slots(ArrayRef)
+ast.init_from_slots(ArrayStorage, (False, ""))
+ast.init_from_slots(Frame, (None, 0))
+ast.init_from_slots(ExecState, (False,))
+
+
 # ---------------------------------------------------------------------------
 # violations
 
 
-class Violation(_ByValue, defaults=(None,)):
-    # witness: each symbol's value, or None; detail: the (label, text)
-    # lines of an equals() finding, or None
+class Violation(ast.Record, defaults=(None,)):
+    """One finding, a record (ast.Record) that compares by every field, loc
+    among them, since it names its defaults. witness: each symbol's value,
+    or None; detail: the (label, text) lines of an equals() finding, or
+    None, its default."""
+
     __slots__ = ("prop", "certainty", "loc", "message", "trail", "witness", "detail")
 
     @property
@@ -483,17 +434,16 @@ class ExploreAll:
 
 
 class RandomPolicy:
-    def __init__(self, rng: Random):
-        self.rng = rng
+    __slots__ = ("rng",)
 
     def pick(self, options: Sequence[Decision]) -> list[int]:
         return [self.rng.randrange(len(options))]
 
 
 class TrailPolicy:
-    def __init__(self, trail: list[Decision]):
-        self.trail = trail
-        self.pos = 0
+    """Follows trail; pos is the index of its next decision."""
+
+    __slots__ = ("trail", "pos")
 
     def pick(self, options: Sequence[Decision]) -> list[int]:
         """The index of the trail's next decision among the options; one
@@ -509,6 +459,10 @@ class TrailPolicy:
         return [i]
 
 
+ast.init_from_slots(RandomPolicy)
+ast.init_from_slots(TrailPolicy, (0,))
+
+
 def _offered(options: Sequence[Decision]) -> str:
     shown = ", ".join(d.render() for d in options[:3])
     more = ", ..." if len(options) > 3 else ""
@@ -519,7 +473,9 @@ def _offered(options: Sequence[Decision]) -> str:
 # stats and configuration
 
 
-class Stats(_ByValue, defaults=(0, 0, 0, 0)):
+class Stats(ast.Record, defaults=(0, 0, 0, 0)):
+    """A search's counts, a record (ast.Record) whose counts start at 0."""
+
     __slots__ = ("states", "terminals", "pruned", "solver_calls")
 
     def add(self, other: "Stats") -> None:
@@ -528,29 +484,18 @@ class Stats(_ByValue, defaults=(0, 0, 0, 0)):
 
 
 class SearchConfig:
-    def __init__(
-        self,
-        budget: int = DEFAULT_BUDGET,
-        seed: int = 0,
-        max_depth: int = 0,
-        first_only: bool = False,
-        workers: int = 1,
-        overrides: dict | None = None,
-    ):
-        self.budget = budget
-        self.seed = seed
-        self.max_depth = max_depth  # 0 means unlimited
-        self.first_only = first_only
-        self.workers = workers
-        self.overrides = {} if overrides is None else overrides
+    """A search's settings. max_depth 0 means unlimited; overrides maps an
+    int input's name to its -input value, and None means no overrides."""
+
+    __slots__ = ("budget", "seed", "max_depth", "first_only", "workers", "overrides")
 
 
 class SearchResult:
-    def __init__(self, violations: list, stats: Stats, incomplete: bool, inputs_desc: list):
-        self.violations = violations
-        self.stats = stats
-        self.incomplete = incomplete
-        self.inputs_desc = inputs_desc
+    __slots__ = ("violations", "stats", "incomplete", "inputs_desc")
+
+
+ast.init_from_slots(SearchConfig, (DEFAULT_BUDGET, 0, 0, False, 1, None))
+ast.init_from_slots(SearchResult)
 
 
 class Engine:
@@ -586,7 +531,7 @@ class Engine:
         its -input override, else its default, else a symbol; every cell of
         a real input holds a symbol, which run_path may then overwrite with
         a value. Symbols are numbered in declaration order."""
-        overrides = self.config.overrides
+        overrides = self.config.overrides or {}
         int_inputs = {d.name for d in self.program.inputs if d.ty is ast.Type.INT}
         for name in overrides:
             if name not in int_inputs:
@@ -1971,10 +1916,13 @@ def explore(program: ast.Program, config: SearchConfig, on_terminal=None) -> Sea
 
 
 class PathOutcome:
-    def __init__(self, state: ExecState | None, violations: list, prints: list):
-        self.state = state
-        self.violations = violations
-        self.prints = prints
+    """What one path of replay or run_path did; state is None when the path
+    was infeasible and abandoned."""
+
+    __slots__ = ("state", "violations", "prints")
+
+
+ast.init_from_slots(PathOutcome)
 
 
 def _follow(ex: _Executor, state: ExecState) -> PathOutcome:

@@ -7,13 +7,10 @@ plain-Python reference functions, the solver and polynomial layers hold
 up under fuzzing, reports are deterministic across worker counts, and
 the parser survives garbage input. Run with -v to get one pass/fail
 line per guarantee.
-
-The parser fuzz budget honors VLSYM_FUZZ_SECONDS (default 60).
 """
 
 import importlib.util
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -393,13 +390,16 @@ TOKEN_SOUP = [
 ]
 
 
+# the fuzz inputs that criterion 8 draws from its seeded Random: no fewer
+# than the most that 60 seconds of fuzzing reached with CI's warning flags
+# on a 2-CPU host, 137,303 (100,560 at a slower time)
+FUZZ_INPUTS = 140_000
+
+
 def test_criterion_8_parser_survives_fuzzing_and_round_trips():
-    budget = float(os.environ.get("VLSYM_FUZZ_SECONDS", "60"))
     rng = Random(20260819)
     corpus_texts = [(corpus_dir() / name).read_text() for name in ALL_CORPUS]
-    deadline = time.monotonic() + budget
-    runs = 0
-    while time.monotonic() < deadline:
+    for _ in range(FUZZ_INPUTS):
         kind = rng.randrange(3)
         if kind == 0:
             raw = bytes(rng.randrange(256) for _ in range(rng.randrange(400)))
@@ -414,12 +414,10 @@ def test_criterion_8_parser_survives_fuzzing_and_round_trips():
         assert isinstance(out, (Program, list)), out
         if isinstance(out, list):
             assert out, "an error result must carry diagnostics"
-        runs += 1
-    assert runs > 0
 
     for name, text in zip(ALL_CORPUS, corpus_texts):
         prog = parse_program(text, name)
         printed = pretty_print(prog)
         assert parse_program(printed, name) == prog
         assert pretty_print(parse_program(printed, name)) == printed
-    print(f"criterion 8 PASS: {runs} fuzz inputs survived, corpus round-trips")
+    print(f"criterion 8 PASS: {FUZZ_INPUTS} fuzz inputs survived, corpus round-trips")

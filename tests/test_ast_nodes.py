@@ -1,5 +1,6 @@
-"""The contract of the syntax tree's node classes and the engine's records:
-constructors, defaults, equality, hashing."""
+"""The contract of every class whose constructor comes from its __slots__:
+the syntax tree's node classes, the engine's records and its plain state
+classes. Constructors, defaults, equality, hashing."""
 
 import inspect
 
@@ -11,27 +12,53 @@ from vlsym.diagnostics import Loc
 DECLS = [ast.Param, ast.FuncDecl, ast.InputDecl, ast.Program]
 NODES = [*ast.Expr.__args__, *ast.Stmt.__args__, *DECLS]
 RECORDS = [engine.ChooseInt, engine.Branch, engine.ConcretizeInt, engine.Violation, engine.Stats]
-# the default of each field that a record may leave out
-RECORD_DEFAULTS = {
+STATES = [
+    engine.FAnd,
+    engine.FOr,
+    engine.ArrayRef,
+    engine.ArrayStorage,
+    engine.Frame,
+    engine.ExecState,
+    engine.SearchConfig,
+    engine.SearchResult,
+    engine.PathOutcome,
+    engine.RandomPolicy,
+    engine.TrailPolicy,
+]
+# the default of each field that a record or a state class may leave out
+DEFAULTS = {
     engine.Violation: {"detail": None},
     engine.Stats: {"states": 0, "terminals": 0, "pruned": 0, "solver_calls": 0},
+    engine.ArrayStorage: {"read_only": False, "label": ""},
+    engine.Frame: {"ret_slot": None, "pc": 0},
+    engine.ExecState: {"done": False},
+    engine.TrailPolicy: {"pos": 0},
+    engine.SearchConfig: {
+        "budget": engine.DEFAULT_BUDGET,
+        "seed": 0,
+        "max_depth": 0,
+        "first_only": False,
+        "workers": 1,
+        "overrides": None,
+    },
 }
 
 
-@pytest.mark.parametrize("cls", NODES + RECORDS, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", NODES + RECORDS + STATES, ids=lambda cls: cls.__name__)
 def test_node_contract(cls):
     params = inspect.signature(cls).parameters.values()
     assert [p.name for p in params] == list(cls.__slots__)
     required = [p.name for p in params if p.default is p.empty]
     filled = [p.name for p in params if p.default is not p.empty]
     defaults = {p.name: p.default for p in params if p.default is not p.empty}
-    if issubclass(cls, ast.Node):
+    assert issubclass(cls, ast.Record) == (cls not in STATES)
+    if cls in NODES:
         # what validation fills in: an expression's type and a name's or a
         # declaration's frame slot(s)
         assert set(filled) <= {"ty", "slot", "slots"}
         assert set(defaults.values()) <= {None}
     else:
-        assert defaults == RECORD_DEFAULTS.get(cls, {})
+        assert defaults == DEFAULTS.get(cls, {})
     values = {name: object() for name in required}
     if "loc" in values:
         values["loc"] = Loc("a.vl", 1, 1, 1)
@@ -45,10 +72,16 @@ def test_node_contract(cls):
 
     # keywords and positions build the same object
     positional = cls(*values.values())
-    assert positional == node
     assert all(getattr(positional, f) is getattr(node, f) for f in cls.__slots__)
 
-    if issubclass(cls, ast.Node):
+    if cls in STATES:
+        # a state class compares and hashes by identity, whatever its fields
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__
+        assert node == node and positional != node
+        assert hash(node) == object.__hash__(node)
+        return
+    assert positional == node
+    if cls in NODES:
         # equal whatever the location and what validation filled in
         ignored = {"loc", *filled}
         elsewhere = dict(values, **{name: object() for name in filled})
@@ -70,7 +103,7 @@ def test_node_contract(cls):
 
 
 def test_a_class_gets_its_constructor_from_its_slots():
-    class Pair(ast.Node):
+    class Pair(ast.Record):
         __slots__ = ("left", "right", "loc", "note")
 
     loc = Loc("a.vl", 1, 1, 1)
@@ -92,7 +125,7 @@ def test_a_class_gets_its_constructor_from_its_slots():
     with pytest.raises(TypeError):
         hash(pair)
 
-    class Count(engine._ByValue, defaults=(0,)):
+    class Count(ast.Record, defaults=(0,)):
         __slots__ = ("label", "n")
 
     assert list(inspect.signature(Count).parameters) == ["label", "n"]
@@ -104,3 +137,15 @@ def test_a_class_gets_its_constructor_from_its_slots():
         Count()
     with pytest.raises(TypeError):
         hash(Count("a"))
+
+    # a class that names its defaults compares every field, loc among them
+    class Found(ast.Record, defaults=(None,)):
+        __slots__ = ("what", "loc", "note")
+
+    assert list(inspect.signature(Found).parameters) == ["what", "loc", "note"]
+    assert Found("a", loc).note is None
+    assert Found("a", loc) != Found("a", Loc("b.vl", 2, 3, 4))
+    assert Found("a", loc) != Found("a", loc, "x")
+    assert repr(Found("a", loc, "x")) == f"Found(what='a', loc={loc!r}, note='x')"
+    with pytest.raises(TypeError):
+        Found("a")

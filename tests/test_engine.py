@@ -6,6 +6,7 @@ import signal
 import time
 import tracemalloc
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies
@@ -39,12 +40,14 @@ def load(src: str) -> Program:
     return prog
 
 
-def search(src: str, **kw) -> engine.SearchResult:
+def search(src: str, **kw) -> SimpleNamespace:
+    """The fields of the search's SearchResult, plus terminal_states, each
+    terminal state in the order the search reached it."""
     terminals = []
     cfg = SearchConfig(**kw)
     result = explore(load(src), cfg, on_terminal=terminals.append)
-    result.terminal_states = terminals
-    return result
+    fields = {name: getattr(result, name) for name in result.__slots__}
+    return SimpleNamespace(**fields, terminal_states=terminals)
 
 
 def test_straight_line_single_path():
