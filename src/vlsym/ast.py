@@ -219,13 +219,14 @@ class Param(Record):
 
 
 class FuncDecl(Record):
-    # ret: INT, REAL or VOID; slots: the name of each frame slot
-    __slots__ = ("name", "params", "ret", "body", "loc", "slots")
+    # ret: INT, REAL or VOID; slots: the name of each frame slot;
+    # translation, as an InputDecl's: made by the program's first Engine
+    __slots__ = ("name", "params", "ret", "body", "loc", "slots", "translation")
 
 
 class InputDecl(Record):
     # ty: INT (scalar, with an optional default) or REAL_ARRAY (with an extent)
-    __slots__ = ("name", "ty", "extent", "default", "loc")
+    __slots__ = ("name", "ty", "extent", "default", "loc", "translation")
 
 
 class Program(Record):
@@ -611,9 +612,12 @@ def _stmt_returns(s: Stmt) -> bool:
 
 
 def validate(program: Program) -> list[Diagnostic]:
-    """Run all static checks; annotate expression types and frame slots.
+    """Run all static checks; annotate expression types and frame slots,
+    and drop the translations that an engine made from earlier ones.
     Returns diagnostics. A program with any leaves every FuncDecl.slots
     None, which the engine refuses."""
+    for decl in (*program.inputs, *program.funcs):
+        decl.translation = None
     checker = _Checker(program)
     checker.run()
     if checker.diags:

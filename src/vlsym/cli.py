@@ -159,7 +159,8 @@ def cmd_replay(args, overrides) -> int:
     cfg = _config(args, overrides)
     program, sources = _load(args.files)
     trail = _read_trail(args.trail)
-    outcome = engine.replay(program, cfg, trail)
+    # no reals: the path runs with every real input cell symbolic
+    outcome = engine.run_path(program, cfg, trail=trail, reals={})
     return _report_path(outcome, sources)
 
 

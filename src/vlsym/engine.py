@@ -15,17 +15,18 @@ the trail of a path:
 
 Each function's statements are laid out in one flat array and cut into
 basic blocks, and each block is translated into the Python source of one
-function, compiled the first time a path enters it. A block runs from any
-entry statement in it, holds the frame's slots in Python locals, runs
-each loop that lies in it as a Python loop, follows the jumps of the tests
-it decides, counts the statements it ran and leaves where a path forks,
-calls, returns or stops. Names are not resolved here: validation gave each parameter and
-local declaration a slot of its own and each name the slot it refers to,
-and translation writes that checked tree out. A frame is its function's
-code, its slots and the index of its next statement. Each block is
-translated two ways: in general, and for a path whose ints are all
-Python ints, with no test for a symbolic one; a path's frames move to the
-second once no int input is symbolic.
+function, compiled the first time a path of the program enters it: every
+later search or path of that program runs the same blocks. A block runs
+from any entry statement in it, holds the frame's slots in Python locals,
+runs each loop that lies in it as a Python loop, follows the jumps of the
+tests it decides, counts the statements it ran and leaves where a path
+forks, calls, returns or stops. Names are not resolved here: validation
+gave each parameter and local declaration a slot of its own and each name
+the slot it refers to, and translation writes that checked tree out. A
+frame is its function's code, its slots and the index of its next
+statement. Each block is translated two ways: in general, and for a path
+whose ints are all Python ints, with no test for a symbolic one; a path's
+frames move to the second once no int input is symbolic.
 States are mutated in place along straight-line code and cloned only
 where paths fork, and a clone shares the values its cells hold; the
 engine keeps each real sum, difference and product under its operand
@@ -500,9 +501,10 @@ ast.init_from_slots(SearchResult)
 
 class Engine:
     """Holds a program that load_program returned, with the code of each
-    function, plus everything shared across paths. Translation reads the
-    types and slots that validation annotated, so the engine refuses a
-    function that has none.
+    function, plus everything shared across the paths of one search.
+    Translation reads the types and slots that validation annotated, so
+    the engine refuses a function that has none. The first engine of a
+    program translates it, into FuncDecl.translation, for every later one.
 
     memos holds, for each real operation of _REAL_OPS, the result of each
     one computed so far, keyed by its operands. A RealVal compares by identity, and
@@ -511,17 +513,18 @@ class Engine:
     computing it again. A kept result is the one a new computation would
     give: nothing rewrites a RealVal or a Poly, and a pin rewrites only
     ints. A memo is emptied when it is full, so no answer depends on a hit.
-    Each engine, and so each search, has memos of its own; forked workers
-    inherit theirs."""
+    Each engine, and so each search, has memos of its own, which blocks
+    read as they start; forked workers inherit theirs."""
 
     def __init__(self, program: ast.Program, config: SearchConfig):
         self.program = program
         self.config = config
         self.memos: dict[str, dict] = {op: {} for op in _REAL_OPS}
-        # each function's block code finds its callees here when it is written
         self.bodies: dict[str, _Function] = {}
         for f in program.funcs:
-            self.bodies[f.name] = _Function(f, self.bodies)
+            if f.translation is None:  # this is the program's first engine
+                f.translation = _Function(f, self.bodies)
+            self.bodies[f.name] = f.translation
         self.inputs_desc: list[str] = []
 
     # --- initial state ---
@@ -588,8 +591,10 @@ class Engine:
 
     def _extent(self, decl: ast.InputDecl, state: ExecState) -> int:
         """The extent of a real input, from the inputs declared before it."""
+        if decl.translation is None:
+            decl.translation = _compile_value(decl.extent)
         try:
-            n = _strict(_compile_value(decl.extent)(state))
+            n = _strict(decl.translation(state))
         except NeedsConcretize as exc:
             raise EngineInitError(
                 f"extent of input '{decl.name}' depends on '{exc.sym.name}', which has no "
@@ -639,11 +644,12 @@ class Engine:
 # whose ints are all Python ints (Engine.settle): there the fast path is
 # all there is, and an if or while test that compares ints only is a
 # Python bool. A real +, - or * first looks its operands up in the
-# engine's memo of that operator, a constant of the block, and computes
-# only on a miss, with the Poly operators, keeping the result (_keep). The
-# code finds make_int, int_poly and the helpers below, and the Poly
-# operators, through this module's globals. VL names and strings never
-# enter its source: they reach it as constants, and slots as indices.
+# engine's memo of that operator, which a run binds as it starts, so that
+# a block holds nothing of an engine, and computes only on a miss, with
+# the Poly operators, keeping the result (_keep). The code finds
+# make_int, int_poly and the helpers below, and the Poly operators,
+# through this module's globals. VL names and strings never enter its
+# source: they reach it as constants, and slots as indices.
 
 _COMPARE = {"<": "LT", "<=": "LE", "==": "EQ", "!=": "NE"}
 # statements that always leave their block, and those that go on at
@@ -832,7 +838,8 @@ class _Function:
     entries translate it. concrete has the same blocks, entries and
     layout, each translated for a path whose ints are all Python ints (see
     Engine.settle). bodies maps the name of every function of the program,
-    this one's callees among them, to its _Function."""
+    this one's callees among them, to its _Function. It serves every
+    engine of its program (FuncDecl.translation)."""
 
     def __init__(self, f: ast.FuncDecl, bodies: dict):
         if f.slots is None:
@@ -875,7 +882,7 @@ class _Function:
         concrete = code is self.concrete
 
         def enter(ex, state, frame):
-            block = _Writer(self, start, stop, ex.eng.memos, concrete).function()
+            block = _Writer(self, start, stop, concrete).function()
             code[start:stop] = [block] * (stop - start)
             return block(ex, state, frame)
 
@@ -892,9 +899,10 @@ class _Writer:
     """Writes the Python source of the block of fn's statements
     start..stop-1 and compiles it. A run of the block holds the frame
     slots that it reads or writes in locals, bound once as it starts,
-    along with each input it reads and the storage, cells and length of
-    each array that a parameter or an input holds: neither is ever
-    reassigned, and no run replaces a storage's cells. It writes back
+    along with each input it reads, the storage, cells and length of
+    each array that a parameter or an input holds, and each memo of its
+    engine that it uses: none is ever reassigned, and no run replaces a
+    storage's cells. So its source depends on fn's tree alone. It writes back
     the slots it writes before every way out (a jump out, a call's frame
     push, a return, an executor method that may fork, and an error). Each
     while that lies wholly in the block, up to _MAX_LOOPS deep, runs as a
@@ -907,11 +915,8 @@ class _Writer:
     general block, since a pinned copy resumes in it at the statement
     that stopped to have the pin."""
 
-    def __init__(
-        self, fn: _Function, start: int, stop: int, memos: dict | None = None, concrete=False
-    ):
+    def __init__(self, fn: _Function, start: int, stop: int, concrete=False):
         self.fn, self.start, self.stop = fn, start, stop
-        self.memos = memos
         self.concrete = concrete
         self.consts: list = []
         self.const_names: dict[int, str] = {}
@@ -1218,7 +1223,7 @@ class _Writer:
     def kept(self, t: str, op: str, key: str, compute: str) -> None:
         """Set t to the result that the engine's memo of op keeps under
         key, or else to compute, which is then kept there."""
-        memo = self.const(self.memos[op])
+        memo = self.bind(f'ex.eng.memos["{op}"]')
         self.put(f"{t} = {memo}.get({key})")
         self.put(f"if {t} is None: {t} = _keep({memo}, {key}, {compute})")
 
@@ -1308,7 +1313,7 @@ class _Writer:
         elif isinstance(e, ast.EqualsCall):
             names = f"{self.const(e.lhs.name)}, {self.const(e.rhs.name)}"
             arrays = f"{self.load(e.lhs)}, {self.load(e.rhs)}"
-            memo = self.const(self.memos["equals"])
+            memo = self.bind('ex.eng.memos["equals"]')
             args = f"{memo}, state, {arrays}, {names}, {self.const(e.loc)}"
             self.raises = True
             self.put(f"{t} = _equals({args})")
@@ -1916,34 +1921,13 @@ def explore(program: ast.Program, config: SearchConfig, on_terminal=None) -> Sea
 
 
 class PathOutcome:
-    """What one path of replay or run_path did; state is None when the path
-    was infeasible and abandoned."""
+    """What the one path of run_path did; state is None when the path was
+    infeasible and abandoned."""
 
     __slots__ = ("state", "violations", "prints")
 
 
 ast.init_from_slots(PathOutcome)
-
-
-def _follow(ex: _Executor, state: ExecState) -> PathOutcome:
-    """Run the one path that the policy of ex picks. A trail policy must
-    use up its trail by the end of the path."""
-    state, succs = ex._run(state)
-    if succs is not None:
-        assert not succs, "policy must yield a single successor"
-        return PathOutcome(None, ex.violations, state.prints)
-    policy = ex.policy
-    unused = len(policy.trail) - policy.pos if isinstance(policy, TrailPolicy) else 0
-    if unused:
-        raise TrailMismatch(f"path finished with {unused} unused trail decision(s)")
-    return PathOutcome(state, ex.violations, state.prints)
-
-
-def replay(program: ast.Program, config: SearchConfig, trail: list[Decision]) -> PathOutcome:
-    """Follow a trail symbolically through a program that load_program
-    returned."""
-    eng = Engine(program, config)
-    return _follow(_Executor(eng, TrailPolicy(trail)), eng.init_state())
 
 
 def run_path(
@@ -1956,7 +1940,9 @@ def run_path(
     input cells of the start state get the values that reals gives, where
     a real input left out of reals stays symbolic; without reals, every
     cell gets a seeded random value, drawn in declaration order. The path
-    follows the trail if given and random choices if not."""
+    follows the trail if given, and must use it up, and random choices if
+    not. So reals={} with a trail replays that trail symbolically, and
+    draws nothing from the seeded Random."""
     eng = Engine(program, config)
     state = eng.init_state()
     real_inputs = {d.name for d in program.inputs if d.ty is not ast.Type.INT}
@@ -1979,4 +1965,12 @@ def run_path(
             continue
         storage.cells = [RealVal(Poly.const(Fraction(v))) for v in values]
     policy = TrailPolicy(trail) if trail is not None else RandomPolicy(rng)
-    return _follow(_Executor(eng, policy), state)
+    ex = _Executor(eng, policy)
+    state, succs = ex._run(state)
+    if succs is not None:
+        assert not succs, "policy must yield a single successor"
+        return PathOutcome(None, ex.violations, state.prints)
+    if trail is not None and policy.pos < len(trail):
+        unused = len(trail) - policy.pos
+        raise TrailMismatch(f"path finished with {unused} unused trail decision(s)")
+    return PathOutcome(state, ex.violations, state.prints)

@@ -54,8 +54,10 @@ def test_node_contract(cls):
     assert issubclass(cls, ast.Record) == (cls not in STATES)
     if cls in NODES:
         # what validation fills in: an expression's type and a name's or a
-        # declaration's frame slot(s)
-        assert set(filled) <= {"ty", "slot", "slots"}
+        # declaration's frame slot(s); and what the first engine of a
+        # program fills in: a function's or an input's translation
+        assert set(filled) <= {"ty", "slot", "slots", "translation"}
+        assert ("translation" in filled) == (cls in (ast.FuncDecl, ast.InputDecl))
         assert set(defaults.values()) <= {None}
     else:
         assert defaults == DEFAULTS.get(cls, {})

@@ -6,7 +6,7 @@ symbolic int), with the counters, trails, prints and verdicts pinned."""
 import pytest
 
 from vlsym.ast import Program
-from vlsym.engine import SearchConfig, explore, render_trail, replay
+from vlsym.engine import SearchConfig, explore, render_trail, run_path
 from vlsym.parser import load_program
 
 
@@ -48,11 +48,11 @@ def replays_agree(prog: Program, r, terminals, **kw) -> None:
     """Every terminal and every finding comes out the same when its path
     is replayed alone."""
     for st in terminals:
-        out = replay(prog, SearchConfig(**kw), list(st.trail))
+        out = run_path(prog, SearchConfig(**kw), list(st.trail), reals={})
         assert out.state is not None and not out.violations
         assert out.prints == st.prints
     for v in r.violations:
-        out = replay(prog, SearchConfig(**kw), list(v.trail))
+        out = run_path(prog, SearchConfig(**kw), list(v.trail), reals={})
         assert out.state is None and out.violations == [v]
 
 

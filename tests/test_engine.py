@@ -23,7 +23,6 @@ from vlsym.engine import (
     explore,
     parse_trail,
     render_trail,
-    replay,
     run_path,
     trail_key,
 )
@@ -417,9 +416,9 @@ def test_wide_choose_int_costs_one_option_in_run_and_replay():
     tracemalloc.start()
     try:
         ran = run_path(prog, SearchConfig(seed=3))
-        replayed = replay(prog, SearchConfig(), last)
+        replayed = run_path(prog, SearchConfig(), last, reals={})
         with pytest.raises(TrailMismatch, match=f"^trail has C {k}/{k} where the path offers {k} "):
-            replay(prog, SearchConfig(), parse_trail(f"C {k}/{k}"))
+            run_path(prog, SearchConfig(), parse_trail(f"C {k}/{k}"), reals={})
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -749,7 +748,7 @@ def test_replay_reproduces_each_terminal():
     r = search(SMALL)
     assert r.stats.terminals == 6  # 2 + 4
     for st in r.terminal_states:
-        out = replay(load(SMALL), SearchConfig(), list(st.trail))
+        out = run_path(load(SMALL), SearchConfig(), list(st.trail), reals={})
         assert out.state is not None
         assert out.prints == st.prints
         assert not out.violations
@@ -759,13 +758,13 @@ def test_replay_rejects_leftover_and_mismatched_decisions():
     prog = load(SMALL)
     trail = parse_trail("# trail v1\nZ N=1/2\nC 0/2\nC 1/2\n")
     with pytest.raises(TrailMismatch, match=re.escape("path finished with 1 unused")):
-        replay(prog, SearchConfig(), trail)
+        run_path(prog, SearchConfig(), trail, reals={})
     trail = parse_trail("# trail v1\nZ N=1/2\n")
     with pytest.raises(TrailMismatch):
-        replay(prog, SearchConfig(), trail)
+        run_path(prog, SearchConfig(), trail, reals={})
     trail = parse_trail("# trail v1\nC 0/2\n")
     with pytest.raises(TrailMismatch):
-        replay(prog, SearchConfig(), trail)
+        run_path(prog, SearchConfig(), trail, reals={})
 
     pinning_n = "the path offers 2 decision(s): Z N=1/2, Z N=2/2"
     choosing = "the path offers 2 decision(s): C 0/2, C 1/2"
@@ -778,7 +777,7 @@ def test_replay_rejects_leftover_and_mismatched_decisions():
     ]
     for text, message in cases:
         with pytest.raises(TrailMismatch, match=f"^{re.escape(message)}$"):
-            replay(prog, SearchConfig(), parse_trail(text))
+            run_path(prog, SearchConfig(), parse_trail(text), reals={})
 
     # the message stays short at a wide fork
     src = """
@@ -788,7 +787,7 @@ def test_replay_rejects_leftover_and_mismatched_decisions():
         }
         """
     with pytest.raises(TrailMismatch) as caught:
-        replay(load(src), SearchConfig(), parse_trail("C 0/99999"))
+        run_path(load(src), SearchConfig(), parse_trail("C 0/99999"), reals={})
     message = str(caught.value)
     assert message.startswith(
         "trail has C 0/99999 where the path offers 100000 decision(s): C 0/100000"
@@ -809,7 +808,7 @@ def test_replay_reaches_recorded_violation():
     r = search(src)
     assert r.violations
     v = r.violations[0]
-    out = replay(load(src), SearchConfig(), list(v.trail))
+    out = run_path(load(src), SearchConfig(), list(v.trail), reals={})
     assert out.state is None
     assert out.violations
     assert out.violations[0].prop is Property.ASSERTION_VIOLATION
@@ -830,7 +829,7 @@ def test_replay_reaches_recorded_violation():
         """
     v = search(src).violations[0]
     assert trail_key(parse_trail(render_trail(v.trail))) == trail_key(v.trail)
-    out = replay(load(src), SearchConfig(), parse_trail(render_trail(v.trail)))
+    out = run_path(load(src), SearchConfig(), parse_trail(render_trail(v.trail)), reals={})
     assert out.violations[0].loc == v.loc
     assert trail_key(out.violations[0].trail) == trail_key(v.trail)
 
@@ -843,6 +842,13 @@ def test_unvalidated_program_is_refused_when_the_engine_is_built():
         explore(parse_program("func main() { var int x; }"), SearchConfig())
     # and so is a program that validation found faults in
     prog = parse_program("func main() { print(y); }")
+    assert validate(prog)
+    with pytest.raises(engine.EngineInitError, match="not validated"):
+        explore(prog, SearchConfig())
+    # even after a search of it translated it while it was valid
+    prog = load(SMALL)
+    explore(prog, SearchConfig())
+    prog.funcs.append(prog.funcs[0])
     assert validate(prog)
     with pytest.raises(engine.EngineInitError, match="not validated"):
         explore(prog, SearchConfig())
@@ -1117,7 +1123,7 @@ def test_start_state_errors_are_the_same_in_every_mode():
         cfg = SearchConfig(overrides=overrides)
         for start in (
             lambda: explore(prog, cfg),
-            lambda: replay(prog, cfg, []),
+            lambda: run_path(prog, cfg, [], reals={}),
             lambda: run_path(prog, cfg),
         ):
             with pytest.raises(engine.EngineInitError, match=f"^{re.escape(message)}$"):
@@ -1170,6 +1176,28 @@ def test_run_path_refuses_reals_that_name_no_real_input():
             engine.EngineInitError, match=f"^reals= names '{name}', which is not a real input$"
         ):
             run_path(prog, SearchConfig(), reals={name: [Fraction(1), Fraction(2)]})
+
+
+def test_a_serial_search_sorts_its_findings_by_trail():
+    # branch_walk of the || cuts the else side short on the unbounded M
+    # before the then side reaches the assertion, so the depth-first
+    # search records B e first; explore returns the findings in trail order
+    r = search(
+        """
+        input int N;
+        input int M;
+        func main() {
+          assume(0 <= N && N <= 10);
+          if (N < 5 || M < 3) {
+            assert(N != 2);
+          }
+        }
+        """
+    )
+    assert [(v.prop, render_trail(v.trail)) for v in r.violations] == [
+        (Property.ASSERTION_VIOLATION, "# trail v1\nB t\n"),
+        (Property.ENUM_BUDGET, "# trail v1\nB e\n"),
+    ]
 
 
 # --- the search over forked workers ---
@@ -1452,7 +1480,7 @@ def test_prints_show_the_values_as_they_were_when_each_print_ran():
         expected = ["N=N x=5 a=[ 1 undef ] r=[ 3/2 ]", f"N={pin.value} x=9 a=[ 7 3 ] r=[ 5/2 ]"]
         assert st.prints == expected
         for out in (
-            replay(prog, SearchConfig(), list(st.trail)),
+            run_path(prog, SearchConfig(), list(st.trail), reals={}),
             run_path(prog, SearchConfig(), trail=list(st.trail)),
         ):
             assert out.state is not None
@@ -1688,7 +1716,8 @@ def test_an_out_of_bounds_read_in_the_middle_of_a_run_keeps_the_writes_before_it
     assert render_trail(v.trail) == "# trail v1\nZ N=0/4\n"
     assert sorted(st.prints[1] for st in r.terminal_states) == terminals
     trail = list(v.trail)
-    for out in (replay(prog, SearchConfig(), trail), run_path(prog, SearchConfig(), trail)):
+    for reals in ({}, None):
+        out = run_path(prog, SearchConfig(), trail, reals)
         assert out.state is None
         assert out.prints == ["s=4 a=[ 1 5 3 ]"]
         assert [w.message for w in out.violations] == [v.message]
@@ -1925,6 +1954,109 @@ def test_each_search_computes_its_real_values_in_memos_of_its_own(engines, produ
     assert len({id(m) for m in one.memos.values()}) == len(engine._REAL_OPS)
 
 
+# --- one translation per program ---
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The number of functions that engine._compile has compiled while the
+    test runs: the blocks and the real inputs' extents."""
+    count = [0]
+    real_compile = engine._compile
+
+    def compile_(lines, filename, consts):
+        count[0] += 1
+        return real_compile(lines, filename, consts)
+
+    monkeypatch.setattr(engine, "_compile", compile_)
+    return count
+
+
+# a pin after a symbolic branch, a choose_int, a call, real sums and
+# products, prints and findings: every kind of block on both arrays
+WEIGHED = """
+input int K;
+input int W = 2;
+input real V[W];
+func weigh(real[] v, int c) -> real {
+  var real s = 0.0;
+  for (var int i = 0; i < len(v); i++) {
+    s = s + v[i] * 2.0;
+  }
+  if (c < 20) {
+    s = s + V[0];
+  }
+  return s;
+}
+func main() {
+  assume(0 <= K && K <= 3);
+  if (K < 2) {
+    print("small");
+  }
+  var int a[K + 1];
+  var int c;
+  c = choose_int(30);
+  a[0] = c;
+  var real p;
+  p = weigh(V, c);
+  print("c=", a[0], " p=", p);
+  assert(c != 7 || K != 2);
+  assert(p < 10.0 || c != 9);
+}
+"""
+
+
+def test_only_the_first_engine_of_a_program_compiles_anything(compiles):
+    prog = load(WEIGHED)
+    first = explore(prog, SearchConfig())
+    compiled = compiles[0]
+    # both arrays of main and weigh, and V's extent
+    assert compiled > 4
+    again = explore(prog, SearchConfig())
+    assert (again.stats, again.violations) == (first.stats, first.violations)
+    (v,) = [v for v in first.violations if v.trail[-1] == ChooseInt(7, 30)]
+    out = run_path(prog, SearchConfig(), list(v.trail))
+    assert out.state is None and [w.loc for w in out.violations] == [v.loc]
+    out = run_path(prog, SearchConfig(), list(v.trail), reals={})
+    assert out.state is None and out.violations == [v]
+    assert compiles[0] == compiled
+
+
+def weighed_outcome(prog, cfg):
+    """What a search of prog under cfg gives: its stats, whether it is
+    incomplete, its findings (trails included) and, for a serial search,
+    each terminal path's trail and prints."""
+    terminals = []
+    on_terminal = terminals.append if cfg.workers == 1 else None
+    r = explore(prog, cfg, on_terminal=on_terminal)
+    paths = [(render_trail(st.trail), st.prints) for st in terminals]
+    return r.stats, r.incomplete, r.violations, paths
+
+
+WEIGHED_CONFIGS = [
+    {},
+    # every int input given, so main starts concrete, and V has 3 cells
+    {"overrides": {"K": 2, "W": 3}},
+    {"first_only": True},
+    {"max_depth": 3},
+    {"workers": 2},
+]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "backward"])
+def test_searches_of_one_program_agree_with_searches_of_fresh_copies(forks, order):
+    shared = load(WEIGHED)
+    for kw in WEIGHED_CONFIGS[::order]:
+        cfg = SearchConfig(**kw)
+        got = weighed_outcome(shared, cfg)
+        assert got == weighed_outcome(load(WEIGHED), cfg), kw
+        stats, incomplete, violations, paths = got
+        # each search finds something or stops at the depth limit
+        assert violations or incomplete
+    # the workers of both searches under workers=2 forked
+    assert len(forks) == 4
+
+
 # --- the concrete translation ---
 
 
@@ -2109,13 +2241,14 @@ def test_replay_and_run_path_across_the_switch_give_the_verify_path():
     r = search(TWO_PINS)
     for st in r.terminal_states:
         trail = list(st.trail)
-        for out in (replay(prog, SearchConfig(), trail), run_path(prog, SearchConfig(), trail)):
+        for reals in ({}, None):
+            out = run_path(prog, SearchConfig(), trail, reals)
             assert out.state is not None and not out.violations
             assert out.prints == st.prints
     assert len(r.violations) == 2
     for v in r.violations:
         trail = list(v.trail)
-        out = replay(prog, SearchConfig(), trail)
+        out = run_path(prog, SearchConfig(), trail, reals={})
         assert out.state is None and out.violations == [v]
         assert out.prints == ["round 0", "round 1"]
         out = run_path(prog, SearchConfig(), trail, reals={"V": [1, 1]})
@@ -2156,7 +2289,7 @@ def test_every_block_translates_both_ways_and_the_concrete_one_tests_no_int(monk
             both = []
             for concrete in (False, True):
                 written.clear()
-                block = engine._Writer(fn, start, stop, eng.memos, concrete).function()
+                block = engine._Writer(fn, start, stop, concrete).function()
                 assert callable(block)
                 (source,) = written
                 both.append(source)
