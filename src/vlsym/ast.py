@@ -12,15 +12,17 @@ local declaration of a function gets a slot of its own in the function's
 frame: the parameters 0..n-1 in order, then each declaration in the
 order the checker meets it, an initializer before its own declaration.
 Every Name records the slot it reads or writes (None for an input), each
-declaration its own slot, and each function the names of its slots.
+declaration its own slot, each call the FuncDecl it calls, and each
+function the names of its slots.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import ChainMap
 from fractions import Fraction
 
-from .diagnostics import Diagnostic, Loc, error
+from .diagnostics import Diagnostic, Loc
 
 
 class Type(enum.Enum):
@@ -163,7 +165,8 @@ class ChooseAssign(Record):
 
 
 class CallStmt(Record):
-    __slots__ = ("name", "args", "target", "loc")  # target: a Name or None
+    # target: a Name or None; callee: the FuncDecl that validation found
+    __slots__ = ("name", "args", "target", "loc", "callee")
 
 
 class Block(Record):
@@ -243,27 +246,11 @@ class Program(Record):
 # static validation
 
 
-class _Scope:
-    """The names that one block declares, each with its type and its frame
-    slot (None for an input), inside the scope that holds the block."""
-
-    def __init__(self, parent: "_Scope | None" = None):
-        self.names: dict[str, tuple[Type, int | None]] = {}
-        self.parent = parent
-
-    def lookup(self, name: str) -> tuple[Type, int | None] | None:
-        s: _Scope | None = self
-        while s is not None:
-            if name in s.names:
-                return s.names[name]
-            s = s.parent
-        return None
-
-    def declared_here(self, name: str) -> bool:
-        return name in self.names
-
-
 class _Checker:
+    """A scope is a ChainMap from each name in it to its type and its frame
+    slot (None for an input): maps[0] holds the names that its block
+    declares, and new_child() opens the scope of a block inside it."""
+
     def __init__(self, program: Program):
         self.program = program
         self.diags: list[Diagnostic] = []
@@ -275,7 +262,7 @@ class _Checker:
         self.slots: list[str] = []
 
     def err(self, message: str, loc: Loc) -> None:
-        self.diags.append(error(message, loc))
+        self.diags.append(Diagnostic(message, loc))
 
     # --- top level ---
 
@@ -295,9 +282,10 @@ class _Checker:
                 continue
             self.funcs[f.name] = f
         self.check_main()
+        inputs = ChainMap({d.name: (d.ty, None) for d in self.inputs.values()})
         for f in self.funcs.values():
             self.calls[f.name] = set()
-            self.check_func(f)
+            self.check_func(f, inputs)
         self.check_recursion()
 
     def check_input(self, decl: InputDecl) -> None:
@@ -305,12 +293,9 @@ class _Checker:
             if decl.default is not None and decl.default <= 0:
                 self.err(f"default for input '{decl.name}' must be positive", decl.loc)
         else:
-            scope = _Scope()
-            for name, prior in self.inputs.items():
-                if prior.ty is Type.INT:
-                    scope.names[name] = (Type.INT, None)
+            ints = {n: (Type.INT, None) for n, d in self.inputs.items() if d.ty is Type.INT}
             assert decl.extent is not None
-            ty = self.expr(decl.extent, scope)
+            ty = self.expr(decl.extent, ChainMap(ints))
             if ty is not None and ty is not Type.INT:
                 self.err(f"extent of input '{decl.name}' must be an int", decl.extent.loc)
 
@@ -349,20 +334,17 @@ class _Checker:
 
     # --- functions ---
 
-    def check_func(self, f: FuncDecl) -> None:
+    def check_func(self, f: FuncDecl, inputs: ChainMap) -> None:
         self.current = f
         self.slots = [p.name for p in f.params]
-        scope = _Scope()
-        for decl in self.inputs.values():
-            scope.names[decl.name] = (decl.ty, None)
-        local = _Scope(scope)
+        local = inputs.new_child()
         for slot, p in enumerate(f.params):
             if p.name in self.inputs or p.name in self.funcs:
                 self.err(f"parameter '{p.name}' shadows an input or function", p.loc)
-            elif local.declared_here(p.name):
+            elif p.name in local.maps[0]:
                 self.err(f"duplicate parameter '{p.name}'", p.loc)
             else:
-                local.names[p.name] = (p.ty, slot)
+                local[p.name] = (p.ty, slot)
         self.block(f.body, local)
         if f.ret is not Type.VOID and not _returns(f.body):
             self.err(f"function '{f.name}' must return a value on all paths", f.loc)
@@ -371,24 +353,24 @@ class _Checker:
 
     # --- statements ---
 
-    def block(self, b: Block, outer: _Scope) -> None:
-        scope = _Scope(outer)
+    def block(self, b: Block, outer: ChainMap) -> None:
+        scope = outer.new_child()
         for s in b.stmts:
             self.stmt(s, scope)
 
-    def declare(self, name: str, ty: Type, scope: _Scope, loc: Loc) -> int:
+    def declare(self, name: str, ty: Type, scope: ChainMap, loc: Loc) -> int:
         """The next slot of the frame, which name now resolves to in scope."""
         slot = len(self.slots)
         self.slots.append(name)
         if name in self.inputs or name in self.funcs:
             self.err(f"'{name}' shadows an input or function", loc)
-        elif scope.declared_here(name):
+        elif name in scope.maps[0]:
             self.err(f"variable '{name}' already declared in this scope", loc)
         else:
-            scope.names[name] = (ty, slot)
+            scope[name] = (ty, slot)
         return slot
 
-    def stmt(self, s: Stmt, scope: _Scope) -> None:
+    def stmt(self, s: Stmt, scope: ChainMap) -> None:
         if isinstance(s, VarDecl):
             if s.init is not None:
                 ty = self.expr(s.init, scope)
@@ -449,7 +431,7 @@ class _Checker:
         else:
             raise AssertionError(f"unhandled statement {s!r}")
 
-    def check_assign(self, s: Assign, scope: _Scope) -> None:
+    def check_assign(self, s: Assign, scope: ChainMap) -> None:
         tty = self.lvalue(s.target, scope)
         vty = self.expr(s.value, scope)
         if tty is not None and tty.is_array():
@@ -458,16 +440,16 @@ class _Checker:
         if tty is not None and vty is not None and tty is not vty:
             self.err(f"cannot assign {vty.value} to {tty.value}", s.loc)
 
-    def lvalue(self, target: Name | Index, scope: _Scope) -> Type | None:
+    def lvalue(self, target: Name | Index, scope: ChainMap) -> Type | None:
         base = target if isinstance(target, Name) else target.base
         if base.name in self.inputs:
             self.err(f"cannot assign to input '{base.name}'", base.loc)
             return None
         return self.expr(target, scope)
 
-    def check_call(self, s: CallStmt, scope: _Scope) -> None:
-        self.calls.setdefault(self.current.name if self.current else "?", set()).add(s.name)
-        f = self.funcs.get(s.name)
+    def check_call(self, s: CallStmt, scope: ChainMap) -> None:
+        self.calls[self.current.name].add(s.name)
+        s.callee = f = self.funcs.get(s.name)
         if f is None:
             self.err(f"unknown function '{s.name}'", s.loc)
             for a in s.args:
@@ -491,7 +473,7 @@ class _Checker:
             elif tty is not None and tty is not f.ret:
                 self.err(f"cannot assign {f.ret.value} result to {tty.value}", s.loc)
 
-    def check_return(self, s: Return, scope: _Scope) -> None:
+    def check_return(self, s: Return, scope: ChainMap) -> None:
         assert self.current is not None
         ret = self.current.ret
         if s.value is None:
@@ -506,12 +488,12 @@ class _Checker:
 
     # --- expressions ---
 
-    def expr(self, e: Expr, scope: _Scope) -> Type | None:
+    def expr(self, e: Expr, scope: ChainMap) -> Type | None:
         ty = self._expr(e, scope)
         e.ty = ty
         return ty
 
-    def _expr(self, e: Expr, scope: _Scope) -> Type | None:
+    def _expr(self, e: Expr, scope: ChainMap) -> Type | None:
         if isinstance(e, IntLit):
             return Type.INT
         if isinstance(e, DecLit):
@@ -520,7 +502,7 @@ class _Checker:
             self.err("string literals are only allowed in print", e.loc)
             return None
         if isinstance(e, Name):
-            found = scope.lookup(e.name)
+            found = scope.get(e.name)
             if found is None:
                 self.err(f"unknown name '{e.name}'", e.loc)
                 return None

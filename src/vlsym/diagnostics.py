@@ -23,7 +23,3 @@ class Diagnostic(NamedTuple):
 
     def render(self) -> str:
         return f"{self.loc.render()}: error: {self.message}"
-
-
-def error(message: str, loc: Loc) -> Diagnostic:
-    return Diagnostic(message, loc)

@@ -21,12 +21,13 @@ from any entry statement in it, holds the frame's slots in Python locals,
 runs each loop that lies in it as a Python loop, follows the jumps of the
 tests it decides, counts the statements it ran and leaves where a path
 forks, calls, returns or stops. Names are not resolved here: validation
-gave each parameter and local declaration a slot of its own and each name
-the slot it refers to, and translation writes that checked tree out. A
-frame is its function's code, its slots and the index of its next
-statement. Each block is translated two ways: in general, and for a path
-whose ints are all Python ints, with no test for a symbolic one; a path's
-frames move to the second once no int input is symbolic.
+gave each parameter and local declaration a slot of its own, each name
+the slot it refers to and each call its callee, and translation writes
+that checked tree out. A frame is its function's code, its slots and the
+index of its next statement. Each block is translated two ways: in
+general, and for a path whose ints are all Python ints, with no test for
+a symbolic one; a path's frames move to the second once no int input is
+symbolic.
 States are mutated in place along straight-line code and cloned only
 where paths fork, and a clone shares the values its cells hold; the
 engine keeps each real sum, difference and product under its operand
@@ -500,11 +501,11 @@ ast.init_from_slots(SearchResult)
 
 
 class Engine:
-    """Holds a program that load_program returned, with the code of each
-    function, plus everything shared across the paths of one search.
-    Translation reads the types and slots that validation annotated, so
-    the engine refuses a function that has none. The first engine of a
-    program translates it, into FuncDecl.translation, for every later one.
+    """Holds a program that load_program returned, plus everything shared
+    across the paths of one search. Translation reads the types, slots and
+    callees that validation annotated, so the engine refuses a function
+    that has none. The first engine of a program translates it, into
+    FuncDecl.translation, for every later one.
 
     memos holds, for each real operation of _REAL_OPS, the result of each
     one computed so far, keyed by its operands. A RealVal compares by identity, and
@@ -520,11 +521,9 @@ class Engine:
         self.program = program
         self.config = config
         self.memos: dict[str, dict] = {op: {} for op in _REAL_OPS}
-        self.bodies: dict[str, _Function] = {}
         for f in program.funcs:
             if f.translation is None:  # this is the program's first engine
-                f.translation = _Function(f, self.bodies)
-            self.bodies[f.name] = f.translation
+                f.translation = _Function(f)
         self.inputs_desc: list[str] = []
 
     # --- initial state ---
@@ -539,7 +538,7 @@ class Engine:
         for name in overrides:
             if name not in int_inputs:
                 raise EngineInitError(f"-input{name} does not name an int input")
-        main = self.bodies["main"]
+        main = self.program.func("main").translation
         frame = Frame(main.code, main, [None] * len(main.names))
         state = ExecState([frame], {}, 0, {}, PathCondition(), [], [])
         self.inputs_desc = desc = []
@@ -837,17 +836,16 @@ class _Function:
     block that holds statement pc; until a path first enters a block, its
     entries translate it. concrete has the same blocks, entries and
     layout, each translated for a path whose ints are all Python ints (see
-    Engine.settle). bodies maps the name of every function of the program,
-    this one's callees among them, to its _Function. It serves every
-    engine of its program (FuncDecl.translation)."""
+    Engine.settle). A call's block reaches its callee's _Function through
+    the FuncDecl that validation bound the call to. It serves every engine
+    of its program (FuncDecl.translation)."""
 
-    def __init__(self, f: ast.FuncDecl, bodies: dict):
+    def __init__(self, f: ast.FuncDecl):
         if f.slots is None:
             raise EngineInitError(_UNVALIDATED)
         self.name = f.name
         self.names = f.slots
         self.params = len(f.params)
-        self.bodies = bodies
         self.flat: list[_Stmt] = []
         flat = self.flat
         _link(flat, _flatten(f.body.stmts, flat), len(flat))
@@ -1108,7 +1106,7 @@ class _Writer:
             self.put(self.leave(q, f"ex.choose(state, {n}, {node.target.slot})"))
             return
         elif isinstance(node, ast.CallStmt):
-            f = self.fn.bodies[node.name]
+            f = node.callee.translation
             args = [self.value(a) for a in node.args] + ["None"] * (len(f.names) - len(node.args))
             callee = self.const(f)
             code = f"{callee}.concrete" if self.concrete else f"{callee}.code"

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .diagnostics import Diagnostic, Loc, error
+from .diagnostics import Diagnostic, Loc
 
 
 class TokKind(enum.Enum):
@@ -126,7 +126,7 @@ def tokenize(source: str, file: str = "<input>") -> list[Token]:
                 col += len(text)  # where a digit was expected
             message = _ERRORS.get(group) or f"unknown character {text!r}"
             end = col + 1 if group == "OPEN_COMMENT" else col
-            raise LexError(error(message, Loc(file, line, col, end)))
+            raise LexError(Diagnostic(message, Loc(file, line, col, end)))
         if kind is TokKind.IDENT and text in KEYWORDS:
             kind = TokKind.KEYWORD
         elif kind is TokKind.STR_LIT:

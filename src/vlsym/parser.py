@@ -8,7 +8,7 @@ stages only ever see the smaller statement and operator sets.
 from __future__ import annotations
 
 from . import ast
-from .diagnostics import Diagnostic, Loc, error
+from .diagnostics import Diagnostic, Loc
 from .lexer import LexError, TokKind, Token, decimal_to_fraction, tokenize
 
 MAX_DEPTH = 200
@@ -40,7 +40,7 @@ class _Parser:
 
     def fail(self, message: str, tok: Token | None = None) -> ParseError:
         tok = tok or self.peek()
-        return ParseError(error(message, tok.loc))
+        return ParseError(Diagnostic(message, tok.loc))
 
     def expect_punct(self, p: str) -> Token:
         tok = self.peek()
@@ -505,7 +505,7 @@ def parse_files(files: list[tuple[str, str]]) -> ast.Program | list[Diagnostic]:
         except ParseError as exc:
             return [exc.diagnostic]
         except RecursionError:
-            return [error("nesting too deep", Loc(name, 1, 1, 1))]
+            return [Diagnostic("nesting too deep", Loc(name, 1, 1, 1))]
         inputs.extend(file_inputs)
         funcs.extend(file_funcs)
     return ast.Program(inputs, funcs)

@@ -53,10 +53,12 @@ def test_node_contract(cls):
     defaults = {p.name: p.default for p in params if p.default is not p.empty}
     assert issubclass(cls, ast.Record) == (cls not in STATES)
     if cls in NODES:
-        # what validation fills in: an expression's type and a name's or a
-        # declaration's frame slot(s); and what the first engine of a
-        # program fills in: a function's or an input's translation
-        assert set(filled) <= {"ty", "slot", "slots", "translation"}
+        # what validation fills in: an expression's type, a name's or a
+        # declaration's frame slot(s) and a call's callee; and what the
+        # first engine of a program fills in: a function's or an input's
+        # translation
+        assert set(filled) <= {"ty", "slot", "slots", "callee", "translation"}
+        assert ("callee" in filled) == (cls is ast.CallStmt)
         assert ("translation" in filled) == (cls in (ast.FuncDecl, ast.InputDecl))
         assert set(defaults.values()) <= {None}
     else:

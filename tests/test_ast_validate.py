@@ -1,6 +1,6 @@
 from vlsym import ast
 from vlsym.ast import Type, validate
-from vlsym.parser import parse_program
+from vlsym.parser import load_program, parse_program
 
 
 def diags_for(src):
@@ -111,6 +111,61 @@ func main() {}
 def test_unknown_names():
     assert "unknown name 'y'" in diags_for("func main() { var int x = y; }")
     assert "unknown function 'g'" in diags_for("func main() { g(); }")
+    # a call to an unknown function is bound to nothing
+    prog = parse_program("func f() {}\nfunc main() { g(); f(); }")
+    assert [d.message for d in validate(prog)] == ["unknown function 'g'"]
+    unknown, known = prog.func("main").body.stmts
+    assert unknown.callee is None
+    assert known.callee is prog.func("f")
+
+
+def calls_in(stmts):
+    """Every CallStmt among stmts and the statements nested in them."""
+    for s in stmts:
+        if isinstance(s, ast.CallStmt):
+            yield s
+        elif isinstance(s, ast.Block):
+            yield from calls_in(s.stmts)
+        elif isinstance(s, ast.If):
+            yield from calls_in([s.then, *([s.els] if s.els is not None else [])])
+        elif isinstance(s, ast.While):
+            yield from calls_in(s.body.stmts)
+
+
+def test_each_call_is_bound_to_its_callee_across_files():
+    lib = """
+func inc(int x) -> int {
+  return x + 1;
+}
+func twice(int[] a) {
+  a[0] = 0;
+  while (a[0] < 2) {
+    var int t;
+    t = inc(a[0]);
+    a[0] = t;
+  }
+}
+"""
+    driver = """
+func main() {
+  var int a[1];
+  twice(a);
+  if (a[0] == 2) {
+    var int y;
+    y = inc(a[0]);
+  } else {
+    twice(a);
+  }
+}
+"""
+    prog = load_program([("driver.vl", driver), ("lib.vl", lib)])
+    assert isinstance(prog, ast.Program), prog
+    calls = [c for f in prog.funcs for c in calls_in(f.body.stmts)]
+    assert [(c.loc.file, c.name) for c in calls] == [
+        ("driver.vl", "twice"), ("driver.vl", "inc"), ("driver.vl", "twice"), ("lib.vl", "inc"),
+    ]
+    for c in calls:
+        assert c.callee is prog.func(c.name)
 
 
 def test_call_arity_and_types():

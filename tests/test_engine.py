@@ -2063,9 +2063,9 @@ def test_searches_of_one_program_agree_with_searches_of_fresh_copies(forks, orde
 def frame_codes(eng, state) -> list[str]:
     """Which of its function's two arrays each frame of state runs."""
     kinds = {}
-    for f in eng.bodies.values():
-        kinds[id(f.code)] = f"{f.name} general"
-        kinds[id(f.concrete)] = f"{f.name} concrete"
+    for f in eng.program.funcs:
+        kinds[id(f.translation.code)] = f"{f.name} general"
+        kinds[id(f.translation.concrete)] = f"{f.name} concrete"
     return [kinds[id(frame.code)] for frame in state.frames]
 
 
@@ -2124,8 +2124,8 @@ def test_a_program_whose_int_inputs_are_all_given_starts_on_the_concrete_code(en
     for eng in engines:
         # main starts on its concrete code, so no general block is ever written
         assert frame_codes(eng, eng.init_state()) == ["main concrete"]
-        assert not any(translated(f.code) for f in eng.bodies.values())
-        assert all(translated(f.concrete) for f in eng.bodies.values())
+        assert not any(translated(f.translation.code) for f in eng.program.funcs)
+        assert all(translated(f.translation.concrete) for f in eng.program.funcs)
     assert run_path(prog, SearchConfig(overrides={"K": 1})).prints == ["2 [ -1 0 3 ] -2"]
 
 
@@ -2203,7 +2203,7 @@ def test_a_path_moves_to_the_concrete_code_at_the_pin_of_its_last_symbolic_int(
     per_n = [("branch", general)] * 3 + [to_m] * 2
     assert seen == [("pin N", ["main general"], [["main general"]] * 2), *per_n, *per_n]
     (eng,) = engines
-    total = eng.bodies["total"]
+    total = eng.program.func("total").translation
     assert translated(total.concrete) and not translated(total.code)
     oob, failed = r.violations
     assert (oob.prop, oob.certainty, oob.loc.line, oob.loc.col) == (
@@ -2234,6 +2234,54 @@ def test_a_path_moves_to_the_concrete_code_at_the_pin_of_its_last_symbolic_int(
         " + Reads of undefined values",
         " + Writes to input variables",
     ]
+
+
+# two ways to run the same program on less of the block writer: with no
+# Python loops, so every back edge leaves its block, and with no concrete
+# blocks, so every path stays on the general translation
+WRITER_CONFIGS = {
+    "default": lambda mp: None,
+    "no-python-loops": lambda mp: mp.setattr(engine, "_MAX_LOOPS", 0),
+    "general-only": lambda mp: mp.setattr(engine.Engine, "settle", lambda self, state: None),
+}
+
+
+@pytest.mark.parametrize(
+    "sources",
+    [load_sources(CLEAN_FILES), load_sources(SWAP_FILES), [("<input>", TWO_PINS)]],
+    ids=["clean", "swap", "two-pins"],
+)
+def test_the_writer_gives_the_same_search_without_python_loops_or_concrete_blocks(
+    monkeypatch, sources
+):
+    real_compile = engine._compile
+    outcomes = {}
+    for name, patch in WRITER_CONFIGS.items():
+        written = []
+
+        def compile_(lines, filename, consts):
+            written.append("\n".join(lines))
+            return real_compile(lines, filename, consts)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "_compile", compile_)
+            patch(mp)
+            # a fresh copy, since a program's first engine translates it
+            prog = load_program(sources)
+            outcomes[name] = weighed_outcome(prog, SearchConfig())
+        loops = any("while True:" in source for source in written)
+        concrete = any(translated(f.translation.concrete) for f in prog.funcs)
+        # each patch takes effect, and the default uses what it takes away
+        assert (loops, concrete) == {
+            "default": (True, True),
+            "no-python-loops": (False, True),
+            "general-only": (True, False),
+        }[name]
+    default = outcomes.pop("default")
+    stats, incomplete, violations, paths = default
+    assert violations or paths
+    for name, outcome in outcomes.items():
+        assert outcome == default, name
 
 
 def test_replay_and_run_path_across_the_switch_give_the_verify_path():
@@ -2281,9 +2329,9 @@ def test_every_block_translates_both_ways_and_the_concrete_one_tests_no_int(monk
 
     monkeypatch.setattr(engine, "_compile", compile_)
     prog = load_program(sources)
-    eng = engine.Engine(prog, SearchConfig())
+    engine.Engine(prog, SearchConfig())  # sets each FuncDecl.translation
     blocks = 0
-    for fn in eng.bodies.values():
+    for fn in (f.translation for f in prog.funcs):
         starts = [pc for pc in range(len(fn.code)) if pc == 0 or fn.code[pc] is not fn.code[pc - 1]]
         for start, stop in zip(starts, [*starts[1:], len(fn.code)]):
             both = []
@@ -2302,4 +2350,4 @@ def test_every_block_translates_both_ways_and_the_concrete_one_tests_no_int(monk
                 r"if e <= (\d+):", concrete
             )
             blocks += 1
-    assert blocks >= len(eng.bodies)
+    assert blocks >= len(prog.funcs)
