@@ -130,7 +130,7 @@ class Unary(Record):
 
 
 class Binary(Record):
-    __slots__ = ("op", "lhs", "rhs", "loc", "ty")  # op: + - * / < <= == != && ||
+    __slots__ = ("op", "lhs", "rhs", "loc", "ty")  # op: one of BINARY_LEVELS
 
 
 class EqualsCall(Record):
@@ -142,6 +142,13 @@ class LenCall(Record):
 
 
 Expr = IntLit | DecLit | StrLit | Name | Index | Unary | Binary | EqualsCall | LenCall
+
+# VL's binary operators by precedence level, loosest first, each level left
+# associative but the comparisons, which do not chain; unary - and ! bind
+# tighter. The parser reads a > b as b < a and a >= b as b <= a.
+BINARY_LEVELS = (("||",), ("&&",), ("<", "<=", "==", "!="), ("+", "-"), ("*", "/"))
+LOGICAL = BINARY_LEVELS[0] + BINARY_LEVELS[1]
+COMPARISONS = BINARY_LEVELS[2]
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +302,8 @@ class _Checker:
         else:
             ints = {n: (Type.INT, None) for n, d in self.inputs.items() if d.ty is Type.INT}
             assert decl.extent is not None
-            ty = self.expr(decl.extent, ChainMap(ints))
-            if ty is not None and ty is not Type.INT:
-                self.err(f"extent of input '{decl.name}' must be an int", decl.extent.loc)
+            message = f"extent of input '{decl.name}' must be an int"
+            self.want(decl.extent, ChainMap(ints), Type.INT, message)
 
     def check_main(self) -> None:
         main = self.funcs.get("main")
@@ -311,26 +317,27 @@ class _Checker:
             self.err("main must not return a value", main.loc)
 
     def check_recursion(self) -> None:
-        state: dict[str, int] = {}  # 0 visiting, 1 done
-
-        def visit(name: str, trail: list[str]) -> None:
-            if state.get(name) == 1:
-                return
-            if state.get(name) == 0:
-                cycle = trail[trail.index(name):]
-                self.err(
-                    f"recursive call cycle: {' -> '.join(cycle + [name])}",
-                    self.funcs[name].loc,
-                )
-                return
-            state[name] = 0
-            for callee in sorted(self.calls.get(name, ())):
-                if callee in self.funcs:
-                    visit(callee, trail + [name])
-            state[name] = 1
-
-        for name in self.funcs:
-            visit(name, [])
+        """Report each cycle that a depth-first walk of the call graph meets,
+        from each function not yet reached, in declaration order, to its
+        callees in name order, with the path and its callees left on stacks."""
+        state: dict[str, bool] = {}  # False while on the path, True once done
+        for root in self.funcs:
+            if root in state:
+                continue
+            state[root] = False
+            path, callees = [root], [iter(sorted(self.calls[root]))]
+            while path:
+                name = next(callees[-1], None)
+                if name is None:
+                    state[path.pop()] = True
+                    callees.pop()
+                elif state.get(name) is False:
+                    cycle = path[path.index(name):] + [name]
+                    self.err(f"recursive call cycle: {' -> '.join(cycle)}", self.funcs[name].loc)
+                elif name in self.funcs and name not in state:
+                    state[name] = False
+                    path.append(name)
+                    callees.append(iter(sorted(self.calls[name])))
 
     # --- functions ---
 
@@ -378,9 +385,7 @@ class _Checker:
                     self.err(f"cannot initialize {s.ty.value} '{s.name}' with {ty.value}", s.loc)
             s.slot = self.declare(s.name, s.ty, scope, s.loc)
         elif isinstance(s, ArrDecl):
-            ty = self.expr(s.extent, scope)
-            if ty is not None and ty is not Type.INT:
-                self.err("array extent must be an int", s.extent.loc)
+            self.want(s.extent, scope, Type.INT, "array extent must be an int")
             arr_ty = Type.INT_ARRAY if s.elem_ty is Type.INT else Type.REAL_ARRAY
             s.slot = self.declare(s.name, arr_ty, scope, s.loc)
         elif isinstance(s, Assign):
@@ -389,35 +394,23 @@ class _Checker:
             tty = self.lvalue(s.target, scope)
             if tty is not None and tty is not Type.INT:
                 self.err("choose_int target must be an int variable", s.target.loc)
-            aty = self.expr(s.arg, scope)
-            if aty is not None and aty is not Type.INT:
-                self.err("choose_int expects an int", s.arg.loc)
+            self.want(s.arg, scope, Type.INT, "choose_int expects an int")
         elif isinstance(s, CallStmt):
             self.check_call(s, scope)
         elif isinstance(s, Block):
             self.block(s, scope)
         elif isinstance(s, If):
-            cty = self.expr(s.cond, scope)
-            if cty is not None and cty is not Type.BOOL:
-                self.err("condition must be a bool", s.cond.loc)
+            self.want(s.cond, scope, Type.BOOL, "condition must be a bool")
             self.block(s.then, scope)
             if isinstance(s.els, Block):
                 self.block(s.els, scope)
             elif isinstance(s.els, If):
                 self.stmt(s.els, scope)
         elif isinstance(s, While):
-            cty = self.expr(s.cond, scope)
-            if cty is not None and cty is not Type.BOOL:
-                self.err("condition must be a bool", s.cond.loc)
+            self.want(s.cond, scope, Type.BOOL, "condition must be a bool")
             self.block(s.body, scope)
-        elif isinstance(s, Assert):
-            cty = self.expr(s.cond, scope)
-            if cty is not None and cty is not Type.BOOL:
-                self.err("assert expects a bool", s.cond.loc)
-        elif isinstance(s, Assume):
-            cty = self.expr(s.cond, scope)
-            if cty is not None and cty is not Type.BOOL:
-                self.err("assume expects a bool", s.cond.loc)
+        elif isinstance(s, (Assert, Assume)):
+            self.want(s.cond, scope, Type.BOOL, f"{type(s).__name__.lower()} expects a bool")
         elif isinstance(s, Return):
             self.check_return(s, scope)
         elif isinstance(s, Print):
@@ -493,6 +486,12 @@ class _Checker:
         e.ty = ty
         return ty
 
+    def want(self, e: Expr, scope: ChainMap, ty: Type, message: str) -> None:
+        """Check e; report message at e if its type is known and not ty."""
+        found = self.expr(e, scope)
+        if found is not None and found is not ty:
+            self.err(message, e.loc)
+
     def _expr(self, e: Expr, scope: ChainMap) -> Type | None:
         if isinstance(e, IntLit):
             return Type.INT
@@ -510,9 +509,7 @@ class _Checker:
             return ty
         if isinstance(e, Index):
             bty = self.expr(e.base, scope)
-            ity = self.expr(e.index, scope)
-            if ity is not None and ity is not Type.INT:
-                self.err("array index must be an int", e.index.loc)
+            self.want(e.index, scope, Type.INT, "array index must be an int")
             if bty is None:
                 return None
             if not bty.is_array():
@@ -533,14 +530,14 @@ class _Checker:
             lty = self.expr(e.lhs, scope)
             rty = self.expr(e.rhs, scope)
             op = e.op
-            if op in ("&&", "||"):
+            if op in LOGICAL:
                 for side in (lty, rty):
                     if side is not None and side is not Type.BOOL:
                         self.err(f"'{op}' requires bool operands", e.loc)
                 return Type.BOOL
             if lty is None or rty is None:
-                return Type.BOOL if op in ("<", "<=", "==", "!=") else None
-            if op in ("<", "<=", "==", "!="):
+                return Type.BOOL if op in COMPARISONS else None
+            if op in COMPARISONS:
                 if lty is not rty or lty not in (Type.INT, Type.REAL):
                     self.err(f"'{op}' requires int or real operands of the same type", e.loc)
                 return Type.BOOL
@@ -611,20 +608,8 @@ def validate(program: Program) -> list[Diagnostic]:
 # ---------------------------------------------------------------------------
 # pretty printing
 
-_PREC = {
-    "||": 1,
-    "&&": 2,
-    "==": 3,
-    "!=": 3,
-    "<": 3,
-    "<=": 3,
-    "+": 4,
-    "-": 4,
-    "*": 5,
-    "/": 5,
-}
-
-_UNARY_PREC = 6
+_PREC = {op: p for p, ops in enumerate(BINARY_LEVELS, 1) for op in ops}
+_UNARY_PREC = len(BINARY_LEVELS) + 1
 
 
 def frac_to_decimal(v: Fraction) -> str:
@@ -678,9 +663,9 @@ def render_expr(e: Expr) -> str:
         rhs = render_expr(e.rhs)
         lp = _expr_prec(e.lhs)
         rp = _expr_prec(e.rhs)
-        if lp < p or (lp == p and p == 3):
+        if lp < p or (lp == p and e.op in COMPARISONS):
             lhs = f"({lhs})"
-        if rp < p or (rp == p):
+        if rp <= p:
             rhs = f"({rhs})"
         return f"{lhs} {e.op} {rhs}"
     if isinstance(e, EqualsCall):

@@ -650,7 +650,6 @@ class Engine:
 # through this module's globals. VL names and strings never enter its
 # source: they reach it as constants, and slots as indices.
 
-_COMPARE = {"<": "LT", "<=": "LE", "==": "EQ", "!=": "NE"}
 # statements that always leave their block, and those that go on at
 # their next within it
 _LEAVES = (ast.ChooseAssign, ast.CallStmt, ast.Return)
@@ -1288,7 +1287,7 @@ class _Writer:
             x = self.cond(e.operand)
             self.put(f"{x} = f_not({x})")
             return x
-        if isinstance(e, ast.Binary) and e.op in ("&&", "||"):
+        if isinstance(e, ast.Binary) and e.op in ast.LOGICAL:
             # short-circuit on a decided left side so guarded accesses on
             # the right stay unevaluated, matching run-time behavior
             x = self.cond(e.lhs)
@@ -1300,9 +1299,9 @@ class _Writer:
             self.indent = self.indent[:-1]
             return x
         t = self.temp()
-        if isinstance(e, ast.Binary) and e.op in _COMPARE:
+        if isinstance(e, ast.Binary) and e.op in ast.COMPARISONS:
             a, b = self.value(e.lhs), self.value(e.rhs)
-            rel = f"Rel.{_COMPARE[e.op]}"
+            rel = f"Rel.{Rel(e.op).name}"
             if e.lhs.ty is ast.Type.REAL:
                 self.put(f"{t} = _real_atom({rel}, {a}, {b})")
             else:
@@ -1326,7 +1325,7 @@ class _Writer:
         go under an if."""
         if isinstance(e, ast.Unary):
             return f"(not {self.test(e.operand)})"
-        if e.op in _COMPARE:
+        if e.op in ast.COMPARISONS:
             return f"{self.value(e.lhs)} {e.op} {self.value(e.rhs)}"
         x = self.test(e.lhs)
         at = len(self.lines)
@@ -1349,9 +1348,9 @@ def _compares_ints(e: ast.Expr) -> bool:
         return _compares_ints(e.operand)
     if not isinstance(e, ast.Binary):
         return False
-    if e.op in ("&&", "||"):
+    if e.op in ast.LOGICAL:
         return _compares_ints(e.lhs) and _compares_ints(e.rhs)
-    return e.op in _COMPARE and e.lhs.ty is ast.Type.INT
+    return e.op in ast.COMPARISONS and e.lhs.ty is ast.Type.INT
 
 
 def _compile(lines: list[str], filename: str, consts: list):
@@ -1498,19 +1497,26 @@ class _Executor:
                 st.pc = pcs[i]
                 out.append((st, options[i].then_taken))
             return out
-        # a conjunction or a disjunction: one truth of its head settles it,
-        # the other leaves the rest of it to decide
-        settles = isinstance(f, FOr)
-        head, rest = f.parts[0], (f_or if settles else f_and)(f.parts[1:])
+        # a conjunction or a disjunction, part by part: one truth of a part
+        # settles it, the other leaves the parts after it to decide. Each
+        # entry of todo is a copy, its truth so far and the next part to
+        # walk on it, with the copy to walk next on top
+        settles, parts = isinstance(f, FOr), f.parts
         out = []
-        for st, truth in self.branch_walk(state, head, loc):
-            if truth is settles:
+        todo = [(state, None, 0)]
+        while todo:
+            st, truth, i = todo.pop()
+            if truth is settles or i == len(parts):
                 out.append((st, truth))
                 continue
             try:
-                out.extend(self.branch_walk(st, rest, loc))
+                walked = self.branch_walk(st, parts[i], loc)
             except (UnboundedSymbol, EnumerationBudgetExceeded) as exc:
+                if i == 0:
+                    raise
                 self.cut_short(st, loc, str(exc))
+                continue
+            todo.extend((s, t, i + 1) for s, t in reversed(walked))
         return out
 
     def _concretize(self, state: ExecState, sym: SymConst) -> list[ExecState]:

@@ -13,6 +13,10 @@ from .lexer import LexError, TokKind, Token, decimal_to_fraction, tokenize
 
 MAX_DEPTH = 200
 
+# > and >=, each with the comparison it is stored as, its operands swapped
+_FLIPPED = {">": "<", ">=": "<="}
+_COMPARISONS = (*ast.COMPARISONS, *_FLIPPED)  # every comparison the parser reads
+
 
 class ParseError(Exception):
     def __init__(self, diagnostic: Diagnostic):
@@ -322,9 +326,7 @@ class _Parser:
             index = self.expr()
             close = self.expect_punct("]")
             target = ast.Index(
-                ast.Name(name.lexeme, name.loc),
-                index,
-                Loc(self.file, name.line, name.col, close.loc.end_col),
+                ast.Name(name.lexeme, name.loc), index, self.merge(name.loc, close.loc)
             )
             self.expect_punct("=")
             value = self.expr()
@@ -368,61 +370,54 @@ class _Parser:
     def expr(self) -> ast.Expr:
         self.guard()
         try:
-            return self.or_expr()
+            return self.binary()
         finally:
             self.depth -= 1
 
-    def chain(self, ops: tuple[str, ...], operand) -> ast.Expr:
-        """operand (op operand)* for op in ops, as a left-deep tree. Each
-        operator adds a level to that tree, so each one counts toward
-        MAX_DEPTH until the chain ends."""
-        e = operand()
+    def at_op(self, ops: tuple[str, ...]) -> bool:
+        tok = self.peek()
+        return tok.kind is TokKind.PUNCT and tok.lexeme in ops
+
+    def binary(self, level: int = 0) -> ast.Expr:
+        """operand (op operand)* for op in ast.BINARY_LEVELS[level], as a
+        left-deep tree; an operand is of the next level, or unary past the
+        last. Each op deepens the tree, so counts toward MAX_DEPTH."""
+        if level == len(ast.BINARY_LEVELS):
+            return self.unary_expr()
+        ops = ast.BINARY_LEVELS[level]
+        e = self.binary(level + 1)
+        if ops is ast.COMPARISONS:
+            return self.comparison(e, level + 1)
         depth = self.depth
         try:
-            while self.peek().kind is TokKind.PUNCT and self.peek().lexeme in ops:
+            while self.at_op(ops):
                 op = self.advance()
                 self.guard()
-                rhs = operand()
-                e = ast.Binary(op.lexeme, e, rhs, self.binop_loc(e, rhs))
+                rhs = self.binary(level + 1)
+                e = ast.Binary(op.lexeme, e, rhs, self.merge(e.loc, rhs.loc))
             return e
         finally:
             self.depth = depth
 
-    def or_expr(self) -> ast.Expr:
-        return self.chain(("||",), self.and_expr)
-
-    def and_expr(self) -> ast.Expr:
-        return self.chain(("&&",), self.cmp_expr)
-
-    def cmp_expr(self) -> ast.Expr:
-        e = self.add_expr()
-        tok = self.peek()
-        if tok.kind is TokKind.PUNCT and tok.lexeme in ("<", "<=", ">", ">=", "==", "!="):
-            self.advance()
-            rhs = self.add_expr()
-            loc = self.binop_loc(e, rhs)
-            if tok.lexeme == ">":
-                e = ast.Binary("<", rhs, e, loc)
-            elif tok.lexeme == ">=":
-                e = ast.Binary("<=", rhs, e, loc)
-            else:
-                e = ast.Binary(tok.lexeme, e, rhs, loc)
-            after = self.peek()
-            if after.kind is TokKind.PUNCT and after.lexeme in ("<", "<=", ">", ">=", "==", "!="):
-                raise self.fail("comparisons do not chain; use parentheses")
-        return e
-
-    def add_expr(self) -> ast.Expr:
-        return self.chain(("+", "-"), self.mul_expr)
-
-    def mul_expr(self) -> ast.Expr:
-        return self.chain(("*", "/"), self.unary_expr)
+    def comparison(self, lhs: ast.Expr, level: int) -> ast.Expr:
+        """lhs, or lhs compared with an operand of level, once at most;
+        a > b is read as b < a, and a >= b as b <= a."""
+        if not self.at_op(_COMPARISONS):
+            return lhs
+        op = self.advance().lexeme
+        rhs = self.binary(level)
+        loc = self.merge(lhs.loc, rhs.loc)
+        if self.at_op(_COMPARISONS):
+            raise self.fail("comparisons do not chain; use parentheses")
+        if op in _FLIPPED:
+            return ast.Binary(_FLIPPED[op], rhs, lhs, loc)
+        return ast.Binary(op, lhs, rhs, loc)
 
     def unary_expr(self) -> ast.Expr:
         self.guard()
         try:
             tok = self.peek()
-            if tok.kind is TokKind.PUNCT and tok.lexeme in ("-", "!"):
+            if self.at_op(("-", "!")):
                 self.advance()
                 operand = self.unary_expr()
                 return ast.Unary(tok.lexeme, operand, self.merge(tok.loc, operand.loc))
@@ -479,9 +474,6 @@ class _Parser:
             return e
         raise self.fail(f"expected an expression but found {self.describe(tok)}")
 
-    def binop_loc(self, lhs: ast.Expr, rhs: ast.Expr) -> Loc:
-        return self.merge(lhs.loc, rhs.loc)
-
     def merge(self, a: Loc, b: Loc) -> Loc:
         if a.line == b.line:
             return Loc(a.file, a.line, a.col, max(a.end_col, b.end_col))
@@ -498,14 +490,13 @@ def parse_files(files: list[tuple[str, str]]) -> ast.Program | list[Diagnostic]:
     funcs: list[ast.FuncDecl] = []
     for name, text in files:
         try:
-            toks = tokenize(text, name)
-            file_inputs, file_funcs = _Parser(toks, name).program()
-        except LexError as exc:
-            return [exc.diagnostic]
-        except ParseError as exc:
+            parser = _Parser(tokenize(text, name), name)
+            file_inputs, file_funcs = parser.program()
+        except (LexError, ParseError) as exc:
             return [exc.diagnostic]
         except RecursionError:
-            return [Diagnostic("nesting too deep", Loc(name, 1, 1, 1))]
+            # the stack ran out before MAX_DEPTH: the same error, where parsing stopped
+            return [Diagnostic("nesting too deep", parser.peek().loc)]
         inputs.extend(file_inputs)
         funcs.extend(file_funcs)
     return ast.Program(inputs, funcs)

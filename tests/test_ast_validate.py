@@ -1,5 +1,7 @@
 from vlsym import ast
 from vlsym.ast import Type, validate
+from vlsym.diagnostics import Loc
+from vlsym.engine import SearchConfig, Stats, explore
 from vlsym.parser import load_program, parse_program
 
 
@@ -83,6 +85,26 @@ def test_recursion_rejected():
     assert any("recursive call cycle" in m for m in msgs)
     msgs = diags_for("func f() { f(); }\nfunc main() {}")
     assert any("recursive call cycle" in m for m in msgs)
+
+
+def call_chain(last, closed=False):
+    """f0 calls f1, ... calls f<last>, which calls f0 if closed."""
+    funcs = [f"func f{i}() {{ f{i + 1}(); }}" for i in range(last)]
+    funcs.append(f"func f{last}() {{ {'f0();' if closed else ''} }}")
+    return [("chain.vl", "\n".join([*funcs, "func main() { f0(); }"]))]
+
+
+def test_a_long_call_chain_is_validated_without_a_frame_per_call():
+    prog = load_program(call_chain(1200))
+    assert isinstance(prog, ast.Program), prog
+    assert explore(prog, SearchConfig()).stats == Stats(states=1201, terminals=1)
+
+
+def test_a_long_call_cycle_is_reported_once_from_its_first_function():
+    (diag,) = load_program(call_chain(1200, closed=True))
+    names = " -> ".join(f"f{i}" for i in range(1201))
+    assert diag.message == f"recursive call cycle: {names} -> f0"
+    assert diag.loc == Loc("chain.vl", 1, 1, 9)
 
 
 def test_all_paths_must_return():

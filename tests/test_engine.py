@@ -274,6 +274,13 @@ def test_out_of_bounds_read_and_write():
     assert "index 2" in r.violations[0].message
 
 
+def test_an_index_target_split_across_lines_is_reported_from_its_name_to_its_bracket():
+    r = search("func main() {\n  var int abcdef[1];\n  abcdef[\n1] = 0;\n}")
+    (v,) = r.violations
+    assert v.prop is Property.OUT_OF_BOUNDS
+    assert v.loc.render() == "<input>:3:3-8"
+
+
 def test_read_of_undefined_scalar_and_cell():
     r = search(
         """
@@ -666,6 +673,38 @@ def test_guard_short_circuits_after_pinning():
         """
     )
     assert r.stats.terminals == 1
+    assert not r.violations
+
+
+@pytest.mark.parametrize(
+    "cells, stats", [(500, (2008, 2, 499, 1001)), (1100, (4408, 2, 1099, 2201))]
+)
+def test_a_condition_with_many_conjuncts_is_walked_without_a_frame_per_conjunct(cells, stats):
+    # equals() of two arrays is one conjunct per cell pair, each N == 0:
+    # the first forks, and every later one is implied on its then side
+    r = search(
+        f"""
+        input int N;
+        func main() {{
+          assume(0 <= N && N <= 9);
+          var int a[{cells}];
+          var int b[{cells}];
+          var int i = 0;
+          while (i < len(a)) {{
+            a[i] = N;
+            b[i] = 0;
+            i = i + 1;
+          }}
+          if (equals(a, b)) {{
+            print("same");
+          }} else {{
+            print("differ");
+          }}
+        }}
+        """
+    )
+    assert r.stats == engine.Stats(*stats)
+    assert [st.prints for st in r.terminal_states] == [["same"], ["differ"]]
     assert not r.violations
 
 

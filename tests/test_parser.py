@@ -1,6 +1,7 @@
 import pytest
 
-from vlsym import ast
+from vlsym import ast, parser
+from vlsym.diagnostics import Diagnostic, Loc
 from vlsym.parser import ParseError, load_program, parse_files, parse_program
 
 
@@ -154,6 +155,31 @@ def test_deep_nesting_fails_cleanly():
     src = "func main() { var int x = " + "(" * 300 + "1" + ")" * 300 + "; }"
     with pytest.raises(ParseError, match="nesting too deep"):
         parse_program(src)
+
+
+def parenthesised(levels):
+    return [("deep.vl", "func main() { var int x = " + "(" * levels + "1" + ")" * levels + "; }")]
+
+
+def test_nesting_within_the_limit_parses():
+    (stmt,) = parse_files(parenthesised(90)).func("main").body.stmts
+    assert stmt.init == ast.IntLit(1, None)
+
+
+@pytest.mark.parametrize("levels", [99, 120, 400])
+def test_nesting_past_the_limit_is_refused_where_parsing_stopped(levels):
+    (diag,) = parse_files(parenthesised(levels))
+    assert diag.message == "nesting too deep"
+    assert diag.loc.line == 1 and diag.loc.col > 1
+
+
+def test_running_out_of_stack_reports_nesting_too_deep_at_the_token_reached(monkeypatch):
+    def out_of_stack(self):
+        raise RecursionError
+
+    monkeypatch.setattr(parser._Parser, "primary", out_of_stack)
+    (diag,) = parse_files([("r.vl", "func main() {\n  var int x = 7;\n}")])
+    assert diag == Diagnostic("nesting too deep", Loc("r.vl", 2, 15, 15))
 
 
 CHAINS = {

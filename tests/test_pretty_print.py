@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from vlsym.ast import frac_to_decimal, pretty_print
+from vlsym import ast
+from vlsym.ast import frac_to_decimal, pretty_print, render_expr
+from vlsym.diagnostics import Loc
 from vlsym.parser import parse_program
 
 SAMPLES = [
@@ -106,3 +108,37 @@ def test_for_desugar_round_trips():
     )
     assert pretty_print(prog) == src
     assert pretty_print(parse_program(src)) == src
+
+
+LOC = Loc("<tree>", 1, 1, 1)  # locations take no part in a tree's equality
+NAMES = st.sampled_from(["a", "x1", "row_ptr"]).map(lambda n: ast.Name(n, LOC))
+LEAVES = st.one_of(
+    st.integers(0, 10**6).map(lambda v: ast.IntLit(v, LOC)),
+    st.builds(Fraction, st.integers(0, 10**6), st.sampled_from([1, 10, 100, 1000]))
+    .map(lambda v: ast.DecLit(v, LOC)),
+    NAMES,
+)
+
+
+def _wider(sub):
+    return st.one_of(
+        st.builds(ast.Index, NAMES, sub, st.just(LOC)),
+        st.builds(ast.Unary, st.sampled_from("-!"), sub, st.just(LOC)),
+        st.builds(
+            ast.Binary,
+            st.sampled_from([op for level in ast.BINARY_LEVELS for op in level]),
+            sub,
+            sub,
+            st.just(LOC),
+        ),
+        st.builds(ast.EqualsCall, sub, sub, st.just(LOC)),
+        st.builds(ast.LenCall, sub, st.just(LOC)),
+    )
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(st.recursive(LEAVES, _wider, max_leaves=12))
+def test_every_expression_tree_prints_to_source_that_parses_back_to_it(tree):
+    # the printer's parentheses follow ast.BINARY_LEVELS, as the parser does
+    (stmt,) = parse_program(f"func main() {{ x = {render_expr(tree)}; }}").funcs[0].body.stmts
+    assert stmt.value == tree
