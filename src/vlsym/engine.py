@@ -51,6 +51,7 @@ import os
 from collections import deque
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 from random import Random
 
 from . import ast
@@ -63,6 +64,7 @@ from .solver import (
     Rel,
     SatResult,
     SatStatus,
+    SearchLimit,
     UnboundedSymbol,
     pc_sat,
 )
@@ -84,13 +86,10 @@ MAX_DNF_DISJUNCTS = 4096
 # leaves the workers unevenly loaded, and more grows the parent's memory
 # without a faster search
 FRONTIER_STATES = 64
-# entries one of an engine's real memos holds before it is emptied; the
-# corpus at -inputM_B=5 needs under a thousand in the largest of them
+# entries each real memo (_real_add, _real_sub, _real_mul, _real_eq) holds
+# before it drops the least recently used; the corpus at -inputM_B=5 needs
+# under a thousand in the largest of them
 REAL_MEMO_ENTRIES = 1 << 12
-# the operations whose results an engine keeps, each in a dict of its own
-# keyed by its operand objects: the binary + - * and a real cell pair of
-# equals(), the only real operations the benchmark workloads repeat
-_REAL_OPS = ("+", "-", "*", "equals")
 
 
 class Property(enum.Enum):
@@ -223,40 +222,32 @@ ast.init_from_slots(FAnd)
 ast.init_from_slots(FOr)
 
 
-def f_and(parts) -> object:
+def _join(cls, parts, unit: bool) -> object:
+    """parts joined by cls, FAnd with unit True or FOr with unit False: a
+    part that is unit is dropped, the other decided value decides the
+    join, the parts of a nested cls are taken in order, and a single part
+    is returned as itself."""
     flat = []
     for p in parts:
-        if p is True:
+        if p is unit:
             continue
-        if p is False:
-            return False
-        if isinstance(p, FAnd):
+        if p.__class__ is bool:
+            return p
+        if isinstance(p, cls):
             flat.extend(p.parts)
         else:
             flat.append(p)
     if not flat:
-        return True
-    if len(flat) == 1:
-        return flat[0]
-    return FAnd(tuple(flat))
+        return unit
+    return flat[0] if len(flat) == 1 else cls(tuple(flat))
+
+
+def f_and(parts) -> object:
+    return _join(FAnd, parts, True)
 
 
 def f_or(parts) -> object:
-    flat = []
-    for p in parts:
-        if p is False:
-            continue
-        if p is True:
-            return True
-        if isinstance(p, FOr):
-            flat.extend(p.parts)
-        else:
-            flat.append(p)
-    if not flat:
-        return False
-    if len(flat) == 1:
-        return flat[0]
-    return FOr(tuple(flat))
+    return _join(FOr, parts, False)
 
 
 def f_not(f) -> object:
@@ -279,8 +270,6 @@ def dnf(f) -> list[list[Atom]]:
     """Disjunctive normal form as a list of atom conjunctions."""
     if f is True:
         return [[]]
-    if f is False:
-        return []
     if isinstance(f, Atom):
         return [[f]]
     if isinstance(f, FOr):
@@ -505,22 +494,11 @@ class Engine:
     across the paths of one search. Translation reads the types, slots and
     callees that validation annotated, so the engine refuses a function
     that has none. The first engine of a program translates it, into
-    FuncDecl.translation, for every later one.
-
-    memos holds, for each real operation of _REAL_OPS, the result of each
-    one computed so far, keyed by its operands. A RealVal compares by identity, and
-    clones share the values they hold, so every path that reaches the same
-    operands, whatever its decisions, gets the same result object without
-    computing it again. A kept result is the one a new computation would
-    give: nothing rewrites a RealVal or a Poly, and a pin rewrites only
-    ints. A memo is emptied when it is full, so no answer depends on a hit.
-    Each engine, and so each search, has memos of its own, which blocks
-    read as they start; forked workers inherit theirs."""
+    FuncDecl.translation, for every later one."""
 
     def __init__(self, program: ast.Program, config: SearchConfig):
         self.program = program
         self.config = config
-        self.memos: dict[str, dict] = {op: {} for op in _REAL_OPS}
         for f in program.funcs:
             if f.translation is None:  # this is the program's first engine
                 f.translation = _Function(f)
@@ -629,12 +607,12 @@ class Engine:
 # forward goes on past the segments before its target. It leaves with the
 # pc on any other target, and where the function ends it pops the frames
 # that have ended. It also leaves where a path may fork or end, through
-# the executor's methods, and on an error, through _stopped with the pc on
-# the statement that raised (k), so that each pinned copy runs it again.
-# The block holds the frame's slots in locals and writes the ones it
-# writes back to the frame before it leaves. A pass through the block runs
-# the statements from its entry to where it leaves; each counts one state,
-# added up in n as it jumps and as it leaves.
+# the executor's methods, and on an error or a limit, through _stopped
+# with the pc on the statement that raised (k), so that each pinned copy
+# runs it again. The block holds the frame's slots in locals and writes
+# the ones it writes back to the frame before it leaves. A pass through
+# the block runs the statements from its entry to where it leaves; each
+# counts one state, added up in n as it jumps and as it leaves.
 #
 # An expression becomes Python statements that leave its value in a temp,
 # with the fast path for two concrete ints written out (tested by
@@ -642,13 +620,11 @@ class Engine:
 # where it is used. Each block is also written a second way, for a path
 # whose ints are all Python ints (Engine.settle): there the fast path is
 # all there is, and an if or while test that compares ints only is a
-# Python bool. A real +, - or * first looks its operands up in the
-# engine's memo of that operator, which a run binds as it starts, so that
-# a block holds nothing of an engine, and computes only on a miss, with
-# the Poly operators, keeping the result (_keep). The code finds
-# make_int, int_poly and the helpers below, and the Poly operators,
-# through this module's globals. VL names and strings never enter its
-# source: they reach it as constants, and slots as indices.
+# Python bool. A real +, - or * calls the real memo of that operator
+# (_real_add, _real_sub, _real_mul), which computes only on a miss. The
+# code finds make_int, int_poly and the helpers below, and the Poly
+# operators, through this module's globals. VL names and strings never
+# enter its source: they reach it as constants, and slots as indices.
 
 # statements that always leave their block, and those that go on at
 # their next within it
@@ -678,13 +654,38 @@ def _real_atom(rel: Rel, a: RealVal, b: RealVal):
     return _atom_formula(Atom(SymKind.REAL, rel, a.poly - b.poly))
 
 
-def _keep(memo: dict, key, value):
-    """value, kept under key in one of an engine's real memos, which is
-    emptied first when it holds REAL_MEMO_ENTRIES."""
-    if len(memo) >= REAL_MEMO_ENTRIES:
-        memo.clear()
-    memo[key] = value
-    return value
+# The real memos: each distinct real sum, difference and product, and the
+# formula of each real cell pair of equals(), is computed with the Poly
+# operators only on a miss. A RealVal compares by identity, and clones share the
+# values they hold, so every path that reaches the same operands, whatever
+# its decisions, gets the same result object. A kept result is the one a
+# new computation would give: nothing rewrites a RealVal or a Poly, and a
+# cache holds its keys alive, so no id is reused. The caches belong to the
+# process, not to a search, and forked workers inherit them; a search's
+# operands are its own objects, so a second search computes its values.
+
+
+@lru_cache(REAL_MEMO_ENTRIES)
+def _real_add(a: RealVal, b: RealVal) -> RealVal:
+    return RealVal(a.poly + b.poly)
+
+
+@lru_cache(REAL_MEMO_ENTRIES)
+def _real_sub(a: RealVal, b: RealVal) -> RealVal:
+    return RealVal(a.poly - b.poly)
+
+
+@lru_cache(REAL_MEMO_ENTRIES)
+def _real_mul(a: RealVal, b: RealVal) -> RealVal:
+    return RealVal(a.poly * b.poly)
+
+
+@lru_cache(REAL_MEMO_ENTRIES)
+def _real_eq(a: RealVal, b: RealVal):
+    return _real_atom(Rel.EQ, a, b)
+
+
+_REAL_MEMO = {"+": "_real_add", "-": "_real_sub", "*": "_real_mul"}
 
 
 def _unset(name: str, loc: Loc):
@@ -716,11 +717,8 @@ def _divide(dividend: Poly, divisor: Poly, loc: Loc) -> RealVal:
         raise Violating(Property.DIVISION_BY_ZERO, loc, "division by zero") from None
 
 
-def _equals(
-    memo: dict, state: ExecState, left: ArrayRef, right: ArrayRef, lname: str, rname: str, loc: Loc
-):
-    """The formula of equals() on two arrays; memo keeps the formula of
-    each pair of real cells."""
+def _equals(state: ExecState, left: ArrayRef, right: ArrayRef, lname: str, rname: str, loc: Loc):
+    """The formula of equals() on two arrays."""
     a, b = state.heap[left.addr], state.heap[right.addr]
     if len(a.cells) != len(b.cells):
         return False
@@ -732,24 +730,20 @@ def _equals(
                 raise Violating(
                     Property.READ_UNDEFINED, loc, f"'{name}[{i}]' is read before assignment"
                 )
-        if real:
-            f = memo.get((va, vb))
-            if f is None:
-                f = _keep(memo, (va, vb), _real_atom(Rel.EQ, va, vb))
-        else:
-            f = _int_atom(Rel.EQ, va, vb)
-        parts.append(f)
+        parts.append(_real_eq(va, vb) if real else _int_atom(Rel.EQ, va, vb))
     return f_and(parts)
 
 
-def _bad_extent(ex: "_Executor", state: ExecState, n: int, name: str, extent_loc: Loc, loc: Loc):
-    """The successors of an array declaration whose extent n is negative or
-    above the cap."""
+class ArrayTooLarge(SearchLimit):
+    """An array declaration's extent is above MAX_ARRAY_CELLS."""
+
+
+def _bad_extent(n: int, name: str, extent_loc: Loc):
+    """Raise the error of an array declaration whose extent n is negative
+    or above the cap."""
     if n < 0:
         raise Violating(Property.OUT_OF_BOUNDS, extent_loc, f"negative extent {n} for '{name}'")
-    message = f"extent {n} of array '{name}' exceeds the cap of {MAX_ARRAY_CELLS} cells"
-    ex.cut_short(state, loc, message)
-    return []
+    raise ArrayTooLarge(f"extent {n} of array '{name}' exceeds the cap of {MAX_ARRAY_CELLS} cells")
 
 
 def _return(state: ExecState, v) -> None:
@@ -897,20 +891,20 @@ class _Writer:
     start..stop-1 and compiles it. A run of the block holds the frame
     slots that it reads or writes in locals, bound once as it starts,
     along with each input it reads, the storage, cells and length of
-    each array that a parameter or an input holds, and each memo of its
-    engine that it uses: none is ever reassigned, and no run replaces a
-    storage's cells. So its source depends on fn's tree alone. It writes back
-    the slots it writes before every way out (a jump out, a call's frame
-    push, a return, an executor method that may fork, and an error). Each
-    while that lies wholly in the block, up to _MAX_LOOPS deep, runs as a
-    Python loop of its own, entered only while the entry lies before the
-    loop's end: its back edge goes round that loop alone and its exit
-    breaks out of it. A concrete block is written for a path whose ints
-    are all Python ints: its int operations, indices and strict positions
-    take them as they are, and a test that compares ints only is a Python
-    bool. Its segments, entries, k and state counts are those of the
-    general block, since a pinned copy resumes in it at the statement
-    that stopped to have the pin."""
+    each array that a parameter or an input holds: none is ever
+    reassigned, and no run replaces a storage's cells. So its source
+    depends on fn's tree alone. It writes back the slots it writes before
+    every way out (a jump out, a call's frame push, a return, an executor
+    method that may fork, and an error). Each while that lies wholly in
+    the block, up to _MAX_LOOPS deep, runs as a Python loop of its own,
+    entered only while the entry lies before the loop's end: its back
+    edge goes round that loop alone and its exit breaks out of it. A
+    concrete block is written for a path whose ints are all Python ints:
+    its int operations, indices and strict positions take them as they
+    are, and a test that compares ints only is a Python bool. Its
+    segments, entries, k and state counts are those of the general block,
+    since a pinned copy resumes in it at the statement that stopped to
+    have the pin."""
 
     def __init__(self, fn: _Function, start: int, stop: int, concrete=False):
         self.fn, self.start, self.stop = fn, start, stop
@@ -1093,9 +1087,9 @@ class _Writer:
             self.put(f"state.printed.append(({''.join(a + ', ' for a in args)}))")
         elif isinstance(node, ast.ArrDecl):
             n = self.strict(node.extent)
-            call = f"_bad_extent(ex, state, {n}, {self.const(node.name)}, "
-            call += f"{self.const(node.extent.loc)}, {self.const(node.loc)})"
-            self.put(f"if not 0 <= {n} <= MAX_ARRAY_CELLS: {self.leave(q, call)}")
+            self.raises = True
+            bad = f"_bad_extent({n}, {self.const(node.name)}, {self.const(node.extent.loc)})"
+            self.put(f"if not 0 <= {n} <= MAX_ARRAY_CELLS: {bad}")
             kind = "INT" if node.elem_ty is ast.Type.INT else "REAL"
             cells = f"[UNDEFINED] * {n}, SymKind.{kind}, False, {self.const(node.name)}"
             self.put(f"{self.slot(node.slot)} = state.alloc(ArrayStorage({cells}))")
@@ -1217,13 +1211,6 @@ class _Writer:
         """Set t to fast where every test holds, else to slow."""
         self.put(f"{t} = {fast} if {' and '.join(tests)} else {slow}" if tests else f"{t} = {fast}")
 
-    def kept(self, t: str, op: str, key: str, compute: str) -> None:
-        """Set t to the result that the engine's memo of op keeps under
-        key, or else to compute, which is then kept there."""
-        memo = self.bind(f'ex.eng.memos["{op}"]')
-        self.put(f"{t} = {memo}.get({key})")
-        self.put(f"if {t} is None: {t} = _keep({memo}, {key}, {compute})")
-
     def strict(self, e: ast.Expr) -> str:
         v = self.value(e)
         if isinstance(e, ast.IntLit):
@@ -1270,7 +1257,7 @@ class _Writer:
                 self.raises = True
                 self.put(f"{t} = _divide({a}.poly, {b}.poly, {self.const(e.loc)})")
             elif e.ty is ast.Type.REAL:
-                self.kept(t, e.op, f"({a}, {b})", f"RealVal({a}.poly {e.op} {b}.poly)")
+                self.put(f"{t} = {_REAL_MEMO[e.op]}({a}, {b})")
             else:
                 tests = self.int_tests((e.lhs, a), (e.rhs, b))
                 slow = f"make_int(int_poly({a}) {e.op} int_poly({b}))"
@@ -1310,10 +1297,8 @@ class _Writer:
         elif isinstance(e, ast.EqualsCall):
             names = f"{self.const(e.lhs.name)}, {self.const(e.rhs.name)}"
             arrays = f"{self.load(e.lhs)}, {self.load(e.rhs)}"
-            memo = self.bind('ex.eng.memos["equals"]')
-            args = f"{memo}, state, {arrays}, {names}, {self.const(e.loc)}"
             self.raises = True
-            self.put(f"{t} = _equals({args})")
+            self.put(f"{t} = _equals(state, {arrays}, {names}, {self.const(e.loc)})")
         else:
             raise AssertionError(f"not a condition: {type(e).__name__}")
         return t
@@ -1419,7 +1404,7 @@ def _pin(state: ExecState, sym: SymConst, value: int) -> None:
     state.globals = {name: subst(v) for name, v in state.globals.items()}
 
 
-_STOPS = (NeedsConcretize, Violating, UnboundedSymbol, EnumerationBudgetExceeded)
+_STOPS = (NeedsConcretize, Violating, SearchLimit)
 _UNSAT = SatResult(SatStatus.UNSAT)
 
 
@@ -1481,8 +1466,6 @@ class _Executor:
         on it. A limit met on a copy that a fork made cuts that copy short
         at loc, the statement's location; one met before any fork is the
         statement's."""
-        if f is True or f is False:
-            return [(state, f)]
         if isinstance(f, Atom):
             options, pcs = [], []
             for side, atom in ((_THEN, f), (_ELSE, f.negated())):
@@ -1511,7 +1494,7 @@ class _Executor:
                 continue
             try:
                 walked = self.branch_walk(st, parts[i], loc)
-            except (UnboundedSymbol, EnumerationBudgetExceeded) as exc:
+            except SearchLimit as exc:
                 if i == 0:
                     raise
                 self.cut_short(st, loc, str(exc))
@@ -1561,17 +1544,6 @@ class _Executor:
             Violation(prop, certainty, loc, message, tuple(state.trail), witness, detail)
         )
 
-    def _violation_from_exc(self, state: ExecState, exc: Violating) -> None:
-        res = self.sat(state.pc)
-        if res.status is SatStatus.UNSAT:
-            self.stats.pruned += 1
-            return
-        if res.status is SatStatus.SAT and not exc.force_maybe:
-            certainty, witness = Certainty.PROVEABLE, res.witness
-        else:
-            certainty, witness = Certainty.MAYBE, None
-        self._record(state, exc.prop, certainty, exc.loc, exc.message, witness)
-
     def cut_short(self, state: ExecState, loc: Loc, message: str) -> None:
         """A limit ends the path of state: a MAYBE finding, and the search
         is incomplete."""
@@ -1607,20 +1579,31 @@ class _Executor:
         return out
 
     def _stopped(self, state: ExecState, loc: Loc, exc: Exception) -> list[ExecState]:
-        """Successors of a statement that raised: the pinned copies of state
-        when a strict position needs a concrete int, else none."""
-        if isinstance(exc, NeedsConcretize):
-            try:
+        """Successors of the statement at loc that raised exc: the pinned
+        copies of state when a strict position needs a concrete int, else
+        none. A Violating is a finding at its own location where the path is
+        feasible. A limit that the statement raised or that pinning met cuts
+        the path short at loc, and one met while solving for a Violating at
+        the finding's location; only a copy that a fork of branch_walk made
+        is cut short elsewhere, by branch_walk."""
+        try:
+            if isinstance(exc, NeedsConcretize):
                 return self._concretize(state, exc.sym)
-            except (UnboundedSymbol, EnumerationBudgetExceeded) as budget_exc:
-                self.cut_short(state, loc, str(budget_exc))
-        elif isinstance(exc, Violating):
-            try:
-                self._violation_from_exc(state, exc)
-            except (UnboundedSymbol, EnumerationBudgetExceeded) as budget_exc:
-                self.cut_short(state, exc.loc, str(budget_exc))
-        else:
-            self.cut_short(state, loc, str(exc))
+            if isinstance(exc, Violating):
+                loc = exc.loc
+                res = self.sat(state.pc)
+                if res.status is SatStatus.UNSAT:
+                    self.stats.pruned += 1
+                    return []
+                if res.status is SatStatus.SAT and not exc.force_maybe:
+                    certainty, witness = Certainty.PROVEABLE, res.witness
+                else:
+                    certainty, witness = Certainty.MAYBE, None
+                self._record(state, exc.prop, certainty, loc, exc.message, witness)
+                return []
+        except SearchLimit as limit:
+            exc = limit
+        self.cut_short(state, loc, str(exc))
         return []
 
     def apply_assume(self, state: ExecState, f, loc: Loc) -> list[ExecState]:

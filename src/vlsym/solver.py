@@ -7,8 +7,9 @@ condition's univariate linear bounds imply. Real atoms are only sampled:
 the point where every symbol is 1, then SAMPLE_TRIALS - 1 seeded random
 rationals. Answers are conservative: SAT always carries a checked
 witness; UNSAT is reported only for a condition that holds a false
-constant or whose integer atoms enumeration rules out, never because of
-a real atom; and a real question that no sample satisfies is UNKNOWN.
+constant, or an atom together with its negation, or whose integer atoms
+enumeration rules out, never because sampling missed a real atom; and a
+real question that no sample satisfies is UNKNOWN.
 
 A sample point follows the rule of Poly coefficients: a value is a Python
 int when it is integral and a Fraction only when it is not. The first
@@ -111,11 +112,7 @@ def _linear(poly: Poly) -> tuple[SymConst, Fraction | int, Fraction | int] | Non
     if len(syms) != 1 or poly.degree() != 1:
         return None
     s = next(iter(syms))
-    a = poly.terms.get((s,), 0)
-    b = poly.terms.get((), 0)
-    if a == 0:
-        return None
-    return s, a, b
+    return s, poly.terms[(s,)], poly.terms.get((), 0)
 
 
 class PathCondition:
@@ -136,12 +133,12 @@ class PathCondition:
     def add(self, atom: Atom) -> "PathCondition":
         if self.unsat:
             return self
-        if atom.poly.is_const():
-            if atom.holds({}):
-                return self
-            return PathCondition(self.atoms, self.box, True)
-        if atom in self.atoms:
+        const = atom.poly.is_const()
+        if const and atom.holds({}) or atom in self.atoms:
             return self
+        if const or atom.negated() in self.atoms:
+            # p rel 0 and its negation never both hold
+            return PathCondition(self.atoms, self.box, True)
         box = self.box
         unsat = False
         if atom.kind is SymKind.INT and atom.rel is not Rel.NE:
@@ -198,13 +195,17 @@ class SatResult:
         self.texts: dict = {}
 
 
-class UnboundedSymbol(Exception):
+class SearchLimit(Exception):
+    """A limit of the search met on one path; it ends that path only."""
+
+
+class UnboundedSymbol(SearchLimit):
     def __init__(self, sym: SymConst):
         super().__init__(f"no finite bounds for '{sym.render()}'")
         self.sym = sym
 
 
-class EnumerationBudgetExceeded(Exception):
+class EnumerationBudgetExceeded(SearchLimit):
     def __init__(self, size: int, budget: int):
         super().__init__(f"{size} assignments exceed the budget of {budget}")
         self.size = size
@@ -231,8 +232,6 @@ def pc_sat(pc: PathCondition, budget: int = DEFAULT_BUDGET, seed: int = 0) -> Sa
             lo, hi = pc.bounds(s)
             if lo is None or hi is None:
                 raise UnboundedSymbol(s)
-            if hi < lo:
-                return SatResult(SatStatus.UNSAT)
             total *= hi - lo + 1
             if total > budget:
                 raise EnumerationBudgetExceeded(total, budget)

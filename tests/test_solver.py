@@ -168,6 +168,16 @@ def test_real_contradiction_is_unknown_not_unsat():
     assert pc_sat(pc).status is SatStatus.UNKNOWN
 
 
+@pytest.mark.parametrize("rel", [Rel.EQ, Rel.LT])
+def test_a_real_atom_and_its_negation_are_unsat(rel):
+    a = Atom(SymKind.REAL, rel, Poly.symbol(X0) - Poly.symbol(X1))
+    assert PathCondition().add(a).add(a.negated()).unsat
+    # compared by value: the negation of an equal atom built apart
+    copy = Atom(SymKind.REAL, rel, Poly.symbol(X0) - Poly.symbol(X1))
+    pc = PathCondition().add(copy.negated()).add(a)
+    assert pc.unsat and pc_sat(pc).status is SatStatus.UNSAT
+
+
 def test_zero_poly_atoms_are_constant():
     zero = Poly.symbol(X0) - Poly.symbol(X0)
     pc = pc_of([Atom(SymKind.REAL, Rel.EQ, zero)])

@@ -1,0 +1,209 @@
+"""Paths that stop in the middle of a block: on an error, on a limit, on a
+decided or repeated condition, with the counters, verdicts and the
+report's verdict rows pinned, and the few executor members that block
+code may touch."""
+
+import re
+
+from vlsym import engine
+from vlsym.ast import Program
+from vlsym.corpus import CLEAN_FILES, COLMAX_FILES, SWAP_FILES, load_sources
+from vlsym.engine import SearchConfig, Stats, explore
+from vlsym.parser import load_program
+from vlsym.report import render_report
+
+ALL_PLUS = [
+    " + Assertion violations",
+    " + Out of bounds accesses",
+    " + Division by zero",
+    " + Reads of undefined values",
+    " + Writes to input variables",
+]
+
+
+def load(src: str) -> Program:
+    prog = load_program([("<input>", src)])
+    assert isinstance(prog, Program), prog
+    return prog
+
+
+def search(src: str):
+    """The search's result, its terminal states, and the lines of its
+    report."""
+    terminals = []
+    r = explore(load(src), SearchConfig(), on_terminal=terminals.append)
+    return r, terminals, render_report(["<input>"], [], 0.0, r, {"<input>": src}).splitlines()
+
+
+def rows(report: list[str]) -> list[str]:
+    """The five rows of a report's verdict table."""
+    at = report.index("=== Result ===")
+    return report[at + 2 : at + 7]
+
+
+def findings(r) -> list:
+    return [
+        (v.prop.name, v.certainty.name, v.loc.render(), v.message, v.depth) for v in r.violations
+    ]
+
+
+# --- a real condition that the path already holds, or its negation ---
+
+
+def test_an_assumed_real_equality_proves_the_same_assertion():
+    r, terminals, report = search(
+        "input real V[2];\n"
+        "func main() {\n"
+        "  assume(V[0] == V[1]);\n"
+        "  assert(V[0] == V[1]);\n"
+        "}\n"
+    )
+    assert r.stats == Stats(2, 1, 0, 2)
+    assert findings(r) == [] and not r.incomplete
+    assert [st.prints for st in terminals] == [[]]
+    assert rows(report) == ALL_PLUS
+
+
+def test_an_assumed_real_comparison_no_longer_hides_the_write_after_it():
+    r, terminals, report = search(
+        "input real V[2];\n"
+        "func main() {\n"
+        "  assume(V[0] < V[1]);\n"
+        "  assert(V[0] < V[1]);\n"
+        "  var int a[1];\n"
+        "  a[1] = 0;\n"
+        "}\n"
+    )
+    assert r.stats == Stats(4, 0, 0, 3)
+    assert findings(r) == [
+        ("OUT_OF_BOUNDS", "PROVEABLE", "<input>:6:3-6", "index 1 outside 'a' of length 1", 0)
+    ]
+    assert terminals == []
+    assert rows(report) == [ALL_PLUS[0], " - Out of bounds accesses", *ALL_PLUS[2:]]
+
+
+def test_a_repeated_real_test_prunes_its_dead_side():
+    r, terminals, report = search(
+        "input real V[2];\n"
+        "func main() {\n"
+        "  if (V[0] < V[1]) {\n"
+        "    if (V[0] < V[1]) {\n"
+        '      print("in");\n'
+        "    } else {\n"
+        "      var int a[1];\n"
+        "      a[1] = 0;\n"
+        "    }\n"
+        "  }\n"
+        "}\n"
+    )
+    assert r.stats == Stats(3, 2, 1, 4)
+    assert findings(r) == []
+    assert sorted(([d.render() for d in st.trail], st.prints) for st in terminals) == [
+        (["B e"], []),
+        (["B t", "B t"], ["in"]),
+    ]
+    assert rows(report) == ALL_PLUS
+
+
+# --- errors and limits that end a path ---
+
+
+def test_a_negative_extent_is_a_proved_out_of_bounds_at_the_extent():
+    r, terminals, report = search("input int N = 1;\nfunc main() {\n  var int a[N - 3];\n}\n")
+    assert r.stats == Stats(1, 0, 0, 1)
+    assert findings(r) == [
+        ("OUT_OF_BOUNDS", "PROVEABLE", "<input>:3:13-17", "negative extent -2 for 'a'", 0)
+    ]
+    assert "witness: (any input)" in report
+    assert terminals == [] and not r.incomplete
+    assert rows(report) == [ALL_PLUS[0], " - Out of bounds accesses", *ALL_PLUS[2:]]
+
+
+def test_a_limit_on_the_first_part_of_a_condition_cuts_the_path_at_the_test():
+    r, terminals, report = search(
+        "input int N;\n"
+        "input int M;\n"
+        "func main() {\n"
+        "  assume(0 <= M && M <= 3);\n"
+        '  if (N < 3 && M < 2) {\n    print("in");\n  }\n'
+        "}\n"
+    )
+    assert r.stats == Stats(2, 0, 0, 2)
+    assert findings(r) == [
+        ("ENUM_BUDGET", "MAYBE", "<input>:5:3-21", "no finite bounds for 'N'", 0)
+    ]
+    assert r.incomplete and terminals == []
+    assert rows(report) == ["   " + row[3:] for row in ALL_PLUS]
+
+
+def test_an_assertion_the_sampler_cannot_decide_is_a_maybe():
+    r, terminals, report = search(
+        "input real V[1];\nfunc main() {\n  assert(0.0 <= V[0] * V[0]);\n}\n"
+    )
+    assert r.stats == Stats(1, 0, 0, 1)
+    assert findings(r) == [
+        ("ASSERTION_VIOLATION", "MAYBE", "<input>:3:3-29", "asserted condition cannot be proved", 0)
+    ]
+    assert terminals == [] and not r.incomplete
+    assert rows(report) == [" - Assertion violations", *ALL_PLUS[1:]]
+
+
+def test_an_assumed_disjunction_keeps_each_side_that_holds():
+    r, terminals, report = search(
+        "input int N;\n"
+        "func main() {\n"
+        "  assume(0 <= N && N <= 5);\n"
+        "  assume(N < 2 || 4 < N);\n"
+        "  var int a[N];\n"
+        "  print(N);\n"
+        "}\n"
+    )
+    assert r.stats == Stats(10, 3, 1, 8)
+    assert findings(r) == []
+    assert [([d.render() for d in st.trail], st.prints) for st in terminals] == [
+        (["B t", "Z N=0/2"], ["0"]),
+        (["B t", "Z N=1/2"], ["1"]),
+        (["B e", "B t", "Z N=5/1"], ["5"]),
+    ]
+    assert rows(report) == ALL_PLUS
+
+
+def test_a_decided_false_assumption_ends_the_path_without_the_solver():
+    r, terminals, report = search("func main() {\n  assume(1 < 0);\n}\n")
+    assert r.stats == Stats(1, 0, 1, 0)
+    assert findings(r) == [] and terminals == []
+    assert rows(report) == ALL_PLUS
+
+
+# --- what block code touches of its executor ---
+
+# the executor members that a block may use: it forks through the first
+# four, ends a stopped path through _stopped and counts its states
+BLOCK_USES = {"choose", "branch", "check_assert", "apply_assume", "_stopped", "stats.states"}
+
+
+def test_blocks_touch_their_executor_only_to_fork_count_and_stop(monkeypatch):
+    written = []
+    real_compile = engine._compile
+
+    def compile_(lines, filename, consts):
+        written.append("\n".join(lines))
+        return real_compile(lines, filename, consts)
+
+    monkeypatch.setattr(engine, "_compile", compile_)
+    for files, kw in (
+        (CLEAN_FILES, {"overrides": {"M_B": 4}}),
+        (SWAP_FILES, {}),
+        (COLMAX_FILES, {}),
+    ):
+        explore(load_program(load_sources(files)), SearchConfig(**kw))
+    assert len(written) == 60
+    uses = {m for source in written for m in re.findall(r"\bex\.(\w+(?:\.\w+)*)", source)}
+    assert uses <= BLOCK_USES, uses - BLOCK_USES
+    bare = {
+        line.strip()
+        for source in written
+        for line in source.splitlines()
+        if re.search(r"\bex\b(?!\.)", line)
+    }
+    assert bare == {"def run(ex, state, frame):"}
