@@ -14,6 +14,7 @@ Exit codes: 0 clean, 1 usage or load failure, 2 violations found.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import time
@@ -61,8 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="explore every execution and report violations")
     _add_common(v)
     v.add_argument("--workers", type=int, default=1,
-                   help="search in this many forked processes, over a frontier "
-                        "of live paths (1 = in this process)")
+                   help="search in this many processes, this one included, "
+                        "over a frontier of live paths (1 = serial)")
     v.add_argument("--max-depth", type=int, default=0,
                    help="abandon paths after this many decisions (0 = unlimited)")
     v.add_argument("--first", action="store_true",
@@ -209,7 +210,19 @@ def main(argv: list[str]) -> int:
 
 
 def entry() -> None:
-    sys.exit(main(sys.argv[1:]))
+    """Run main, flush stdout and stderr, and end the process with main's
+    exit code through os._exit. The interpreter's teardown frees every
+    object and runs exit handlers that a finished command does not need;
+    it took 11-15 ms of every verify run on a 2-CPU host. A flush that
+    fails, on a closed pipe say, leaves the exit and its report to the
+    interpreter."""
+    code = main(sys.argv[1:])
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -36,12 +36,15 @@ symbolic until a strict position (array extent, array index, choose_int
 argument) forces a value, at which point the path fans out over the
 feasible range.
 
-verify searches depth first. With more than one worker it first runs the
-search breadth first until FRONTIER_STATES paths are live, then forks one
-process per worker over that frontier: a worker inherits the blocks
-translated so far and the live states, searches every N-th of them depth
-first, and sends back only its counts and findings, which the parent adds up and
-sorts by trail as the serial search does.
+verify searches depth first. With N workers it first runs the search
+breadth first until FRONTIER_STATES paths are live, then searches that
+frontier in N processes: itself and N - 1 forked children, which inherit
+the blocks translated so far and the live states. Before it forks, it
+writes the frontier's claims, contiguous ranges of frontier indexes, into
+one pipe; each process takes the next claim whenever it has searched its
+last, depth first, until none is left. A child sends back only its counts
+and its findings tagged by frontier index, which the parent adds to its
+own and sorts by trail as the serial search does.
 """
 
 from __future__ import annotations
@@ -82,10 +85,14 @@ from .values import (
 
 MAX_ARRAY_CELLS = 1 << 20
 MAX_DNF_DISJUNCTS = 4096
-# live states the breadth-first phase gathers before it forks workers: 16
-# leaves the workers unevenly loaded, and more grows the parent's memory
-# without a faster search
-FRONTIER_STATES = 64
+# live states the breadth-first phase gathers before it forks workers: 64
+# leaves the processes unevenly loaded at the end of the search, and more
+# grows the breadth-first phase and the parent's memory without a faster
+# search
+FRONTIER_STATES = 256
+# bytes of one claim in the claims pipe of a forked search: the first
+# frontier index of its range, little endian
+CLAIM_BYTES = 4
 # entries each real memo (_real_add, _real_sub, _real_mul, _real_eq) holds
 # before it drops the least recently used; the corpus at -inputM_B=5 needs
 # under a thousand in the largest of them
@@ -1715,18 +1722,15 @@ class _Executor:
                 on_terminal(st)
 
     def dfs_forked(self, root: ExecState) -> None:
-        """dfs over worker processes: grow a frontier of live states breadth
-        first, then let each of config.workers processes search every N-th
-        of them. The workers' findings follow the parent's in frontier
-        order, so that a stable sort by trail keeps the serial order of
-        ties."""
+        """dfs over config.workers processes, this one included: grow a
+        frontier of live states breadth first, then search it in
+        _run_workers. The findings there follow those of the breadth-first
+        phase in frontier order, so that a stable sort by trail keeps the
+        serial order of ties."""
         frontier = self._frontier(root)
-        workers = min(self.eng.config.workers, len(frontier))
-        found = []
-        for stats, tagged, incomplete in _run_workers(self, frontier, workers):
-            self.stats.add(stats)
-            self.incomplete |= incomplete
-            found.extend(tagged)
+        if not frontier:
+            return
+        found = _run_workers(self, frontier, min(self.eng.config.workers, len(frontier)))
         found.sort(key=lambda t: t[0])
         self.violations.extend(v for _, v in found)
 
@@ -1740,19 +1744,50 @@ class _Executor:
             queue.extend(succs or ())
         return list(queue)
 
+    def search_claims(self, frontier: list[ExecState], claims: int, size: int) -> list[tuple]:
+        """Search the frontier states of each claim read from the fd claims,
+        the size states from its first index on, until the pipe is empty;
+        the findings, each tagged with the index of the frontier state it
+        came from, and none left in self.violations."""
+        tagged = []
+        while claim := os.read(claims, CLAIM_BYTES):
+            first = int.from_bytes(claim, "little")
+            for i in range(first, min(first + size, len(frontier))):
+                mark = len(self.violations)
+                self.dfs(frontier[i])
+                tagged.extend((i, v) for v in self.violations[mark:])
+                del self.violations[mark:]
+        return tagged
+
 
 def _run_workers(ex: _Executor, frontier: list[ExecState], workers: int) -> list[tuple]:
-    """Fork workers over the frontier, worker w searching the states w,
-    w+workers, ...; the result that each sent, in worker order. A worker
-    that fails raises WorkerFailed, and no worker outlives this call."""
+    """Search the frontier in workers processes: this one and workers - 1
+    forked children. Before the fork, this process writes every claim into
+    one pipe in a single write and closes the pipe's write end; each process
+    then reads the next claim whenever it has searched its last, until the
+    pipe is empty, so a process that runs faster searches more. A claim
+    holds as many states as keep that write within select.PIPE_BUF bytes,
+    so it cannot block however wide the frontier is. Returns the findings
+    of every process, each tagged with its frontier index, and adds the
+    children's counts and incomplete flags to ex's. A child that fails
+    raises WorkerFailed, and no child outlives this call."""
     # imported only when a search forks, so that they add nothing to the
     # start-up time of every other run
     import pickle
+    import select
     import signal
 
+    # states per claim: the fewest that leave at most PIPE_BUF // CLAIM_BYTES claims
+    size = -(-len(frontier) // (select.PIPE_BUF // CLAIM_BYTES))
+    firsts = range(0, len(frontier), size)
+    claims, wfd = os.pipe()
     pipes, pids = [], {}
     try:
-        for w in range(workers):
+        try:
+            os.write(wfd, b"".join(i.to_bytes(CLAIM_BYTES, "little") for i in firsts))
+        finally:
+            os.close(wfd)
+        for w in range(1, workers):
             rfd, wfd = os.pipe()
             pipes.append(open(rfd, "rb"))
             try:
@@ -1761,11 +1796,11 @@ def _run_workers(ex: _Executor, frontier: list[ExecState], workers: int) -> list
                 os.close(wfd)
                 raise
             if pid == 0:
-                _worker(ex, frontier, w, workers, wfd, pipes)
+                _worker(ex, frontier, claims, size, wfd, pipes)
             os.close(wfd)
             pids[w] = pid
-        results = []
-        for w, pipe in enumerate(pipes):
+        tagged = ex.search_claims(frontier, claims, size)
+        for w, pipe in enumerate(pipes, 1):
             data = pipe.read()
             _, status = os.waitpid(pids[w], 0)
             del pids[w]
@@ -1775,25 +1810,28 @@ def _run_workers(ex: _Executor, frontier: list[ExecState], workers: int) -> list
             if code < 0:
                 name = signal.Signals(-code).name
                 raise WorkerFailed(f"search worker {w} of {workers} was killed by {name}")
-            results.append(pickle.loads(data))
-        return results
+            stats, found, incomplete = pickle.loads(data)
+            ex.stats.add(stats)
+            ex.incomplete |= incomplete
+            tagged.extend(found)
+        return tagged
     finally:
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for pipe in pipes:
             pipe.close()
+        os.close(claims)
 
 
-def _worker(ex: _Executor, frontier, first: int, step: int, wfd: int, pipes) -> None:
-    """The body of a forked worker: search frontier[first::step] with fresh
-    counts and findings, send (stats, [(frontier index, violation), ...],
-    incomplete) down wfd and exit, without flushing the stdio buffers or
-    running the exit handlers inherited from the parent. An interrupt is
-    the parent's to handle; it kills its workers."""
+def _worker(ex: _Executor, frontier, claims: int, size: int, wfd: int, pipes) -> None:
+    """The body of a forked child: search the claims it reads from the fd
+    claims with fresh counts and findings, send (stats, [(frontier index,
+    violation), ...], incomplete) down wfd and exit, without flushing the
+    stdio buffers or running the exit handlers inherited from the parent.
+    An interrupt is the parent's to handle; it kills its children."""
     import pickle
     import signal
-    import traceback
 
     code = 1
     try:
@@ -1801,15 +1839,15 @@ def _worker(ex: _Executor, frontier, first: int, step: int, wfd: int, pipes) -> 
         for pipe in pipes:
             pipe.close()
         ex.stats, ex.violations, ex.incomplete = Stats(), [], False
-        tagged = []
-        for i in range(first, len(frontier), step):
-            start = len(ex.violations)
-            ex.dfs(frontier[i])
-            tagged.extend((i, v) for v in ex.violations[start:])
+        tagged = ex.search_claims(frontier, claims, size)
         with open(wfd, "wb") as out:
             pickle.dump((ex.stats, tagged, ex.incomplete), out, pickle.HIGHEST_PROTOCOL)
         code = 0
     except BaseException:
+        # imported here, on the failure path only: it costs about 3 ms at
+        # the start of every child
+        import traceback
+
         os.write(2, traceback.format_exc().encode())
     finally:
         os._exit(code)
@@ -1888,9 +1926,10 @@ def _value_at(poly: Poly, witness) -> "int | Fraction":
 
 def explore(program: ast.Program, config: SearchConfig, on_terminal=None) -> SearchResult:
     """Search every path of a program that load_program returned, depth
-    first; violations come out sorted by trail. More than one worker forks
-    worker processes, unless the search stops at its first finding, sees
-    every terminal state, or runs where there is no os.fork."""
+    first; violations come out sorted by trail. More than one worker
+    searches in that many processes, this one included, unless the search
+    stops at its first finding, sees every terminal state, or runs where
+    there is no os.fork."""
     eng = Engine(program, config)
     ex = _Executor(eng, ExploreAll())
     root = eng.init_state()

@@ -338,18 +338,18 @@ def test_criterion_7_reports_are_identical_across_worker_counts(capsys, tmp_path
     # colmax has violations: the report, the summaries on stderr and the
     # emitted trails all match between the serial and the forked search
     runs = []
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "3"):
         trails = tmp_path / f"trails-{workers}"
         argv = ["verify", "--workers", workers, "--emit-trails", str(trails)]
         rc = cli.main([*argv, *corpus_argv(COLMAX_FILES)])
         captured = capsys.readouterr()
         emitted = {p.name: p.read_text() for p in trails.iterdir()}
         runs.append((rc, stable(captured.out), captured.err, emitted))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]
     rc, _, err, emitted = runs[0]
     assert rc == 2
     assert len(emitted) == len(err.splitlines()) == 3371
-    print("criterion 7 PASS: workers 1, 2 and 4 produce the same report")
+    print("criterion 7 PASS: workers 1, 2, 3 and 4 produce the same report")
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, overrides, output routing."""
 
+import os
 import subprocess
 import sys
 
@@ -225,6 +226,56 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == str(corpus_dir())
+
+
+@pytest.mark.parametrize(
+    "names, code, summaries", [(SWAP_FILES, 2, 673), (CLEAN_FILES, 0, 0)], ids=["swap", "clean"]
+)
+def test_verify_through_pipes_writes_all_its_output_before_it_exits(
+    capsys, names, code, summaries
+):
+    # entry() ends the process with os._exit once it has flushed stdout and
+    # stderr. Through a pipe, stdout is block buffered unless
+    # PYTHONUNBUFFERED is set: a report larger than the buffer passes
+    # straight through it, but the clean corpus's short report stays in it
+    # until the flush
+    argv = ["verify", *corpus_argv(names)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "vlsym.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert cli.main(argv) == code
+    captured = capsys.readouterr()
+
+    def stable(text):
+        return [ln for ln in text.splitlines() if not ln.startswith("time (s)")]
+
+    assert proc.returncode == code
+    assert stable(proc.stdout) == stable(captured.out)
+    assert len(stable(proc.stdout)) > 10
+    assert proc.stderr == captured.err
+    assert len(proc.stderr.splitlines()) == summaries
+
+
+def test_entry_exits_at_once_after_a_flush_and_normally_when_one_fails(monkeypatch):
+    monkeypatch.setattr(cli, "main", lambda argv: 2)
+    exits = []
+    monkeypatch.setattr(cli.os, "_exit", exits.append)
+    cli.entry()
+    assert exits == [2]
+
+    class ClosedPipe:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
+    assert exits == [2]
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

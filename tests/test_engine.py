@@ -2,6 +2,7 @@
 
 import os
 import re
+import select
 import signal
 import time
 import tracemalloc
@@ -1245,7 +1246,7 @@ def test_a_serial_search_sorts_its_findings_by_trail():
 @pytest.fixture
 def forks(monkeypatch):
     """The pids of the processes that os.fork starts. The parent counts a
-    fork before it happens, so a worker sees its own number in the count."""
+    fork before it happens, so a child sees its own number in the count."""
     pids = []
     real_fork = os.fork
 
@@ -1266,9 +1267,9 @@ def corpus_program(names) -> Program:
     return prog
 
 
-def forked_matches_serial(prog, **kw) -> engine.SearchResult:
+def forked_matches_serial(prog, workers=2, **kw) -> engine.SearchResult:
     serial = explore(prog, SearchConfig(workers=1, **kw))
-    forked = explore(prog, SearchConfig(workers=2, **kw))
+    forked = explore(prog, SearchConfig(workers=workers, **kw))
     assert forked.stats == serial.stats
     assert forked.incomplete == serial.incomplete
     # value equality: prop, certainty, loc, message, trail, witness and
@@ -1283,44 +1284,106 @@ def forked_matches_serial(prog, **kw) -> engine.SearchResult:
     [
         (SWAP_FILES, {}),
         (COLMAX_FILES, {}),
-        # at depth 6 the breadth-first phase meets the limit itself; at 7
-        # only the workers do, so their incomplete flag must survive the merge
-        (CLEAN_FILES, {"max_depth": 6}),
-        (CLEAN_FILES, {"max_depth": 7}),
+        # three processes on a 2-CPU host: more processes than CPUs
+        (SWAP_FILES, {"workers": 3}),
+        (COLMAX_FILES, {"workers": 3}),
+        # at depth 12 the breadth-first phase meets the limit itself; at 13,
+        # with M_B = 4, only the processes that search the frontier do, so
+        # their incomplete flags must survive the merge (at the default
+        # M_B = 3 the breadth-first phase meets every limit below 15 itself,
+        # and no path meets one from 15 on)
+        (CLEAN_FILES, {"max_depth": 12}),
+        (CLEAN_FILES, {"max_depth": 13, "overrides": {"M_B": 4}}),
     ],
-    ids=["swap", "colmax", "clean-depth-6", "clean-depth-7"],
+    ids=["swap", "colmax", "swap-3", "colmax-3", "clean-depth-12", "clean-m4-depth-13"],
 )
 def test_forked_search_matches_serial_on_the_corpus(forks, names, kw):
     r = forked_matches_serial(corpus_program(names), **kw)
-    assert len(forks) == 2
+    assert len(forks) == kw.get("workers", 2) - 1
     if "max_depth" in kw:
         assert r.incomplete
     else:
         assert r.violations and not r.incomplete
 
 
-def test_forked_search_keeps_a_budget_cut_met_inside_a_worker(forks):
-    # the frontier is the 80 choices; every path below k = 40 then meets
-    # the enumeration budget in a worker
+def test_forked_search_keeps_a_budget_cut_met_inside_a_worker(forks, monkeypatch):
+    # the frontier is the 300 choices; every path from k = 280 on then
+    # meets the enumeration budget. The parent holds its first claim until
+    # its child has searched the last frontier state, so the child searches
+    # every path that meets the budget, and the parent none of them
     src = """
         input int N;
         func main() {
           var int k;
-          k = choose_int(80);
-          if (k < 40) {
+          k = choose_int(300);
+          if (k >= 280) {
             assume(0 <= N && N <= 50);
           }
           print(k);
         }
         """
-    r = forked_matches_serial(load(src), budget=20)
-    assert len(forks) == 2
+    parent, last = os.getpid(), ChooseInt(299, 300)
+    searched_here = []
+    real_dfs = engine._Executor.dfs
+    done, done_w = os.pipe()
+
+    def dfs(self, root, on_terminal=None):
+        if os.getpid() == parent and root.trail:
+            if not searched_here and root.trail[-1] != last:
+                ready, _, _ = select.select([done], [], [], 60)
+                assert ready, "the child did not search the last frontier state"
+                os.read(done, 1)
+            searched_here.append(root.trail[-1].index)
+        real_dfs(self, root, on_terminal)
+        if os.getpid() != parent and root.trail[-1] == last:
+            os.write(done_w, b"!")
+
+    monkeypatch.setattr(engine._Executor, "dfs", dfs)
+    try:
+        r = forked_matches_serial(load(src), budget=20)
+    finally:
+        os.close(done)
+        os.close(done_w)
+    assert len(forks) == 1
+    assert searched_here and max(searched_here) < 280
     assert r.incomplete
-    assert r.stats.terminals == 40
-    assert [v.trail for v in r.violations] == [(ChooseInt(k, 80),) for k in range(40)]
+    assert r.stats.terminals == 280
+    assert [v.trail for v in r.violations] == [(ChooseInt(k, 300),) for k in range(280, 300)]
     assert {(v.prop, v.certainty) for v in r.violations} == {
         (Property.ENUM_BUDGET, Certainty.MAYBE)
     }
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_frontier_wider_than_one_pipe_write_of_single_claims(forks, monkeypatch, workers):
+    # 5000 frontier states: 4-byte single-state claims would take 20,000
+    # bytes, more than one PIPE_BUF write, so claims group several states
+    # and the parent writes them all at once, before it forks
+    assert 5000 * engine.CLAIM_BYTES > select.PIPE_BUF
+    writes = []
+    real_write = os.write
+
+    def write(fd, data):
+        writes.append(len(data))
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", write)
+    src = """
+        func main() {
+          var int k;
+          k = choose_int(5000);
+          if (k < 2500) {
+            assert(k != 1234);
+          } else {
+            assert(k != 4999);
+          }
+        }
+        """
+    r = forked_matches_serial(load(src), workers=workers)
+    assert len(forks) == workers - 1
+    assert len(writes) == 1 and writes[0] <= select.PIPE_BUF
+    assert r.stats.terminals == 4998
+    assert [v.trail for v in r.violations] == [(ChooseInt(k, 5000),) for k in (1234, 4999)]
 
 
 def test_search_that_ends_before_the_frontier_fills_forks_nothing(forks):
@@ -1347,28 +1410,45 @@ def test_first_only_and_on_terminal_stay_serial(forks):
 def test_a_failed_worker_fails_the_search_and_no_worker_outlives_it(
     forks, monkeypatch, capsys, tmp_path, how
 ):
+    parent = os.getpid()
+    started_r, started_w = os.pipe()
+    children_seen = [0]
+
     def dfs(self, root, on_terminal=None):
-        if len(forks) % 2 == 1:  # worker 0 of either search
+        if os.getpid() == parent:
+            # the parent's own share ends at once, as soon as every child
+            # forked so far holds a claim of its own
+            while children_seen[0] < len(forks):
+                ready, _, _ = select.select([started_r], [], [], 30)
+                assert ready, "a child did not start its search"
+                children_seen[0] += len(os.read(started_r, 1))
+            return
+        os.write(started_w, b"!")
+        if len(forks) % 2 == 1:  # child 1 of either search
             if how == "raises":
                 raise RuntimeError("worker fault")
             os.kill(os.getpid(), signal.SIGKILL)
-        # worker 1 is still searching when worker 0 fails, and must be
+        # child 2 is still searching when child 1 fails, and must be
         # killed; it gives up after a minute, so a missed kill cannot hang
         time.sleep(60)
-        raise RuntimeError("worker 1 was not killed")
+        raise RuntimeError("worker 2 was not killed")
 
     monkeypatch.setattr(engine._Executor, "dfs", dfs)
     failure = (
-        "search worker 0 of 2 exited with status 1"
+        "search worker 1 of 3 exited with status 1"
         if how == "raises"
-        else "search worker 0 of 2 was killed by SIGKILL"
+        else "search worker 1 of 3 was killed by SIGKILL"
     )
     src = tmp_path / "fan.vl"
-    src.write_text("func main() { var int k; k = choose_int(100); }\n")
+    src.write_text("func main() { var int k; k = choose_int(300); }\n")
     started = time.monotonic()
-    with pytest.raises(engine.WorkerFailed, match=f"^{failure}$"):
-        explore(load(src.read_text()), SearchConfig(workers=2))
-    assert cli.main(["verify", "--workers", "2", str(src)]) == 1
+    try:
+        with pytest.raises(engine.WorkerFailed, match=f"^{failure}$"):
+            explore(load(src.read_text()), SearchConfig(workers=3))
+        assert cli.main(["verify", "--workers", "3", str(src)]) == 1
+    finally:
+        os.close(started_r)
+        os.close(started_w)
     assert capsys.readouterr().err.endswith(f"vlsym: {failure}\n")
     assert time.monotonic() - started < 30
     assert len(forks) == 4
@@ -2033,7 +2113,7 @@ func main() {
   }
   var int a[K + 1];
   var int c;
-  c = choose_int(30);
+  c = choose_int(70);
   a[0] = c;
   var real p;
   p = weigh(V, c);
@@ -2052,7 +2132,7 @@ def test_only_the_first_engine_of_a_program_compiles_anything(compiles):
     assert compiled > 4
     again = explore(prog, SearchConfig())
     assert (again.stats, again.violations) == (first.stats, first.violations)
-    (v,) = [v for v in first.violations if v.trail[-1] == ChooseInt(7, 30)]
+    (v,) = [v for v in first.violations if v.trail[-1] == ChooseInt(7, 70)]
     out = run_path(prog, SearchConfig(), list(v.trail))
     assert out.state is None and [w.loc for w in out.violations] == [v.loc]
     out = run_path(prog, SearchConfig(), list(v.trail), reals={})
@@ -2091,8 +2171,8 @@ def test_searches_of_one_program_agree_with_searches_of_fresh_copies(forks, orde
         stats, incomplete, violations, paths = got
         # each search finds something or stops at the depth limit
         assert violations or incomplete
-    # the workers of both searches under workers=2 forked
-    assert len(forks) == 4
+    # both searches under workers=2 forked their one child
+    assert len(forks) == 2
 
 
 # --- the concrete translation ---
