@@ -24,10 +24,12 @@ forks, calls, returns or stops. Names are not resolved here: validation
 gave each parameter and local declaration a slot of its own, each name
 the slot it refers to and each call its callee, and translation writes
 that checked tree out. A frame is its function's code, its slots and the
-index of its next statement. Each block is translated two ways: in
-general, and for a path whose ints are all Python ints, with no test for
-a symbolic one; a path's frames move to the second once no int input is
-symbolic.
+index of its next statement; it has ended when that index is at the end
+of its code, where a block that ends its function leaves it, and the loop
+that runs a path's blocks is the one place that pops it. Each block is
+translated two ways: in general, and for a path whose ints are all Python
+ints, with no test for a symbolic one; a path's frames move to the second
+once no int input is symbolic.
 States are mutated in place along straight-line code and cloned only
 where paths fork, and a clone shares the values its cells hold; the
 engine keeps each real sum, difference and product under its operand
@@ -318,8 +320,9 @@ class Frame:
     """One call of a function: the code it runs (fn.code or fn.concrete),
     which holds the block of each of its statements, the _Function fn, the
     slots' values, ret_slot, the slot of the caller's frame that receives
-    the result, and pc, the index in code of the statement that runs next
-    (len(code) once the function has ended)."""
+    the result, and pc, the index in code of the statement that runs next.
+    The call has ended exactly when pc is len(code); _Executor._run then
+    pops the frame, or ends the path at main's end."""
 
     __slots__ = ("code", "fn", "slots", "ret_slot", "pc")
 
@@ -328,12 +331,16 @@ class Frame:
 
 
 class ExecState:
-    """One path's state. printed holds each print's evaluated arguments, as
-    a tuple of literal strings, values and snapshots (tuples) of printed
-    arrays' cells; prints renders them, so a search that never reads its
-    output never renders it. done is set once main has ended."""
+    """One path's state. frames holds the frames of the calls that have
+    not ended, main's first; a path that has run to its end keeps main's.
+    heap maps each array's address to its storage, and an address is the
+    number of arrays allocated before it, since no entry is ever removed.
+    printed holds each print's evaluated arguments, as a tuple of literal
+    strings, values and snapshots (tuples) of printed arrays' cells; prints
+    renders them, so a search that never reads its output never renders
+    it."""
 
-    __slots__ = ("frames", "heap", "next_addr", "globals", "pc", "trail", "printed", "done")
+    __slots__ = ("frames", "heap", "globals", "pc", "trail", "printed")
 
     @property
     def prints(self) -> list[str]:
@@ -347,7 +354,6 @@ class ExecState:
             # the first clone, and _pin rewrites int storages only), so
             # every path shares them
             {addr: s if s.read_only else s.clone() for addr, s in self.heap.items()},
-            self.next_addr,
             self.globals,
             self.pc,
             list(self.trail),
@@ -356,8 +362,7 @@ class ExecState:
         return st
 
     def alloc(self, storage: ArrayStorage) -> ArrayRef:
-        addr = self.next_addr
-        self.next_addr += 1
+        addr = len(self.heap)
         self.heap[addr] = storage
         return ArrayRef(addr)
 
@@ -375,7 +380,7 @@ class ExecState:
 ast.init_from_slots(ArrayRef)
 ast.init_from_slots(ArrayStorage, (False, ""))
 ast.init_from_slots(Frame, (None, 0))
-ast.init_from_slots(ExecState, (False,))
+ast.init_from_slots(ExecState)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +530,7 @@ class Engine:
                 raise EngineInitError(f"-input{name} does not name an int input")
         main = self.program.func("main").translation
         frame = Frame(main.code, main, [None] * len(main.names))
-        state = ExecState([frame], {}, 0, {}, PathCondition(), [], [])
+        state = ExecState([frame], {}, {}, PathCondition(), [], [])
         self.inputs_desc = desc = []
         ordinal = 0
         for decl in self.program.inputs:
@@ -552,7 +557,6 @@ class Engine:
             storage = ArrayStorage(cells, SymKind.REAL, read_only=True, label=name)
             state.globals[name] = state.alloc(storage)
             desc.append(f"{name} : real[{n}], symbolic")
-        _normalize(state)
         self.settle(state)
         return state
 
@@ -612,11 +616,11 @@ class Engine:
 # loop's back edge goes round the Python loop that holds it, testing only
 # that loop's segments again, a loop's exit breaks out of it, and a jump
 # forward goes on past the segments before its target. It leaves with the
-# pc on any other target, and where the function ends it pops the frames
-# that have ended. It also leaves where a path may fork or end, through
-# the executor's methods, and on an error or a limit, through _stopped
-# with the pc on the statement that raised (k), so that each pinned copy
-# runs it again. The block holds the frame's slots in locals and writes
+# pc on any other target, the function's end included, where a return
+# leaves too; it never pops a frame. It also leaves where a path may fork
+# or end, through the executor's methods, and on an error or a limit,
+# through _stopped with the pc on the statement that raised (k), so that
+# each pinned copy runs it again. The block holds the frame's slots in locals and writes
 # the ones it writes back to the frame before it leaves. A pass through
 # the block runs the statements from its entry to where it leaves; each
 # counts one state, added up in n as it jumps and as it leaves.
@@ -751,18 +755,6 @@ def _bad_extent(n: int, name: str, extent_loc: Loc):
     if n < 0:
         raise Violating(Property.OUT_OF_BOUNDS, extent_loc, f"negative extent {n} for '{name}'")
     raise ArrayTooLarge(f"extent {n} of array '{name}' exceeds the cap of {MAX_ARRAY_CELLS} cells")
-
-
-def _return(state: ExecState, v) -> None:
-    frames = state.frames
-    if len(frames) == 1:
-        state.done = True
-        return
-    ret_slot = frames.pop().ret_slot
-    if ret_slot is not None:
-        frames[-1].slots[ret_slot] = v
-    # a call that was its caller's last statement ends the caller too
-    _normalize(state)
 
 
 def _else_stmts(s: ast.If):
@@ -1060,8 +1052,8 @@ class _Writer:
         """The code that goes on at target, where n counts the statements
         before it, from the code of statement at within the Python loops
         held: round the innermost of them, on past the segments before
-        target, or out of the block, popping the frames that have ended
-        at the function's end."""
+        target, or out of the block with the frame's pc on target, which
+        is len(fn.flat) at the function's end."""
         if self.start <= target < self.stop:
             if held and target == held[-1][0]:
                 return f"e = {target}; continue"
@@ -1069,8 +1061,7 @@ class _Writer:
                 return f"e = {target}"
             if target == at:
                 return ""
-        ends = "_normalize(state); " if target == len(self.fn.flat) else ""
-        return f"{self.put_back}frame.pc = {target}; {ends}ex.stats.states += n + {target}; return None"
+        return f"{self.put_back}frame.pc = {target}; ex.stats.states += n + {target}; return None"
 
     def leave(self, q: int, call: str) -> str:
         """The code by which statement q leaves the block with call's result."""
@@ -1113,13 +1104,15 @@ class _Writer:
             ret_slot = node.target.slot if node.target is not None else None
             self.put(f"frame.pc = {s.next}; {self.put_back}")
             self.put(f"state.frames.append(Frame({code}, {callee}, [{', '.join(args)}], {ret_slot}))")
-            if not f.flat:
-                self.put("_normalize(state)")
             self.put(f"ex.stats.states += n + {q + 1}; return None")
             return
         elif isinstance(node, ast.Return):
-            v = self.value(node.value) if node.value is not None else "None"
-            self.put(f"{self.put_back}_return(state, {v}); ex.stats.states += n + {q + 1}; return None")
+            if node.value is not None:
+                # main is void, so a function with a value has a caller
+                v = self.value(node.value)
+                into = "state.frames[-2].slots[frame.ret_slot]"
+                self.put(f"if frame.ret_slot is not None: {into} = {v}")
+            self.put(self.jump(q, len(self.fn.flat)))
             return
         elif isinstance(node, (ast.If, ast.While)):
             # each side ends in its own jump, since one that goes on past
@@ -1424,7 +1417,6 @@ class _Executor:
         self.stats = Stats()
         self.violations: list[Violation] = []
         self.incomplete = False
-        self.max_depth = engine.config.max_depth
         # pc_sat's answer for each path condition's atoms
         self.answers: dict[tuple[Atom, ...], SatResult] = {}
         # the options of each choose_int fanout met so far
@@ -1546,15 +1538,17 @@ class _Executor:
         witness=None,
         detail=None,
     ) -> None:
-        """The one place a finding becomes a Violation, with state's trail."""
+        """The one place a finding becomes a Violation, with state's trail.
+        A MAYBE finding ends its path undecided, so the search is
+        incomplete: the code after it was not checked."""
+        if certainty is Certainty.MAYBE:
+            self.incomplete = True
         self.violations.append(
             Violation(prop, certainty, loc, message, tuple(state.trail), witness, detail)
         )
 
     def cut_short(self, state: ExecState, loc: Loc, message: str) -> None:
-        """A limit ends the path of state: a MAYBE finding, and the search
-        is incomplete."""
-        self.incomplete = True
+        """A limit ends the path of state: a MAYBE finding."""
         self._record(state, Property.ENUM_BUDGET, Certainty.MAYBE, loc, message)
 
     # --- statements ---
@@ -1683,31 +1677,37 @@ class _Executor:
 
     def _run(self, st: ExecState) -> "tuple[ExecState, list[ExecState] | None]":
         """Run st's blocks one after another until its path forks, stops or
-        ends. Returns the state that ran last with the fork's successors, with []
+        ends. A frame has ended when its pc is at the end of its code, and
+        this is the one place that pops it, before the depth limit is
+        tested; the end of main's frame, which stays, ends the path.
+        Returns the state that ran last with the fork's successors, with []
         when the path stopped, or with None when it ran to its end, which
         counts as a terminal. With --first, a finding stops the path at the
         statement that made it."""
         first_only = self.eng.config.first_only
-        max_depth = self.max_depth
-        while not st.done:
+        max_depth = self.eng.config.max_depth
+        while True:
+            frames = st.frames
+            frame = frames[-1]
+            if frame.pc == len(frame.code):
+                if len(frames) == 1:
+                    self.stats.terminals += 1
+                    return st, None
+                frames.pop()
+                continue
             if max_depth and len(st.trail) >= max_depth:
                 # the statement where the path stops counts one state
                 self.stats.states += 1
                 self.incomplete = True
                 return st, []
-            frame = st.frames[-1]
             succs = frame.code[frame.pc](self, st, frame)
             if first_only and self.violations:
                 return st, []
             if succs is None:
                 continue
-            for s in succs:
-                _normalize(s)
             if len(succs) != 1:
                 return st, succs
             st = succs[0]
-        self.stats.terminals += 1
-        return st, None
 
     def dfs(self, root: ExecState, on_terminal=None) -> None:
         first_only = self.eng.config.first_only
@@ -1851,17 +1851,6 @@ def _worker(ex: _Executor, frontier, claims: int, size: int, wfd: int, pipes) ->
         os.write(2, traceback.format_exc().encode())
     finally:
         os._exit(code)
-
-
-def _normalize(state: ExecState) -> None:
-    """Pop the frames of void functions that fell off their end; mark the
-    state done at main's end."""
-    frames = state.frames
-    while frames[-1].pc == len(frames[-1].code):
-        if len(frames) == 1:
-            state.done = True
-            return
-        frames.pop()
 
 
 def _assert_detail(state: ExecState, shown, res: SatResult) -> "list[tuple[str, str]] | None":

@@ -6,10 +6,15 @@ atoms are settled by exact enumeration over the finite box that the
 condition's univariate linear bounds imply. Real atoms are only sampled:
 the point where every symbol is 1, then SAMPLE_TRIALS - 1 seeded random
 rationals. Answers are conservative: SAT always carries a checked
-witness; UNSAT is reported only for a condition that holds a false
-constant, or an atom together with its negation, or whose integer atoms
-enumeration rules out, never because sampling missed a real atom; and a
-real question that no sample satisfies is UNKNOWN.
+witness, and a real question that no sample satisfies is UNKNOWN. UNSAT
+is reported only for a condition that holds
+
+- a false constant, or an atom together with its negation;
+- an atom that the signs of its terms rule out at every point (see
+  _signs_refute): `V*V < 0`, or `V*V + 1 <= 0`, or `-V*V - 1 == 0`;
+- integer atoms that enumeration rules out,
+
+never because sampling missed a real atom.
 
 A sample point follows the rule of Poly coefficients: a value is a Python
 int when it is integral and a Fraction only when it is not. The first
@@ -212,10 +217,34 @@ class EnumerationBudgetExceeded(SearchLimit):
         self.budget = budget
 
 
+def _signs_refute(atom: Atom) -> bool:
+    """Whether atom `p rel 0` holds at no point because of the signs of its
+    terms. When every monomial of p is a product of even powers and every
+    coefficient has one sign s, s*p >= 0 everywhere, and s*p > 0 everywhere
+    when p has a constant term. That rules out `<` when s > 0, `<=` when
+    s > 0 and p has a constant term, and `==` when p has a constant term,
+    for int and real symbols alike; it never rules out `!=`."""
+    if atom.rel is Rel.NE:
+        return False
+    signs = set()
+    for m, c in atom.poly.terms.items():
+        # a monomial is sorted by ord, so each of its symbols occurs an
+        # even number of times exactly when its pairs match
+        if m[::2] != m[1::2]:
+            return False
+        signs.add(c > 0)
+    if len(signs) != 1:
+        return False
+    constant = () in atom.poly.terms
+    if atom.rel is Rel.EQ:
+        return constant
+    return signs == {True} and (atom.rel is Rel.LT or constant)
+
+
 def pc_sat(pc: PathCondition, budget: int = DEFAULT_BUDGET, seed: int = 0) -> SatResult:
     """Decide satisfiability; a fresh RNG per call keeps results stable
     no matter in which order the paths make their calls."""
-    if pc.unsat:
+    if pc.unsat or any(_signs_refute(a) for a in pc.atoms):
         return SatResult(SatStatus.UNSAT)
 
     int_atoms = [a for a in pc.atoms if a.kind is SymKind.INT]

@@ -31,7 +31,6 @@ DEFAULTS = {
     engine.Stats: {"states": 0, "terminals": 0, "pruned": 0, "solver_calls": 0},
     engine.ArrayStorage: {"read_only": False, "label": ""},
     engine.Frame: {"ret_slot": None, "pc": 0},
-    engine.ExecState: {"done": False},
     engine.TrailPolicy: {"pos": 0},
     engine.SearchConfig: {
         "budget": engine.DEFAULT_BUDGET,

@@ -6,7 +6,7 @@ symbolic int), with the counters, trails, prints and verdicts pinned."""
 import pytest
 
 from vlsym.ast import Program
-from vlsym.engine import SearchConfig, explore, render_trail, run_path
+from vlsym.engine import ArrayRef, SearchConfig, _render_print_arg, explore, render_trail, run_path
 from vlsym.parser import load_program
 
 
@@ -332,3 +332,234 @@ def test_deeply_nested_loops_and_conditions_keep_their_counts(
     r, terminals = search(prog, overrides={"N": 1})
     assert (counts(r), outcomes(terminals)) == concrete
     assert not r.violations
+
+
+# Programs whose frames end in each way a function can end: a call to a
+# function with no statements, in the middle of main and as its last
+# statement; a chain of calls, each its caller's last statement, whose
+# innermost ends on an if without an else; a void callee whose last
+# statement is a symbolic if without an else, so that its else side goes
+# on at the callee's end; main returning before its end; a function with
+# a value called with and without a target; and a loop whose body holds a
+# choose_int and a call, so that it goes round through a frame's end.
+FRAME_ENDS = {
+    "empty-callee": """
+input int N;
+func nop() {
+}
+func main() {
+  assume(0 <= N && N <= 2);
+  var int s = 0;
+  if (N == 1) {
+    nop();
+  }
+  s = s + 1;
+  nop();
+  if (N == 2) {
+    s = s + 2;
+  }
+  print(s);
+  nop();
+}
+""",
+    "chain": """
+input int N;
+func c(int[] out) {
+  print("c ", out);
+  if (out[0] < N) {
+    out[0] = out[0] + 1;
+  }
+}
+func b(int[] out) {
+  out[0] = out[0] + 10;
+  c(out);
+}
+func a(int[] out) {
+  b(out);
+}
+func main() {
+  assume(0 <= N && N <= 20);
+  var int out[1];
+  out[0] = 5;
+  a(out);
+}
+""",
+    "void-if-end": """
+input real V[2];
+func clamp(real[] x) {
+  var int k = 0;
+  if (x[0] < V[1]) {
+    k = 1;
+    x[0] = V[1];
+    print("raised");
+  }
+}
+func main() {
+  var real y[1];
+  y[0] = V[0];
+  clamp(y);
+  print("after ", y);
+  y[0] = y[0] - 1.0;
+  clamp(y);
+}
+""",
+    "main-returns": """
+input int N;
+func main() {
+  assume(0 <= N && N <= 3);
+  var int s = 0;
+  while (s < 4) {
+    s = s + 1;
+    if (s == N) {
+      print("early ", s);
+      return;
+    }
+  }
+  print("end ", s);
+}
+""",
+    "value-callee": """
+input int N;
+func sq(int x) -> int {
+  if (x < N) {
+    return x * x;
+  }
+  return x;
+}
+func main() {
+  assume(0 <= N && N <= 4);
+  var int s = 0;
+  s = sq(2);
+  sq(s);
+  var int t;
+  t = sq(s + 1);
+  print(s, " ", t);
+}
+""",
+    "loop-choose-call": """
+func add(int[] a, int v) {
+  a[0] = a[0] * 2 + v;
+}
+func main() {
+  var int a[1];
+  a[0] = 0;
+  var int i = 0;
+  while (i < 3) {
+    var int c;
+    c = choose_int(2);
+    add(a, c);
+    i = i + 1;
+  }
+  print(a);
+}
+""",
+}
+
+# by program and --max-depth (0 for none): the counts, whether the search
+# is incomplete, and each terminal's trail, prints and main's slots as
+# they were at its end. The else side of a test that ends a function goes
+# on to its caller's end before the depth limit is tested again.
+EMPTY_CALLEE = [
+    ("B e\nB e\n", ["1"], ["1"]),
+    ("B e\nB t\n", ["3"], ["3"]),
+    ("B t\nB e\n", ["1"], ["1"]),
+]
+CHAIN = [("B e\n", ["c [ 15 ]"], ["[ 15 ]"]), ("B t\n", ["c [ 15 ]"], ["[ 16 ]"])]
+VOID_IF_END = [
+    ("B e\nB e\n", ["after [ X_V[0] ]"], ["[ X_V[0] - 1 ]"]),
+    ("B e\nB t\n", ["after [ X_V[0] ]", "raised"], ["[ X_V[1] ]"]),
+    ("B t\n", ["raised", "after [ X_V[1] ]", "raised"], ["[ X_V[1] ]"]),
+]
+MAIN_RETURNS = [
+    ("B e\nB e\nB e\nB e\n", ["end 4"], ["4"]),
+    ("B e\nB e\nB t\n", ["early 3"], ["3"]),
+    ("B e\nB t\n", ["early 2"], ["2"]),
+    ("B t\n", ["early 1"], ["1"]),
+]
+FRAME_END_OUTCOMES = {
+    "empty-callee": {
+        0: ((17, 3, 1, 7), False, EMPTY_CALLEE),
+        1: ((5, 0, 0, 3), True, []),
+        2: ((13, 0, 1, 7), True, []),
+        3: ((17, 3, 1, 7), False, EMPTY_CALLEE),
+    },
+    "chain": {
+        0: ((10, 2, 0, 3), False, CHAIN),
+        1: ((10, 1, 0, 3), True, CHAIN[:1]),
+        2: ((10, 2, 0, 3), False, CHAIN),
+        3: ((10, 2, 0, 3), False, CHAIN),
+    },
+    "void-if-end": {
+        0: ((24, 3, 0, 4), False, VOID_IF_END),
+        1: ((7, 0, 0, 2), True, []),
+        2: ((22, 2, 0, 4), True, [VOID_IF_END[0], VOID_IF_END[2]]),
+        3: ((24, 3, 0, 4), False, VOID_IF_END),
+    },
+    "main-returns": {
+        0: ((22, 4, 1, 9), False, MAIN_RETURNS),
+        1: ((7, 0, 0, 3), True, []),
+        2: ((12, 1, 0, 5), True, MAIN_RETURNS[3:]),
+        3: ((17, 2, 0, 7), True, MAIN_RETURNS[2:]),
+    },
+    "value-callee": {
+        0: (
+            (22, 2, 4, 11),
+            False,
+            [("B e\nB e\nB e\n", ["2 3"], ["2", "3"]), ("B t\nB e\nB e\n", ["4 5"], ["4", "5"])],
+        ),
+        1: ((6, 0, 0, 3), True, []),
+        2: ((12, 0, 2, 7), True, []),
+        3: ((20, 0, 4, 11), True, []),
+    },
+    "loop-choose-call": {
+        # a[0] holds the three choices read as binary digits
+        0: (
+            (82, 8, 0, 0),
+            False,
+            [
+                (
+                    f"C {i >> 2}/2\nC {i >> 1 & 1}/2\nC {i & 1}/2\n",
+                    [f"[ {i} ]"],
+                    [f"[ {i} ]", "3", str(i & 1)],
+                )
+                for i in range(8)
+            ],
+        ),
+        1: ((8, 0, 0, 0), True, []),
+        2: ((22, 0, 0, 0), True, []),
+        3: ((50, 0, 0, 0), True, []),
+    },
+}
+
+
+def main_slots(st) -> list:
+    """The values of main's slots in a terminal state, as print shows
+    them, with an array's cells for the array."""
+    frame = st.frames[0]
+    assert frame.fn.name == "main"
+    shown = []
+    for v in frame.slots:
+        if isinstance(v, ArrayRef):
+            v = tuple(st.heap[v.addr].cells)
+        shown.append(None if v is None else _render_print_arg(v))
+    return shown
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", list(FRAME_ENDS))
+def test_every_way_a_frame_ends_keeps_the_search(name, depth):
+    prog = load(FRAME_ENDS[name])
+    r, terminals = search(prog, max_depth=depth)
+    paths = sorted((steps(st.trail), st.prints, main_slots(st)) for st in terminals)
+    assert (counts(r), r.incomplete, paths) == FRAME_END_OUTCOMES[name][depth]
+    assert not r.violations
+    replays_agree(prog, r, terminals, max_depth=depth)
+
+
+@pytest.mark.parametrize("name", list(FRAME_ENDS))
+def test_every_way_a_frame_ends_keeps_the_search_over_two_processes(name):
+    # each program ends before the frontier fills, so the breadth-first
+    # phase of the forked search runs every path
+    r = explore(load(FRAME_ENDS[name]), SearchConfig(workers=2))
+    expected_counts, incomplete, paths = FRAME_END_OUTCOMES[name][0]
+    assert (counts(r), r.incomplete, r.violations) == (expected_counts, incomplete, [])

@@ -304,3 +304,56 @@ def test_an_atom_hashed_here_is_found_in_a_process_with_another_hash_seed(tmp_pa
             check=True,
         )
         assert proc.stdout.split() == ["0", "1", "2"]
+
+
+def real_poly(terms) -> Poly:
+    """The real poly of {(power of X0, power of X1): coefficient}."""
+    p = Poly()
+    for (i, j), c in terms.items():
+        m = Poly.const(c)
+        for sym, power in ((X0, i), (X1, j)):
+            for _ in range(power):
+                m = m * Poly.symbol(sym)
+        p = p + m
+    return p
+
+
+@pytest.mark.parametrize(
+    "rel, terms, refuted",
+    [
+        (Rel.LT, {(2, 0): 1}, True),  # V0^2 < 0
+        (Rel.LE, {(2, 0): 1, (0, 4): 3, (0, 0): 1}, True),  # V0^2 + 3 V1^4 + 1 <= 0
+        (Rel.EQ, {(2, 0): -1, (0, 0): -1}, True),  # -V0^2 - 1 == 0
+        (Rel.LE, {(2, 0): 1}, False),  # V0^2 <= 0 holds at 0
+        (Rel.LT, {(2, 0): 1, (0, 0): -1}, False),  # V0^2 - 1 < 0: the signs differ
+        (Rel.LT, {(1, 1): 1}, False),  # V0 V1 < 0: odd powers
+        (Rel.LT, {(3, 0): 1}, False),  # V0^3 < 0
+        (Rel.NE, {(2, 0): 1}, False),  # V0^2 != 0 is never ruled out
+    ],
+)
+def test_the_signs_of_the_terms_refute_an_atom(rel, terms, refuted):
+    pc = pc_of([Atom(SymKind.REAL, rel, real_poly(terms))])
+    assert not pc.unsat  # ruled out by pc_sat, not when it was added
+    status = pc_sat(pc).status
+    assert (status is SatStatus.UNSAT) is refuted
+
+
+def test_an_atom_the_signs_refute_holds_at_no_point():
+    # sums of even powers of X0 and X1 whose coefficients share a sign
+    rng = Random(20261020)
+    seen = set()
+    for _ in range(300):
+        sign = rng.choice([1, -1])
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            powers = (2 * rng.randint(0, 2), 2 * rng.randint(0, 2))
+            terms[powers] = sign * Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        a = Atom(SymKind.REAL, rng.choice([Rel.LT, Rel.LE, Rel.EQ]), real_poly(terms))
+        if a.poly.is_const() or pc_sat(pc_of([a])).status is not SatStatus.UNSAT:
+            continue
+        seen.add((a.rel, sign))
+        for _ in range(64):
+            point = {s: Fraction(rng.randint(-99, 99), rng.randint(1, 16)) for s in (X0, X1)}
+            assert not a.holds(point)
+    # each case that the rule refutes occurs
+    assert seen == {(Rel.LT, 1), (Rel.LE, 1), (Rel.EQ, 1), (Rel.EQ, -1)}

@@ -19,6 +19,9 @@ ALL_PLUS = [
     " + Reads of undefined values",
     " + Writes to input variables",
 ]
+# the rows of a search that was cut short, and its note
+UNMARKED = ["   " + row[3:] for row in ALL_PLUS]
+CUT_SHORT = "note: the search was cut short; unmarked categories were not fully checked."
 
 
 def load(src: str) -> Program:
@@ -133,19 +136,75 @@ def test_a_limit_on_the_first_part_of_a_condition_cuts_the_path_at_the_test():
         ("ENUM_BUDGET", "MAYBE", "<input>:5:3-21", "no finite bounds for 'N'", 0)
     ]
     assert r.incomplete and terminals == []
-    assert rows(report) == ["   " + row[3:] for row in ALL_PLUS]
+    assert rows(report) == UNMARKED
 
 
 def test_an_assertion_the_sampler_cannot_decide_is_a_maybe():
+    # it fails only at V[0] = +-sqrt(2), which no rational sample reaches;
+    # the MAYBE ends the path undecided, so no other row is claimed
     r, terminals, report = search(
-        "input real V[1];\nfunc main() {\n  assert(0.0 <= V[0] * V[0]);\n}\n"
+        "input real V[1];\nfunc main() {\n  assert(V[0] * V[0] != 2.0);\n}\n"
     )
     assert r.stats == Stats(1, 0, 0, 1)
     assert findings(r) == [
         ("ASSERTION_VIOLATION", "MAYBE", "<input>:3:3-29", "asserted condition cannot be proved", 0)
     ]
+    assert terminals == [] and r.incomplete
+    assert rows(report) == [" - Assertion violations", *UNMARKED[1:]]
+    assert CUT_SHORT in report
+
+
+def test_a_square_that_is_never_negative_proves_the_assertion():
+    r, terminals, report = search(
+        "input real V[2];\nfunc main() {\n  assert(0.0 <= V[0] * V[0]);\n}\n"
+    )
+    assert r.stats == Stats(1, 1, 0, 1)
+    assert findings(r) == [] and not r.incomplete
+    assert [st.prints for st in terminals] == [[]]
+    assert rows(report) == ALL_PLUS
+
+
+def test_a_proved_square_no_longer_hides_the_write_after_it():
+    r, terminals, report = search(
+        "input real V[2];\n"
+        "func main() {\n"
+        "  var int a[1];\n"
+        "  assert(0.0 <= V[0] * V[0]);\n"
+        "  a[1] = 0;\n"
+        "}\n"
+    )
+    assert r.stats == Stats(3, 0, 0, 2)
+    assert findings(r) == [
+        ("OUT_OF_BOUNDS", "PROVEABLE", "<input>:5:3-6", "index 1 outside 'a' of length 1", 0)
+    ]
     assert terminals == [] and not r.incomplete
-    assert rows(report) == [" - Assertion violations", *ALL_PLUS[1:]]
+    assert rows(report) == [ALL_PLUS[0], " - Out of bounds accesses", *ALL_PLUS[2:]]
+
+
+def test_a_maybe_division_leaves_the_rows_of_the_code_after_it_unmarked():
+    # the write is out of bounds wherever V[0] != 0, but the path ends at
+    # the division, so the table claims nothing for it
+    r, terminals, report = search(
+        "input real V[2];\n"
+        "func main() {\n"
+        "  var int a[1];\n"
+        "  var real x = 1.0 / V[0];\n"
+        "  a[1] = 0;\n"
+        "}\n"
+    )
+    assert r.stats == Stats(2, 0, 0, 1)
+    assert findings(r) == [
+        (
+            "DIVISION_BY_ZERO",
+            "MAYBE",
+            "<input>:4:16-25",
+            "cannot show the divisor X_V[0] is never zero",
+            0,
+        )
+    ]
+    assert terminals == [] and r.incomplete
+    assert rows(report) == [*UNMARKED[:2], " - Division by zero", *UNMARKED[3:]]
+    assert CUT_SHORT in report
 
 
 def test_an_assumed_disjunction_keeps_each_side_that_holds():
