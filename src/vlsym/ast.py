@@ -471,7 +471,8 @@ class _Checker:
         ret = self.current.ret
         if s.value is None:
             if ret is not Type.VOID:
-                self.err(f"'{self.current.name}' must return a {ret.value}", s.loc)
+                article = "an" if ret.value[0] in "aeiou" else "a"
+                self.err(f"'{self.current.name}' must return {article} {ret.value}", s.loc)
             return
         vty = self.expr(s.value, scope)
         if ret is Type.VOID:

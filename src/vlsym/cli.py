@@ -100,10 +100,6 @@ def _load(paths: list[str]) -> tuple[ast.Program, dict[str, str]]:
     return result, dict(files)
 
 
-def _read_trail(path: str) -> list[engine.Decision]:
-    return engine.parse_trail(_read(path))
-
-
 def _emit_trails(directory: str, violations) -> None:
     """Write each violation's trail into directory, which is made if it is
     not there, in place of the trails an earlier run left there; with no
@@ -156,24 +152,15 @@ def cmd_verify(args, overrides) -> int:
     return 2 if result.violations else 0
 
 
-def cmd_replay(args, overrides) -> int:
+def cmd_path(args, overrides) -> int:
+    """replay and run: one path, following --trail when it is given. replay
+    passes no reals, so every real input cell stays symbolic; run draws
+    them at random."""
     cfg = _config(args, overrides)
     program, sources = _load(args.files)
-    trail = _read_trail(args.trail)
-    # no reals: the path runs with every real input cell symbolic
-    outcome = engine.run_path(program, cfg, trail=trail, reals={})
-    return _report_path(outcome, sources)
-
-
-def cmd_run(args, overrides) -> int:
-    cfg = _config(args, overrides)
-    program, sources = _load(args.files)
-    trail = _read_trail(args.trail) if args.trail else None
-    outcome = engine.run_path(program, cfg, trail=trail)
-    return _report_path(outcome, sources)
-
-
-def _report_path(outcome, sources) -> int:
+    trail = engine.parse_trail(_read(args.trail)) if args.trail else None
+    reals = {} if args.command == "replay" else None
+    outcome = engine.run_path(program, cfg, trail=trail, reals=reals)
     for line in outcome.prints:
         print(line)
     if outcome.violations:
@@ -196,7 +183,7 @@ def main(argv: list[str]) -> int:
 
             print(corpus_dir())
             return 0
-        handler = {"verify": cmd_verify, "replay": cmd_replay, "run": cmd_run}[args.command]
+        handler = cmd_verify if args.command == "verify" else cmd_path
         return handler(args, overrides)
     except UsageError as exc:
         print(f"vlsym: {exc}", file=sys.stderr)

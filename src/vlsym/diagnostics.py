@@ -23,3 +23,11 @@ class Diagnostic(NamedTuple):
 
     def render(self) -> str:
         return f"{self.loc.render()}: error: {self.message}"
+
+
+class ParseError(Exception):
+    """A lexical or syntax error, the first one met in a source."""
+
+    def __init__(self, diagnostic: Diagnostic):
+        super().__init__(diagnostic.render())
+        self.diagnostic = diagnostic

@@ -44,9 +44,11 @@ frontier in N processes: itself and N - 1 forked children, which inherit
 the blocks translated so far and the live states. Before it forks, it
 writes the frontier's claims, contiguous ranges of frontier indexes, into
 one pipe; each process takes the next claim whenever it has searched its
-last, depth first, until none is left. A child sends back only its counts
-and its findings tagged by frontier index, which the parent adds to its
-own and sorts by trail as the serial search does.
+last, depth first, until none is left. A child sends back only its
+counts, its findings and whether its search was incomplete. The parent
+adds the counts, appends the findings to its own and sorts them all by
+trail once, as the serial search does: the findings of one search have
+distinct trails.
 """
 
 from __future__ import annotations
@@ -161,7 +163,8 @@ class ConcretizeInt(_Decision):
 
 
 Decision = ChooseInt | Branch | ConcretizeInt
-_THEN, _ELSE = Branch(True), Branch(False)
+# the two sides of a symbolic branch, then first
+_SIDES = (Branch(True), Branch(False))
 
 
 def trail_key(trail) -> tuple:
@@ -1444,21 +1447,36 @@ class _Executor:
 
     # --- forks ---
 
-    def fork(self, state: ExecState, options: Sequence[Decision]) -> list[tuple[ExecState, int]]:
-        """Every decision point goes through here with its feasible options.
-        The policy picks which to take; each pick gets a working copy of
-        state (the original is reused as the last one) with the option on
-        its trail, paired with the option's index."""
-        if not options:
-            return []
+    def fork(
+        self, state: ExecState, options: Sequence[Decision], pcs=None
+    ) -> list[tuple[ExecState, int]]:
+        """Every decision point goes through here with its feasible options,
+        and with the path condition of each when the options narrow it. The
+        policy picks which to take; each pick gets a working copy of state
+        (the original is reused as the last one) with the option on its
+        trail and its path condition, paired with the option's index."""
         picks = self.policy.pick(options)
         last = len(picks) - 1
         out = []
         for j, i in enumerate(picks):
             st = state if j == last else state.clone()
             st.trail.append(options[i])
+            if pcs is not None:
+                st.pc = pcs[i]
             out.append((st, i))
         return out
+
+    def _feasible(self, pcs) -> list[tuple[int, PathCondition]]:
+        """The one pruning step: the index and condition of each candidate
+        path condition in pcs that the solver does not rule out, asked in
+        order; each one it rules out counts as a pruned branch."""
+        kept = []
+        for i, pc in enumerate(pcs):
+            if self.sat(pc).status is SatStatus.UNSAT:
+                self.stats.pruned += 1
+            else:
+                kept.append((i, pc))
+        return kept
 
     def branch_walk(self, state: ExecState, f, loc: Loc) -> list[tuple[ExecState, bool]]:
         """The successors of state under formula f, each with the truth of f
@@ -1466,19 +1484,10 @@ class _Executor:
         at loc, the statement's location; one met before any fork is the
         statement's."""
         if isinstance(f, Atom):
-            options, pcs = [], []
-            for side, atom in ((_THEN, f), (_ELSE, f.negated())):
-                pc2 = state.pc.add(atom)
-                if self.sat(pc2).status is SatStatus.UNSAT:
-                    self.stats.pruned += 1
-                    continue
-                options.append(side)
-                pcs.append(pc2)
-            out = []
-            for st, i in self.fork(state, options):
-                st.pc = pcs[i]
-                out.append((st, options[i].then_taken))
-            return out
+            kept = self._feasible((state.pc.add(f), state.pc.add(f.negated())))
+            options = [_SIDES[i] for i, _ in kept]
+            pcs = [pc for _, pc in kept]
+            return [(st, options[i].then_taken) for st, i in self.fork(state, options, pcs)]
         # a conjunction or a disjunction, part by part: one truth of a part
         # settles it, the other leaves the parts after it to decide. Each
         # entry of todo is a copy, its truth so far and the next part to
@@ -1507,21 +1516,14 @@ class _Executor:
             raise UnboundedSymbol(sym)
         if hi - lo + 1 > self.eng.config.budget:
             raise EnumerationBudgetExceeded(hi - lo + 1, self.eng.config.budget)
-        values, pcs = [], []
-        for v in range(lo, hi + 1):
-            pin = Atom(SymKind.INT, Rel.EQ, Poly.symbol(sym) - Poly.const(v))
-            pc2 = state.pc.add(pin)
-            if self.sat(pc2).status is SatStatus.UNSAT:
-                self.stats.pruned += 1
-                continue
-            values.append(v)
-            pcs.append(pc2)
-        name, fanout = sym.render(), len(values)
-        options = [ConcretizeInt(name, v, fanout) for v in values]
+        s = Poly.symbol(sym)
+        pins = (Atom(SymKind.INT, Rel.EQ, s - Poly.const(v)) for v in range(lo, hi + 1))
+        kept = self._feasible(state.pc.add(pin) for pin in pins)
+        name, fanout = sym.render(), len(kept)
+        options = [ConcretizeInt(name, lo + i, fanout) for i, _ in kept]
         out = []
-        for st, i in self.fork(state, options):
-            st.pc = pcs[i]
-            _pin(st, sym, values[i])
+        for st, i in self.fork(state, options, [pc for _, pc in kept]):
+            _pin(st, sym, options[i].value)
             self.eng.settle(st)
             out.append(st)
         return out
@@ -1582,20 +1584,18 @@ class _Executor:
     def _stopped(self, state: ExecState, loc: Loc, exc: Exception) -> list[ExecState]:
         """Successors of the statement at loc that raised exc: the pinned
         copies of state when a strict position needs a concrete int, else
-        none. A Violating is a finding at its own location where the path is
-        feasible. A limit that the statement raised or that pinning met cuts
-        the path short at loc, and one met while solving for a Violating at
-        the finding's location; only a copy that a fork of branch_walk made
-        is cut short elsewhere, by branch_walk."""
+        none. A Violating is a finding at its own location. A limit that the
+        statement raised or that pinning met cuts the path short at loc, and
+        one met while solving for a Violating at the finding's location; only
+        a copy that a fork of branch_walk made is cut short elsewhere, by
+        branch_walk."""
         try:
             if isinstance(exc, NeedsConcretize):
                 return self._concretize(state, exc.sym)
             if isinstance(exc, Violating):
                 loc = exc.loc
+                # a live state's condition was answered SAT or UNKNOWN, never UNSAT
                 res = self.sat(state.pc)
-                if res.status is SatStatus.UNSAT:
-                    self.stats.pruned += 1
-                    return []
                 if res.status is SatStatus.SAT and not exc.force_maybe:
                     certainty, witness = Certainty.PROVEABLE, res.witness
                 else:
@@ -1616,8 +1616,7 @@ class _Executor:
             pc = state.pc
             for p in conjuncts:
                 pc = pc.add(p)
-            if self.sat(pc).status is SatStatus.UNSAT:
-                self.stats.pruned += 1
+            if not self._feasible((pc,)):
                 return []
             state.pc = pc
             return [state]
@@ -1724,15 +1723,17 @@ class _Executor:
     def dfs_forked(self, root: ExecState) -> None:
         """dfs over config.workers processes, this one included: grow a
         frontier of live states breadth first, then search it in
-        _run_workers. The findings there follow those of the breadth-first
-        phase in frontier order, so that a stable sort by trail keeps the
-        serial order of ties."""
+        _run_workers, which appends every process's findings to
+        self.violations. explore's one sort by trail then orders them as
+        the serial search does. Each fork gives each copy a different
+        option, so findings on different paths have different trails, and
+        so different keys (trail_key). Two findings share a trail only if
+        one path made both with no decision between them: one process made
+        them, in that order and after every finding of the breadth-first
+        phase, and the sort is stable."""
         frontier = self._frontier(root)
-        if not frontier:
-            return
-        found = _run_workers(self, frontier, min(self.eng.config.workers, len(frontier)))
-        found.sort(key=lambda t: t[0])
-        self.violations.extend(v for _, v in found)
+        if frontier:
+            _run_workers(self, frontier, min(self.eng.config.workers, len(frontier)))
 
     def _frontier(self, root: ExecState) -> list[ExecState]:
         """Run the search breadth first from root, counting as dfs does,
@@ -1744,33 +1745,27 @@ class _Executor:
             queue.extend(succs or ())
         return list(queue)
 
-    def search_claims(self, frontier: list[ExecState], claims: int, size: int) -> list[tuple]:
-        """Search the frontier states of each claim read from the fd claims,
-        the size states from its first index on, until the pipe is empty;
-        the findings, each tagged with the index of the frontier state it
-        came from, and none left in self.violations."""
-        tagged = []
+    def search_claims(self, frontier: list[ExecState], claims: int, size: int) -> None:
+        """Search, depth first, the frontier states of each claim read from
+        the fd claims, the size states from its first index on, until the
+        pipe is empty."""
         while claim := os.read(claims, CLAIM_BYTES):
             first = int.from_bytes(claim, "little")
             for i in range(first, min(first + size, len(frontier))):
-                mark = len(self.violations)
                 self.dfs(frontier[i])
-                tagged.extend((i, v) for v in self.violations[mark:])
-                del self.violations[mark:]
-        return tagged
 
 
-def _run_workers(ex: _Executor, frontier: list[ExecState], workers: int) -> list[tuple]:
+def _run_workers(ex: _Executor, frontier: list[ExecState], workers: int) -> None:
     """Search the frontier in workers processes: this one and workers - 1
     forked children. Before the fork, this process writes every claim into
     one pipe in a single write and closes the pipe's write end; each process
     then reads the next claim whenever it has searched its last, until the
     pipe is empty, so a process that runs faster searches more. A claim
     holds as many states as keep that write within select.PIPE_BUF bytes,
-    so it cannot block however wide the frontier is. Returns the findings
-    of every process, each tagged with its frontier index, and adds the
-    children's counts and incomplete flags to ex's. A child that fails
-    raises WorkerFailed, and no child outlives this call."""
+    so it cannot block however wide the frontier is. This process adds its
+    own counts and findings to ex's as it searches, and then each child's
+    counts, findings and incomplete flag. A child that fails raises
+    WorkerFailed, and no child outlives this call."""
     # imported only when a search forks, so that they add nothing to the
     # start-up time of every other run
     import pickle
@@ -1799,7 +1794,7 @@ def _run_workers(ex: _Executor, frontier: list[ExecState], workers: int) -> list
                 _worker(ex, frontier, claims, size, wfd, pipes)
             os.close(wfd)
             pids[w] = pid
-        tagged = ex.search_claims(frontier, claims, size)
+        ex.search_claims(frontier, claims, size)
         for w, pipe in enumerate(pipes, 1):
             data = pipe.read()
             _, status = os.waitpid(pids[w], 0)
@@ -1813,8 +1808,7 @@ def _run_workers(ex: _Executor, frontier: list[ExecState], workers: int) -> list
             stats, found, incomplete = pickle.loads(data)
             ex.stats.add(stats)
             ex.incomplete |= incomplete
-            tagged.extend(found)
-        return tagged
+            ex.violations.extend(found)
     finally:
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
@@ -1826,10 +1820,10 @@ def _run_workers(ex: _Executor, frontier: list[ExecState], workers: int) -> list
 
 def _worker(ex: _Executor, frontier, claims: int, size: int, wfd: int, pipes) -> None:
     """The body of a forked child: search the claims it reads from the fd
-    claims with fresh counts and findings, send (stats, [(frontier index,
-    violation), ...], incomplete) down wfd and exit, without flushing the
-    stdio buffers or running the exit handlers inherited from the parent.
-    An interrupt is the parent's to handle; it kills its children."""
+    claims with fresh counts and findings, send (stats, violations,
+    incomplete) down wfd and exit, without flushing the stdio buffers or
+    running the exit handlers inherited from the parent. An interrupt is
+    the parent's to handle; it kills its children."""
     import pickle
     import signal
 
@@ -1839,9 +1833,9 @@ def _worker(ex: _Executor, frontier, claims: int, size: int, wfd: int, pipes) ->
         for pipe in pipes:
             pipe.close()
         ex.stats, ex.violations, ex.incomplete = Stats(), [], False
-        tagged = ex.search_claims(frontier, claims, size)
+        ex.search_claims(frontier, claims, size)
         with open(wfd, "wb") as out:
-            pickle.dump((ex.stats, tagged, ex.incomplete), out, pickle.HIGHEST_PROTOCOL)
+            pickle.dump((ex.stats, ex.violations, ex.incomplete), out, pickle.HIGHEST_PROTOCOL)
         code = 0
     except BaseException:
         # imported here, on the failure path only: it costs about 3 ms at

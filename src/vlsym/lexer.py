@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple
 
-from .diagnostics import Diagnostic, Loc
+from .diagnostics import Diagnostic, Loc, ParseError
 
 
 class TokKind(enum.Enum):
@@ -66,12 +66,6 @@ class Token(NamedTuple):
         return self.kind is TokKind.PUNCT and self.lexeme == p
 
 
-class LexError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(diagnostic.render())
-        self.diagnostic = diagnostic
-
-
 def decimal_to_fraction(lexeme: str) -> Fraction:
     whole, frac = lexeme.split(".")
     scale = 10 ** len(frac)
@@ -107,7 +101,7 @@ _ERRORS = {
 
 
 def tokenize(source: str, file: str = "<input>") -> list[Token]:
-    """Tokenize VL source. Raises LexError at the first lexical error."""
+    """Tokenize VL source. Raises ParseError at the first lexical error."""
     toks: list[Token] = []
     line = 1
     line_start = 0  # the offset at which the line starts
@@ -126,7 +120,7 @@ def tokenize(source: str, file: str = "<input>") -> list[Token]:
                 col += len(text)  # where a digit was expected
             message = _ERRORS.get(group) or f"unknown character {text!r}"
             end = col + 1 if group == "OPEN_COMMENT" else col
-            raise LexError(Diagnostic(message, Loc(file, line, col, end)))
+            raise ParseError(Diagnostic(message, Loc(file, line, col, end)))
         if kind is TokKind.IDENT and text in KEYWORDS:
             kind = TokKind.KEYWORD
         elif kind is TokKind.STR_LIT:

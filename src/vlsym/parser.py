@@ -8,20 +8,14 @@ stages only ever see the smaller statement and operator sets.
 from __future__ import annotations
 
 from . import ast
-from .diagnostics import Diagnostic, Loc
-from .lexer import LexError, TokKind, Token, decimal_to_fraction, tokenize
+from .diagnostics import Diagnostic, Loc, ParseError
+from .lexer import TokKind, Token, decimal_to_fraction, tokenize
 
 MAX_DEPTH = 200
 
 # > and >=, each with the comparison it is stored as, its operands swapped
 _FLIPPED = {">": "<", ">=": "<="}
 _COMPARISONS = (*ast.COMPARISONS, *_FLIPPED)  # every comparison the parser reads
-
-
-class ParseError(Exception):
-    def __init__(self, diagnostic: Diagnostic):
-        super().__init__(diagnostic.render())
-        self.diagnostic = diagnostic
 
 
 class _Parser:
@@ -492,7 +486,7 @@ def parse_files(files: list[tuple[str, str]]) -> ast.Program | list[Diagnostic]:
         try:
             parser = _Parser(tokenize(text, name), name)
             file_inputs, file_funcs = parser.program()
-        except (LexError, ParseError) as exc:
+        except ParseError as exc:
             return [exc.diagnostic]
         except RecursionError:
             # the stack ran out before MAX_DEPTH: the same error, where parsing stopped

@@ -207,14 +207,11 @@ class SearchLimit(Exception):
 class UnboundedSymbol(SearchLimit):
     def __init__(self, sym: SymConst):
         super().__init__(f"no finite bounds for '{sym.render()}'")
-        self.sym = sym
 
 
 class EnumerationBudgetExceeded(SearchLimit):
     def __init__(self, size: int, budget: int):
         super().__init__(f"{size} assignments exceed the budget of {budget}")
-        self.size = size
-        self.budget = budget
 
 
 def _signs_refute(atom: Atom) -> bool:

@@ -9,6 +9,14 @@ def diags_for(src):
     return [d.message for d in validate(parse_program(src))]
 
 
+def located(src):
+    """Each diagnostic of src as (line:col-end_col, message)."""
+    return [
+        (f"{d.loc.line}:{d.loc.col}-{d.loc.end_col}", d.message)
+        for d in validate(parse_program(src))
+    ]
+
+
 def test_valid_program_is_clean():
     src = """
 input int N_B = 3;
@@ -197,6 +205,19 @@ def test_call_arity_and_types():
     assert any("expects real, got int" in m for m in diags_for(src))
     src = "func f() {}\nfunc main() { var int x; x = f(); }"
     assert "'f' does not return a value" in diags_for(src)
+    src = "func f() -> int {\n  return 1;\n}\nfunc main() {\n  var real x;\n  x = f();\n}"
+    assert located(src) == [("6:3-10", "cannot assign int result to real")]
+
+
+def test_return_statements_match_their_function():
+    src = "func f() -> int {\n  return;\n}\nfunc main() {}"
+    assert located(src) == [("2:3-9", "'f' must return an int")]
+    src = "func f() -> real {\n  return;\n}\nfunc main() {}"
+    assert located(src) == [("2:3-9", "'f' must return a real")]
+    src = "func main() {\n  return 1;\n}"
+    assert located(src) == [("2:3-11", "'main' does not return a value")]
+    src = "func f() -> int {\n  return 1.0;\n}\nfunc main() {}"
+    assert located(src) == [("2:3-13", "return type mismatch: expected int, got real")]
 
 
 def test_equals_needs_matching_arrays():
@@ -252,6 +273,8 @@ func main() {
     assert "variable 'x' already declared in this scope" in msgs
     msgs = diags_for("input int N;\nfunc main() { var int N = 1; }")
     assert "'N' shadows an input or function" in msgs
+    src = "input int N;\nfunc f(int N) {}\nfunc main() {}"
+    assert located(src) == [("2:8-12", "parameter 'N' shadows an input or function")]
 
 
 def test_arrays_cannot_be_reassigned():
@@ -266,6 +289,15 @@ def test_condition_types():
     assert "assert expects a bool" in msgs
     msgs = diags_for("func main() { assume(2.0); }")
     assert "assume expects a bool" in msgs
+
+
+def test_operator_operand_types():
+    src = "func main() {\n  var int x = 1;\n  assert(!x);\n}"
+    assert located(src) == [("3:10-11", "'!' requires a bool operand")]
+    src = "func main() {\n  var int y = -(1 < 2);\n}"
+    assert located(src) == [("2:15-21", "unary '-' requires an int or real operand")]
+    src = "func main() {\n  assert(1 && 2 < 3);\n}"
+    assert located(src) == [("2:10-19", "'&&' requires bool operands")]
 
 
 def test_print_rejects_bool():

@@ -147,6 +147,16 @@ def test_run_follows_a_trail(capsys, tmp_path):
     assert "row_ptr: [ 0 1 2 ]" in captured.out
 
 
+def test_run_of_an_infeasible_path_exits_1(capsys, tmp_path):
+    src = tmp_path / "never.vl"
+    src.write_text('func main() {\n  assume(1 < 0);\n  print("never");\n}\n')
+    rc = cli.main(["run", str(src)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "the path was infeasible and was abandoned\n"
+
+
 def test_missing_file_and_bad_source_exit_1(capsys, tmp_path):
     assert cli.main(["verify", str(tmp_path / "nope.vl")]) == 1
     assert "cannot read" in capsys.readouterr().err

@@ -657,6 +657,29 @@ def test_equals_length_mismatch_is_false():
     assert not r.violations
 
 
+def test_equals_reading_an_undefined_cell_is_a_read_of_undefined():
+    r = search(
+        """
+        func main() {
+          var real a[2];
+          var real b[2];
+          a[0] = 1.0;
+          b[0] = 1.0;
+          b[1] = 2.0;
+          assert(equals(a, b));
+        }
+        """
+    )
+    assert r.stats == engine.Stats(states=6, terminals=0, pruned=0, solver_calls=1)
+    assert not r.incomplete
+    (v,) = r.violations
+    assert (v.prop, v.certainty) == (Property.READ_UNDEFINED, Certainty.PROVEABLE)
+    assert v.loc.render() == "<input>:8:18-29"
+    assert v.message == "'a[1]' is read before assignment"
+    assert v.trail == ()
+    assert r.terminal_states == []
+
+
 def test_guard_short_circuits_after_pinning():
     # once i is pinned the left side folds, so the right side is skipped
     r = search(
@@ -1005,6 +1028,47 @@ def test_symbolic_print_renders_polynomials():
     assert st.prints == ["n=N x=X_V[0]"]
 
 
+def test_real_unary_minus_is_decided_without_the_solver():
+    r = search(
+        """
+        input real V[1];
+        func main() {
+          var real x = -V[0];
+          print(x);
+          assert(x + V[0] == 0.0);
+        }
+        """
+    )
+    assert r.stats == engine.Stats(states=3, terminals=1, pruned=0, solver_calls=0)
+    assert not r.violations
+    (st,) = r.terminal_states
+    assert st.prints == ["-X_V[0]"]
+    assert st.trail == []
+
+
+def test_a_pin_value_that_the_condition_rules_out_is_pruned():
+    r = search(
+        """
+        input int N;
+        func main() {
+          assume(0 <= N && N <= 3);
+          assume(N != 2);
+          var int a[N + 1];
+          print(len(a));
+        }
+        """
+    )
+    # N's box is 0..3: four pin conditions, of which N == 2 is unsat
+    assert r.stats == engine.Stats(states=9, terminals=3, pruned=1, solver_calls=6)
+    assert not r.violations
+    got = [(render_trail(st.trail), st.prints) for st in r.terminal_states]
+    assert got == [
+        ("# trail v1\nZ N=0/3\n", ["1"]),
+        ("# trail v1\nZ N=1/3\n", ["2"]),
+        ("# trail v1\nZ N=3/3\n", ["4"]),
+    ]
+
+
 @pytest.mark.parametrize(
     "cond, pruned, pins",
     [("2 * N == 7", 1, []), ("2 * N == 8", 0, [4]), ("3 * N <= 7", 0, [0, 1, 2])],
@@ -1270,6 +1334,10 @@ def corpus_program(names) -> Program:
 
 def forked_matches_serial(prog, workers=2, **kw) -> engine.SearchResult:
     serial = explore(prog, SearchConfig(workers=1, **kw))
+    # the merge of a forked search's findings relies on this: one search's
+    # findings have pairwise distinct trails, so one sort by trail orders them
+    keys = [trail_key(v.trail) for v in serial.violations]
+    assert len(set(keys)) == len(keys)
     forked = explore(prog, SearchConfig(workers=workers, **kw))
     assert forked.stats == serial.stats
     assert forked.incomplete == serial.incomplete

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from vlsym.diagnostics import Loc
-from vlsym.lexer import LexError, TokKind, Token, decimal_to_fraction, tokenize
+from vlsym.diagnostics import Loc, ParseError
+from vlsym.lexer import TokKind, Token, decimal_to_fraction, tokenize
 
 
 def kinds_and_lexemes(toks):
@@ -57,7 +57,7 @@ def test_decimal_literal_exact():
 def test_only_ascii_digits_make_a_number():
     # str.isdigit takes both of these, and int('²') raises
     for source, char in (("var int x = ²;", "²"), ("var int x = ٣;", "٣")):
-        with pytest.raises(LexError) as exc:
+        with pytest.raises(ParseError) as exc:
             tokenize(source)
         assert exc.value.diagnostic.message == f"unknown character {char!r}"
         assert exc.value.diagnostic.loc.col == 13
@@ -72,7 +72,7 @@ def test_only_ascii_letters_digits_and_underscores_make_a_name():
         ("var int x² = 1;", "²", 10),
         ("var int é;", "é", 9),
     ):
-        with pytest.raises(LexError) as exc:
+        with pytest.raises(ParseError) as exc:
             tokenize(source)
         assert exc.value.diagnostic.message == f"unknown character {char!r}"
         assert exc.value.diagnostic.loc.col == col
@@ -83,13 +83,13 @@ def test_only_ascii_letters_digits_and_underscores_make_a_name():
 
 
 def test_double_dot_is_a_lex_error():
-    with pytest.raises(LexError) as exc:
+    with pytest.raises(ParseError) as exc:
         tokenize("x = 1..2;")
     assert "decimal" in exc.value.diagnostic.message
 
 
 def test_bare_dot_is_unknown():
-    with pytest.raises(LexError):
+    with pytest.raises(ParseError):
         tokenize("a . b")
 
 
@@ -107,7 +107,7 @@ def test_comments_are_skipped():
 
 
 def test_unterminated_block_comment():
-    with pytest.raises(LexError) as exc:
+    with pytest.raises(ParseError) as exc:
         tokenize("a /* never closed")
     assert "unterminated block comment" in exc.value.diagnostic.message
 
@@ -130,7 +130,7 @@ def test_unterminated_block_comment():
     ],
 )
 def test_lex_error_message_and_loc(source, message, loc):
-    with pytest.raises(LexError) as exc:
+    with pytest.raises(ParseError) as exc:
         tokenize(source, "f.vl")
     assert exc.value.diagnostic.message == message
     assert exc.value.diagnostic.loc == Loc("f.vl", *loc)
@@ -177,7 +177,7 @@ def test_string_literal_for_print():
 
 
 def test_unterminated_string():
-    with pytest.raises(LexError):
+    with pytest.raises(ParseError):
         tokenize('print("oops);')
 
 
@@ -194,9 +194,9 @@ def test_idents_round_trip_through_whitespace(words):
 
 @given(st.text(alphabet='abc019 .\n\t\r"=<>!&|+-*/(){}[];,Ñ²', max_size=80))
 def test_arbitrary_soup_never_crashes(src):
-    # either a token list or a LexError; nothing else
+    # either a token list or a ParseError; nothing else
     try:
         toks = tokenize(src)
-    except LexError:
+    except ParseError:
         return
     assert toks[-1].kind is TokKind.EOF
