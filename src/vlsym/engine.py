@@ -13,23 +13,23 @@ the trail of a path:
 - ``B t|e``   a symbolic branch took the then or else side
 - ``Z N=v/k`` a symbolic int was pinned to v, one of k feasible values
 
-Each function's statements are laid out in one flat array and cut into
-basic blocks, and each block is translated into the Python source of one
-function, compiled the first time a path of the program enters it: every
-later search or path of that program runs the same blocks. A block runs
-from any entry statement in it, holds the frame's slots in Python locals,
-runs each loop that lies in it as a Python loop, follows the jumps of the
-tests it decides, counts the statements it ran and leaves where a path
-forks, calls, returns or stops. Names are not resolved here: validation
-gave each parameter and local declaration a slot of its own, each name
-the slot it refers to and each call its callee, and translation writes
-that checked tree out. A frame is its function's code, its slots and the
-index of its next statement; it has ended when that index is at the end
-of its code, where a block that ends its function leaves it, and the loop
-that runs a path's blocks is the one place that pops it. Each block is
-translated two ways: in general, and for a path whose ints are all Python
-ints, with no test for a symbolic one; a path's frames move to the second
-once no int input is symbolic.
+Each function's statements are laid out in one flat array, and the whole
+array is translated into the Python source of one function, compiled the
+first time a path of the program enters the function: every later search
+or path of that program runs the same translation. It runs from any entry
+statement, holds the frame's slots in Python locals, runs each loop as a
+Python loop, follows the jumps of the tests it decides, counts the
+statements it ran and leaves where a path forks, calls, returns or stops.
+Names are not resolved here: validation gave each parameter and local
+declaration a slot of its own, each name the slot it refers to and each
+call its callee, and translation writes that checked tree out. A frame is
+its function's code, its slots and the index of its next statement; it has
+ended when that index is at the end of the flat array, where the code
+leaves it at a return or after the last statement, and the loop that runs
+a path's code is the one place that pops it. Each function is translated
+two ways: in general, and for a path whose ints are all Python ints, with
+no test for a symbolic one; a path's frames move to the second once no int
+input is symbolic.
 States are mutated in place along straight-line code and cloned only
 where paths fork, and a clone shares the values its cells hold; the
 engine keeps each real sum, difference and product under its operand
@@ -41,7 +41,7 @@ feasible range.
 verify searches depth first. With N workers it first runs the search
 breadth first until FRONTIER_STATES paths are live, then searches that
 frontier in N processes: itself and N - 1 forked children, which inherit
-the blocks translated so far and the live states. Before it forks, it
+the functions translated so far and the live states. Before it forks, it
 writes the frontier's claims, contiguous ranges of frontier indexes, into
 one pipe; each process takes the next claim whenever it has searched its
 last, depth first, until none is left. A child sends back only its
@@ -321,11 +321,11 @@ class ArrayStorage:
 
 class Frame:
     """One call of a function: the code it runs (fn.code or fn.concrete),
-    which holds the block of each of its statements, the _Function fn, the
-    slots' values, ret_slot, the slot of the caller's frame that receives
-    the result, and pc, the index in code of the statement that runs next.
-    The call has ended exactly when pc is len(code); _Executor._run then
-    pops the frame, or ends the path at main's end."""
+    the _Function fn, the slots' values, ret_slot, the slot of the
+    caller's frame that receives the result, and pc, the index in fn.flat
+    of the statement that runs next. The call has ended exactly when pc is
+    fn.end; _Executor._run then pops the frame, or ends the path at main's
+    end."""
 
     __slots__ = ("code", "fn", "slots", "ret_slot", "pc")
 
@@ -572,9 +572,9 @@ class Engine:
         into an int), and _pin substitutes a pinned symbol into every int
         that the state holds: frame slots, int heap cells and globals. Once
         the last symbolic int input is pinned, no int that the path holds
-        or later computes is a Poly, so a concrete block needs no test for
-        one. A state settles at most once, in init_state or at the pin of
-        its last symbolic int input, and never goes back."""
+        or later computes is a Poly, so the concrete translation needs no
+        test for one. A state settles at most once, in init_state or at the
+        pin of its last symbolic int input, and never goes back."""
         if any(v.__class__ is Poly for v in state.globals.values()):
             return
         for frame in state.frames:
@@ -599,7 +599,7 @@ class Engine:
 
 
 # ---------------------------------------------------------------------------
-# translation: each basic block of a function becomes one Python function
+# translation: each function becomes one Python function
 #
 # A function's statements are laid out in one flat array, each followed by
 # those of the blocks it holds, and each names where it goes on (next): the
@@ -607,31 +607,30 @@ class Engine:
 # loop's test; an if or a while goes to other when its condition fails.
 # Validation gave every parameter and local declaration a slot of its own
 # and every name the slot it reads or writes, so translation keeps no
-# scopes. A block starts at the start of the function and after each
-# statement that always leaves it (_LEAVES), so a loop whose body holds
-# none of them lies in one block with its test. A block is written out as
-# the source of one Python function the first time a path enters it, and
-# runs from the frame's pc, its entry (e), which may lie inside it: its
-# statements are split at the possible entries into segments, each run
-# only when the entry lies at or before it. Each while that lies wholly in
-# the block is a Python `while True:` loop, entered only while the entry
-# lies before the loop's end. The block follows a decided jump itself: a
-# loop's back edge goes round the Python loop that holds it, testing only
-# that loop's segments again, a loop's exit breaks out of it, and a jump
-# forward goes on past the segments before its target. It leaves with the
-# pc on any other target, the function's end included, where a return
-# leaves too; it never pops a frame. It also leaves where a path may fork
-# or end, through the executor's methods, and on an error or a limit,
-# through _stopped with the pc on the statement that raised (k), so that
-# each pinned copy runs it again. The block holds the frame's slots in locals and writes
-# the ones it writes back to the frame before it leaves. A pass through
-# the block runs the statements from its entry to where it leaves; each
+# scopes. The whole array is written out as the source of one Python
+# function the first time a path enters the function, and that code runs
+# from the frame's pc, its entry (e): its statements are split at the
+# possible entries into segments, each run only when the entry lies at or
+# before it. Each while, up to _MAX_LOOPS deep, is a Python `while True:`
+# loop, entered only while the entry lies before the loop's end. The code
+# follows a decided jump itself: a loop's back edge goes round the Python
+# loop that holds it, testing only that loop's segments again, a loop's
+# exit breaks out of it, and a jump forward goes on past the segments
+# before its target. It leaves with the pc on any other target: the
+# function's end, where a return leaves too, and the test of a loop nested
+# deeper than _MAX_LOOPS; it never pops a frame. It also leaves where a
+# path may fork or end, through the executor's methods, where it calls,
+# with the callee's frame pushed, and on an error or a limit, through
+# _stopped with the pc on the statement that raised (k), so that each
+# pinned copy runs it again. The code holds the frame's slots in locals and
+# writes the ones it writes back to the frame before it leaves. A run of
+# the code executes the statements from its entry to where it leaves; each
 # counts one state, added up in n as it jumps and as it leaves.
 #
 # An expression becomes Python statements that leave its value in a temp,
 # with the fast path for two concrete ints written out (tested by
 # `v.__class__ is int`, which never takes a bool for an int); a leaf is read
-# where it is used. Each block is also written a second way, for a path
+# where it is used. Each function is also written a second way, for a path
 # whose ints are all Python ints (Engine.settle): there the fast path is
 # all there is, and an if or while test that compares ints only is a
 # Python bool. A real +, - or * calls the real memo of that operator
@@ -640,9 +639,9 @@ class Engine:
 # operators, through this module's globals. VL names and strings never
 # enter its source: they reach it as constants, and slots as indices.
 
-# statements that always leave their block, and those that go on at
-# their next within it
-_LEAVES = (ast.ChooseAssign, ast.CallStmt, ast.Return)
+# statements that never leave the code and go on at their next; a path
+# may enter at the next of every other statement, where it goes on after a
+# fork, a call or a test
 _INLINE = (ast.VarDecl, ast.Assign, ast.Print, ast.ArrDecl, ast.Block)
 
 
@@ -827,13 +826,13 @@ _UNVALIDATED = "the program was not validated; pass one that load_program return
 
 class _Function:
     """A function's flat code and the names of its slots, the first params
-    of which are its parameters. code[pc] is the Python function of the
-    block that holds statement pc; until a path first enters a block, its
-    entries translate it. concrete has the same blocks, entries and
-    layout, each translated for a path whose ints are all Python ints (see
-    Engine.settle). A call's block reaches its callee's _Function through
-    the FuncDecl that validation bound the call to. It serves every engine
-    of its program (FuncDecl.translation)."""
+    of which are its parameters. code is the Python function of the whole
+    flat code; until a path first enters the function, it is a stub that
+    translates it. concrete is the same code, with the same entries,
+    translated for a path whose ints are all Python ints (see
+    Engine.settle). A call reaches its callee's _Function through the
+    FuncDecl that validation bound the call to. It serves every engine of
+    its program (FuncDecl.translation)."""
 
     def __init__(self, f: ast.FuncDecl):
         if f.slots is None:
@@ -844,83 +843,80 @@ class _Function:
         self.flat: list[_Stmt] = []
         flat = self.flat
         _link(flat, _flatten(f.body.stmts, flat), len(flat))
+        self.end = len(flat)
         self.locs = tuple(s.node.loc for s in flat)
         # the slots that a declaration without an initializer leaves
         # undefined; no other local slot is ever read undefined
         self.unset = {
             s.node.slot for s in flat if isinstance(s.node, ast.VarDecl) and s.node.init is None
         }
-        # where a path may enter a block other than from the statement
-        # before it: a block's start, a jump's target and where a path goes
-        # on after a fork or a call (the writer adds each statement that a
-        # pinned copy runs again)
-        starts, entries = {0}, set()
+        # where a path may enter the code other than from the statement
+        # before it: the first statement, a jump's target and where a path
+        # goes on after a fork or a call (the writer adds each statement
+        # that a pinned copy runs again)
+        self.entries = {0}
         for i, s in enumerate(flat):
-            node = s.node
-            if isinstance(node, _LEAVES):
-                starts.add(i + 1)
-            if s.next != i + 1 or not isinstance(node, _INLINE):
-                entries.add(s.next)
+            if s.next != i + 1 or not isinstance(s.node, _INLINE):
+                self.entries.add(s.next)
             if s.other is not None:
-                entries.add(s.other)
-        self.entries = entries | starts
-        bounds = sorted(b for b in starts if b < len(flat)) + [len(flat)]
-        self.code: list = [None] * len(flat)
-        self.concrete: list = [None] * len(flat)
-        for code in (self.code, self.concrete):
-            for start, stop in zip(bounds, bounds[1:]):
-                code[start:stop] = [self._translate_on_entry(code, start, stop)] * (stop - start)
+                self.entries.add(s.other)
+        self.code = self._translate_on_entry("code")
+        self.concrete = self._translate_on_entry("concrete")
 
-    def _translate_on_entry(self, code: list, start: int, stop: int):
-        concrete = code is self.concrete
+    def _translate_on_entry(self, attr: str):
+        """The stub of translation attr: the first entry writes it, keeps it
+        as attr and as the frame's code, and runs it; a frame cloned before
+        then still holds the stub, which then only forwards."""
 
         def enter(ex, state, frame):
-            block = _Writer(self, start, stop, concrete).function()
-            code[start:stop] = [block] * (stop - start)
-            return block(ex, state, frame)
+            run = getattr(self, attr)
+            if run is enter:
+                run = _Writer(self, attr == "concrete").function()
+                setattr(self, attr, run)
+            frame.code = run
+            return run(ex, state, frame)
 
         return enter
 
 
-# the most Python loops that one block nests: CPython compiles at most 20
-# statically nested blocks in one function, the block's try among them,
-# and the indentation of a loop nest adds to that of a deep condition
+# the most Python loops that a translation nests: CPython compiles at most
+# 20 statically nested blocks in one function, its try among them, and the
+# indentation of a loop nest adds to that of a deep condition
 _MAX_LOOPS = 8
 
 
 class _Writer:
-    """Writes the Python source of the block of fn's statements
-    start..stop-1 and compiles it. A run of the block holds the frame
-    slots that it reads or writes in locals, bound once as it starts,
-    along with each input it reads, the storage, cells and length of
-    each array that a parameter or an input holds: none is ever
-    reassigned, and no run replaces a storage's cells. So its source
-    depends on fn's tree alone. It writes back the slots it writes before
-    every way out (a jump out, a call's frame push, a return, an executor
-    method that may fork, and an error). Each while that lies wholly in
-    the block, up to _MAX_LOOPS deep, runs as a Python loop of its own,
-    entered only while the entry lies before the loop's end: its back
-    edge goes round that loop alone and its exit breaks out of it. A
-    concrete block is written for a path whose ints are all Python ints:
-    its int operations, indices and strict positions take them as they
-    are, and a test that compares ints only is a Python bool. Its
-    segments, entries, k and state counts are those of the general block,
-    since a pinned copy resumes in it at the statement that stopped to
-    have the pin."""
+    """Writes the Python source of fn's whole flat code and compiles it. A
+    run of it holds the frame slots that the function reads or writes in
+    locals, bound once as it starts, along with each input it reads, the
+    storage, cells and length of each array that a parameter or an input
+    holds: none is ever reassigned, and no run replaces a storage's cells.
+    So its source depends on fn's tree alone. It writes back the slots it
+    writes before every way out (a jump out, a call's frame push, a
+    return, an executor method that may fork, and an error). Each while,
+    up to _MAX_LOOPS deep, runs as a Python loop of its own, entered only
+    while the entry lies before the loop's end: its back edge goes round
+    that loop alone and its exit breaks out of it. The concrete
+    translation is written for a path whose ints are all Python ints: its
+    int operations, indices and strict positions take them as they are,
+    and a test that compares ints only is a Python bool. Its segments,
+    entries, k and state counts are those of the general one, since a
+    pinned copy resumes in it at the statement that stopped to have the
+    pin."""
 
-    def __init__(self, fn: _Function, start: int, stop: int, concrete=False):
-        self.fn, self.start, self.stop = fn, start, stop
+    def __init__(self, fn: _Function, concrete=False):
+        self.fn = fn
         self.concrete = concrete
         self.consts: list = []
         self.const_names: dict[int, str] = {}
         self.lines: list[str] = []
         self.indent = ""
         self.temps = 0
-        # the frame slots that the block holds in locals, and the local
+        # the frame slots that the code holds in locals, and the local
         # that each other value it binds as it starts goes in, by source
         self.slots: set[int] = set()
         self.bound: dict[str, str] = {}
-        # the code that writes the block's written slots back
+        # the code that writes the function's written slots back
         self.put_back = ""
         # for each statement, the (test, end) of each Python loop that
         # holds it, innermost last, and the end of each Python loop by test
@@ -931,16 +927,16 @@ class _Writer:
         self.raises = self.pins = False
 
     def function(self):
-        fn, start, stop = self.fn, self.start, self.stop
+        fn = self.fn
         locs = self.const(fn.locs)
         held: list[tuple[int, int]] = []
         written = set()
-        for q in range(start, stop):
+        for q in range(fn.end):
             while held and held[-1][1] <= q:
                 held.pop()
             s = fn.flat[q]
             node = s.node
-            if isinstance(node, ast.While) and s.end <= stop and len(held) < _MAX_LOOPS:
+            if isinstance(node, ast.While) and len(held) < _MAX_LOOPS:
                 held.append((q, s.end))
                 self.heads[q] = s.end
             self.loops[q] = tuple(held)
@@ -953,22 +949,22 @@ class _Writer:
             self.slots.update(written)
             self.put_back = ", ".join(f"S[{i}]" for i in written) + " = "
             self.put_back += ", ".join(f"s{i}" for i in written) + "; "
-        code, entries = {}, [start]
-        for q in range(start, stop):
+        code, entries = {}, [0]
+        for q in range(fn.end):
             self.lines, self.raises, self.pins = [], False, False
             self.write(q)
             if self.raises:
                 self.lines.insert(0, f"k = {q}")
             code[q] = self.lines
-            if q != start and (q in fn.entries or self.pins):
+            if q and (q in fn.entries or self.pins):
                 entries.append(q)
-        body = self.region(start, stop, code, entries)
+        body = self.region(0, fn.end, code, entries)
         head = ["def run(ex, state, frame):", " S = frame.slots", *self.prelude(" ")]
         head += [" e = k = frame.pc", " n = -e", " try:"]
         handler = [" except _STOPS as exc:", f"  {self.put_back}frame.pc = k"]
         handler += ["  ex.stats.states += n + k + 1", f"  return ex._stopped(state, {locs}[k], exc)"]
         lines = head + ["  " + line for line in body] + handler
-        return _compile(lines, f"<vl {fn.name} block {start}>", self.consts)
+        return _compile(lines, f"<vl {fn.name}>", self.consts)
 
     def region(self, lo: int, hi: int, code: dict, entries: list[int]) -> list[str]:
         """The code of statements lo..hi-1: a Python loop for each loop
@@ -1001,7 +997,7 @@ class _Writer:
         return lines
 
     def prelude(self, indent: str) -> list[str]:
-        """The lines that bind the block's locals as a run starts."""
+        """The lines that bind the code's locals as a run starts."""
         lines = []
         if self.slots:
             names = [f"s{i}" if i in self.slots else "_" for i in range(len(self.fn.names))]
@@ -1038,7 +1034,7 @@ class _Writer:
         """The code by which statement q goes on at target."""
         step = f"n += {q + 1 - target}; " if q + 1 != target else ""
         held = self.loops[q]
-        if held and self.start <= target < self.stop and not held[-1][0] <= target < held[-1][1]:
+        if held and target < self.fn.end and not held[-1][0] <= target < held[-1][1]:
             return f"{step}break"  # q is the loop's test, and after() goes on
         return step + self.go(held, q + 1, target)
 
@@ -1046,8 +1042,8 @@ class _Writer:
         """The code after the Python loop of the while at w, which its exit
         breaks out to."""
         s = self.fn.flat[w]
-        if not self.start <= s.other < self.stop:
-            return []  # the test leaves the block itself
+        if s.other == self.fn.end:
+            return []  # the test leaves the code itself
         go = self.go(self.loops[w][:-1], s.end, s.other)
         return [go] if go else []
 
@@ -1055,9 +1051,9 @@ class _Writer:
         """The code that goes on at target, where n counts the statements
         before it, from the code of statement at within the Python loops
         held: round the innermost of them, on past the segments before
-        target, or out of the block with the frame's pc on target, which
-        is len(fn.flat) at the function's end."""
-        if self.start <= target < self.stop:
+        target, or out of the code with the frame's pc on target, which
+        is fn.end at the function's end."""
+        if target < self.fn.end:
             if held and target == held[-1][0]:
                 return f"e = {target}; continue"
             if target > at:
@@ -1067,7 +1063,7 @@ class _Writer:
         return f"{self.put_back}frame.pc = {target}; ex.stats.states += n + {target}; return None"
 
     def leave(self, q: int, call: str) -> str:
-        """The code by which statement q leaves the block with call's result."""
+        """The code by which statement q leaves with call's result."""
         self.raises = True
         return f"{self.put_back}r = {call}; ex.stats.states += n + {q + 1}; return r"
 
@@ -1075,7 +1071,7 @@ class _Writer:
 
     def write(self, q: int) -> None:
         """Write statement q. Where its code may raise, function() sets k,
-        the statement that the block's error handler stops at, before it."""
+        the statement that the error handler stops at, before it."""
         s = self.fn.flat[q]
         node = s.node
         if isinstance(node, ast.VarDecl):
@@ -1115,7 +1111,7 @@ class _Writer:
                 v = self.value(node.value)
                 into = "state.frames[-2].slots[frame.ret_slot]"
                 self.put(f"if frame.ret_slot is not None: {into} = {v}")
-            self.put(self.jump(q, len(self.fn.flat)))
+            self.put(self.jump(q, self.fn.end))
             return
         elif isinstance(node, (ast.If, ast.While)):
             # each side ends in its own jump, since one that goes on past
@@ -1128,7 +1124,7 @@ class _Writer:
                 self.put(f" if {c} is False: {self.jump(q, s.other) or 'pass'}")
                 call = f"ex.branch(state, {c}, {self.const(node.loc)}, {s.other})"
                 self.put(f" else: frame.pc = {s.next}; {self.leave(q, call)}")
-            if s.next != q + 1 or q + 1 == self.stop:
+            if s.next != q + 1 or q + 1 == self.fn.end:
                 self.put(f"else: {self.jump(q, s.next) or 'pass'}")
             return
         elif isinstance(node, ast.Assert):
@@ -1147,7 +1143,7 @@ class _Writer:
             self.put(f"if {c} is not True: frame.pc = {s.next}; {self.leave(q, call)}")
         else:
             assert isinstance(node, ast.Block)  # entering a block is a step of its own
-        if s.next != q + 1 or q + 1 == self.stop:
+        if s.next != q + 1 or q + 1 == self.fn.end:
             jump = self.jump(q, s.next)
             if jump:
                 self.put(jump)
@@ -1204,8 +1200,8 @@ class _Writer:
 
     def int_tests(self, *ints: tuple[ast.Expr, str]) -> list[str]:
         """Tests that each int value v of an expression e, given as (e, v),
-        is concrete; a literal needs none, and nor does any value in a
-        concrete block."""
+        is concrete; a literal needs none, and nor does any value in the
+        concrete translation."""
         if self.concrete:
             return []
         return [f"{v}.__class__ is int" for e, v in ints if not isinstance(e, ast.IntLit)]
@@ -1308,9 +1304,9 @@ class _Writer:
 
     def test(self, e: ast.Expr) -> str:
         """A Python bool expression of e, a condition that compares ints
-        only, in a concrete block. The right side of && and || runs only
-        where the left side does not settle it, so statements that it needs
-        go under an if."""
+        only, in the concrete translation. The right side of && and || runs
+        only where the left side does not settle it, so statements that it
+        needs go under an if."""
         if isinstance(e, ast.Unary):
             return f"(not {self.test(e.operand)})"
         if e.op in ast.COMPARISONS:
@@ -1353,7 +1349,7 @@ def _compile(lines: list[str], filename: str, consts: list):
 
 def _compile_value(e: ast.Expr):
     """A function of a state that evaluates e, an expression over inputs."""
-    w = _Writer(None, 0, 0)
+    w = _Writer(None)
     v = w.value(e)
     lines = ["def run(state):", *w.prelude(" "), *(" " + line for line in w.lines), f" return {v}"]
     return _compile(lines, "<vl extent>", w.consts)
@@ -1573,7 +1569,7 @@ class _Executor:
     def branch(self, state: ExecState, f, loc: Loc, other: int) -> list[ExecState]:
         """Successors of an if or a while test whose condition f is not
         decided: those where f holds go on at the frame's pc, which the
-        block set to where it holds, and those where it fails at other."""
+        code set to where it holds, and those where it fails at other."""
         out = []
         for st, truth in self.branch_walk(state, f, loc):
             if not truth:
@@ -1584,26 +1580,27 @@ class _Executor:
     def _stopped(self, state: ExecState, loc: Loc, exc: Exception) -> list[ExecState]:
         """Successors of the statement at loc that raised exc: the pinned
         copies of state when a strict position needs a concrete int, else
-        none. A Violating is a finding at its own location. A limit that the
-        statement raised or that pinning met cuts the path short at loc, and
-        one met while solving for a Violating at the finding's location; only
-        a copy that a fork of branch_walk made is cut short elsewhere, by
-        branch_walk."""
-        try:
-            if isinstance(exc, NeedsConcretize):
+        none. A Violating is a finding at its own location, PROVEABLE with
+        the witness of state's condition unless that is undecided or the
+        finding is MAYBE by itself. A limit that the statement raised or
+        that pinning met cuts the path short at loc; only a copy that a
+        fork of branch_walk made is cut short elsewhere, by branch_walk."""
+        if isinstance(exc, Violating):
+            # a live state's condition is empty or was already answered,
+            # SAT or UNKNOWN, by this memoized sat, so this counted call
+            # only reads that answer, or finds an empty condition SAT
+            res = self.sat(state.pc)
+            if res.status is SatStatus.SAT and not exc.force_maybe:
+                certainty, witness = Certainty.PROVEABLE, res.witness
+            else:
+                certainty, witness = Certainty.MAYBE, None
+            self._record(state, exc.prop, certainty, exc.loc, exc.message, witness)
+            return []
+        if isinstance(exc, NeedsConcretize):
+            try:
                 return self._concretize(state, exc.sym)
-            if isinstance(exc, Violating):
-                loc = exc.loc
-                # a live state's condition was answered SAT or UNKNOWN, never UNSAT
-                res = self.sat(state.pc)
-                if res.status is SatStatus.SAT and not exc.force_maybe:
-                    certainty, witness = Certainty.PROVEABLE, res.witness
-                else:
-                    certainty, witness = Certainty.MAYBE, None
-                self._record(state, exc.prop, certainty, loc, exc.message, witness)
-                return []
-        except SearchLimit as limit:
-            exc = limit
+            except SearchLimit as limit:
+                exc = limit
         self.cut_short(state, loc, str(exc))
         return []
 
@@ -1675,11 +1672,11 @@ class _Executor:
     # --- search ---
 
     def _run(self, st: ExecState) -> "tuple[ExecState, list[ExecState] | None]":
-        """Run st's blocks one after another until its path forks, stops or
-        ends. A frame has ended when its pc is at the end of its code, and
-        this is the one place that pops it, before the depth limit is
-        tested; the end of main's frame, which stays, ends the path.
-        Returns the state that ran last with the fork's successors, with []
+        """Run the code of st's top frame, again and again, until its path
+        forks, stops or ends. A frame has ended when its pc is its
+        function's end, and this is the one place that pops it, before the
+        depth limit is tested; the end of main's frame, which stays, ends
+        the path. Returns the state that ran last with the fork's successors, with []
         when the path stopped, or with None when it ran to its end, which
         counts as a terminal. With --first, a finding stops the path at the
         statement that made it."""
@@ -1688,7 +1685,7 @@ class _Executor:
         while True:
             frames = st.frames
             frame = frames[-1]
-            if frame.pc == len(frame.code):
+            if frame.pc == frame.fn.end:
                 if len(frames) == 1:
                     self.stats.terminals += 1
                     return st, None
@@ -1699,7 +1696,7 @@ class _Executor:
                 self.stats.states += 1
                 self.incomplete = True
                 return st, []
-            succs = frame.code[frame.pc](self, st, frame)
+            succs = frame.code(self, st, frame)
             if first_only and self.violations:
                 return st, []
             if succs is None:

@@ -1,7 +1,7 @@
-"""Paths that resume in the middle of a block: before, inside and after a
-loop nest that lies in one block, and after each kind of statement that
-may stop a path there (a symbolic if, an assume, an assert, the pin of a
-symbolic int), with the counters, trails, prints and verdicts pinned."""
+"""Paths that resume in the middle of a function: before, inside and after
+a loop nest, and after each kind of statement that may stop a path there
+(a symbolic if, an assume, an assert, the pin of a symbolic int), with
+the counters, trails, prints and verdicts pinned."""
 
 import pytest
 
@@ -56,15 +56,15 @@ def replays_agree(prog: Program, r, terminals, **kw) -> None:
         assert out.state is None and out.violations == [v]
 
 
-# main's statements up to the call of bump lie in one block. A path
-# resumes in it after the symbolic if before the first nest, after the
-# symbolic int if in the inner loop, after the pin of N in the outer
-# loop's body (from where the path runs the concrete code, in the middle
-# of the nest), after the assume and the assert in that body, and after
-# the symbolic if that follows the nest. In the second nest each inner
-# loop is the last statement of its parent's body or of an if's side,
-# with an else after it, and the last loop's exit goes on past an else.
-# bump ends at its loop's test in the middle of its block, nop has no
+# A path resumes in main's code after the symbolic if before the first
+# nest, after the symbolic int if in the inner loop, after the pin of N in
+# the outer loop's body (from where the path runs the concrete code, in
+# the middle of the nest), after the assume and the assert in that body,
+# and after the symbolic if that follows the nest. In the second nest
+# each inner loop is the last statement of its parent's body or of an
+# if's side, with an else after it, and the last loop's exit goes on past
+# an else.
+# bump ends at its loop's test in the middle of its code, nop has no
 # statement at all, and note ends at its return or its last statement,
 # after which main, whose last statement called it, ends too.
 NESTS = """
@@ -283,12 +283,12 @@ def test_returns_and_function_ends_pop_every_frame_that_has_ended(overrides, exp
 
 
 def deep_loops(loops: int, ands: int, nested: bool) -> str:
-    """main with loops nested while loops in one block, the outermost and
-    the innermost going round twice and the others once, and in the
-    innermost an if whose condition is ands comparisons joined by &&: a
-    left-deep chain, or one nested in parentheses to the right. The last
-    comparison reads the symbolic N, so each test of it leaves the block
-    and the path resumes inside the nest."""
+    """main with loops nested while loops, the outermost and the innermost
+    going round twice and the others once, and in the innermost an if
+    whose condition is ands comparisons joined by &&: a left-deep chain,
+    or one nested in parentheses to the right. The last comparison reads
+    the symbolic N, so each test of it leaves the code and the path
+    resumes inside the nest."""
     out = ["input int N;", "func main() {", "assume(0 <= N && N <= 1);", "var int s = 0;"]
     for d in range(loops):
         out.append(f"var int i{d} = 0;")

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies
+from test_block_entries import NESTS
 
 from vlsym import cli, engine
 from vlsym.ast import Program, validate
@@ -216,21 +217,28 @@ def test_assert_that_holds_adds_no_fork():
 
 
 @pytest.mark.parametrize(
-    "n, certainty, message, solver_calls",
+    "n, and_one_more, certainty, message, solver_calls",
     [
-        (12, Certainty.PROVEABLE, "asserted condition fails", 1),
-        (13, Certainty.MAYBE, "condition is too large to check", 0),
+        (12, False, Certainty.PROVEABLE, "asserted condition fails", 1),
+        (13, False, Certainty.MAYBE, "condition is too large to check", 0),
+        (12, True, Certainty.MAYBE, "condition is too large to check", 0),
     ],
-    ids=["4096-disjuncts", "8192-disjuncts"],
+    ids=["4096-disjuncts", "8192-disjuncts", "4096-disjuncts-or-one-more"],
 )
 def test_an_assertion_whose_negation_has_too_many_disjuncts_is_not_checked(
-    n, certainty, message, solver_calls
+    n, and_one_more, certainty, message, solver_calls
 ):
     # the negation of n disjuncts `(V[2i] < 0.0 && V[2i+1] < 0.0)` has 2^n
-    # disjuncts: 4096 is at the cut and is checked, 8192 is past it
+    # disjuncts: 4096 is at the cut and is checked, 8192 is past it. Joined
+    # by && to one more comparison, whose negation is one more disjunct,
+    # the 4096 go past the cut in the negation's disjunction
     assert 2**12 == engine.MAX_DNF_DISJUNCTS
     cond = " || ".join(f"(V[{2 * i}] < 0.0 && V[{2 * i + 1}] < 0.0)" for i in range(n))
-    r = search(f"input real V[{2 * n}];\nfunc main() {{\n  assert({cond});\n}}\n")
+    cells = 2 * n
+    if and_one_more:
+        cond = f"({cond}) && V[{cells}] < 0.0"
+        cells += 1
+    r = search(f"input real V[{cells}];\nfunc main() {{\n  assert({cond});\n}}\n")
     assert r.stats == engine.Stats(states=1, terminals=0, pruned=0, solver_calls=solver_calls)
     # an assertion left unchecked ends its path undecided
     assert r.incomplete is (certainty is Certainty.MAYBE)
@@ -1576,6 +1584,36 @@ def test_kept_answers_give_the_findings_of_the_uncached_solver(monkeypatch, name
     assert kept.violations
 
 
+@pytest.mark.parametrize(
+    "names, kw, found",
+    [
+        (CLEAN_FILES, {}, 0),
+        (SWAP_FILES, {}, 0),
+        (COLMAX_FILES, {}, 3215),
+        (CLEAN_FILES, {"overrides": {"M_B": 4}, "workers": 2}, 0),
+    ],
+    ids=["clean", "swap", "colmax", "clean-m4-w2"],
+)
+def test_a_finding_stops_its_path_on_a_condition_that_needs_no_solving(
+    monkeypatch, names, kw, found
+):
+    # so _stopped's counted sat call only reads what is kept, and meets no
+    # limit; a forked worker that fails the assertion fails the search
+    seen = [0]
+    real_stopped = engine._Executor._stopped
+
+    def stopped(self, state, loc, exc):
+        if isinstance(exc, engine.Violating):
+            pc = state.pc
+            assert not pc.atoms or pc.unsat or pc.atoms in self.answers
+            seen[0] += 1
+        return real_stopped(self, state, loc, exc)
+
+    monkeypatch.setattr(engine._Executor, "_stopped", stopped)
+    explore(corpus_program(names), SearchConfig(**kw))
+    assert seen[0] == found
+
+
 def test_each_distinct_value_is_rendered_once_per_witness(monkeypatch):
     evaluated = []
     value_at = engine._value_at
@@ -1912,7 +1950,7 @@ def test_an_out_of_bounds_read_in_the_middle_of_a_run_keeps_the_writes_before_it
 
 
 def test_max_depth_met_where_a_block_starts_counts_that_statement():
-    # the choose_int ends a block; on each of its two copies the depth is
+    # the choose_int leaves the code; on each of its two copies the depth is
     # reached at the declaration of y, which counts one state and runs not
     src = """
     func main() {
@@ -1953,8 +1991,8 @@ def test_a_decided_loop_goes_round_within_its_block():
     assert st.prints == ["10"]
 
 
-# every local below is named like a name of the engine's generated block
-# code or a Python keyword or builtin, and the first print's string is one
+# every local below is named like a name of the engine's generated code
+# or a Python keyword or builtin, and the first print's string is one
 # that would end a quoted Python string; neither may reach that code as
 # anything but a value
 NAMES_LIKE_THE_GENERATED_CODE = r"""
@@ -2147,7 +2185,7 @@ def test_each_search_computes_its_real_values_in_memos_of_its_own(products):
 @pytest.fixture
 def compiles(monkeypatch):
     """The number of functions that engine._compile has compiled while the
-    test runs: the blocks and the real inputs' extents."""
+    test runs: the functions' translations and the real inputs' extents."""
     count = [0]
     real_compile = engine._compile
 
@@ -2160,7 +2198,7 @@ def compiles(monkeypatch):
 
 
 # a pin after a symbolic branch, a choose_int, a call, real sums and
-# products, prints and findings: every kind of block on both arrays
+# products, prints and findings: every way out of a translation, in both
 WEIGHED = """
 input int K;
 input int W = 2;
@@ -2197,8 +2235,9 @@ def test_only_the_first_engine_of_a_program_compiles_anything(compiles):
     prog = load(WEIGHED)
     first = explore(prog, SearchConfig())
     compiled = compiles[0]
-    # both arrays of main and weigh, and V's extent
-    assert compiled > 4
+    # main's two translations, the concrete one of weigh, which runs only
+    # after the pin of K, and V's extent
+    assert compiled == 4
     again = explore(prog, SearchConfig())
     assert (again.stats, again.violations) == (first.stats, first.violations)
     (v,) = [v for v in first.violations if v.trail[-1] == ChooseInt(7, 70)]
@@ -2248,7 +2287,7 @@ def test_searches_of_one_program_agree_with_searches_of_fresh_copies(forks, orde
 
 
 def frame_codes(eng, state) -> list[str]:
-    """Which of its function's two arrays each frame of state runs."""
+    """Which of its function's two translations each frame of state runs."""
     kinds = {}
     for f in eng.program.funcs:
         kinds[id(f.translation.code)] = f"{f.name} general"
@@ -2256,9 +2295,10 @@ def frame_codes(eng, state) -> list[str]:
     return [kinds[id(frame.code)] for frame in state.frames]
 
 
-def translated(code: list) -> bool:
-    """Whether any block of a function's array has been written out."""
-    return any(block.__name__ == "run" for block in code)
+def translated(code) -> bool:
+    """Whether a function's translation has been written out, in place of
+    the stub that writes it."""
+    return code.__name__ == "run"
 
 
 ALL_INTS_GIVEN = """
@@ -2309,7 +2349,7 @@ def test_a_program_whose_int_inputs_are_all_given_starts_on_the_concrete_code(en
     assert st.prints == ["2 [ -1 0 3 ] -2"]
     assert len(engines) == 2
     for eng in engines:
-        # main starts on its concrete code, so no general block is ever written
+        # main starts on its concrete code, so no general translation is ever written
         assert frame_codes(eng, eng.init_state()) == ["main concrete"]
         assert not any(translated(f.translation.code) for f in eng.program.funcs)
         assert all(translated(f.translation.concrete) for f in eng.program.funcs)
@@ -2423,9 +2463,9 @@ def test_a_path_moves_to_the_concrete_code_at_the_pin_of_its_last_symbolic_int(
     ]
 
 
-# two ways to run the same program on less of the block writer: with no
-# Python loops, so every back edge leaves its block, and with no concrete
-# blocks, so every path stays on the general translation
+# two ways to run the same program on less of the writer: with no Python
+# loops, so every back edge leaves the code, and with no concrete
+# translation, so every path stays on the general one
 WRITER_CONFIGS = {
     "default": lambda mp: None,
     "no-python-loops": lambda mp: mp.setattr(engine, "_MAX_LOOPS", 0),
@@ -2435,8 +2475,12 @@ WRITER_CONFIGS = {
 
 @pytest.mark.parametrize(
     "sources",
-    [load_sources(CLEAN_FILES), load_sources(SWAP_FILES), [("<input>", TWO_PINS)]],
-    ids=["clean", "swap", "two-pins"],
+    [
+        *(load_sources(names) for names in (CLEAN_FILES, SWAP_FILES, COLMAX_FILES)),
+        [("<input>", TWO_PINS)],
+        [("<input>", NESTS)],
+    ],
+    ids=["clean", "swap", "colmax", "two-pins", "nests"],
 )
 def test_the_writer_gives_the_same_search_without_python_loops_or_concrete_blocks(
     monkeypatch, sources
@@ -2505,8 +2549,8 @@ def test_replay_and_run_path_across_the_switch_give_the_verify_path():
     ids=["clean", "swap", "colmax", "names", "two-pins", "all-ints-given"],
 )
 def test_every_block_translates_both_ways_and_the_concrete_one_tests_no_int(monkeypatch, sources):
-    # blocks are written only when a path enters them, so a search would
-    # leave a fault in a block that no path reaches unseen
+    # a function is written only when a path enters it, so a search would
+    # leave a fault in a translation that no path reaches unseen
     written = []
     real_compile = engine._compile
 
@@ -2517,24 +2561,17 @@ def test_every_block_translates_both_ways_and_the_concrete_one_tests_no_int(monk
     monkeypatch.setattr(engine, "_compile", compile_)
     prog = load_program(sources)
     engine.Engine(prog, SearchConfig())  # sets each FuncDecl.translation
-    blocks = 0
     for fn in (f.translation for f in prog.funcs):
-        starts = [pc for pc in range(len(fn.code)) if pc == 0 or fn.code[pc] is not fn.code[pc - 1]]
-        for start, stop in zip(starts, [*starts[1:], len(fn.code)]):
-            both = []
-            for concrete in (False, True):
-                written.clear()
-                block = engine._Writer(fn, start, stop, concrete).function()
-                assert callable(block)
-                (source,) = written
-                both.append(source)
-            general, concrete = both
-            for general_only in ("__class__ is int", "make_int", "int_poly", "_strict"):
-                assert general_only not in concrete, (fn.name, start, concrete)
-            # a pinned copy resumes in the concrete block where it stopped
-            # in the general one, so both have the same segments
-            assert re.findall(r"if e <= (\d+):", general) == re.findall(
-                r"if e <= (\d+):", concrete
-            )
-            blocks += 1
-    assert blocks >= len(prog.funcs)
+        both = []
+        for concrete in (False, True):
+            written.clear()
+            run = engine._Writer(fn, concrete).function()
+            assert callable(run)
+            (source,) = written
+            both.append(source)
+        general, concrete = both
+        for general_only in ("__class__ is int", "make_int", "int_poly", "_strict"):
+            assert general_only not in concrete, (fn.name, concrete)
+        # a pinned copy resumes in the concrete translation where it
+        # stopped in the general one, so both have the same segments
+        assert re.findall(r"if e <= (\d+):", general) == re.findall(r"if e <= (\d+):", concrete)

@@ -1,7 +1,7 @@
-"""Paths that stop in the middle of a block: on an error, on a limit, on a
-decided or repeated condition, with the counters, verdicts and the
-report's verdict rows pinned, and the few executor members that block
-code may touch."""
+"""Paths that stop in the middle of a function: on an error, on a limit,
+on a decided or repeated condition, with the counters, verdicts and the
+report's verdict rows pinned, and the few executor members that
+translated code may touch."""
 
 import re
 
@@ -234,9 +234,27 @@ def test_a_decided_false_assumption_ends_the_path_without_the_solver():
     assert rows(report) == ALL_PLUS
 
 
-# --- what block code touches of its executor ---
+def test_a_negated_decided_condition_is_decided_on_the_general_code():
+    # N is symbolic, so main runs its general code, where the negation of
+    # a decided comparison is the negation of True
+    r, terminals, report = search(
+        "input int N;\n"
+        "func main() {\n"
+        "  if (!(1 < 2)) {\n"
+        '    print("no");\n'
+        "  }\n"
+        '  print("yes");\n'
+        "}\n"
+    )
+    assert r.stats == Stats(2, 1, 0, 0)
+    assert findings(r) == []
+    assert [st.prints for st in terminals] == [["yes"]]
+    assert rows(report) == ALL_PLUS
 
-# the executor members that a block may use: it forks through the first
+
+# --- what translated code touches of its executor ---
+
+# the executor members that translated code may use: it forks through the first
 # four, ends a stopped path through _stopped and counts its states
 BLOCK_USES = {"choose", "branch", "check_assert", "apply_assume", "_stopped", "stats.states"}
 
@@ -256,7 +274,7 @@ def test_blocks_touch_their_executor_only_to_fork_count_and_stop(monkeypatch):
         (COLMAX_FILES, {}),
     ):
         explore(load_program(load_sources(files)), SearchConfig(**kw))
-    assert len(written) == 60
+    assert len(written) == 36
     uses = {m for source in written for m in re.findall(r"\bex\.(\w+(?:\.\w+)*)", source)}
     assert uses <= BLOCK_USES, uses - BLOCK_USES
     bare = {
