@@ -498,9 +498,6 @@ class _Checker:
             return Type.INT
         if isinstance(e, DecLit):
             return Type.REAL
-        if isinstance(e, StrLit):
-            self.err("string literals are only allowed in print", e.loc)
-            return None
         if isinstance(e, Name):
             found = scope.get(e.name)
             if found is None:

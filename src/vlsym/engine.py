@@ -1868,8 +1868,8 @@ def _render_cells(cells, witness=None, texts=None) -> str:
 
 def _render_value(v, witness=None, texts=None) -> str:
     """v as print shows it; under a witness, its symbols take their values
-    (0 for a symbol the witness leaves out). texts, if given, is the cache
-    of values already rendered under this witness (a SatResult's texts): a
+    (0 for a symbol the witness leaves out). texts, given with a witness,
+    is the cache of values already rendered under it (a SatResult's texts): a
     RealVal is found there by identity and an int Poly by its terms, so a
     value met again, on this path or on another that shares the witness,
     is not evaluated again."""
@@ -1880,8 +1880,6 @@ def _render_value(v, witness=None, texts=None) -> str:
     poly = v if v.__class__ is Poly else v.poly
     if witness is None:
         return poly.render()
-    if texts is None:
-        return str(_value_at(poly, witness))
     text = texts.get(v)
     if text is None:
         text = texts[v] = str(_value_at(poly, witness))

@@ -46,12 +46,6 @@ class _Parser:
             raise self.fail(f"expected '{p}' but found {self.describe(tok)}")
         return self.advance()
 
-    def expect_kw(self, word: str) -> Token:
-        tok = self.peek()
-        if not tok.is_kw(word):
-            raise self.fail(f"expected '{word}' but found {self.describe(tok)}")
-        return self.advance()
-
     def expect_ident(self, what: str = "name") -> Token:
         tok = self.peek()
         if tok.kind is not TokKind.IDENT:
@@ -117,7 +111,7 @@ class _Parser:
                 raise self.fail(f"expected 'input' or 'func' but found {self.describe(tok)}")
 
     def input_decl(self) -> ast.InputDecl:
-        start = self.expect_kw("input")
+        start = self.advance()
         tok = self.peek()
         if tok.is_kw("int"):
             self.advance()
@@ -143,7 +137,7 @@ class _Parser:
         raise self.fail("input must be 'int name;' or 'real name[extent];'")
 
     def func_decl(self) -> ast.FuncDecl:
-        start = self.expect_kw("func")
+        start = self.advance()
         name = self.expect_ident("function name")
         params = self.paren_list(self.param)
         ret = ast.Type.VOID
@@ -222,7 +216,7 @@ class _Parser:
         raise self.fail(f"expected a statement but found {self.describe(tok)}")
 
     def var_decl(self) -> ast.Stmt:
-        start = self.expect_kw("var")
+        start = self.advance()
         ty = self.scalar_type("variable type must be 'int' or 'real'")
         name = self.expect_ident("variable name")
         if self.peek().is_punct("["):
@@ -239,7 +233,7 @@ class _Parser:
         return ast.VarDecl(name.lexeme, ty, init, self.span(start))
 
     def if_stmt(self) -> ast.If:
-        start = self.expect_kw("if")
+        start = self.advance()
         self.expect_punct("(")
         cond = self.expr()
         self.expect_punct(")")
@@ -255,7 +249,7 @@ class _Parser:
         return ast.If(cond, then, els, header)
 
     def while_stmt(self) -> ast.While:
-        start = self.expect_kw("while")
+        start = self.advance()
         self.expect_punct("(")
         cond = self.expr()
         self.expect_punct(")")
@@ -264,7 +258,7 @@ class _Parser:
         return ast.While(cond, body, header)
 
     def for_stmt(self) -> list[ast.Stmt]:
-        start = self.expect_kw("for")
+        start = self.advance()
         self.expect_punct("(")
         init: ast.Assign | ast.VarDecl | None = None
         if self.peek().is_kw("var"):

@@ -12,7 +12,7 @@ compare equal. That makes equality of symbolic reals decidable by
 structural comparison, which is what the solver's zero test relies on.
 A coefficient is a Python int when it is integral and a Fraction only when
 it is not, so integer arithmetic, which is nearly all of it, never builds
-a Fraction. An int and the Fraction of the same value compare and hash
+a Fraction. `Poly.__init__` is the one place that writes this form. An int and the Fraction of the same value compare and hash
 equal and print the same, so the choice shows in no comparison or report.
 
 A RealVal, unlike a Poly, compares and hashes by identity: one object is
@@ -87,29 +87,7 @@ def _mono_key(m: Monomial) -> tuple:
 
 
 def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    if not a:
-        return b
-    if not b:
-        return a
-    if len(a) == 1 and len(b) == 1:
-        x, y = a[0], b[0]
-        return (x, y) if x.ord <= y.ord else (y, x)
     return tuple(sorted(a + b, key=lambda s: s.ord))
-
-
-def _coeff(c: Fraction | int) -> Fraction | int:
-    """c as a Poly coefficient: an int when it is integral, else a Fraction."""
-    if c.__class__ is int:
-        return c
-    c = Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
-def _poly(terms: dict[Monomial, Fraction | int]) -> "Poly":
-    """A Poly that takes ownership of terms already in canonical form."""
-    p = object.__new__(Poly)
-    p.terms = terms
-    return p
 
 
 class DivisionByZero(ArithmeticError):
@@ -127,9 +105,10 @@ class MissingAssignment(KeyError):
 class Poly:
     """Canonical multivariate polynomial with exact rational coefficients.
 
-    A coefficient is a Python int when it is integral and a Fraction only
-    when it is not. Nothing writes to `terms` after construction, so an
-    operator may return one of its operands as its result.
+    The constructor is the one place that writes canonical form: it drops
+    every zero coefficient and holds an integral one as an int, so every
+    operator builds its result through it. Nothing writes to `terms`
+    after construction.
     """
 
     __slots__ = ("terms",)
@@ -138,22 +117,18 @@ class Poly:
         self.terms: dict[Monomial, Fraction | int] = {}
         if terms:
             for m, c in terms.items():
-                if c != 0:
-                    self.terms[m] = _coeff(c)
+                if c.__class__ is not int and c.denominator == 1:
+                    c = c.numerator
+                if c:
+                    self.terms[m] = c
 
     @classmethod
     def const(cls, value: Fraction | int) -> Poly:
-        v = _coeff(value)
-        p = cls()
-        if v != 0:
-            p.terms[_ONE] = v
-        return p
+        return cls({_ONE: value})
 
     @classmethod
     def symbol(cls, sym: SymConst) -> Poly:
-        p = cls()
-        p.terms[(sym,)] = 1
-        return p
+        return cls({(sym,): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -178,81 +153,26 @@ class Poly:
         return max((len(m) for m in self.terms), default=0)
 
     def __add__(self, other: Poly) -> Poly:
-        b = other.terms
-        if not b:
-            return self
-        if not self.terms:
-            return other
         res = dict(self.terms)
-        for m, c in b.items():
-            if m in res:
-                s = res[m] + c
-                if s.__class__ is not int and s.denominator == 1:
-                    s = s.numerator
-                if s:
-                    res[m] = s
-                else:
-                    del res[m]
-            else:
-                res[m] = c
-        return _poly(res)
+        for m, c in other.terms.items():
+            res[m] = res.get(m, 0) + c
+        return Poly(res)
 
     def __sub__(self, other: Poly) -> Poly:
-        b = other.terms
-        if not b:
-            return self
-        if not self.terms:
-            return -other
-        res = dict(self.terms)
-        for m, c in b.items():
-            if m in res:
-                s = res[m] - c
-                if s.__class__ is not int and s.denominator == 1:
-                    s = s.numerator
-                if s:
-                    res[m] = s
-                else:
-                    del res[m]
-            else:
-                res[m] = -c
-        return _poly(res)
+        return self + -other
 
     def __neg__(self) -> Poly:
-        return _poly({m: -c for m, c in self.terms.items()})
+        return Poly({m: -c for m, c in self.terms.items()})
 
     def __mul__(self, other: Poly) -> Poly:
-        a, b = self.terms, other.terms
-        if not a:
-            return self
-        if not b:
-            return other
-        if len(a) == 1 and len(b) == 1:
-            # one term times one term, the commonest product: nothing to collect
-            ((ma, ca),) = a.items()
-            ((mb, cb),) = b.items()
-            c = ca * cb
-            if c.__class__ is not int and c.denominator == 1:
-                c = c.numerator
-            return _poly({_mono_mul(ma, mb): c})
         res: dict[Monomial, Fraction | int] = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
+        for ma, ca in self.terms.items():
+            for mb, cb in other.terms.items():
                 m = _mono_mul(ma, mb)
-                c = ca * cb
-                if m in res:
-                    c += res[m]
-                if c.__class__ is not int and c.denominator == 1:
-                    c = c.numerator
-                if c:
-                    res[m] = c
-                else:
-                    del res[m]
-        return _poly(res)
+                res[m] = res.get(m, 0) + ca * cb
+        return Poly(res)
 
     def scale(self, c: Fraction | int) -> Poly:
-        c = _coeff(c)
-        if c == 0:
-            return Poly()
         return Poly({m: k * c for m, k in self.terms.items()})
 
     def div(self, divisor: Poly) -> Poly:
@@ -270,8 +190,6 @@ class Poly:
 
     def substitute(self, assignment: Mapping[SymConst, Fraction | int]) -> Poly:
         """Replace the given symbols by constants; others stay symbolic."""
-        if not assignment or not self.terms:
-            return self
         res: dict[Monomial, Fraction | int] = {}
         for m, c in self.terms.items():
             rest: list[SymConst] = []

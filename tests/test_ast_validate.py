@@ -244,12 +244,6 @@ def test_a_string_literal_outside_print_is_one_diagnostic_at_the_literal():
     assert (d.loc.render(), d.message) == (
         "<input>:2:15-17", "string literals are only allowed in print",
     )
-    # the parser refuses it first, so validation meets one only in a tree
-    # built without the parser
-    prog = parse_program("func main() {\n  var int x = 1;\n}")
-    (decl,) = prog.func("main").body.stmts
-    decl.init = ast.StrLit("a", Loc("<input>", 2, 15, 17))
-    assert located_in(prog) == [("2:15-17", "string literals are only allowed in print")]
 
 
 def test_equals_needs_matching_arrays():

@@ -1117,7 +1117,7 @@ def test_values_under_a_witness_render_as_exact_rationals():
         (Poly.symbol(n).scale(-3), {n: 2}, "-6"),
     ]
     for value, witness, want in cases:
-        assert engine._render_value(value, witness) == want
+        assert engine._render_value(value, witness, {}) == want
     assert engine._render_value(RealVal(prod + half)) == "X_A[0]*X_V[0] + 1/2"
 
 
@@ -1212,7 +1212,7 @@ def test_a_value_under_a_witness_is_its_poly_evaluated_there(terms, witness):
         poly = poly + mono
     want = str(poly.eval({s: witness.get(s, 0) for s in poly.symbols()}))
     assert str(engine._value_at(poly, witness)) == want
-    assert engine._render_value(RealVal(poly), witness) == want
+    assert engine._render_value(RealVal(poly), witness, {}) == want
     value, texts = RealVal(poly), {}
     assert engine._render_value(value, witness, texts) == want
     assert texts == {value: want}
@@ -2354,6 +2354,56 @@ def test_a_program_whose_int_inputs_are_all_given_starts_on_the_concrete_code(en
         assert not any(translated(f.translation.code) for f in eng.program.funcs)
         assert all(translated(f.translation.concrete) for f in eng.program.funcs)
     assert run_path(prog, SearchConfig(overrides={"K": 1})).prints == ["2 [ -1 0 3 ] -2"]
+
+
+EQUALS_IN_CONCRETE_CODE = """
+input int N = 2;
+input real V[N];
+func main() {
+  var int a[N];
+  var int b[N];
+  var real c[N];
+  for (var int i = 0; i < N; i++) {
+    a[i] = i;
+    b[i] = i * i;
+    c[i] = V[i];
+  }
+  if (equals(a, b)) {
+    print("a is b");
+  }
+  c[1] = 1.0;
+  if (!equals(V, c)) {
+    print("V is not c");
+  } else {
+    print("V is c");
+  }
+}
+"""
+
+
+def test_an_equals_condition_in_concrete_code_is_walked_as_a_condition(engines):
+    # an equals() call is no int comparison, bare or under !, so the
+    # concrete code walks both conditions as the general code does: the
+    # int arrays are decided equal, and the real ones fork on V[1]
+    r = search(EQUALS_IN_CONCRETE_CODE)
+    assert r.stats == engine.Stats(states=22, terminals=2, pruned=0, solver_calls=2)
+    assert not r.violations and not r.incomplete
+    got = [(render_trail(st.trail), st.prints) for st in r.terminal_states]
+    assert got == [
+        ("# trail v1\nB t\n", ["a is b", "V is not c"]),
+        ("# trail v1\nB e\n", ["a is b", "V is c"]),
+    ]
+    (eng,) = engines
+    assert frame_codes(eng, eng.init_state()) == ["main concrete"]
+
+
+def test_lookup_of_an_input_name_on_a_start_state_gives_the_input():
+    prog = load("input int N = 2;\ninput real V[N];\nfunc main() { var int x = N; }")
+    state = engine.Engine(prog, SearchConfig()).init_state()
+    ref = state.lookup("V")
+    assert isinstance(ref, engine.ArrayRef)
+    assert [c.poly.render() for c in state.heap[ref.addr].cells] == ["X_V[0]", "X_V[1]"]
+    assert state.lookup("N") == 2
 
 
 # N is pinned by main's array extent, then walk's loop test forks on M

@@ -37,6 +37,19 @@ func main() {
 """,
     "func main() { var int x = (1 + 2) * 3 - (4 - 5); assert(!(x < 0) || x == 0); }",
     "func main() { var real a[3]; a[0] = 0.5; assert(equals(a, a) && len(a) == 3); }",
+    """
+func clear(int[] a) {
+  if (a[0] < 0) {
+    return;
+  }
+  a[0] = 0;
+}
+func main() {
+  var int a[1];
+  a[0] = 1;
+  clear(a);
+}
+""",
 ]
 
 

@@ -17,7 +17,6 @@ from vlsym.values import (
     RealVal,
     SymConst,
     SymKind,
-    _poly,
     int_poly,
     make_int,
 )
@@ -237,7 +236,8 @@ def assert_matches(p, model):
         assert type(c) in (int, Fraction)
     # the same poly with every coefficient held as a Fraction, as a solver
     # memo or Atom hash built by the Fraction path would see it
-    as_fractions = _poly({m: Fraction(c) for m, c in p.terms.items()})
+    as_fractions = object.__new__(Poly)
+    as_fractions.terms = {m: Fraction(c) for m, c in p.terms.items()}
     assert as_fractions == p and hash(as_fractions) == hash(p)
     assert p.render() == as_fractions.render() == m_render(model)
 
@@ -323,9 +323,9 @@ def test_integral_results_of_fraction_arithmetic_go_back_to_ints():
     assert type(Poly().const_value()) is int
 
 
-def test_operators_return_an_operand_when_the_other_is_zero():
+def test_a_zero_operand_leaves_the_other_unchanged():
     x, zero = sym(XA0), Poly()
-    assert (x + zero) is x and (zero + x) is x and (x - zero) is x
+    assert (x + zero) == x and (zero + x) == x and (x - zero) == x
     assert (x * zero).is_zero() and (zero * x).is_zero()
     assert x.terms == {(XA0,): 1}  # untouched by any of the above
 
