@@ -5,7 +5,10 @@ the fields up to and including `loc` are the constructor's required
 parameters, in order, and those after `loc` are optional and default to
 None. Nodes compare structurally. Source locations and what validation fills
 in (inferred types and frame slots) are excluded from equality, so a
-parse -> print -> parse round trip yields equal trees.
+parse -> print -> parse round trip yields equal trees. The else side of an
+If is always a Block: an empty one where there is no else, and one that
+holds just the inner If for `else if`, so that `if (c) {}` equals
+`if (c) {} else {}` and `else if (c) {}` equals `else { if (c) {} }`.
 
 Validation is the one place that resolves names. Each parameter and
 local declaration of a function gets a slot of its own in the function's
@@ -181,7 +184,7 @@ class Block(Record):
 
 
 class If(Record):
-    __slots__ = ("cond", "then", "els", "loc")  # els: a Block, an If or None
+    __slots__ = ("cond", "then", "els", "loc")  # els: a Block, empty where there is no else
 
 
 class While(Record):
@@ -402,10 +405,7 @@ class _Checker:
         elif isinstance(s, If):
             self.want(s.cond, scope, Type.BOOL, "condition must be a bool")
             self.block(s.then, scope)
-            if isinstance(s.els, Block):
-                self.block(s.els, scope)
-            elif isinstance(s.els, If):
-                self.stmt(s.els, scope)
+            self.block(s.els, scope)
         elif isinstance(s, While):
             self.want(s.cond, scope, Type.BOOL, "condition must be a bool")
             self.block(s.body, scope)
@@ -580,11 +580,8 @@ def _stmt_returns(s: Stmt) -> bool:
         return True
     if isinstance(s, Block):
         return _returns(s)
-    if isinstance(s, If) and s.els is not None:
-        then_ok = _returns(s.then)
-        if isinstance(s.els, Block):
-            return then_ok and _returns(s.els)
-        return then_ok and _stmt_returns(s.els)
+    if isinstance(s, If):
+        return _returns(s.then) and _returns(s.els)
     return False
 
 
@@ -723,14 +720,15 @@ def _render_body(b: Block, ind: str, out: list[str]) -> None:
 def _render_if(s: If, ind: str, out: list[str]) -> None:
     out.append(f"{ind}if ({render_expr(s.cond)}) {{")
     _render_body(s.then, ind, out)
-    node = s
-    while isinstance(node.els, If):
-        node = node.els
-        out.append(f"{ind}}} else if ({render_expr(node.cond)}) {{")
-        _render_body(node.then, ind, out)
-    if isinstance(node.els, Block):
+    els = s.els
+    while len(els.stmts) == 1 and isinstance(els.stmts[0], If):
+        s = els.stmts[0]
+        out.append(f"{ind}}} else if ({render_expr(s.cond)}) {{")
+        _render_body(s.then, ind, out)
+        els = s.els
+    if els.stmts:
         out.append(f"{ind}}} else {{")
-        _render_body(node.els, ind, out)
+        _render_body(els, ind, out)
     out.append(f"{ind}}}")
 
 

@@ -632,8 +632,7 @@ class Engine:
 # `v.__class__ is int`, which never takes a bool for an int); a leaf is read
 # where it is used. Each function is also written a second way, for a path
 # whose ints are all Python ints (Engine.settle): there the fast path is
-# all there is, and an if or while test that compares ints only is a
-# Python bool. A real +, - or * calls the real memo of that operator
+# all there is. A real +, - or * calls the real memo of that operator
 # (_real_add, _real_sub, _real_mul), which computes only on a miss. The
 # code finds make_int, int_poly and the helpers below, and the Poly
 # operators, through this module's globals. VL names and strings never
@@ -759,15 +758,6 @@ def _bad_extent(n: int, name: str, extent_loc: Loc):
     raise ArrayTooLarge(f"extent {n} of array '{name}' exceeds the cap of {MAX_ARRAY_CELLS} cells")
 
 
-def _else_stmts(s: ast.If):
-    """The statements of an if's else side; an else-if is one statement."""
-    if s.els is None:
-        return ()
-    if isinstance(s.els, ast.If):
-        return (s.els,)
-    return s.els.stmts
-
-
 class _Stmt:
     """One statement of a function's flat code: where it goes on (for a
     test, where its condition holds), where a test's condition fails, the
@@ -794,7 +784,7 @@ def _flatten(stmts, flat: list) -> list[int]:
             entry.blocks.append(_flatten(s.stmts, flat))
         elif isinstance(s, ast.If):
             entry.blocks.append(_flatten(s.then.stmts, flat))
-            entry.blocks.append(_flatten(_else_stmts(s), flat))
+            entry.blocks.append(_flatten(s.els.stmts, flat))
         elif isinstance(s, ast.While):
             entry.blocks.append(_flatten(s.body.stmts, flat))
         entry.end = len(flat)
@@ -898,11 +888,10 @@ class _Writer:
     while the entry lies before the loop's end: its back edge goes round
     that loop alone and its exit breaks out of it. The concrete
     translation is written for a path whose ints are all Python ints: its
-    int operations, indices and strict positions take them as they are,
-    and a test that compares ints only is a Python bool. Its segments,
-    entries, k and state counts are those of the general one, since a
-    pinned copy resumes in it at the statement that stopped to have the
-    pin."""
+    int operations, indices and strict positions take them as they are.
+    Its segments, entries, k and state counts are those of the general
+    one, since a pinned copy resumes in it at the statement that stopped
+    to have the pin."""
 
     def __init__(self, fn: _Function, concrete=False):
         self.fn = fn
@@ -1116,10 +1105,14 @@ class _Writer:
         elif isinstance(node, (ast.If, ast.While)):
             # each side ends in its own jump, since one that goes on past
             # the segments before its target runs on to the next line
-            if self.concrete and _compares_ints(node.cond):
-                self.put(f"if not {self.test(node.cond)}: {self.jump(q, s.other) or 'pass'}")
+            e = node.cond
+            compare = isinstance(e, ast.Binary) and e.op in ast.COMPARISONS
+            if self.concrete and compare and e.lhs.ty is ast.Type.INT:
+                # one comparison of Python ints is a Python bool
+                a, b = self.value(e.lhs), self.value(e.rhs)
+                self.put(f"if not {a} {e.op} {b}: {self.jump(q, s.other) or 'pass'}")
             else:
-                c = self.cond(node.cond)
+                c = self.cond(e)
                 self.put(f"if {c} is not True:")
                 self.put(f" if {c} is False: {self.jump(q, s.other) or 'pass'}")
                 call = f"ex.branch(state, {c}, {self.const(node.loc)}, {s.other})"
@@ -1301,40 +1294,6 @@ class _Writer:
         else:
             raise AssertionError(f"not a condition: {type(e).__name__}")
         return t
-
-    def test(self, e: ast.Expr) -> str:
-        """A Python bool expression of e, a condition that compares ints
-        only, in the concrete translation. The right side of && and || runs
-        only where the left side does not settle it, so statements that it
-        needs go under an if."""
-        if isinstance(e, ast.Unary):
-            return f"(not {self.test(e.operand)})"
-        if e.op in ast.COMPARISONS:
-            return f"{self.value(e.lhs)} {e.op} {self.value(e.rhs)}"
-        x = self.test(e.lhs)
-        at = len(self.lines)
-        self.indent += " "
-        y = self.test(e.rhs)
-        self.indent = self.indent[:-1]
-        op = "and" if e.op == "&&" else "or"
-        if len(self.lines) == at:
-            return f"({x} {op} {y})"
-        t = self.temp()
-        go_on = t if op == "and" else f"not {t}"
-        self.lines[at:at] = [f"{self.indent}{t} = {x}", f"{self.indent}if {go_on}:"]
-        self.put(f" {t} = {y}")
-        return t
-
-
-def _compares_ints(e: ast.Expr) -> bool:
-    """Whether condition e compares ints only, joined by &&, || and !."""
-    if isinstance(e, ast.Unary):
-        return _compares_ints(e.operand)
-    if not isinstance(e, ast.Binary):
-        return False
-    if e.op in ast.LOGICAL:
-        return _compares_ints(e.lhs) and _compares_ints(e.rhs)
-    return e.op in ast.COMPARISONS and e.lhs.ty is ast.Type.INT
 
 
 def _compile(lines: list[str], filename: str, consts: list):

@@ -239,11 +239,14 @@ class _Parser:
         self.expect_punct(")")
         header = self.span(start)
         then = self.block()
-        els: ast.Block | ast.If | None = None
+        els = ast.Block([], header)
         if self.peek().is_kw("else"):
             self.advance()
             if self.peek().is_kw("if"):
-                els = self.if_stmt()
+                # a block of the one inner if, so each link of an else-if
+                # chain deepens the tree and counts toward MAX_DEPTH
+                (inner,) = self.stmt()
+                els = ast.Block([inner], inner.loc)
             else:
                 els = self.block()
         return ast.If(cond, then, els, header)

@@ -1,3 +1,5 @@
+import pytest
+
 from vlsym import ast
 from vlsym.ast import Type, validate
 from vlsym.diagnostics import Loc
@@ -159,7 +161,7 @@ def calls_in(stmts):
         elif isinstance(s, ast.Block):
             yield from calls_in(s.stmts)
         elif isinstance(s, ast.If):
-            yield from calls_in([s.then, *([s.els] if s.els is not None else [])])
+            yield from calls_in([s.then, s.els])
         elif isinstance(s, ast.While):
             yield from calls_in(s.body.stmts)
 
@@ -382,3 +384,30 @@ def test_diagnostics_sorted_by_location():
     diags = validate(parse_program(src))
     lines = [d.loc.line for d in diags]
     assert lines == sorted(lines)
+
+
+@pytest.mark.parametrize(
+    "src, diags",
+    [
+        ("func f(int a, int a) {} func main() {}", [("1:15-19", "duplicate parameter 'a'")]),
+        ("func main() { var int x; x = 1.0; }", [("1:26-33", "cannot assign real to int")]),
+        (
+            # the arguments of an unknown function are still checked
+            "func main() { g(1 + 2.0); }",
+            [
+                ("1:15-25", "unknown function 'g'"),
+                ("1:17-23", "'+' requires int or real operands of the same type"),
+            ],
+        ),
+        ("func main() { var int x = 1; var int y = x[0]; }", [("1:42-42", "cannot index int 'x'")]),
+        (
+            "func main() { var int x = 1; if (x < 1.0) {} }",
+            [("1:34-40", "'<' requires int or real operands of the same type")],
+        ),
+        # an unknown operand gives no second error for its comparison
+        ("func main() { if (q < 1) {} }", [("1:19-19", "unknown name 'q'")]),
+    ],
+    ids=["duplicate-param", "real-to-int", "unknown-call", "index-int", "int-vs-real", "unknown-name"],
+)
+def test_each_check_reports_its_one_diagnostic_where_it_fails(src, diags):
+    assert located(src) == diags

@@ -2513,6 +2513,44 @@ def test_a_path_moves_to_the_concrete_code_at_the_pin_of_its_last_symbolic_int(
     ]
 
 
+# every int input given, so main runs on the concrete code, whose ifs and
+# whiles with &&, || or ! are written as the general code writes them; the
+# right side of the loop's && reads a[i] only while i < n
+COMPOUND_INT_TESTS = """
+input int N = 4;
+input int K = 1;
+input real V[N];
+func main() {
+  var int a[N];
+  for (var int c = 0; c < N; c++) {
+    a[c] = c + 1;
+  }
+  var int z;
+  z = choose_int(N + 1);
+  if (z < N) {
+    a[z] = 0;
+  }
+  var int n = N;
+  var int i = 0;
+  while (i < n && a[i] != 0) {
+    i = i + 1;
+  }
+  var int j;
+  j = choose_int(3);
+  if (!(i < 2) || j == 1) {
+    print("far ", i, " ", j);
+  } else {
+    print("near ", i, " ", j);
+  }
+  var int k = K - j;
+  if (!(k == 0)) {
+    print("k=", k);
+  }
+  assert(i != 3 || j != 2 || V[0] != 1.0);
+}
+"""
+
+
 # two ways to run the same program on less of the writer: with no Python
 # loops, so every back edge leaves the code, and with no concrete
 # translation, so every path stays on the general one
@@ -2529,8 +2567,9 @@ WRITER_CONFIGS = {
         *(load_sources(names) for names in (CLEAN_FILES, SWAP_FILES, COLMAX_FILES)),
         [("<input>", TWO_PINS)],
         [("<input>", NESTS)],
+        [("<input>", COMPOUND_INT_TESTS)],
     ],
-    ids=["clean", "swap", "colmax", "two-pins", "nests"],
+    ids=["clean", "swap", "colmax", "two-pins", "nests", "compound-int-tests"],
 )
 def test_the_writer_gives_the_same_search_without_python_loops_or_concrete_blocks(
     monkeypatch, sources
@@ -2595,8 +2634,9 @@ def test_replay_and_run_path_across_the_switch_give_the_verify_path():
         [("<input>", NAMES_LIKE_THE_GENERATED_CODE)],
         [("<input>", TWO_PINS)],
         [("<input>", ALL_INTS_GIVEN)],
+        [("<input>", COMPOUND_INT_TESTS)],
     ],
-    ids=["clean", "swap", "colmax", "names", "two-pins", "all-ints-given"],
+    ids=["clean", "swap", "colmax", "names", "two-pins", "all-ints-given", "compound-int-tests"],
 )
 def test_every_block_translates_both_ways_and_the_concrete_one_tests_no_int(monkeypatch, sources):
     # a function is written only when a path enters it, so a search would

@@ -108,8 +108,15 @@ def test_else_if_chain():
         "func main() { var int a = 1; if (a < 1) {} else if (a < 2) {} else {} }"
     )
     node = stmts[1]
-    assert isinstance(node.els, ast.If)
-    assert isinstance(node.els.els, ast.Block)
+    # the else side is always a block; for else if, a block of just the
+    # inner if, located at it
+    assert isinstance(node.els, ast.Block)
+    (inner,) = node.els.stmts
+    assert isinstance(inner, ast.If)
+    assert node.els.loc == inner.loc and inner.loc.render() == "<input>:1:49-58"
+    assert isinstance(inner.els, ast.Block) and inner.els.stmts == []
+    (no_else,) = body_of("func main() { if (1 < 2) {} }")
+    assert isinstance(no_else.els, ast.Block) and no_else.els.stmts == []
 
 
 def test_precedence():
@@ -195,6 +202,18 @@ def test_long_operator_chains_count_toward_the_nesting_limit(op):
     # which validation and the engine walk recursively
     def chained(n):
         return [("chain.vl", CHAINS[op] % f" {op} ".join([TERMS[op]] * n))]
+
+    assert isinstance(load_program(chained(150)), ast.Program)
+    (diag,) = load_program(chained(600))
+    assert diag.message == "nesting too deep"
+
+
+def test_long_else_if_chains_count_toward_the_nesting_limit():
+    # each else if is a block of the next if, so a chain builds a tree as
+    # deep as it is long, which validation walks recursively
+    def chained(n):
+        links = "".join(f"else if (a < {i}) {{}} " for i in range(n))
+        return [("chain.vl", f"func main() {{ var int a = 1; if (a < 0) {{}} {links}}}")]
 
     assert isinstance(load_program(chained(150)), ast.Program)
     (diag,) = load_program(chained(600))

@@ -67,6 +67,42 @@ def test_idempotent(src):
     assert pretty_print(parse_program(printed)) == printed
 
 
+@pytest.mark.parametrize(
+    "spellings, printed",
+    [
+        (
+            [
+                "if (a < 1) { a = 2; } else if (a < 2) { a = 3; }",
+                "if (a < 1) { a = 2; } else { if (a < 2) { a = 3; } }",
+            ],
+            ["if (a < 1) {", "  a = 2;", "} else if (a < 2) {", "  a = 3;", "}"],
+        ),
+        (
+            [
+                "if (a < 1) {} else if (a < 2) {} else { a = 4; }",
+                "if (a < 1) {} else { if (a < 2) {} else { a = 4; } }",
+            ],
+            ["if (a < 1) {", "} else if (a < 2) {", "} else {", "  a = 4;", "}"],
+        ),
+        (["if (a < 1) {}", "if (a < 1) {} else {}"], ["if (a < 1) {", "}"]),
+        (
+            # an else block that holds an if and more stays a block
+            ["if (a < 1) {} else { if (a < 2) {} a = 5; }"],
+            ["if (a < 1) {", "} else {", "  if (a < 2) {", "  }", "  a = 5;", "}"],
+        ),
+    ],
+    ids=["else-if", "else-if-else", "no-else", "else-block"],
+)
+def test_each_spelling_of_an_else_is_one_tree_that_prints_one_way(spellings, printed):
+    progs = [parse_program(f"func main() {{ var int a = 1; {s} }}") for s in spellings]
+    assert all(prog == progs[0] for prog in progs)
+    want = "\n".join(["func main() {", "  var int a = 1;", *("  " + line for line in printed), "}", ""])
+    for prog in progs:
+        text = pretty_print(prog)
+        assert text == want
+        assert parse_program(text) == prog
+
+
 def test_minimal_parens():
     out = pretty_print(parse_program("func main() { var int x = 1 + 2 * 3; }"))
     assert "var int x = 1 + 2 * 3;" in out
