@@ -27,9 +27,9 @@ its function's code, its slots and the index of its next statement; it has
 ended when that index is at the end of the flat array, where the code
 leaves it at a return or after the last statement, and the loop that runs
 a path's code is the one place that pops it. Each function is translated
-two ways: in general, and for a path whose ints are all Python ints, with
-no test for a symbolic one; a path's frames move to the second once no int
-input is symbolic.
+two ways: in general, computing every int on polynomials, and for a path
+whose ints are all Python ints, computing on those; a path's frames move
+to the second once no int input is symbolic.
 States are mutated in place along straight-line code and cloned only
 where paths fork, and a clone shares the values its cells hold; the
 engine keeps each real sum, difference and product under its operand
@@ -315,9 +315,6 @@ class ArrayRef:
 class ArrayStorage:
     __slots__ = ("cells", "elem_kind", "read_only", "label")
 
-    def clone(self) -> "ArrayStorage":
-        return ArrayStorage(list(self.cells), self.elem_kind, self.read_only, self.label)
-
 
 class Frame:
     """One call of a function: the code it runs (fn.code or fn.concrete),
@@ -329,15 +326,12 @@ class Frame:
 
     __slots__ = ("code", "fn", "slots", "ret_slot", "pc")
 
-    def clone(self) -> "Frame":
-        return Frame(self.code, self.fn, list(self.slots), self.ret_slot, self.pc)
-
 
 class ExecState:
     """One path's state. frames holds the frames of the calls that have
     not ended, main's first; a path that has run to its end keeps main's.
-    heap maps each array's address to its storage, and an address is the
-    number of arrays allocated before it, since no entry is ever removed.
+    heap lists the arrays' storages in the order they were allocated, so an
+    address is the number of arrays allocated before it.
     printed holds each print's evaluated arguments, as a tuple of literal
     strings, values and snapshots (tuples) of printed arrays' cells; prints
     renders them, so a search that never reads its output never renders
@@ -351,23 +345,23 @@ class ExecState:
         return ["".join([_render_print_arg(p) for p in parts]) for parts in self.printed]
 
     def clone(self) -> "ExecState":
-        st = ExecState(
-            [f.clone() for f in self.frames],
-            # an input's cells are never written (run_path fills them before
-            # the first clone, and _pin rewrites int storages only), so
-            # every path shares them
-            {addr: s if s.read_only else s.clone() for addr, s in self.heap.items()},
+        # an input's cells are never written (run_path fills them before the
+        # first clone, and _pin rewrites int storages only): paths share them
+        return ExecState(
+            [Frame(f.code, f.fn, list(f.slots), f.ret_slot, f.pc) for f in self.frames],
+            [
+                s if s.read_only else ArrayStorage(list(s.cells), s.elem_kind, False, s.label)
+                for s in self.heap
+            ],
             self.globals,
             self.pc,
             list(self.trail),
             list(self.printed),
         )
-        return st
 
     def alloc(self, storage: ArrayStorage) -> ArrayRef:
-        addr = len(self.heap)
-        self.heap[addr] = storage
-        return ArrayRef(addr)
+        self.heap.append(storage)
+        return ArrayRef(len(self.heap) - 1)
 
     def lookup(self, name: str):
         """The value of name in the top frame, from the latest-declared slot
@@ -533,7 +527,7 @@ class Engine:
                 raise EngineInitError(f"-input{name} does not name an int input")
         main = self.program.func("main").translation
         frame = Frame(main.code, main, [None] * len(main.names))
-        state = ExecState([frame], {}, {}, PathCondition(), [], [])
+        state = ExecState([frame], [], {}, PathCondition(), [], [])
         self.inputs_desc = desc = []
         ordinal = 0
         for decl in self.program.inputs:
@@ -572,9 +566,9 @@ class Engine:
         into an int), and _pin substitutes a pinned symbol into every int
         that the state holds: frame slots, int heap cells and globals. Once
         the last symbolic int input is pinned, no int that the path holds
-        or later computes is a Poly, so the concrete translation needs no
-        test for one. A state settles at most once, in init_state or at the
-        pin of its last symbolic int input, and never goes back."""
+        or later computes is a Poly, so the concrete translation computes on
+        Python ints alone. A state settles at most once, in init_state or at
+        the pin of its last symbolic int input, and never goes back."""
         if any(v.__class__ is Poly for v in state.globals.values()):
             return
         for frame in state.frames:
@@ -627,16 +621,17 @@ class Engine:
 # the code executes the statements from its entry to where it leaves; each
 # counts one state, added up in n as it jumps and as it leaves.
 #
-# An expression becomes Python statements that leave its value in a temp,
-# with the fast path for two concrete ints written out (tested by
-# `v.__class__ is int`, which never takes a bool for an int); a leaf is read
-# where it is used. Each function is also written a second way, for a path
-# whose ints are all Python ints (Engine.settle): there the fast path is
-# all there is. A real +, - or * calls the real memo of that operator
-# (_real_add, _real_sub, _real_mul), which computes only on a miss. The
-# code finds make_int, int_poly and the helpers below, and the Poly
-# operators, through this module's globals. VL names and strings never
-# enter its source: they reach it as constants, and slots as indices.
+# An expression becomes Python statements that leave its value in a temp;
+# a leaf is read where it is used. The general translation computes every
+# int on polynomials (int_poly, make_int, _int_atom) and takes the Python
+# int of a strict position that is no literal (an extent, a count or an
+# index) from _strict; the concrete one (Engine.settle) computes on Python
+# ints, and neither tests an operand's type. A real +, - or * calls the
+# real memo of that operator (_real_add, _real_sub, _real_mul), which
+# computes only on a miss. The code finds make_int, int_poly and the
+# helpers below, and the Poly operators, through this module's globals. VL
+# names and strings never enter its source: they reach it as constants,
+# and slots as indices.
 
 # statements that never leave the code and go on at their next; a path
 # may enter at the next of every other statement, where it goes on after a
@@ -705,9 +700,9 @@ def _unset(name: str, loc: Loc):
 
 
 def _bad_cell(storage: ArrayStorage, i, base: str, loc: Loc, write_loc: "Loc | None" = None):
-    """Raise the error of a read of cell i of storage, or of a write to it
-    by the statement at write_loc, that is not a plain one."""
-    i, n = _strict(i), len(storage.cells)
+    """Raise the error of a read of cell i, a Python int, of storage, or of
+    a write to it by the statement at write_loc, that is not a plain one."""
+    n = len(storage.cells)
     if i < 0 or i >= n:
         raise Violating(Property.OUT_OF_BOUNDS, loc, f"index {i} outside '{base}' of length {n}")
     if write_loc is None:
@@ -817,10 +812,10 @@ _UNVALIDATED = "the program was not validated; pass one that load_program return
 class _Function:
     """A function's flat code and the names of its slots, the first params
     of which are its parameters. code is the Python function of the whole
-    flat code; until a path first enters the function, it is a stub that
-    translates it. concrete is the same code, with the same entries,
-    translated for a path whose ints are all Python ints (see
-    Engine.settle). A call reaches its callee's _Function through the
+    flat code, which computes every int on polynomials; until a path first
+    enters the function, it is a stub that translates it. concrete is the
+    same code, with the same entries, computing on Python ints, for a path
+    whose ints are all Python ints (see Engine.settle). A call reaches its callee's _Function through the
     FuncDecl that validation bound the call to. It serves every engine of
     its program (FuncDecl.translation)."""
 
@@ -886,12 +881,11 @@ class _Writer:
     return, an executor method that may fork, and an error). Each while,
     up to _MAX_LOOPS deep, runs as a Python loop of its own, entered only
     while the entry lies before the loop's end: its back edge goes round
-    that loop alone and its exit breaks out of it. The concrete
-    translation is written for a path whose ints are all Python ints: its
-    int operations, indices and strict positions take them as they are.
-    Its segments, entries, k and state counts are those of the general
-    one, since a pinned copy resumes in it at the statement that stopped
-    to have the pin."""
+    that loop alone and its exit breaks out of it. The general translation
+    computes every int on polynomials, the concrete one, for a path whose
+    ints are all Python ints, on those. Its segments, entries, k and state
+    counts are those of the general one, since a pinned copy resumes in it
+    at the statement that stopped to have the pin."""
 
     def __init__(self, fn: _Function, concrete=False):
         self.fn = fn
@@ -1147,12 +1141,10 @@ class _Writer:
         if isinstance(target, ast.Name):
             self.put(f"{self.slot(target.slot)} = {v}")
             return
-        i = self.value(target.index)
+        i = self.strict(target.index)
         storage, cells, n = self.array(target.base)
-        tests = self.int_tests((target.index, i))
-        self.raises, self.pins = True, self.pins or not isinstance(target.index, ast.IntLit)
-        tests += [f"0 <= {i} < {n}", f"not {storage}.read_only"]
-        self.put(f"if {' and '.join(tests)}: {cells}[{i}] = {v}")
+        self.raises = True
+        self.put(f"if 0 <= {i} < {n} and not {storage}.read_only: {cells}[{i}] = {v}")
         where = f"{self.const(target.base.name)}, {self.const(target.loc)}, {self.const(s.loc)}"
         self.put(f"else: _bad_cell({storage}, {i}, {where})")
 
@@ -1191,19 +1183,8 @@ class _Writer:
         self.put(f"{storage} = state.heap[{ref}.addr]")
         return storage, f"{storage}.cells", f"len({storage}.cells)"
 
-    def int_tests(self, *ints: tuple[ast.Expr, str]) -> list[str]:
-        """Tests that each int value v of an expression e, given as (e, v),
-        is concrete; a literal needs none, and nor does any value in the
-        concrete translation."""
-        if self.concrete:
-            return []
-        return [f"{v}.__class__ is int" for e, v in ints if not isinstance(e, ast.IntLit)]
-
-    def fast_or_slow(self, t: str, tests: list[str], fast: str, slow: str) -> None:
-        """Set t to fast where every test holds, else to slow."""
-        self.put(f"{t} = {fast} if {' and '.join(tests)} else {slow}" if tests else f"{t} = {fast}")
-
     def strict(self, e: ast.Expr) -> str:
+        """The Python int of e in a strict position: an extent, a count or an index."""
         v = self.value(e)
         if isinstance(e, ast.IntLit):
             return v
@@ -1211,7 +1192,7 @@ class _Writer:
         if self.concrete:
             return v
         t = self.temp()
-        self.put(f"{t} = {v} if {v}.__class__ is int else _strict({v})")
+        self.put(f"{t} = _strict({v})")
         return t
 
     def value(self, e: ast.Expr) -> str:
@@ -1228,21 +1209,20 @@ class _Writer:
             return v
         t = self.temp()
         if isinstance(e, ast.Index):
-            i = self.value(e.index)
+            i = self.strict(e.index)
             storage, cells, n = self.array(e.base)
-            tests = self.int_tests((e.index, i))
-            self.raises, self.pins = True, self.pins or not isinstance(e.index, ast.IntLit)
-            plain = " and ".join([*tests, f"0 <= {i} < {n}"])
+            self.raises = True
             bad = f"_bad_cell({storage}, {i}, {self.const(e.base.name)}, {self.const(e.loc)})"
-            self.put(f"if not ({plain}) or ({t} := {cells}[{i}]) is UNDEFINED: {bad}")
+            self.put(f"if not (0 <= {i} < {n}) or ({t} := {cells}[{i}]) is UNDEFINED: {bad}")
         elif isinstance(e, ast.Unary):
             assert e.op == "-", "boolean operators are translated as conditions"
             x = self.value(e.operand)
             if e.ty is ast.Type.REAL:
                 self.put(f"{t} = RealVal(-{x}.poly)")
+            elif self.concrete:
+                self.put(f"{t} = -{x}")
             else:
-                tests = self.int_tests((e.operand, x))
-                self.fast_or_slow(t, tests, f"-{x}", f"make_int(-int_poly({x}))")
+                self.put(f"{t} = make_int(-int_poly({x}))")
         elif isinstance(e, ast.Binary):
             a, b = self.value(e.lhs), self.value(e.rhs)
             if e.op == "/":
@@ -1250,10 +1230,10 @@ class _Writer:
                 self.put(f"{t} = _divide({a}.poly, {b}.poly, {self.const(e.loc)})")
             elif e.ty is ast.Type.REAL:
                 self.put(f"{t} = {_REAL_MEMO[e.op]}({a}, {b})")
+            elif self.concrete:
+                self.put(f"{t} = {a} {e.op} {b}")
             else:
-                tests = self.int_tests((e.lhs, a), (e.rhs, b))
-                slow = f"make_int(int_poly({a}) {e.op} int_poly({b}))"
-                self.fast_or_slow(t, tests, f"{a} {e.op} {b}", slow)
+                self.put(f"{t} = make_int(int_poly({a}) {e.op} int_poly({b}))")
         elif isinstance(e, ast.LenCall):
             return self.array(e.arg)[2]
         else:
@@ -1283,9 +1263,10 @@ class _Writer:
             rel = f"Rel.{Rel(e.op).name}"
             if e.lhs.ty is ast.Type.REAL:
                 self.put(f"{t} = _real_atom({rel}, {a}, {b})")
+            elif self.concrete:
+                self.put(f"{t} = {a} {e.op} {b}")
             else:
-                tests = self.int_tests((e.lhs, a), (e.rhs, b))
-                self.fast_or_slow(t, tests, f"{a} {e.op} {b}", f"_int_atom({rel}, {a}, {b})")
+                self.put(f"{t} = _int_atom({rel}, {a}, {b})")
         elif isinstance(e, ast.EqualsCall):
             names = f"{self.const(e.lhs.name)}, {self.const(e.rhs.name)}"
             arrays = f"{self.load(e.lhs)}, {self.load(e.rhs)}"
@@ -1356,7 +1337,7 @@ def _pin(state: ExecState, sym: SymConst, value: int) -> None:
 
     for frame in state.frames:
         frame.slots = [subst(v) for v in frame.slots]
-    for storage in state.heap.values():
+    for storage in state.heap:
         if storage.elem_kind is SymKind.INT:
             storage.cells = [subst(v) for v in storage.cells]
     state.globals = {name: subst(v) for name, v in state.globals.items()}

@@ -406,8 +406,20 @@ def test_diagnostics_sorted_by_location():
         ),
         # an unknown operand gives no second error for its comparison
         ("func main() { if (q < 1) {} }", [("1:19-19", "unknown name 'q'")]),
+        # nor does an unknown array for its indexing, whose index is still checked
+        ("func main() { var int y = q[0]; }", [("1:27-27", "unknown name 'q'")]),
+        (
+            "func main() { var int y = q[1 + 2.0]; }",
+            [
+                ("1:27-27", "unknown name 'q'"),
+                ("1:29-35", "'+' requires int or real operands of the same type"),
+            ],
+        ),
     ],
-    ids=["duplicate-param", "real-to-int", "unknown-call", "index-int", "int-vs-real", "unknown-name"],
+    ids=[
+        "duplicate-param", "real-to-int", "unknown-call", "index-int", "int-vs-real", "unknown-name",
+        "unknown-array", "unknown-array-bad-index",
+    ],
 )
 def test_each_check_reports_its_one_diagnostic_where_it_fails(src, diags):
     assert located(src) == diags

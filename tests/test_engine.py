@@ -1155,9 +1155,9 @@ def test_a_clone_shares_its_inputs_and_copies_every_writable_storage():
     st.alloc(engine.ArrayStorage([1, 2], SymKind.INT))
     st.alloc(engine.ArrayStorage([RealVal(Poly.const(1))], SymKind.REAL))
     copy = st.clone()
-    assert copy.heap.keys() == st.heap.keys()
-    assert sum(s.read_only for s in st.heap.values()) == 2
-    for addr, storage in st.heap.items():
+    assert len(copy.heap) == len(st.heap)
+    assert sum(s.read_only for s in st.heap) == 2
+    for addr, storage in enumerate(st.heap):
         if storage.read_only:
             assert copy.heap[addr] is storage
         else:
@@ -2627,6 +2627,82 @@ def test_replay_and_run_path_across_the_switch_give_the_verify_path():
         )
 
 
+# N is only computed with and compared, and never stands in a strict
+# position: every extent, choose_int count and index is computed from the
+# choices, so no path pins N and main runs its general translation alone,
+# which computes every int on polynomials: int +, - and *, unary -, each
+# comparison, a read and a write at computed indices, a computed count and
+# extent, and equals() of int arrays
+NEVER_PINNED = """
+input int N;
+func main() {
+  assume(-2 <= N && N <= 2);
+  var int k;
+  k = choose_int(2);
+  var int a[k + 2];
+  var int b[k + 2];
+  a[0] = -N;
+  b[0] = N - 2 * N;
+  a[k + 1] = N * k - 1;
+  b[k + 1] = k * N + 1 - 2;
+  if (k == 1) {
+    a[1] = N * N;
+    b[1] = N;
+  }
+  var int c;
+  c = choose_int(k + 1);
+  var int x = a[c + 1] + N;
+  if (x >= 1 && N <= 0 || -N > k) {
+    print("x=", x);
+  }
+  if (x != N - 1) {
+    x = x - 1;
+  }
+  assert(!equals(a, b) || N < 1);
+  print(a, " ", b, " ", x);
+  var int y = b[2 * c + 1];
+}
+"""
+
+
+def test_a_path_that_never_pins_an_int_input_runs_the_general_code_alone(engines):
+    r = search(NEVER_PINNED)
+    assert r.stats == engine.Stats(states=69, terminals=3, pruned=11, solver_calls=50)
+    assert not r.incomplete
+    assert all(v.certainty is Certainty.PROVEABLE for v in r.violations)
+    got = [
+        (v.prop, v.loc.line, v.loc.col, v.message, render_trail(v.trail)[len("# trail v1\n"):])
+        for v in r.violations
+    ]
+    failed, oob = Property.ASSERTION_VIOLATION, Property.OUT_OF_BOUNDS
+    fails, past = "asserted condition fails", "index 3 outside 'b' of length 3"
+    assert got == [
+        (failed, 26, 3, fails, "C 0/2\nC 0/1\nB t\nB e\nB e\n"),
+        (failed, 26, 3, fails, "C 0/2\nC 0/1\nB e\nB e\n"),
+        (failed, 26, 3, fails, "C 1/2\nC 0/2\nB t\nB e\nB e\nB t\n"),
+        (failed, 26, 3, fails, "C 1/2\nC 1/2\nB t\nB e\nB e\nB t\n"),
+        (oob, 28, 15, past, "C 1/2\nC 1/2\nB e\nB t\nB t\n"),
+        (oob, 28, 15, past, "C 1/2\nC 1/2\nB e\nB e\nB t\n"),
+        (oob, 28, 15, past, "C 1/2\nC 1/2\nB e\nB e\nB e\n"),
+    ]
+    witnesses = [{sym.render(): value for sym, value in v.witness.items()} for v in r.violations]
+    assert witnesses == [{"N": n} for n in (2, 1, 1, 1, -2, -1, 0)]
+    assert [(render_trail(st.trail), st.prints) for st in r.terminal_states] == [
+        ("# trail v1\nC 0/2\nC 0/1\nB e\nB t\n", ["x=N - 1", "[ -N -1 ] [ -N -1 ] N - 1"]),
+        (
+            "# trail v1\nC 1/2\nC 0/2\nB t\nB t\nB t\n",
+            ["x=N*N + N", "[ -N N*N N - 1 ] [ -N N N - 1 ] N*N + N - 1"],
+        ),
+        (
+            "# trail v1\nC 1/2\nC 0/2\nB e\nB e\nB t\n",
+            ["[ -N N*N N - 1 ] [ -N N N - 1 ] N*N + N - 1"],
+        ),
+    ]
+    (eng,) = engines
+    assert all(translated(f.translation.code) for f in eng.program.funcs)
+    assert not any(translated(f.translation.concrete) for f in eng.program.funcs)
+
+
 @pytest.mark.parametrize(
     "sources",
     [
@@ -2635,8 +2711,12 @@ def test_replay_and_run_path_across_the_switch_give_the_verify_path():
         [("<input>", TWO_PINS)],
         [("<input>", ALL_INTS_GIVEN)],
         [("<input>", COMPOUND_INT_TESTS)],
+        [("<input>", NEVER_PINNED)],
     ],
-    ids=["clean", "swap", "colmax", "names", "two-pins", "all-ints-given", "compound-int-tests"],
+    ids=[
+        "clean", "swap", "colmax", "names", "two-pins", "all-ints-given", "compound-int-tests",
+        "never-pinned",
+    ],
 )
 def test_every_block_translates_both_ways_and_the_concrete_one_tests_no_int(monkeypatch, sources):
     # a function is written only when a path enters it, so a search would
@@ -2662,6 +2742,40 @@ def test_every_block_translates_both_ways_and_the_concrete_one_tests_no_int(monk
         general, concrete = both
         for general_only in ("__class__ is int", "make_int", "int_poly", "_strict"):
             assert general_only not in concrete, (fn.name, concrete)
+        # the general translation computes every int on polynomials
+        assert "__class__ is int" not in general, (fn.name, general)
         # a pinned copy resumes in the concrete translation where it
         # stopped in the general one, so both have the same segments
         assert re.findall(r"if e <= (\d+):", general) == re.findall(r"if e <= (\d+):", concrete)
+
+
+@pytest.mark.parametrize(
+    "names, kw",
+    [(CLEAN_FILES, {"overrides": {"M_B": 4}}), (SWAP_FILES, {}), (COLMAX_FILES, {})],
+    ids=["clean-m4", "swap", "colmax"],
+)
+def test_the_general_code_runs_26_statements_of_each_benchmark_search(monkeypatch, names, kw):
+    # the driver fixes the matrix's sizes before anything else, so every
+    # statement after its first pins runs in the concrete translation; the
+    # general one, which computes every int on polynomials, has no fast
+    # path, and a change that moves this count may want one back
+    ran = {}
+    real_function = engine._Writer.function
+
+    def function(self):
+        run = real_function(self)
+        if self.concrete:
+            return run
+
+        def counted(ex, state, frame):
+            before = ex.stats.states
+            out = run(ex, state, frame)
+            ran[self.fn.name] = ran.get(self.fn.name, 0) + ex.stats.states - before
+            return out
+
+        return counted
+
+    monkeypatch.setattr(engine._Writer, "function", function)
+    r = explore(load_program(load_sources(names)), SearchConfig(**kw))
+    assert r.stats.terminals
+    assert ran == {"main": 8, "make_row_ptr": 18}
