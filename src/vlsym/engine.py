@@ -32,11 +32,10 @@ whose ints are all Python ints, computing on those; a path's frames move
 to the second once no int input is symbolic.
 States are mutated in place along straight-line code and cloned only
 where paths fork, and a clone shares the values its cells hold; the
-engine keeps each real sum, difference and product under its operand
-objects, so a search computes each distinct one once. Integer inputs stay
-symbolic until a strict position (array extent, array index, choose_int
-argument) forces a value, at which point the path fans out over the
-feasible range.
+engine keeps each real sum and product under its operand objects, so a
+search computes each distinct one once. Integer inputs stay symbolic until
+a strict position (array extent, array index, choose_int argument) forces
+a value, at which point the path fans out over the feasible range.
 
 verify searches depth first. With N workers it first runs the search
 breadth first until FRONTIER_STATES paths are live, then searches that
@@ -60,13 +59,13 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from random import Random
+from typing import NamedTuple
 
 from . import ast
 from .diagnostics import Loc
 from .solver import (
     DEFAULT_BUDGET,
     Atom,
-    EnumerationBudgetExceeded,
     PathCondition,
     Rel,
     SatResult,
@@ -97,7 +96,7 @@ FRONTIER_STATES = 256
 # bytes of one claim in the claims pipe of a forked search: the first
 # frontier index of its range, little endian
 CLAIM_BYTES = 4
-# entries each real memo (_real_add, _real_sub, _real_mul, _real_eq) holds
+# entries each real memo (_real_add, _real_mul, _real_eq) holds
 # before it drops the least recently used; the corpus at -inputM_B=5 needs
 # under a thousand in the largest of them
 REAL_MEMO_ENTRIES = 1 << 12
@@ -121,59 +120,43 @@ class Certainty(enum.Enum):
 # decisions and trails
 
 
-class _Decision(ast.Record):
-    """A decision is a record (ast.Record) that compares and hashes by the
-    values of its fields: a trail policy finds it among the options by
-    equality."""
+# A decision is a tuple whose fields order it by its position among the
+# options it was taken from, so a trail is its own sort key. Two trails of
+# one search first differ at a decision point that both reached from the
+# same state: there both were offered the same options, of one kind, one
+# fanout and, for a pin, one symbol, so the two decisions compare by the
+# position each took. The kinds have 2, 1 and 3 fields, so no two kinds
+# compare equal, and a trail policy finds a decision among the options by
+# equality.
 
-    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return hash(tuple([getattr(self, f) for f in self.__slots__]))
-
-
-class ChooseInt(_Decision):
-    __slots__ = ("index", "fanout")
+class ChooseInt(NamedTuple):
+    index: int
+    fanout: int
 
     def render(self) -> str:
         return f"C {self.index}/{self.fanout}"
 
-    def key(self) -> int:
-        return self.index
 
-
-class Branch(_Decision):
-    __slots__ = ("then_taken",)
+class Branch(NamedTuple):
+    side: int  # 0 for then, 1 for else
 
     def render(self) -> str:
-        return f"B {'t' if self.then_taken else 'e'}"
-
-    def key(self) -> int:
-        return 0 if self.then_taken else 1
+        return "B t" if self.side == 0 else "B e"
 
 
-class ConcretizeInt(_Decision):
-    __slots__ = ("name", "value", "fanout")
+class ConcretizeInt(NamedTuple):
+    name: str
+    value: int
+    fanout: int
 
     def render(self) -> str:
         return f"Z {self.name}={self.value}/{self.fanout}"
 
-    def key(self) -> int:
-        return self.value
-
 
 Decision = ChooseInt | Branch | ConcretizeInt
 # the two sides of a symbolic branch, then first
-_SIDES = (Branch(True), Branch(False))
-
-
-def trail_key(trail) -> tuple:
-    """The sort key of a trail: each decision's position among the options
-    it was taken from. Two trails of one search first differ at a decision
-    point that both reached from the same state, so there both offered the
-    same options, of one kind and one fanout, and only the position taken
-    can tell them apart."""
-    return tuple(d.key() for d in trail)
+_SIDES = (Branch(0), Branch(1))
 
 
 class TrailFormatError(Exception):
@@ -204,7 +187,7 @@ def parse_trail(text: str) -> list[Decision]:
             elif kind == "B":
                 if rest not in ("t", "e"):
                     raise ValueError(rest)
-                out.append(Branch(rest == "t"))
+                out.append(Branch(0 if rest == "t" else 1))
             elif kind == "Z":
                 name, tail = rest.split("=")
                 v, k = tail.split("/")
@@ -626,12 +609,12 @@ class Engine:
 # int on polynomials (int_poly, make_int, _int_atom) and takes the Python
 # int of a strict position that is no literal (an extent, a count or an
 # index) from _strict; the concrete one (Engine.settle) computes on Python
-# ints, and neither tests an operand's type. A real +, - or * calls the
-# real memo of that operator (_real_add, _real_sub, _real_mul), which
-# computes only on a miss. The code finds make_int, int_poly and the
-# helpers below, and the Poly operators, through this module's globals. VL
-# names and strings never enter its source: they reach it as constants,
-# and slots as indices.
+# ints, and neither tests an operand's type. A real + or * calls the real
+# memo of that operator (_real_add, _real_mul), which computes only on a
+# miss; a real - is computed each time. The code finds make_int, int_poly
+# and the helpers below, and the Poly operators, through this module's
+# globals. VL names and strings never enter its source: they reach it as
+# constants, and slots as indices.
 
 # statements that never leave the code and go on at their next; a path
 # may enter at the next of every other statement, where it goes on after a
@@ -661,11 +644,11 @@ def _real_atom(rel: Rel, a: RealVal, b: RealVal):
     return _atom_formula(Atom(SymKind.REAL, rel, a.poly - b.poly))
 
 
-# The real memos: each distinct real sum, difference and product, and the
-# formula of each real cell pair of equals(), is computed with the Poly
-# operators only on a miss. A RealVal compares by identity, and clones share the
-# values they hold, so every path that reaches the same operands, whatever
-# its decisions, gets the same result object. A kept result is the one a
+# The real memos: each distinct real sum and product, and the formula of
+# each real cell pair of equals(), is computed with the Poly operators only
+# on a miss. A RealVal compares by identity, and clones share the values
+# they hold, so every path that reaches the same operands, whatever its
+# decisions, gets the same result object. A kept result is the one a
 # new computation would give: nothing rewrites a RealVal or a Poly, and a
 # cache holds its keys alive, so no id is reused. The caches belong to the
 # process, not to a search, and forked workers inherit them; a search's
@@ -678,11 +661,6 @@ def _real_add(a: RealVal, b: RealVal) -> RealVal:
 
 
 @lru_cache(REAL_MEMO_ENTRIES)
-def _real_sub(a: RealVal, b: RealVal) -> RealVal:
-    return RealVal(a.poly - b.poly)
-
-
-@lru_cache(REAL_MEMO_ENTRIES)
 def _real_mul(a: RealVal, b: RealVal) -> RealVal:
     return RealVal(a.poly * b.poly)
 
@@ -692,7 +670,7 @@ def _real_eq(a: RealVal, b: RealVal):
     return _real_atom(Rel.EQ, a, b)
 
 
-_REAL_MEMO = {"+": "_real_add", "-": "_real_sub", "*": "_real_mul"}
+_REAL_MEMO = {"+": "_real_add", "*": "_real_mul"}
 
 
 def _unset(name: str, loc: Loc):
@@ -1229,7 +1207,10 @@ class _Writer:
                 self.raises = True
                 self.put(f"{t} = _divide({a}.poly, {b}.poly, {self.const(e.loc)})")
             elif e.ty is ast.Type.REAL:
-                self.put(f"{t} = {_REAL_MEMO[e.op]}({a}, {b})")
+                if e.op == "-":
+                    self.put(f"{t} = RealVal({a}.poly - {b}.poly)")
+                else:
+                    self.put(f"{t} = {_REAL_MEMO[e.op]}({a}, {b})")
             elif self.concrete:
                 self.put(f"{t} = {a} {e.op} {b}")
             else:
@@ -1423,7 +1404,7 @@ class _Executor:
             kept = self._feasible((state.pc.add(f), state.pc.add(f.negated())))
             options = [_SIDES[i] for i, _ in kept]
             pcs = [pc for _, pc in kept]
-            return [(st, options[i].then_taken) for st, i in self.fork(state, options, pcs)]
+            return [(st, options[i].side == 0) for st, i in self.fork(state, options, pcs)]
         # a conjunction or a disjunction, part by part: one truth of a part
         # settles it, the other leaves the parts after it to decide. Each
         # entry of todo is a copy, its truth so far and the next part to
@@ -1447,11 +1428,13 @@ class _Executor:
         return out
 
     def _concretize(self, state: ExecState, sym: SymConst) -> list[ExecState]:
+        """Fork state over each feasible value of sym. The solver answered
+        state's path condition without raising, so a symbol that it bounds
+        has at most the budget's values: pc_sat multiplies the ranges of
+        the symbols its atoms mention and stops above the budget."""
         lo, hi = state.pc.bounds(sym)
         if lo is None or hi is None:
             raise UnboundedSymbol(sym)
-        if hi - lo + 1 > self.eng.config.budget:
-            raise EnumerationBudgetExceeded(hi - lo + 1, self.eng.config.budget)
         s = Poly.symbol(sym)
         pins = (Atom(SymKind.INT, Rel.EQ, s - Poly.const(v)) for v in range(lo, hi + 1))
         kept = self._feasible(state.pc.add(pin) for pin in pins)
@@ -1663,11 +1646,10 @@ class _Executor:
         _run_workers, which appends every process's findings to
         self.violations. explore's one sort by trail then orders them as
         the serial search does. Each fork gives each copy a different
-        option, so findings on different paths have different trails, and
-        so different keys (trail_key). Two findings share a trail only if
-        one path made both with no decision between them: one process made
-        them, in that order and after every finding of the breadth-first
-        phase, and the sort is stable."""
+        option, so findings on different paths have different trails. Two
+        findings share a trail only if one path made both with no decision
+        between them: one process made them, in that order and after every
+        finding of the breadth-first phase, and the sort is stable."""
         frontier = self._frontier(root)
         if frontier:
             _run_workers(self, frontier, min(self.eng.config.workers, len(frontier)))
@@ -1860,7 +1842,7 @@ def explore(program: ast.Program, config: SearchConfig, on_terminal=None) -> Sea
         ex.dfs_forked(root)
     else:
         ex.dfs(root, on_terminal=on_terminal)
-    ex.violations.sort(key=lambda v: trail_key(v.trail))
+    ex.violations.sort(key=lambda v: v.trail)
     return SearchResult(ex.violations, ex.stats, ex.incomplete, eng.inputs_desc)
 
 

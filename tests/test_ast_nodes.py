@@ -11,7 +11,7 @@ from vlsym.diagnostics import Loc
 
 DECLS = [ast.Param, ast.FuncDecl, ast.InputDecl, ast.Program]
 NODES = [*ast.Expr.__args__, *ast.Stmt.__args__, *DECLS]
-RECORDS = [engine.ChooseInt, engine.Branch, engine.ConcretizeInt, engine.Violation, engine.Stats]
+RECORDS = [engine.Violation, engine.Stats]
 STATES = [
     engine.FAnd,
     engine.FOr,
@@ -98,11 +98,8 @@ def test_node_contract(cls):
         if name not in ignored:
             assert node != cls(**dict(values, **{name: object()}))
 
-    if issubclass(cls, engine._Decision):
-        assert hash(cls(**values)) == hash(node)
-    else:
-        with pytest.raises(TypeError):
-            hash(node)
+    with pytest.raises(TypeError):
+        hash(node)
 
 
 def test_a_class_gets_its_constructor_from_its_slots():

@@ -26,7 +26,6 @@ from vlsym.engine import (
     parse_trail,
     render_trail,
     run_path,
-    trail_key,
 )
 from vlsym.parser import load_program, parse_program
 from vlsym.report import render_violation
@@ -550,7 +549,7 @@ def test_each_path_sees_only_its_own_pin():
         assert isinstance(choice, engine.ChooseInt) and isinstance(pin, engine.ConcretizeInt)
         assert probe_side == main_side
         n, k = pin.value, choice.index
-        side = "t" if probe_side.then_taken else "e"
+        side = "t" if probe_side.side == 0 else "e"
         assert st.prints == [
             f"probe {side} p={n} N={n}",
             f"main {side} g={n} l={n + 1} c={2 * n} s={k}",
@@ -885,9 +884,9 @@ def test_replay_reaches_recorded_violation():
     assert out.violations
     assert out.violations[0].prop is Property.ASSERTION_VIOLATION
     assert out.violations[0].loc == v.loc
-    assert trail_key(out.violations[0].trail) == trail_key(v.trail)
+    assert out.violations[0].trail == v.trail
 
-    # N is the second symbol; its pin read back from a trail file sorts as
+    # N is the second symbol; its pin read back from a trail file equals
     # the one that the search recorded, and the replayed trail matches it
     src = """
         input int M;
@@ -900,10 +899,10 @@ def test_replay_reaches_recorded_violation():
         }
         """
     v = search(src).violations[0]
-    assert trail_key(parse_trail(render_trail(v.trail))) == trail_key(v.trail)
+    assert tuple(parse_trail(render_trail(v.trail))) == v.trail
     out = run_path(load(src), SearchConfig(), parse_trail(render_trail(v.trail)), reals={})
     assert out.violations[0].loc == v.loc
-    assert trail_key(out.violations[0].trail) == trail_key(v.trail)
+    assert out.violations[0].trail == v.trail
 
 
 def test_unvalidated_program_is_refused_when_the_engine_is_built():
@@ -1344,8 +1343,8 @@ def forked_matches_serial(prog, workers=2, **kw) -> engine.SearchResult:
     serial = explore(prog, SearchConfig(workers=1, **kw))
     # the merge of a forked search's findings relies on this: one search's
     # findings have pairwise distinct trails, so one sort by trail orders them
-    keys = [trail_key(v.trail) for v in serial.violations]
-    assert len(set(keys)) == len(keys)
+    trails = [v.trail for v in serial.violations]
+    assert len(set(trails)) == len(trails)
     forked = explore(prog, SearchConfig(workers=workers, **kw))
     assert forked.stats == serial.stats
     assert forked.incomplete == serial.incomplete

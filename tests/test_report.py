@@ -29,7 +29,7 @@ def make_violation(prop=Property.ASSERTION_VIOLATION, certainty=Certainty.PROVEA
     defaults = dict(
         loc=Loc("t.vl", 2, 3, 10),
         message="asserted condition fails",
-        trail=(ConcretizeInt("N", 1, 3), ChooseInt(0, 2), Branch(True)),
+        trail=(ConcretizeInt("N", 1, 3), ChooseInt(0, 2), Branch(0)),
         witness={SymConst("N", None, SymKind.INT, 0): 1},
         detail=None,
     )
@@ -156,7 +156,7 @@ def test_summary_line():
 def test_each_trail_step_header_and_summary_tail_is_rendered_once_per_report(monkeypatch):
     loc, equal_loc = Loc("t.vl", 2, 3, 10), Loc("t.vl", 2, 3, 10)
     pin, pick, equal_pick = ConcretizeInt("N", 1, 3), ChooseInt(0, 2), ChooseInt(0, 2)
-    then = Branch(True)
+    then = Branch(0)
     violations = [
         make_violation(loc=loc, trail=(pin, pick, then)),
         make_violation(loc=loc, trail=(pin, equal_pick)),

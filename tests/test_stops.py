@@ -8,7 +8,7 @@ import re
 from vlsym import engine
 from vlsym.ast import Program
 from vlsym.corpus import CLEAN_FILES, COLMAX_FILES, SWAP_FILES, load_sources
-from vlsym.engine import SearchConfig, Stats, explore
+from vlsym.engine import SearchConfig, Stats, explore, render_trail
 from vlsym.parser import load_program
 from vlsym.report import render_report
 
@@ -30,11 +30,11 @@ def load(src: str) -> Program:
     return prog
 
 
-def search(src: str):
-    """The search's result, its terminal states, and the lines of its
-    report."""
+def search(src: str, **kw):
+    """The search's result under SearchConfig(**kw), its terminal states,
+    and the lines of its report."""
     terminals = []
-    r = explore(load(src), SearchConfig(), on_terminal=terminals.append)
+    r = explore(load(src), SearchConfig(**kw), on_terminal=terminals.append)
     return r, terminals, render_report(["<input>"], [], 0.0, r, {"<input>": src}).splitlines()
 
 
@@ -137,6 +137,39 @@ def test_a_limit_on_the_first_part_of_a_condition_cuts_the_path_at_the_test():
     ]
     assert r.incomplete and terminals == []
     assert rows(report) == UNMARKED
+
+
+PIN_AT_THE_BUDGET = (
+    "input int N;\n"
+    "func main() {\n"
+    "  assume(0 <= N && N <= 20);\n"
+    "  var int a[N];\n"
+    "  a[0] = 1;\n"
+    "}\n"
+)
+
+
+def test_a_symbol_past_the_budget_is_stopped_by_the_solver_before_its_pin():
+    # N has 21 values: the solver's product of int ranges passes a budget of
+    # 20 at the assume, so the path stops there, before the extent pins N
+    r, terminals, report = search(PIN_AT_THE_BUDGET, budget=20)
+    assert r.stats == Stats(1, 0, 0, 1)
+    assert findings(r) == [
+        ("ENUM_BUDGET", "MAYBE", "<input>:3:3-28", "21 assignments exceed the budget of 20", 0)
+    ]
+    assert r.incomplete and terminals == []
+    assert rows(report) == UNMARKED
+
+
+def test_a_symbol_within_the_budget_is_pinned_to_each_of_its_values():
+    r, terminals, report = search(PIN_AT_THE_BUDGET, budget=21)
+    assert r.stats == Stats(44, 20, 0, 23)
+    assert findings(r) == [
+        ("OUT_OF_BOUNDS", "PROVEABLE", "<input>:5:3-6", "index 0 outside 'a' of length 0", 1)
+    ]
+    assert [render_trail(v.trail) for v in r.violations] == ["# trail v1\nZ N=0/21\n"]
+    assert not r.incomplete and len(terminals) == 20
+    assert rows(report) == [ALL_PLUS[0], " - Out of bounds accesses", *ALL_PLUS[2:]]
 
 
 def test_an_assertion_the_sampler_cannot_decide_is_a_maybe():

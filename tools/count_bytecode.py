@@ -1,0 +1,61 @@
+"""Count the bytecode that vlsym's serial search executes.
+
+For each benchmark workload (the clean corpus, the swap bug and the colmax
+bug, at the default bounds), load the program afresh, so that translating
+its functions is counted too, and run one serial explore under
+sys.settrace with opcode events on. Print the instructions executed, the
+Python calls made (call events, generator resumptions included) and the
+search's Stats. The counts depend on the Python version and on string
+hashing, so run it with PYTHONHASHSEED=0 to compare two trees:
+
+    PYTHONHASHSEED=0 python tools/count_bytecode.py
+
+Standard library only; it imports vlsym from the repository's src directory.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from vlsym.ast import Program  # noqa: E402
+from vlsym.corpus import CLEAN_FILES, COLMAX_FILES, SWAP_FILES, load_sources  # noqa: E402
+from vlsym.engine import SearchConfig, explore  # noqa: E402
+from vlsym.parser import load_program  # noqa: E402
+
+WORKLOADS = (("clean", CLEAN_FILES), ("swap", SWAP_FILES), ("colmax", COLMAX_FILES))
+
+
+def count(files) -> tuple[int, int, object]:
+    """Instructions and calls of one serial explore of a freshly loaded
+    program, and its Stats."""
+    program = load_program(load_sources(files))
+    assert isinstance(program, Program), program
+    counts = {"call": 0, "opcode": 0}
+
+    def on_event(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+        if event == "call":
+            frame.f_trace_opcodes = True
+        return on_event
+
+    sys.settrace(on_event)
+    try:
+        result = explore(program, SearchConfig())
+    finally:
+        sys.settrace(None)
+    return counts["opcode"], counts["call"], result.stats
+
+
+def main() -> None:
+    print(f"Python {sys.version.split()[0]}")
+    for name, files in WORKLOADS:
+        instructions, calls, stats = count(files)
+        print(f"{name:7} {instructions:>12,} instructions {calls:>9,} calls  {stats}")
+
+
+if __name__ == "__main__":
+    main()
