@@ -599,10 +599,13 @@ class Engine:
 # path may fork or end, through the executor's methods, where it calls,
 # with the callee's frame pushed, and on an error or a limit, through
 # _stopped with the pc on the statement that raised (k), so that each
-# pinned copy runs it again. The code holds the frame's slots in locals and
-# writes the ones it writes back to the frame before it leaves. A run of
-# the code executes the statements from its entry to where it leaves; each
-# counts one state, added up in n as it jumps and as it leaves.
+# pinned copy runs it again: every line that calls anything is some
+# statement's and ends in a comment of its index, and the handler finds k
+# by the line the error passed through. The code holds the frame's slots
+# in locals and writes the ones it writes back to the frame before it
+# leaves. A run of the code executes the statements from its entry to
+# where it leaves; each counts one state, added up in n as it jumps and as
+# it leaves.
 #
 # An expression becomes Python statements that leave its value in a temp;
 # a leaf is read where it is used. The general translation computes every
@@ -861,7 +864,7 @@ class _Writer:
     while the entry lies before the loop's end: its back edge goes round
     that loop alone and its exit breaks out of it. The general translation
     computes every int on polynomials, the concrete one, for a path whose
-    ints are all Python ints, on those. Its segments, entries, k and state
+    ints are all Python ints, on those. Its segments, entries and state
     counts are those of the general one, since a pinned copy resumes in it
     at the statement that stopped to have the pin."""
 
@@ -883,9 +886,9 @@ class _Writer:
         # holds it, innermost last, and the end of each Python loop by test
         self.loops: dict[int, tuple] = {}
         self.heads: dict[int, int] = {}
-        # whether the statement being written may raise or stop to have a
-        # symbolic int pinned
-        self.raises = self.pins = False
+        # whether the statement being written may stop to have a symbolic
+        # int pinned
+        self.pins = False
 
     def function(self):
         fn = self.fn
@@ -912,20 +915,21 @@ class _Writer:
             self.put_back += ", ".join(f"s{i}" for i in written) + "; "
         code, entries = {}, [0]
         for q in range(fn.end):
-            self.lines, self.raises, self.pins = [], False, False
+            self.lines, self.pins = [], False
             self.write(q)
-            if self.raises:
-                self.lines.insert(0, f"k = {q}")
-            code[q] = self.lines
+            code[q] = [f"{line}  # {q}" for line in self.lines]
             if q and (q in fn.entries or self.pins):
                 entries.append(q)
         body = self.region(0, fn.end, code, entries)
         head = ["def run(ex, state, frame):", " S = frame.slots", *self.prelude(" ")]
-        head += [" e = k = frame.pc", " n = -e", " try:"]
-        handler = [" except _STOPS as exc:", f"  {self.put_back}frame.pc = k"]
-        handler += ["  ex.stats.states += n + k + 1", f"  return ex._stopped(state, {locs}[k], exc)"]
-        lines = head + ["  " + line for line in body] + handler
-        return _compile(lines, f"<vl {fn.name}>", self.consts)
+        head += [" e = frame.pc", " n = -e", " try:"]
+        lines = head + ["  " + line for line in body]
+        # the statement of each marked line, by its number in _compile's source
+        at = {i + 2: int(x.rpartition("# ")[2]) for i, x in enumerate(lines) if "# " in x}
+        handler = [" except _STOPS as exc:", f"  k = {self.const(at)}[exc.__traceback__.tb_lineno]"]
+        handler += [f"  {self.put_back}frame.pc = k", "  ex.stats.states += n + k + 1"]
+        handler.append(f"  return ex._stopped(state, {locs}[k], exc)")
+        return _compile(lines + handler, f"<vl {fn.name}>", self.consts)
 
     def region(self, lo: int, hi: int, code: dict, entries: list[int]) -> list[str]:
         """The code of statements lo..hi-1: a Python loop for each loop
@@ -1025,14 +1029,13 @@ class _Writer:
 
     def leave(self, q: int, call: str) -> str:
         """The code by which statement q leaves with call's result."""
-        self.raises = True
         return f"{self.put_back}r = {call}; ex.stats.states += n + {q + 1}; return r"
 
     # --- statements ---
 
     def write(self, q: int) -> None:
-        """Write statement q. Where its code may raise, function() sets k,
-        the statement that the error handler stops at, before it."""
+        """Write statement q. function() marks each of its lines with q,
+        the statement that the error handler stops at if that line raises."""
         s = self.fn.flat[q]
         node = s.node
         if isinstance(node, ast.VarDecl):
@@ -1045,7 +1048,6 @@ class _Writer:
             self.put(f"state.printed.append(({''.join(a + ', ' for a in args)}))")
         elif isinstance(node, ast.ArrDecl):
             n = self.strict(node.extent)
-            self.raises = True
             bad = f"_bad_extent({n}, {self.const(node.name)}, {self.const(node.extent.loc)})"
             self.put(f"if not 0 <= {n} <= MAX_ARRAY_CELLS: {bad}")
             kind = "INT" if node.elem_ty is ast.Type.INT else "REAL"
@@ -1121,7 +1123,6 @@ class _Writer:
             return
         i = self.strict(target.index)
         storage, cells, n = self.array(target.base)
-        self.raises = True
         self.put(f"if 0 <= {i} < {n} and not {storage}.read_only: {cells}[{i}] = {v}")
         where = f"{self.const(target.base.name)}, {self.const(target.loc)}, {self.const(s.loc)}"
         self.put(f"else: _bad_cell({storage}, {i}, {where})")
@@ -1166,7 +1167,7 @@ class _Writer:
         v = self.value(e)
         if isinstance(e, ast.IntLit):
             return v
-        self.raises = self.pins = True
+        self.pins = True
         if self.concrete:
             return v
         t = self.temp()
@@ -1182,14 +1183,12 @@ class _Writer:
             v = self.load(e)
             if e.slot is not None and e.slot in self.fn.unset:
                 # inputs always hold a value, and so do parameters
-                self.raises = True
                 self.put(f"if {v} is UNDEFINED: _unset({self.const(e.name)}, {self.const(e.loc)})")
             return v
         t = self.temp()
         if isinstance(e, ast.Index):
             i = self.strict(e.index)
             storage, cells, n = self.array(e.base)
-            self.raises = True
             bad = f"_bad_cell({storage}, {i}, {self.const(e.base.name)}, {self.const(e.loc)})"
             self.put(f"if not (0 <= {i} < {n}) or ({t} := {cells}[{i}]) is UNDEFINED: {bad}")
         elif isinstance(e, ast.Unary):
@@ -1204,7 +1203,6 @@ class _Writer:
         elif isinstance(e, ast.Binary):
             a, b = self.value(e.lhs), self.value(e.rhs)
             if e.op == "/":
-                self.raises = True
                 self.put(f"{t} = _divide({a}.poly, {b}.poly, {self.const(e.loc)})")
             elif e.ty is ast.Type.REAL:
                 if e.op == "-":
@@ -1251,7 +1249,6 @@ class _Writer:
         elif isinstance(e, ast.EqualsCall):
             names = f"{self.const(e.lhs.name)}, {self.const(e.rhs.name)}"
             arrays = f"{self.load(e.lhs)}, {self.load(e.rhs)}"
-            self.raises = True
             self.put(f"{t} = _equals(state, {arrays}, {names}, {self.const(e.loc)})")
         else:
             raise AssertionError(f"not a condition: {type(e).__name__}")

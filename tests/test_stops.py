@@ -3,7 +3,12 @@ on a decided or repeated condition, with the counters, verdicts and the
 report's verdict rows pinned, and the few executor members that
 translated code may touch."""
 
+import ast
 import re
+
+import pytest
+from test_block_entries import NESTS
+from test_engine import TWO_PINS
 
 from vlsym import engine
 from vlsym.ast import Program
@@ -285,7 +290,126 @@ def test_a_negated_decided_condition_is_decided_on_the_general_code():
     assert rows(report) == ALL_PLUS
 
 
+# --- the statement that a stop is charged to ---
+
+# each stop is on a line of its statement's code that is not the first:
+# the else of a write in a loop, a nested line of an &&, a pin there, from
+# where the pinned copies run the statement again on the concrete code,
+# and a pin inside nine nested loops, one more than a translation runs as
+# Python loops
+WRITE_IN_A_LOOP = """\
+func main() {
+  var int a[2];
+  var int i = 0;
+  while (i < 3) {
+    a[i] = i;
+    i = i + 1;
+  }
+}
+"""
+READ_IN_AN_AND = """\
+func main() {
+  var int a[1];
+  a[0] = 0;
+  var int u;
+  if (a[0] == 0 && u == 1) {
+    a[0] = 1;
+  }
+}
+"""
+PIN_IN_AN_AND = """\
+input int N;
+func main() {
+  assume(0 <= N && N <= 1);
+  var int a[1];
+  a[0] = 0;
+  if (a[0] == 0 && a[N] == 0) {
+    print("hit");
+  }
+}
+"""
+PIN_IN_NINE_LOOPS = """\
+input int N;
+func main() {
+  var int i = 0;
+  while (i < 2) { var int j = 0; while (j < 2) { var int k = 0; while (k < 2) { var int l = 0; while (l < 2) { var int m = 0; while (m < 2) {
+    var int o = 0; while (o < 2) { var int p = 0; while (p < 2) { var int q = 0; while (q < 2) { var int r = 0; while (r < 2) {
+      var int a[2]; if (r == 1 && q == 1 && p == 1) { assume(0 <= N && N <= 1); a[N + 1] = 1; }
+      r = r + 1; } q = q + 1; } p = p + 1; } o = o + 1; } m = m + 1; } l = l + 1; } k = k + 1; } j = j + 1; } i = i + 1; }
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "src, stats, found, trail, ends",
+    [
+        (
+            WRITE_IN_A_LOOP,
+            Stats(10, 0, 0, 1),
+            ("OUT_OF_BOUNDS", "PROVEABLE", "<input>:5:5-8", "index 2 outside 'a' of length 2", 0),
+            [],
+            [],
+        ),
+        (
+            READ_IN_AN_AND,
+            Stats(4, 0, 0, 1),
+            ("READ_UNDEFINED", "PROVEABLE", "<input>:5:20-20", "'u' is read before assignment", 0),
+            [],
+            [],
+        ),
+        (
+            PIN_IN_AN_AND,
+            Stats(7, 1, 0, 4),
+            ("OUT_OF_BOUNDS", "PROVEABLE", "<input>:6:20-23", "index 1 outside 'a' of length 1", 1),
+            ["Z N=1/2"],
+            [(["Z N=0/2"], ["hit"])],
+        ),
+        (
+            PIN_IN_NINE_LOOPS,
+            Stats(4220, 1, 0, 4),
+            ("OUT_OF_BOUNDS", "PROVEABLE", "<input>:6:81-88", "index 2 outside 'a' of length 2", 1),
+            ["Z N=1/2"],
+            [(["Z N=0/2"], [])],
+        ),
+    ],
+    ids=["write-in-a-loop", "read-in-an-and", "pin-in-an-and", "pin-in-nine-loops"],
+)
+def test_a_stop_is_charged_to_the_statement_whose_line_raised(src, stats, found, trail, ends):
+    r, terminals, _ = search(src)
+    assert r.stats == stats and not r.incomplete
+    assert findings(r) == [found]
+    assert [d.render() for d in r.violations[0].trail] == trail
+    assert [([d.render() for d in st.trail], st.prints) for st in terminals] == ends
+
+
 # --- what translated code touches of its executor ---
+
+WORKLOADS = (
+    (CLEAN_FILES, {"overrides": {"M_B": 4}}),
+    (SWAP_FILES, {}),
+    (COLMAX_FILES, {}),
+)
+
+
+def compiled(monkeypatch, searches) -> list:
+    """The lines and the constants of each source that engine._compile
+    compiles in the explores of searches, each (sources, SearchConfig
+    keywords)."""
+    written = []
+    real_compile = engine._compile
+
+    def compile_(lines, filename, consts):
+        written.append((lines, consts))
+        return real_compile(lines, filename, consts)
+
+    monkeypatch.setattr(engine, "_compile", compile_)
+    for sources, kw in searches:
+        explore(load_program(sources), SearchConfig(**kw))
+    return written
+
+
+def workloads() -> list:
+    return [(load_sources(files), kw) for files, kw in WORKLOADS]
 
 # the executor members that translated code may use: it forks through the first
 # four, ends a stopped path through _stopped and counts its states
@@ -293,20 +417,7 @@ BLOCK_USES = {"choose", "branch", "check_assert", "apply_assume", "_stopped", "s
 
 
 def test_blocks_touch_their_executor_only_to_fork_count_and_stop(monkeypatch):
-    written = []
-    real_compile = engine._compile
-
-    def compile_(lines, filename, consts):
-        written.append("\n".join(lines))
-        return real_compile(lines, filename, consts)
-
-    monkeypatch.setattr(engine, "_compile", compile_)
-    for files, kw in (
-        (CLEAN_FILES, {"overrides": {"M_B": 4}}),
-        (SWAP_FILES, {}),
-        (COLMAX_FILES, {}),
-    ):
-        explore(load_program(load_sources(files)), SearchConfig(**kw))
+    written = ["\n".join(lines) for lines, _ in compiled(monkeypatch, workloads())]
     assert len(written) == 36
     uses = {m for source in written for m in re.findall(r"\bex\.(\w+(?:\.\w+)*)", source)}
     assert uses <= BLOCK_USES, uses - BLOCK_USES
@@ -317,3 +428,38 @@ def test_blocks_touch_their_executor_only_to_fork_count_and_stop(monkeypatch):
         if re.search(r"\bex\b(?!\.)", line)
     }
     assert bare == {"def run(ex, state, frame):"}
+
+
+# --- the statement that each line of translated code belongs to ---
+
+# a statement's line of translated code ends in its flat index
+MARKER = re.compile(r"  # (\d+)$")
+
+
+def test_each_line_that_may_raise_names_its_statement(monkeypatch):
+    searches = [*workloads(), ([("<input>", NESTS)], {}), ([("<input>", TWO_PINS)], {})]
+    written = compiled(monkeypatch, searches)
+    functions = [w for w in written if w[0][0] == "def run(ex, state, frame):"]
+    assert len(functions) == 39
+    for lines, consts in functions:
+        source = "\n".join(lines)
+        run = ast.parse(source).body[0]
+        (tried,) = [s for s in run.body if isinstance(s, ast.Try)]
+        (handler,) = tried.handlers
+        marked = {i + 1: int(m[1]) for i, line in enumerate(lines) if (m := MARKER.search(line))}
+        # the handler first looks up its table, the markers by line number,
+        # which _compile puts one line lower; each marker is a statement of
+        # the function
+        first = lines[handler.lineno]
+        table = consts[int(re.fullmatch(r"  k = C(\d+)\[exc\.__traceback__\.tb_lineno\]", first)[1])]
+        locs = consts[int(re.search(r"ex\._stopped\(state, C(\d+)\[k\], exc\)", source)[1])]
+        assert table == {at + 1: q for at, q in marked.items()}
+        assert set(marked.values()) <= set(range(len(locs)))
+        calls = {n.lineno for s in tried.body for n in ast.walk(s) if isinstance(n, ast.Call)}
+        assert calls and calls <= marked.keys(), [lines[at - 1] for at in calls - marked.keys()]
+        stores = [
+            n.lineno
+            for n in ast.walk(run)
+            if isinstance(n, ast.Name) and n.id == "k" and isinstance(n.ctx, ast.Store)
+        ]
+        assert stores == [handler.body[0].lineno]
